@@ -5,6 +5,7 @@ number N_B / (1 - kappa) on a beam splitter of reflectivity kappa, so the
 receiver sees noise energy N_B regardless of kappa.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -22,6 +23,11 @@ class ProbeKind(str, Enum):
     TMSV = "tmsv"
     ASTM = "astm"
     COHERENT = "coherent"
+
+
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value}")
 
 
 @dataclass
@@ -42,9 +48,11 @@ class ProbeSpec:
     def __post_init__(self):
         self.kind = ProbeKind(self.kind)
         for name in ("n0", "n1", "n2", "ns"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            _check_finite(name, value)
+            if value < 0:
                 raise ValidationError(
-                    f"probe parameter {name} must be >= 0, got {getattr(self, name)}"
+                    f"probe parameter {name} must be >= 0, got {value}"
                 )
 
     @property
@@ -70,6 +78,8 @@ class TargetScenario:
     ensembles: float = 1.0
 
     def __post_init__(self):
+        for name in ("kappa", "nb", "ensembles"):
+            _check_finite(name, getattr(self, name))
         if not 0.0 <= self.kappa < 1.0:
             raise ValidationError(f"kappa must lie in [0, 1), got {self.kappa}")
         if self.nb < 0:

@@ -100,7 +100,9 @@ class SymplecticMatrix:
             raise ValidationError(f"symplectic matrix must be 2n x 2n, got {m.shape}")
         omega = symplectic_form(m.shape[0] // 2)
         residual = np.linalg.norm(m @ omega @ m.T - omega)
-        if residual > SYMPLECTIC_RESIDUAL_TOL:
+        # Rounding in S Omega S^T grows with the entries of S, so the bound
+        # scales with |S|^2 (a squeezer with N photons has |S|^2 ~ 4N).
+        if residual > SYMPLECTIC_RESIDUAL_TOL * max(1.0, np.vdot(m, m)):
             raise ValidationError(
                 f"matrix is not symplectic: |S Omega S^T - Omega| = {residual:g}"
             )

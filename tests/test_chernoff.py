@@ -6,11 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc
 
+from conftest import random_physical_cov
 from gqi import (
+    MICROWAVE,
+    GaussianState,
     ProbeKind,
     ProbeSpec,
+    SymplecticMatrix,
     TargetScenario,
     ValidationError,
+    apply_symplectic,
     chernoff_infimum,
     g_func,
     lambda_func,
@@ -21,8 +26,30 @@ from gqi import (
     snr,
     snr_from_log_p,
     v_of_p,
+    williamson,
 )
 from gqi.probes import HypothesisPair, tmsv_state
+
+
+def williamson_q_s(pair: HypothesisPair, s: float) -> float:
+    """Q_s from the Williamson form of both covariances at one s (oracle)."""
+    s = min(max(s, 1e-12), 1.0 - 1e-12)
+    value, sigma = 2.0 ** pair.n_modes, 0.0
+    for state, p in ((pair.rho_a, s), (pair.rho_b, 1.0 - s)):
+        dec = williamson(state.cov)
+        sm = dec.s_matrix.entries
+        value *= np.prod([g_func(p, nu) for nu in dec.spectrum])
+        lam = np.repeat([lambda_func(p, nu) for nu in dec.spectrum], 2)
+        sigma = sigma + (sm * lam) @ sm.T
+    value /= math.sqrt(np.linalg.det(sigma))
+    d = pair.rho_a.mean - pair.rho_b.mean
+    return value * math.exp(-0.5 * d @ np.linalg.solve(sigma, d))
+
+
+def thermal_q_s(m: float, n: float, s: float) -> float:
+    """Tr(rho_m^s rho_n^(1-s)) for thermal states of m and n photons."""
+    x, y = m / (m + 1.0), n / (n + 1.0)
+    return (1.0 - x) ** s * (1.0 - y) ** (1.0 - s) / (1.0 - x**s * y ** (1.0 - s))
 
 
 class TestGAndLambda:
@@ -150,6 +177,85 @@ class TestQs:
             q_s(_small_pair(), 1.2)
 
 
+photons = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+
+
+class TestAgainstWilliamsonForm:
+    # N_B = n0 makes the target-absent spectrum exactly degenerate and
+    # N_B = 0 gives a pure return mode. The bound is 1e-9 relative on 1 - Q
+    # plus 32 ulps of 1: where 1 - Q is near 1e-6, rounding in either
+    # formula alone moves Q by a few 1e-15. Near s = 0 and 1 a pure mode
+    # sits next to one whose Lambda_p is ~1e12, where the Williamson form
+    # loses ~1e-4 (checked at 150 digits), so N_B = 0 keeps s inside.
+    @given(
+        n0=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+        n1=photons,
+        n2=photons,
+        kappa=st.floats(1e-3, 0.9),
+        noise=st.one_of(st.sampled_from(["degenerate", "pure"]), photons),
+        s=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_williamson_form(self, n0, n1, n2, kappa, noise, s):
+        nb = {"degenerate": n0, "pure": 0.0}.get(noise, noise)
+        if nb == 0.0:
+            s = min(max(s, 0.01), 0.99)
+        pair = make_hypotheses(ProbeSpec(kind=ProbeKind.ASTM, n0=n0, n1=n1, n2=n2),
+                               TargetScenario(kappa, nb))
+        expected = williamson_q_s(pair, s)
+        if 1.0 - expected > 1e-6:
+            assert abs(q_s(pair, s) - expected) <= (
+                1e-9 * (1.0 - expected) + 32 * np.finfo(float).eps)
+
+    def test_random_covariances(self, rng):
+        # x-p correlated states, which no probe produces, and one mode
+        for n_modes in (1, 2, 2, 2):
+            for _ in range(10):
+                mean = rng.normal(size=2 * n_modes)
+                pair = HypothesisPair(
+                    GaussianState(n_modes, mean, random_physical_cov(n_modes, rng)),
+                    GaussianState(n_modes, -mean, random_physical_cov(n_modes, rng)),
+                )
+                for s in (0.0, 0.2, 0.5, 0.9, 1.0):
+                    assert q_s(pair, s) == pytest.approx(
+                        williamson_q_s(pair, s), rel=1e-10)
+
+    def test_v_of_p_matches_williamson_form(self, rng):
+        for _ in range(20):
+            v = random_physical_cov(2, rng)
+            dec = williamson(v)
+            sm = dec.s_matrix.entries
+            lam = np.repeat([lambda_func(0.3, nu) for nu in dec.spectrum], 2)
+            np.testing.assert_allclose(v_of_p(v, 0.3), (sm * lam) @ sm.T,
+                                       rtol=1e-10, atol=1e-12)
+
+
+class TestRankDeficientPairs:
+    # Both hypotheses carried by one two-mode squeezer S: Q_s is invariant,
+    # so it factorises into single-mode thermal overlaps; a vacuum mode
+    # (m = 0) makes rho_A rank-deficient. The bound is set by the squeezing:
+    # the closed-form spectrum sums products of the blocks of V and loses
+    # about eps (|V| / nu)^4, here ~5e-11.
+    @pytest.mark.parametrize("s", [0.0, 1e-6, 0.3, 0.7, 1.0 - 1e-6, 1.0])
+    @pytest.mark.parametrize("m1, m2, n1, n2", [
+        (0.0, 2.0, 0.5, 3.0), (0.0, 0.0, 1.0, 0.2), (4.0, 0.0, 4.0, 0.5),
+    ])
+    def test_squeezed_thermal_closed_form(self, s, m1, m2, n1, n2):
+        r = math.asinh(math.sqrt(5.0))
+        z = np.diag([1.0, -1.0])
+        sq = SymplecticMatrix(np.block([[math.cosh(r) * np.eye(2), math.sinh(r) * z],
+                                        [math.sinh(r) * z, math.cosh(r) * np.eye(2)]]))
+
+        def state(a, b):
+            cov = np.diag(np.repeat([2 * a + 1, 2 * b + 1], 2))
+            return apply_symplectic(GaussianState(2, np.zeros(4), cov), sq)
+
+        pair = HypothesisPair(state(m1, m2), state(n1, n2))
+        t = min(max(s, 1e-12), 1.0 - 1e-12)
+        expected = thermal_q_s(m1, n1, t) * thermal_q_s(m2, n2, t)
+        assert q_s(pair, s) == pytest.approx(expected, rel=2e-10)
+
+
 class TestChernoffInfimum:
     def test_identical_states(self):
         pair = make_hypotheses(
@@ -174,6 +280,21 @@ class TestChernoffInfimum:
         scan = min(q_s(pair, s) for s in np.linspace(1e-9, 1 - 1e-9, 20001))
         assert q_min <= scan + 1e-15
         assert q_min == pytest.approx(scan, abs=1e-12)
+        for probe, scenario in (
+            (ProbeSpec(kind=ProbeKind.ASTM, n0=0.1, n1=1.2, n2=3.0),
+             TargetScenario(kappa=0.01, nb=30.0)),
+            (ProbeSpec(kind=ProbeKind.TMSV, n0=2.0),
+             TargetScenario(kappa=0.2, nb=0.5)),
+        ):
+            pair = make_hypotheses(probe, scenario)
+            _, q_min = chernoff_infimum(pair)
+            # 4001 points, then 4001 more between the neighbours of the best
+            grid = np.linspace(1e-9, 1 - 1e-9, 4001)
+            i = int(np.argmin([q_s(pair, s) for s in grid]))
+            fine = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, 4000)], 4001)
+            scan = min(q_s(pair, s) for s in fine)
+            assert q_min <= scan + 1e-15
+            assert q_min == pytest.approx(scan, abs=1e-12)
 
     def test_swap_symmetry(self):
         pair = _small_pair()
@@ -252,6 +373,13 @@ class TestSnrPipeline:
             for n1 in (0.0, 0.5, 1.0, 2.0, 3.0)
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+    def test_strong_idler_squeezing_has_no_effect(self):
+        values = [
+            snr(ProbeSpec(kind=ProbeKind.ASTM, n0=1.0, n1=1.0, n2=n2), MICROWAVE).snr
+            for n2 in (0.0, 1e6)
+        ]
+        assert values[1] == pytest.approx(values[0], rel=1e-9)
 
     def test_idler_squeezing_has_no_effect(self):
         scenario = TargetScenario(kappa=0.01, nb=3.8e3, ensembles=1e7)

@@ -76,6 +76,16 @@ class TestSnrCommand:
         assert "n0" in err
 
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--nb", "nan"), ("--n0", "inf"), ("--n1", "nan"), ("--nb", "inf"),
+        ("--kappa", "nan"), ("--ensembles", "-inf"),
+    ])
+    def test_non_finite_input_exit_code(self, flag, value, capsys):
+        code, _, err = run(["snr", "--kind", "astm", f"{flag}={value}"], capsys)
+        assert code == 2
+        assert "finite" in err
+
+
 class TestSweepCommand:
     def test_sweep_writes_table(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"

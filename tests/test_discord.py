@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gqi import (
+    LOW_NOISE,
     GaussianState,
     ProbeKind,
     ProbeSpec,
@@ -146,6 +147,11 @@ class TestRemainedDiscord:
         assert remained_discord(probe, TargetScenario(0.0, 0.0)).value == (
             pytest.approx(0.0, abs=1e-10)
         )
+
+    def test_product_state_is_zero(self):
+        # n0 = 0 leaves the idler in vacuum (beta = 1): the eps -> alpha limit
+        probe = ProbeSpec(kind="astm", n0=0, n1=1)
+        assert remained_discord(probe, LOW_NOISE).value == 0.0
 
     def test_rejects_coherent_probe(self):
         with pytest.raises(ValidationError):

@@ -205,3 +205,18 @@ class TestProbeSpec:
     def test_rejects_negative_parameter(self):
         with pytest.raises(ValidationError):
             ProbeSpec(kind=ProbeKind.TMSV, n0=-1.0)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", ["n0", "n1", "n2", "ns"])
+    def test_probe_rejects(self, name, value):
+        with pytest.raises(ValidationError, match=name):
+            ProbeSpec(kind=ProbeKind.ASTM, **{name: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", ["kappa", "nb", "ensembles"])
+    def test_scenario_rejects(self, name, value):
+        fields = {"kappa": 0.01, "nb": 30.0, "ensembles": 1e7, name: value}
+        with pytest.raises(ValidationError, match=name):
+            TargetScenario(**fields)

@@ -173,6 +173,17 @@ class TestSingleModeSqueezer:
         s = single_mode_squeezer(n, 0, 1).entries
         assert s[0, 0] * s[1, 1] == pytest.approx(1.0, rel=1e-12)
 
+    def test_strong_squeezing_accepted(self):
+        # S Omega S^T - Omega rounds to ~1e-10 on entries of size ~2e3
+        s = single_mode_squeezer(1e6, 1, 2).entries
+        assert s[3, 3] == pytest.approx(2.0 * np.sqrt(1e6), rel=1e-6)
+
+    def test_scaled_tolerance_still_rejects(self):
+        with pytest.raises(ValidationError):
+            SymplecticMatrix(np.diag([2e3, 2e3, 1.0, 1.0]))
+        with pytest.raises(ValidationError):
+            SymplecticMatrix(np.diag([1.0 + 1e-9, 1.0, 1.0, 1.0]))
+
     def test_mode_out_of_range(self):
         with pytest.raises(ValidationError):
             single_mode_squeezer(1.0, 2, 2)
