@@ -275,7 +275,7 @@ def chernoff_infimum(pair: HypothesisPair, tol: float = DEFAULT_S_TOL) -> tuple[
     Q_s is convex in s, so the grid point with the smallest value brackets
     the minimum between its neighbours. A 64-point scan of [0, 1] finds that
     bracket, and 64-point scans of the bracket shrink it by 2/63 per round
-    until it is no wider than 2 tol.
+    until it is no wider than 2 tol, or until rounding stops it shrinking.
     """
     data = _pair_data(pair)
     lo, hi = _S_EDGE, 1.0 - _S_EDGE
@@ -286,9 +286,10 @@ def chernoff_infimum(pair: HypothesisPair, tol: float = DEFAULT_S_TOL) -> tuple[
         i = int(np.argmin(values))
         if values[i] < q_min:
             s_star, q_min = float(grid[i]), float(values[i])
+        width = hi - lo
         lo = grid[max(i - 1, 0)]
         hi = grid[min(i + 1, _SCAN_POINTS - 1)]
-        if hi - lo <= 2.0 * tol:
+        if hi - lo <= 2.0 * tol or hi - lo >= width:
             return s_star, min(q_min, 1.0)
 
 

@@ -296,6 +296,11 @@ class TestChernoffInfimum:
             assert q_min <= scan + 1e-15
             assert q_min == pytest.approx(scan, abs=1e-12)
 
+    def test_zero_tolerance_stops_at_rounding(self):
+        pair = _small_pair()
+        assert chernoff_infimum(pair, tol=0.0)[1] == pytest.approx(
+            chernoff_infimum(pair)[1], abs=1e-15)
+
     def test_swap_symmetry(self):
         pair = _small_pair()
         swapped = HypothesisPair(pair.rho_b, pair.rho_a)
