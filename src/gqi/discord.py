@@ -72,11 +72,6 @@ def gaussian_discord(state: GaussianState) -> DiscordResult:
     alpha, beta, gamma, delta = d.alpha, d.beta, d.gamma, d.delta
     nu_hi, nu_lo = symplectic_eigenvalues(state.cov)
 
-    if gamma == 0.0:
-        # Product state: measuring mode 2 leaves mode 1 as it was (eps =
-        # alpha), and the entropy terms cancel exactly.
-        return DiscordResult(0.0, "product", (nu_hi, nu_lo))
-
     if nu_hi <= 1.0 + _ZERO_CLAMP:
         # Pure state: eps -> 1 and both entropy terms vanish, leaving the
         # marginal entropy. The closed forms below lose ~1e-7 to cancellation
@@ -86,8 +81,8 @@ def gaussian_discord(state: GaussianState) -> DiscordResult:
     if (delta - alpha * beta) ** 2 <= (beta + 1.0) * gamma**2 * (alpha + delta):
         branch = "measurement-aligned"
         inner = max(gamma**2 + (beta - 1.0) * (delta - alpha), 0.0)
-        # A pure mode 2 (beta -> 1) only occurs in a product state: the
-        # limit is eps -> alpha, as above.
+        # A pure mode 2 (beta -> 1) only occurs in a product state, where
+        # measuring it leaves mode 1 as it was: the limit is eps -> alpha.
         eps = (
             2.0 * gamma**2
             + (beta - 1.0) * (delta - alpha)

@@ -25,25 +25,55 @@ from gqi import (
     q_s,
     snr,
     snr_from_log_p,
+    symplectic_form,
     v_of_p,
     williamson,
 )
 from gqi.probes import HypothesisPair, tmsv_state
 
 
-def williamson_q_s(pair: HypothesisPair, s: float) -> float:
-    """Q_s from the Williamson form of both covariances at one s (oracle)."""
+EPS = np.finfo(float).eps
+
+
+def pure_tol(cov: np.ndarray) -> float:
+    """The bound within which gqi takes a symplectic eigenvalue as exactly 1."""
+    scale = np.sqrt(np.diag(cov))
+    det_r = np.linalg.det(cov / np.outer(scale, scale))
+    return 256 * EPS * (np.abs(cov).max() + 1.0 / det_r)
+
+
+def williamson_q_s(pair: HypothesisPair, s: float, snap: bool = True) -> float:
+    """Q_s from the Williamson form of both covariances at one s (oracle).
+
+    With snap, eigenvalues within pure_tol of 1 are set to 1 as in gqi;
+    without it only g_func/lambda_func's own 1e-14 applies. Sigma_s is
+    factored as V_A(s) (V_A(s)^-1 + V_B(1-s)^-1) V_B(1-s), with
+    V(p)^-1 = (Omega S) Lambda_p^-1 (Omega S)^T: at the ends of [0, 1] a
+    Lambda_p ~ 1e12 next to a pure mode's 1 costs the sum V_A + V_B
+    itself up to 8e-4 of Q.
+    """
     s = min(max(s, 1e-12), 1.0 - 1e-12)
-    value, sigma = 2.0 ** pair.n_modes, 0.0
+    value, dual, inverses = 2.0 ** pair.n_modes, 0.0, []
+    omega = symplectic_form(pair.n_modes)
     for state, p in ((pair.rho_a, s), (pair.rho_b, 1.0 - s)):
         dec = williamson(state.cov)
-        sm = dec.s_matrix.entries
-        value *= np.prod([g_func(p, nu) for nu in dec.spectrum])
-        lam = np.repeat([lambda_func(p, nu) for nu in dec.spectrum], 2)
-        sigma = sigma + (sm * lam) @ sm.T
-    value /= math.sqrt(np.linalg.det(sigma))
+        nu = dec.spectrum
+        if snap:
+            nu = np.where(nu <= 1.0 + pure_tol(state.cov), 1.0, nu)
+        lam = np.array([lambda_func(p, x) for x in nu])
+        value *= np.prod([g_func(p, x) for x in nu] / lam)
+        w = omega @ dec.s_matrix.entries
+        inverses.append((w / np.repeat(lam, 2)) @ w.T)
+        dual = dual + inverses[-1]
+    value /= math.sqrt(np.linalg.det(dual))
     d = pair.rho_a.mean - pair.rho_b.mean
-    return value * math.exp(-0.5 * d @ np.linalg.solve(sigma, d))
+    return value * math.exp(
+        -0.5 * (inverses[0] @ d) @ np.linalg.solve(dual, inverses[1] @ d))
+
+
+def inv_det_r(cov: np.ndarray) -> float:
+    scale = np.sqrt(np.diag(cov))
+    return 1.0 / np.linalg.det(cov / np.outer(scale, scale))
 
 
 def thermal_q_s(m: float, n: float, s: float) -> float:
@@ -71,6 +101,14 @@ class TestGAndLambda:
         assert lambda_func(0.5, 3.0) == pytest.approx(
             (2 + math.sqrt(2)) / (2 - math.sqrt(2)), rel=1e-12
         )
+
+    def test_nearly_pure_mode_is_mixed(self):
+        # only rounding of a pure mode (1e-14) is snapped to 1
+        x, p = 1.0 + 1e-9, 0.01
+        up, dn = (x + 1.0) ** p, (x - 1.0) ** p
+        assert lambda_func(p, x) == pytest.approx((up + dn) / (up - dn), rel=1e-9)
+        assert g_func(p, x) == pytest.approx(2.0**p / (up - dn), rel=1e-9)
+        assert lambda_func(p, x) > 9.0
 
     def test_rejects_x_below_one(self):
         with pytest.raises(ValidationError):
@@ -177,35 +215,60 @@ class TestQs:
             q_s(_small_pair(), 1.2)
 
 
-photons = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
-
-
 class TestAgainstWilliamsonForm:
-    # N_B = n0 makes the target-absent spectrum exactly degenerate and
-    # N_B = 0 gives a pure return mode. The bound is 1e-9 relative on 1 - Q
-    # plus 32 ulps of 1: where 1 - Q is near 1e-6, rounding in either
-    # formula alone moves Q by a few 1e-15. Near s = 0 and 1 a pure mode
-    # sits next to one whose Lambda_p is ~1e12, where the Williamson form
-    # loses ~1e-4 (checked at 150 digits), so N_B = 0 keeps s inside.
+    # N_B = n0 makes the target-absent spectrum exactly degenerate, N_B = 0
+    # gives a pure return mode and N_B = 1e-12, 1e-10 nearly pure ones. The
+    # bound is 1e-9 relative on 1 - Q plus what either formula loses to
+    # rounding, each term set against a 110-digit evaluation:
+    #   32 ulps of 1: where 1 - Q ~ 1e-6, 1e-9 of it is ~4 ulps, and either
+    #     formula alone moves Q by 1-4e-15;
+    #   4 (1/det R_A + 1/det R_B) ulps, R = V scaled to unit diagonal: the
+    #     closed-form spectrum cancels for strongly correlated modes, up to
+    #     1.3 eps / det R (5e-9 of 1 - Q at n0 = 10, kappa = 0.5, s near 1,
+    #     where the Williamson form keeps 1e-10);
+    #   eps max|V| / N_B relative on 1 - Q: both formulas know the return
+    #     mode's nu - 1 = 2 N_B only to ~eps max|V|. At N_B = 1e-10 and
+    #     s < 0.1 the Williamson form is off by up to 1.3e-5, this one by
+    #     up to 1.2e-6.
+    # 18000 random draws over these ranges stayed within 0.6 of the bound.
     @given(
-        n0=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
-        n1=photons,
-        n2=photons,
+        n0=st.floats(0.0, 10.0),
+        n1=st.floats(0.0, 1e3),
+        n2=st.floats(0.0, 1e3),
         kappa=st.floats(1e-3, 0.9),
-        noise=st.one_of(st.sampled_from(["degenerate", "pure"]), photons),
+        noise=st.one_of(st.sampled_from(["degenerate", 0.0, 1e-12, 1e-10]),
+                        st.floats(0.0, 1e3)),
         s=st.floats(0.0, 1.0),
     )
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_matches_williamson_form(self, n0, n1, n2, kappa, noise, s):
-        nb = {"degenerate": n0, "pure": 0.0}.get(noise, noise)
-        if nb == 0.0:
-            s = min(max(s, 0.01), 0.99)
+        nb = n0 if noise == "degenerate" else noise
         pair = make_hypotheses(ProbeSpec(kind=ProbeKind.ASTM, n0=n0, n1=n1, n2=n2),
                                TargetScenario(kappa, nb))
         expected = williamson_q_s(pair, s)
         if 1.0 - expected > 1e-6:
+            covs = (pair.rho_a.cov, pair.rho_b.cov)
+            rel = 1e-9
+            if nb > 0.0:
+                rel += EPS * max(np.abs(v).max() for v in covs) / nb
+            ulps = 32 + 4 * sum(inv_det_r(v) for v in covs)
             assert abs(q_s(pair, s) - expected) <= (
-                1e-9 * (1.0 - expected) + 32 * np.finfo(float).eps)
+                rel * (1.0 - expected) + ulps * EPS)
+
+    @pytest.mark.parametrize("nb", [1e-12, 1e-10])
+    def test_small_noise_is_not_pure(self, nb):
+        # nu - 1 = 2 N_B lies far above the rounding of these covariances,
+        # so it must reach G_p and Lambda_p: a 1e-9 snap made Q_s equal to
+        # that of N_B = 0, 3.5e-3 (1e-12) and 8.7e-3 (1e-10) off in 1 - Q.
+        # Both formulas stay within 2e-7 of a 110-digit evaluation here.
+        probe = ProbeSpec(kind=ProbeKind.ASTM, n0=1.7, n1=0.1)
+        pair = make_hypotheses(probe, TargetScenario(0.03, nb))
+        pure = make_hypotheses(probe, TargetScenario(0.03, 0.0))
+        for s in (0.2, 0.8):
+            expected = williamson_q_s(pair, s, snap=False)
+            bound = 1e-4 * (1.0 - expected)
+            assert abs(q_s(pair, s) - expected) <= bound
+            assert abs(q_s(pure, s) - expected) > 10 * bound
 
     def test_random_covariances(self, rng):
         # x-p correlated states, which no probe produces, and one mode
@@ -378,6 +441,17 @@ class TestSnrPipeline:
             for n1 in (0.0, 0.5, 1.0, 2.0, 3.0)
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("n0, n1, expected", [
+        (0.6, 1.0, 16.223446923856670511),  # 50-digit values
+        (1.4, 0.0, 10.06955345956105121),
+    ])
+    def test_microwave_snr_to_rounding(self, n0, n1, expected):
+        # 1 - Q ~ 1e-7 here, so every ulp of Q is ~1e-9 of the SNR; the
+        # determinant of Sigma' needs its diagonal scaling to keep them
+        # (without it: 1.6e-9 off at both points)
+        result = snr(ProbeSpec(kind=ProbeKind.ASTM, n0=n0, n1=n1), MICROWAVE)
+        assert result.snr == pytest.approx(expected, rel=2e-10)
 
     def test_strong_idler_squeezing_has_no_effect(self):
         values = [

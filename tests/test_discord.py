@@ -134,6 +134,16 @@ class TestGaussianDiscord:
             expected, abs=1e-10
         )
 
+    def test_rank_one_cross_block_is_correlated(self):
+        # det C = 0 without C = 0: discord is zero only for product states
+        v = np.diag([2.0, 2.0, 2.0, 2.0])
+        v[0, 2] = v[2, 0] = 1.0
+        result = gaussian_discord(GaussianState(2, np.zeros(4), v))
+        expected = (entropy_f(2.0) - entropy_f(math.sqrt(6.0))
+                    - entropy_f(math.sqrt(2.0)) + entropy_f(math.sqrt(3.0)))
+        assert result.value == pytest.approx(expected, rel=1e-12)
+        assert result.value > 0.02
+
     def test_nonnegative_on_channel_outputs(self):
         for n1 in (0.0, 0.5, 2.0):
             probe = ProbeSpec(kind=ProbeKind.ASTM, n0=0.1, n1=n1)
