@@ -29,6 +29,7 @@ from .probes import (
 from .chernoff import (
     DiscriminationResult,
     chernoff_infimum,
+    discriminate,
     g_func,
     lambda_func,
     log_error_prob,

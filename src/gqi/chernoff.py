@@ -338,10 +338,15 @@ def log_p_from_snr(snr_value: float) -> float:
     return float(log_ndtr(-math.sqrt(2.0 * snr_value)))
 
 
+def discriminate(pair: HypothesisPair, ensembles: float,
+                 tol: float = DEFAULT_S_TOL) -> DiscriminationResult:
+    """Chernoff infimum -> M-copy log P -> SNR for a built hypothesis pair."""
+    s_star, q_min = chernoff_infimum(pair, tol=tol)
+    log_p = log_error_prob(q_min, ensembles)
+    return DiscriminationResult(s_star, q_min, log_p, snr_from_log_p(log_p))
+
+
 def snr(probe: ProbeSpec, scenario: TargetScenario,
         tol: float = DEFAULT_S_TOL) -> DiscriminationResult:
     """Full pipeline: hypotheses -> Chernoff infimum -> log P -> SNR."""
-    pair = make_hypotheses(probe, scenario)
-    s_star, q_min = chernoff_infimum(pair, tol=tol)
-    log_p = log_error_prob(q_min, scenario.ensembles)
-    return DiscriminationResult(s_star, q_min, log_p, snr_from_log_p(log_p))
+    return discriminate(make_hypotheses(probe, scenario), scenario.ensembles, tol)

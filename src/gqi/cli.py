@@ -209,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="write the CSV tables behind a figure")
     p.add_argument("figure", choices=FIGURE_IDS)
     p.add_argument("--out", default=".")
-    p.add_argument("--config", help=argparse.SUPPRESS)
     p.add_argument("--plot", action="store_true")
     p.set_defaults(func=cmd_reproduce)
 

@@ -12,9 +12,10 @@ from .probes import (
     ProbeKind,
     ProbeSpec,
     TargetScenario,
-    make_hypotheses,
+    _probe_entries,
+    _return_idler_state,
 )
-from .symplectic import GaussianState, ValidationError, symplectic_eigenvalues
+from .symplectic import GaussianState, ValidationError
 
 _ZERO_CLAMP = 1e-10
 
@@ -65,12 +66,12 @@ def gaussian_discord(state: GaussianState) -> DiscordResult:
     """Gaussian discord with the measurement on mode 2.
 
     D = f(sqrt(beta)) - f(nu_+) - f(nu_-) + f(sqrt(eps)), where nu_+- are the
-    symplectic eigenvalues of the full covariance matrix and eps follows the
-    closed-form branch on the block determinants.
+    symplectic eigenvalues of the full covariance matrix (state.spectrum) and
+    eps follows the closed-form branch on the block determinants.
     """
     d = block_determinants(state)
     alpha, beta, gamma, delta = d.alpha, d.beta, d.gamma, d.delta
-    nu_hi, nu_lo = symplectic_eigenvalues(state.cov)
+    nu_hi, nu_lo = state.spectrum
 
     if nu_hi <= 1.0 + _ZERO_CLAMP:
         # Pure state: eps -> 1 and both entropy terms vanish, leaving the
@@ -113,4 +114,4 @@ def remained_discord(probe: ProbeSpec, scenario: TargetScenario) -> DiscordResul
     """Discord left between the return and idler modes after the channel."""
     if probe.kind is ProbeKind.COHERENT:
         raise ValidationError("remained_discord needs an idler mode")
-    return gaussian_discord(make_hypotheses(probe, scenario).rho_a)
+    return gaussian_discord(_return_idler_state(_probe_entries(probe), scenario))

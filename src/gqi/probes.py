@@ -11,12 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .symplectic import (
-    GaussianState,
-    ValidationError,
-    apply_symplectic,
-    single_mode_squeezer,
-)
+from .symplectic import GaussianState, ValidationError, _squeezer_gains
 
 
 class ProbeKind(str, Enum):
@@ -100,26 +95,61 @@ class HypothesisPair:
         return self.rho_a.n_modes
 
 
+def _two_mode_cov(ax: float, ap: float, bx: float, bp: float,
+                  cx: float, cp: float) -> np.ndarray:
+    """Standard-form covariance: modes diag(ax, ap) and diag(bx, bp), cross diag(cx, cp)."""
+    return np.array([[ax, 0.0, cx, 0.0],
+                     [0.0, ap, 0.0, cp],
+                     [cx, 0.0, bx, 0.0],
+                     [0.0, cp, 0.0, bp]])
+
+
+def _probe_entries(spec: ProbeSpec) -> tuple[float, ...]:
+    """Nonzero covariance entries of a TMSV/ASTM probe, as _two_mode_cov takes them.
+
+    The squeezers (single_mode_squeezer) scale rows and then columns of the
+    TMSV covariance by m = (gamma_-, gamma_+) on their mode,
+    cov -> (cov m_i) m_j, which is what S cov S^T does with a diagonal S,
+    rounding included.
+    """
+    a = 2.0 * spec.n0 + 1.0
+    c = 2.0 * math.sqrt(spec.n0 * (spec.n0 + 1.0))
+    s_minus, s_plus = _squeezer_gains(spec.n1)
+    i_minus, i_plus = _squeezer_gains(spec.n2)
+    return ((a * s_minus) * s_minus, (a * s_plus) * s_plus,
+            (a * i_minus) * i_minus, (a * i_plus) * i_plus,
+            (c * s_minus) * i_minus, (-c * s_plus) * i_plus)
+
+
+def _return_idler_state(entries: tuple[float, ...],
+                        scenario: TargetScenario) -> GaussianState:
+    """rho_A: the probe's signal mode after the channel, with its idler.
+
+    The channel scales the signal rows and columns by k = sqrt(kappa),
+    (v k_i) k_j, and adds the transmitted noise to the signal diagonal.
+    """
+    ax, ap, bx, bp, cx, cp = entries
+    k = math.sqrt(scenario.kappa)
+    noise = 2.0 * scenario.nb + (1.0 - scenario.kappa)
+    cov = _two_mode_cov((ax * k) * k + noise, (ap * k) * k + noise, bx, bp,
+                        cx * k, cp * k)
+    return GaussianState(2, np.zeros(4), cov)
+
+
 def tmsv_state(n0: float) -> GaussianState:
     """Two-mode squeezed vacuum with per-mode photon number n0."""
     if n0 < 0:
         raise ValidationError(f"n0 must be >= 0, got {n0}")
     a = 2.0 * n0 + 1.0
-    c = 2.0 * np.sqrt(n0 * (n0 + 1.0))
-    cov = np.diag([a, a, a, a])
-    cov[0, 2] = cov[2, 0] = c
-    cov[1, 3] = cov[3, 1] = -c
-    return GaussianState(2, np.zeros(4), cov)
+    c = 2.0 * math.sqrt(n0 * (n0 + 1.0))
+    return GaussianState(2, np.zeros(4), _two_mode_cov(a, a, a, a, c, -c))
 
 
 def astm_state(spec: ProbeSpec) -> GaussianState:
     """Asymmetrically squeezed two-mode state: independent squeezers on TMSV."""
     if spec.kind is ProbeKind.COHERENT:
         raise ValidationError("astm_state requires a TMSV or ASTM probe")
-    state = tmsv_state(spec.n0)
-    state = apply_symplectic(state, single_mode_squeezer(spec.n1, 0, 2))
-    state = apply_symplectic(state, single_mode_squeezer(spec.n2, 1, 2))
-    return state
+    return GaussianState(2, np.zeros(4), _two_mode_cov(*_probe_entries(spec)))
 
 
 def coherent_state(ns: float) -> GaussianState:
@@ -170,18 +200,8 @@ def make_hypotheses(probe: ProbeSpec, scenario: TargetScenario) -> HypothesisPai
         rho_b = GaussianState(1, np.zeros(2), cov.copy())
         return HypothesisPair(rho_a, rho_b)
 
-    v_probe = astm_state(probe).cov
-    k = np.diag([np.sqrt(kappa), np.sqrt(kappa), 1.0, 1.0])
-    v_a = k @ v_probe @ k
-    noise = 2.0 * nb + (1.0 - kappa)
-    v_a[0, 0] += noise
-    v_a[1, 1] += noise
-
-    v_b = np.zeros((4, 4))
-    v_b[0, 0] = v_b[1, 1] = 2.0 * nb + 1.0
-    v_b[2:, 2:] = v_probe[2:, 2:]
-
-    return HypothesisPair(
-        GaussianState(2, np.zeros(4), v_a),
-        GaussianState(2, np.zeros(4), v_b),
-    )
+    entries = _probe_entries(probe)
+    thermal = 2.0 * nb + 1.0
+    v_b = _two_mode_cov(thermal, thermal, entries[2], entries[3], 0.0, 0.0)
+    return HypothesisPair(_return_idler_state(entries, scenario),
+                          GaussianState(2, np.zeros(4), v_b))

@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chernoff import snr
-from .discord import remained_discord
-from .probes import ProbeKind, ProbeSpec, TargetScenario
+from .chernoff import discriminate
+from .discord import gaussian_discord
+from .probes import ProbeKind, ProbeSpec, TargetScenario, make_hypotheses
 from .symplectic import ValidationError
 
 CSV_COLUMNS = [
@@ -69,11 +69,16 @@ def solve_n1_for_signal_energy(ns: float, n0: float) -> float:
 def run_scenario(probe: ProbeSpec, scenario: TargetScenario,
                  with_discord: bool = False,
                  axis_value: float = float("nan")) -> SweepRow:
-    """Evaluate one probe/scenario pair into a sweep row."""
-    result = snr(probe, scenario)
+    """Evaluate one probe/scenario pair into a sweep row.
+
+    The pair is built once: the discord is that of its rho_A, the state
+    remained_discord measures.
+    """
+    pair = make_hypotheses(probe, scenario)
+    result = discriminate(pair, scenario.ensembles)
     discord_value = None
     if with_discord and probe.kind is not ProbeKind.COHERENT:
-        discord_value = remained_discord(probe, scenario).value
+        discord_value = gaussian_discord(pair.rho_a).value
     return SweepRow(
         axis_value=axis_value,
         n0=probe.n0, n1=probe.n1, n2=probe.n2,

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from scipy.special import erfc
 
 from conftest import random_physical_cov
 from gqi import (
+    LOW_NOISE,
     MICROWAVE,
     GaussianState,
     ProbeKind,
@@ -420,7 +422,59 @@ class TestLogErrorProb:
             log_error_prob(0.0, 10.0)
 
 
+def mp_tmsv_snr(n0: float, scenario: TargetScenario, dps: int = 40) -> float:
+    """SNR of a TMSV probe at dps digits, independently of gqi (oracle).
+
+    rho_A = [[a I, c Z], [c Z, b I]] with Z = diag(1, -1) is a two-mode
+    squeezer S with cosh 2r = (a+b)/y, sinh 2r = 2c/y on thermal modes
+    nu = (y +- (a - b))/2, y = sqrt((a+b)^2 - 4c^2); rho_B = diag(t I, b I)
+    is already in Williamson form. Then V_A(s) = S Lambda_s(D) S^T keeps the
+    block form, Sigma_s = [[x I, z Z], [z Z, w I]] has det (x w - z^2)^2, and
+    a golden-section search over s finds the infimum of the convex Q_s.
+    """
+    with mpmath.workdps(dps):
+        n0, kappa, nb, m = (mpmath.mpf(v) for v in (
+            n0, scenario.kappa, scenario.nb, scenario.ensembles))
+        a = kappa * (2 * n0 + 1) + 2 * nb + 1 - kappa
+        b = 2 * n0 + 1
+        c = mpmath.sqrt(kappa) * 2 * mpmath.sqrt(n0 * (n0 + 1))
+        t = 2 * nb + 1
+        y = mpmath.sqrt((a + b) ** 2 - 4 * c**2)
+        nu1, nu2 = (y + a - b) / 2, (y - a + b) / 2
+        ch, sh = (a + b) / y, 2 * c / y
+
+        def diff(p, x):
+            return (x + 1) ** p - (x - 1) ** p
+
+        def lam(p, x):
+            return ((x + 1) ** p + (x - 1) ** p) / diff(p, x)
+
+        def q(s):
+            l1, l2 = lam(s, nu1), lam(s, nu2)
+            x = l1 * (1 + ch) / 2 + l2 * (ch - 1) / 2 + lam(1 - s, t)
+            w = l1 * (ch - 1) / 2 + l2 * (1 + ch) / 2 + lam(1 - s, b)
+            z = (l1 + l2) * sh / 2
+            g = 4 / (diff(s, nu1) * diff(s, nu2) * diff(1 - s, t) * diff(1 - s, b))
+            return 4 * g / (x * w - z * z)
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        golden = (mpmath.sqrt(5) - 1) / 2
+        while hi - lo > mpmath.mpf(10) ** -15:
+            s1, s2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
+            lo, hi = (lo, s2) if q(s1) < q(s2) else (s1, hi)
+        log_p = m * mpmath.log(q((lo + hi) / 2)) - mpmath.log(2)
+        return float(mpmath.findroot(
+            lambda v: mpmath.log(mpmath.erfc(mpmath.sqrt(v)) / 2) - log_p, -log_p))
+
+
 class TestSnrPipeline:
+    @pytest.mark.parametrize("n0", [1.0, 1e4])
+    def test_strongly_squeezed_tmsv_against_mpmath(self, n0):
+        # The n0 = 1e4 probe reads its pure spectrum as 1 - 3.7e-8: the
+        # pair must still be built, and its SNR stay exact.
+        result = snr(ProbeSpec(kind=ProbeKind.TMSV, n0=n0), LOW_NOISE)
+        assert result.snr == pytest.approx(mp_tmsv_snr(n0, LOW_NOISE), rel=1e-9)
+
     def test_microwave_tmsv_operating_point(self):
         result = snr(
             ProbeSpec(kind=ProbeKind.TMSV, n0=1.0),

@@ -171,3 +171,10 @@ class TestReproduceCommand:
         with pytest.raises(SystemExit) as err:
             main(["reproduce", "fig9"])
         assert err.value.code == 2
+
+    def test_config_is_not_an_option(self, capsys):
+        # reproduce takes no parameters: a figure preset fixes them all
+        with pytest.raises(SystemExit) as err:
+            main(["reproduce", "fig2a", "--config", "x"])
+        assert err.value.code == 2
+        assert "--config" in capsys.readouterr().err

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gqi import (
+    GaussianState,
     ProbeKind,
     ProbeSpec,
     TargetScenario,
@@ -13,6 +14,8 @@ from gqi import (
     cross_correlation,
     make_hypotheses,
     mean_photon,
+    apply_symplectic,
+    single_mode_squeezer,
     symplectic_eigenvalues,
     tmsv_state,
 )
@@ -188,6 +191,58 @@ class TestMakeHypotheses:
     def test_rejects_unit_reflectivity(self):
         with pytest.raises(ValidationError):
             TargetScenario(kappa=1.0, nb=1.0)
+
+
+def toolkit_states(probe: ProbeSpec, scenario: TargetScenario):
+    """Probe, rho_A and rho_B covariances composed from the toolkit.
+
+    A TMSV, the two single-mode squeezers through apply_symplectic, and the
+    channel as the matrix product K V K plus noise: the reference the closed
+    forms must reproduce bit for bit.
+    """
+    a = 2.0 * probe.n0 + 1.0
+    c = 2.0 * np.sqrt(probe.n0 * (probe.n0 + 1.0))
+    cov = np.diag([a, a, a, a])
+    cov[0, 2] = cov[2, 0] = c
+    cov[1, 3] = cov[3, 1] = -c
+    state = GaussianState(2, np.zeros(4), cov)
+    state = apply_symplectic(state, single_mode_squeezer(probe.n1, 0, 2))
+    state = apply_symplectic(state, single_mode_squeezer(probe.n2, 1, 2))
+    kappa, nb = scenario.kappa, scenario.nb
+    k = np.diag([np.sqrt(kappa), np.sqrt(kappa), 1.0, 1.0])
+    v_a = k @ state.cov @ k
+    v_a[0, 0] += 2.0 * nb + (1.0 - kappa)
+    v_a[1, 1] += 2.0 * nb + (1.0 - kappa)
+    v_b = np.zeros((4, 4))
+    v_b[0, 0] = v_b[1, 1] = 2.0 * nb + 1.0
+    v_b[2:, 2:] = state.cov[2:, 2:]
+    return state.cov, v_a, v_b
+
+
+class TestClosedFormsMatchToolkit:
+    @given(
+        n0=st.floats(0.0, 10.0), n1=st.floats(0.0, 1e3), n2=st.floats(0.0, 1e3),
+        kappa=st.floats(0.0, 0.99), nb=st.floats(0.0, 1e8),
+    )
+    @example(n0=1.0, n1=1.0, n2=1e6, kappa=0.01, nb=3.8e3)
+    @settings(max_examples=150, deadline=None)
+    def test_bit_for_bit(self, n0, n1, n2, kappa, nb):
+        probe = ProbeSpec(kind=ProbeKind.ASTM, n0=n0, n1=n1, n2=n2)
+        scenario = TargetScenario(kappa=kappa, nb=nb)
+        v_probe, v_a, v_b = toolkit_states(probe, scenario)
+        pair = make_hypotheses(probe, scenario)
+        assert np.array_equal(astm_state(probe).cov, v_probe)
+        assert np.array_equal(pair.rho_a.cov, v_a)
+        assert np.array_equal(pair.rho_b.cov, v_b)
+        if n1 == 0.0 and n2 == 0.0:
+            assert np.array_equal(tmsv_state(n0).cov, v_probe)
+
+    @given(n0=st.floats(0.0, 10.0))
+    @settings(max_examples=40, deadline=None)
+    def test_tmsv_bit_for_bit(self, n0):
+        v_probe, _, _ = toolkit_states(ProbeSpec(kind=ProbeKind.TMSV, n0=n0),
+                                       TargetScenario(kappa=0.5, nb=1.0))
+        assert np.array_equal(tmsv_state(n0).cov, v_probe)
 
 
 class TestProbeSpec:

@@ -9,8 +9,10 @@ from gqi import (
     TargetScenario,
     ValidationError,
     advantage_threshold,
+    remained_discord,
     run_scenario,
     slope_fit,
+    snr,
     solve_n1_for_signal_energy,
     sweep,
 )
@@ -47,6 +49,21 @@ class TestRunScenario:
             with_discord=True,
         )
         assert row.discord is None
+
+    @pytest.mark.parametrize("probe", [
+        ProbeSpec(kind=ProbeKind.ASTM, n0=0.5, n1=1.2, n2=0.3),
+        ProbeSpec(kind=ProbeKind.TMSV, n0=2.0),
+        ProbeSpec(kind=ProbeKind.COHERENT, ns=1.5),
+    ])
+    def test_shared_pair_matches_separate_calls(self, probe):
+        # run_scenario builds one pair for the Chernoff step and the discord
+        scenario = TargetScenario(0.05, 12.0, 1e6)
+        row = run_scenario(probe, scenario, with_discord=True)
+        ref = snr(probe, scenario)
+        assert (row.s_star, row.q_min, row.log_error_prob, row.snr) == (
+            ref.s_star, ref.q_min, ref.log_error_prob, ref.snr)
+        if probe.kind is not ProbeKind.COHERENT:
+            assert row.discord == remained_discord(probe, scenario).value
 
     def test_deterministic_rerun(self):
         probe = ProbeSpec(kind=ProbeKind.ASTM, n0=0.7, n1=0.3)

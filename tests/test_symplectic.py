@@ -42,6 +42,12 @@ class TestSymplecticForm:
         with pytest.raises(ValidationError):
             symplectic_form(0)
 
+    def test_shared_form_is_read_only(self):
+        omega = symplectic_form(2)
+        assert symplectic_form(2) is omega
+        with pytest.raises(ValueError):
+            omega[0, 1] = 2.0
+
 
 class TestSymplecticEigenvalues:
     def test_two_mode_vacuum(self):
@@ -200,6 +206,24 @@ class TestGaussianStateValidation:
     def test_rejects_unphysical_covariance(self):
         with pytest.raises(ValidationError):
             GaussianState(1, np.zeros(2), 0.5 * np.eye(2))
+
+    def test_rejects_slightly_unphysical_covariance(self):
+        # below the 1e-9 floor, which the scaled bound keeps for small |V|
+        with pytest.raises(ValidationError):
+            GaussianState(1, np.zeros(2), (1.0 - 1e-6) * np.eye(2))
+
+    @pytest.mark.parametrize("n0", [3e3, 1e4])
+    def test_accepts_strongly_squeezed_tmsv(self, n0):
+        # eigvals reads the smaller eigenvalue of tmsv_state(1e4) as 1 - 3.7e-8,
+        # rounding of ~0.4 eps max|V|^2 that a fixed 1e-9 bound rejected.
+        state = tmsv_state(n0)
+        np.testing.assert_allclose(state.spectrum, [1.0, 1.0], atol=1e-6)
+
+    def test_keeps_the_spectrum_it_validated(self, rng):
+        for _ in range(20):
+            cov = random_physical_cov(2, rng)
+            state = GaussianState(2, np.zeros(4), cov)
+            assert np.array_equal(state.spectrum, symplectic_eigenvalues(cov))
 
     def test_rejects_wrong_mean_length(self):
         with pytest.raises(ValidationError):
