@@ -82,7 +82,6 @@ _DEGENERATE_RTOL = 1e-14
 
 DEFAULT_S_TOL = 1e-9
 
-_OMEGA = {n: symplectic_form(n) for n in (1, 2)}
 _EYE2 = np.eye(2)
 
 
@@ -169,7 +168,7 @@ def _mode_parts(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # gives the smaller one without cancellation.
     a, b, c = cov[:2, :2], cov[2:, 2:], cov[:2, 2:]
     det_a, det_b, det_c = _det2(a), _det2(b), _det2(c)
-    j = _OMEGA[1]
+    j = symplectic_form(1)
     x = det_a - det_b
     u = det_c * (det_a + det_b) + float(np.trace(j @ a @ j @ c @ j @ b @ j @ c.T))
     q = math.sqrt(max(x * x + 4.0 * u, 0.0))
@@ -180,7 +179,7 @@ def _mode_parts(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     hi2 = 0.5 * (det_a + det_b + 2.0 * det_c + q)
     lo2 = det_v / hi2  # not (Delta - q)/2, which cancels for nu_- << nu_+
     if q > _DEGENERATE_RTOL * hi2:
-        k_hi = _OMEGA[2] @ cov
+        k_hi = symplectic_form(2) @ cov
         k_hi = k_hi @ k_hi
         k_lo = k_hi.copy()
         k_hi[:2, :2] = q_minus_x * _EYE2
@@ -261,7 +260,7 @@ def _pair_data(pair: HypothesisPair) -> _PairData:
     nu_a, parts_a = _mode_parts(pair.rho_a.cov)
     nu_b, parts_b = _mode_parts(pair.rho_b.cov)
     nu = np.concatenate([nu_a, nu_b])
-    omega = _OMEGA[pair.rho_a.n_modes]
+    omega = symplectic_form(pair.rho_a.n_modes)
     dual = omega @ np.concatenate([parts_a, parts_b]) @ omega.T
     # diag of V_A^-1 + V_B^-1, the size of Sigma' away from s = 0 and 1.
     scale = np.sqrt((np.diagonal(dual, axis1=1, axis2=2) / nu[:, None]).sum(axis=0))

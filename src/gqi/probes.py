@@ -138,11 +138,7 @@ def _return_idler_state(entries: tuple[float, ...],
 
 def tmsv_state(n0: float) -> GaussianState:
     """Two-mode squeezed vacuum with per-mode photon number n0."""
-    if n0 < 0:
-        raise ValidationError(f"n0 must be >= 0, got {n0}")
-    a = 2.0 * n0 + 1.0
-    c = 2.0 * math.sqrt(n0 * (n0 + 1.0))
-    return GaussianState(2, np.zeros(4), _two_mode_cov(a, a, a, a, c, -c))
+    return astm_state(ProbeSpec(n0=n0))
 
 
 def astm_state(spec: ProbeSpec) -> GaussianState:

@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -432,6 +431,7 @@ def mp_tmsv_snr(n0: float, scenario: TargetScenario, dps: int = 40) -> float:
     block form, Sigma_s = [[x I, z Z], [z Z, w I]] has det (x w - z^2)^2, and
     a golden-section search over s finds the infimum of the convex Q_s.
     """
+    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(dps):
         n0, kappa, nb, m = (mpmath.mpf(v) for v in (
             n0, scenario.kappa, scenario.nb, scenario.ensembles))

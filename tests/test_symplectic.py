@@ -119,6 +119,16 @@ class TestWilliamson:
         with pytest.raises(ValidationError):
             williamson(np.diag([0.3, 0.3]))
 
+    @pytest.mark.parametrize("n0", [3e3, 1e4])
+    def test_accepts_what_gaussian_state_accepts(self, n0):
+        # Schur reads tmsv_state(1e4) as 1 - 7e-9; the check is shared.
+        dec = williamson(tmsv_state(n0).cov)
+        np.testing.assert_allclose(dec.spectrum, [1.0, 1.0], atol=1e-6)
+
+    def test_rejects_well_conditioned_shortfall_next_to_large_mode(self):
+        with pytest.raises(ValidationError):
+            williamson(np.diag([2e8, 2e8, 0.9, 0.9]))
+
     def test_idempotent_on_canonical_forms(self):
         v = np.diag([5.0, 5.0, 2.0, 2.0])
         dec = williamson(v)
@@ -217,6 +227,26 @@ class TestGaussianStateValidation:
         # eigvals reads the smaller eigenvalue of tmsv_state(1e4) as 1 - 3.7e-8,
         # rounding of ~0.4 eps max|V|^2 that a fixed 1e-9 bound rejected.
         state = tmsv_state(n0)
+        np.testing.assert_allclose(state.spectrum, [1.0, 1.0], atol=1e-6)
+
+    @pytest.mark.parametrize("cov", [
+        np.diag([2e8, 2e8, 0.9, 0.9]),
+        np.diag([2e8, 2e8, 1.0 - 1e-6, 1.0 - 1e-6]),
+        np.diag([2e6, 2e6, 0.5, 1.5]),
+    ])
+    def test_tolerance_follows_conditioning_not_size(self, cov):
+        # The smallest eigenvalue sits in a mode of its own and is fixed to
+        # ~eps |V|, so a large thermal mode next to it no longer hides the
+        # shortfall, as a bound of eps max|V|^2 (~9 at 2e8) would.
+        with pytest.raises(ValidationError, match="smallest symplectic eigenvalue"):
+            GaussianState(2, np.zeros(4), cov)
+
+    def test_accepts_squeezed_probe_through_beam_splitter(self):
+        # The matrix products of a beam splitter (angle 0.1) on
+        # tmsv_state(5e3) leave the pure spectrum at 1 - 1.9e-8.
+        c, s = np.cos(0.1), np.sin(0.1)
+        bs = np.block([[c * np.eye(2), s * np.eye(2)], [-s * np.eye(2), c * np.eye(2)]])
+        state = apply_symplectic(tmsv_state(5e3), SymplecticMatrix(bs))
         np.testing.assert_allclose(state.spectrum, [1.0, 1.0], atol=1e-6)
 
     def test_keeps_the_spectrum_it_validated(self, rng):
