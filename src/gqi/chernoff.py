@@ -49,7 +49,7 @@ import numpy as np
 from scipy.special import log_ndtr, ndtri_exp
 
 from .probes import HypothesisPair, ProbeSpec, TargetScenario, make_hypotheses
-from .symplectic import EIGENVALUE_CLAMP_TOL, ValidationError, symplectic_form
+from .symplectic import ValidationError, symplectic_form
 
 LN_HALF = -math.log(2.0)
 
@@ -64,9 +64,6 @@ _SCAN_POINTS = 64
 # A symplectic eigenvalue within a tolerance of 1 is a pure mode, where G_p
 # and Lambda_p take their exact limit 1. Lambda_p(1 + e) - 1 grows like e^p,
 # so the rounding left in a pure mode's eigenvalue must not be passed on.
-# g_func and lambda_func, given a bare eigenvalue, use _PURE_TOL.
-_PURE_TOL = 1e-14
-
 # Inside Q_s the tolerance is _PURE_ULPS eps (max|V| + 1/det R), R being V
 # scaled to unit diagonal: the entries of V carry ~eps max|V| (from the
 # squeezers that built it), and the closed-form spectrum loses ~eps / det R
@@ -108,28 +105,6 @@ def _em(p: np.ndarray, ln_r: np.ndarray) -> np.ndarray:
     nu >> 1 and for p -> 0; a pure mode gives em = 1, so G_p = Lambda_p = 1.
     """
     return -np.expm1(p * ln_r)
-
-
-def _scalar_em(p: float, x: float) -> tuple[float, float]:
-    """(nu, em) for one eigenvalue x, with a pure mode snapped to nu = 1."""
-    if not p > 0.0:
-        raise ValidationError(f"G_p/Lambda_p need p > 0, got {p}")
-    if not x >= 1.0 - EIGENVALUE_CLAMP_TOL:
-        raise ValidationError(f"G_p/Lambda_p need x >= 1, got {x}")
-    nu = _snap(np.array([x]), _PURE_TOL)
-    return float(nu[0]), float(_em(float(p), _log_ratio(nu))[0])
-
-
-def g_func(p: float, x: float) -> float:
-    """G_p(x) = 2^p / ((x+1)^p - (x-1)^p), with G_p(1) = 1 as the limit."""
-    nu, em = _scalar_em(p, x)
-    return (2.0 / (nu + 1.0)) ** p / em
-
-
-def lambda_func(p: float, x: float) -> float:
-    """Lambda_p(x) = ((x+1)^p + (x-1)^p) / ((x+1)^p - (x-1)^p); limit 1 at x=1."""
-    _, em = _scalar_em(p, x)
-    return (2.0 - em) / em
 
 
 def _det2(m: np.ndarray) -> float:
@@ -197,13 +172,6 @@ def _mode_parts(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _snap(nu: np.ndarray, tol: float) -> np.ndarray:
     """Clamp rounding below 1 and set pure modes (nu <= 1 + tol) to exactly 1."""
     return np.where(nu <= 1.0 + tol, 1.0, nu)
-
-
-def v_of_p(cov: np.ndarray, p: float) -> np.ndarray:
-    """S Lambda_p(D) S^T for the Williamson form V = S D S^T of cov."""
-    nu, parts = _mode_parts(cov)
-    lam = [lambda_func(p, x) for x in nu]
-    return np.tensordot(lam, parts, axes=1)
 
 
 @dataclass(frozen=True)

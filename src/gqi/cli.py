@@ -22,6 +22,7 @@ from .sweeps import (
     SweepTable,
     advantage_threshold,
     gnuplot_script,
+    reproduce_figure,
     run_scenario,
     sweep,
     write_table,
@@ -155,8 +156,6 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    from .sweeps import reproduce_figure
-
     paths = reproduce_figure(args.figure, args.out)
     for path in paths:
         print(f"wrote {path}")

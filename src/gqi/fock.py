@@ -11,7 +11,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .probes import ProbeKind, ProbeSpec, TargetScenario
-from .symplectic import ValidationError, squeezing_from_photons
+from .reference import squeezing_from_photons
+from .symplectic import ValidationError
 
 TRACE_DEFICIT_TOL = 1e-8
 _THERMAL_TAIL = 1e-14

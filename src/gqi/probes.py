@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .symplectic import GaussianState, ValidationError, _squeezer_gains
+from .symplectic import GaussianState, ValidationError
 
 
 class ProbeKind(str, Enum):
@@ -104,11 +104,17 @@ def _two_mode_cov(ax: float, ap: float, bx: float, bp: float,
                      [0.0, cp, 0.0, bp]])
 
 
+def _squeezer_gains(n_mean: float) -> tuple[float, float]:
+    """(gamma_-, gamma_+) = sqrt(N+1) -+ sqrt(N) of a squeezer with N photons."""
+    root_plus, root = math.sqrt(n_mean + 1.0), math.sqrt(n_mean)
+    return root_plus - root, root_plus + root
+
+
 def _probe_entries(spec: ProbeSpec) -> tuple[float, ...]:
     """Nonzero covariance entries of a TMSV/ASTM probe, as _two_mode_cov takes them.
 
-    The squeezers (single_mode_squeezer) scale rows and then columns of the
-    TMSV covariance by m = (gamma_-, gamma_+) on their mode,
+    The squeezers (reference.single_mode_squeezer) scale rows and then
+    columns of the TMSV covariance by m = (gamma_-, gamma_+) on their mode,
     cov -> (cov m_i) m_j, which is what S cov S^T does with a diagonal S,
     rounding included.
     """

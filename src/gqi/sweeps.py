@@ -262,79 +262,92 @@ def table_to_string(table: SweepTable) -> str:
 MICROWAVE = TargetScenario(kappa=0.01, nb=3.8e3, ensembles=1e7)
 LOW_NOISE = TargetScenario(kappa=0.01, nb=30.0, ensembles=1e7)
 
-FIGURE_IDS = ("fig2a", "fig2b", "fig3a", "fig3b", "fig4a", "fig4b", "fig5")
+
+def _sweep_csv(name: str, axis: str, grid, probe: ProbeSpec,
+               scenario: TargetScenario):
+    """One figure table: a sweep of one probe along one axis, as one CSV."""
+    def write(out_dir: str) -> str:
+        path = os.path.join(out_dir, name)
+        write_table(sweep(axis, grid, probe, scenario, compare=False), path)
+        return path
+    return write
+
+
+def _write_rows(out_dir: str, name: str, header: list[str], rows) -> str:
+    path = os.path.join(out_dir, name)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header] + [[_fmt(v) for v in r] for r in rows])
+    return path
+
+
+def _fig4b(out_dir: str) -> str:
+    """Fitted SNR slopes of the ASTM probe and of the CI benchmark against N0."""
+    rows = [(n0, *_astm_ci_slopes(n0, LOW_NOISE, None, FIT_TO_DEFAULT,
+                                  FIT_POINTS_DEFAULT))
+            for n0 in map(float, np.linspace(0.05, 1.0, 20))]
+    return _write_rows(out_dir, "fig4b_slopes.csv",
+                       ["n0", "slope_astm", "slope_ci"], rows)
+
+
+def _fig5(out_dir: str) -> str:
+    """SNR advantage of the ASTM probe over the coherent one, and its discord."""
+    grid = np.linspace(0.1, 4.0, 32)
+    astm = sweep("ns", grid, ProbeSpec(kind=ProbeKind.ASTM, n0=0.1), LOW_NOISE,
+                 with_discord=True, compare=False)
+    ci = {r.axis_value: r.snr for r in
+          sweep("ns", grid, ProbeSpec(kind=ProbeKind.COHERENT), LOW_NOISE).rows}
+    return _write_rows(out_dir, "fig5_advantage_discord.csv",
+                       ["ns", "advantage", "discord"],
+                       [(r.axis_value, r.snr / ci[r.axis_value], r.discord)
+                        for r in astm.rows])
+
+
+def _ns_comparison(figure_id: str, n0: float, scenario: TargetScenario):
+    """ASTM at fixed N0 against TMSV (N0 = N_S) and coherent (|alpha|^2 = N_S)."""
+    grid = np.linspace(n0, 4.0, 32)
+    return tuple(
+        _sweep_csv(f"{figure_id}_{p.kind.value}.csv", axis, grid, p, scenario)
+        for axis, p in (("ns", ProbeSpec(kind=ProbeKind.ASTM, n0=n0)),
+                        ("n0", ProbeSpec(kind=ProbeKind.TMSV)),
+                        ("ns", ProbeSpec(kind=ProbeKind.COHERENT))))
+
+
+_ASTM_NS2 = ProbeSpec(kind=ProbeKind.ASTM, n0=1.0,
+                      n1=solve_n1_for_signal_energy(2.0, 1.0))  # N_S = 2
+
+# Figure id -> its tables, in the order reproduce_figure writes them. Each
+# entry takes the output directory and returns the path it wrote.
+_FIGURES = {
+    # SNR vs idler squeezing at fixed signal energy; flat curves.
+    "fig2a": tuple(
+        _sweep_csv(f"fig2a_{tag}.csv", "n2", np.linspace(0.0, 4.0, 17), probe,
+                   MICROWAVE)
+        for tag, probe in (("ns1", ProbeSpec(kind=ProbeKind.ASTM, n0=1.0)),
+                           ("ns2", _ASTM_NS2))),
+    "fig2b": tuple(
+        _sweep_csv(f"fig2b_n1_{n1:g}.csv", "n0", np.linspace(0.1, 2.0, 20),
+                   ProbeSpec(kind=ProbeKind.ASTM, n1=n1), MICROWAVE)
+        for n1 in (0.0, 1.0, 2.0, 3.0)),
+    "fig3a": _ns_comparison("fig3a", 1.0, MICROWAVE),
+    "fig3b": tuple(
+        _sweep_csv(f"fig3b_{p.kind.value}.csv", "kappa",
+                   np.linspace(0.005, 0.1, 20), p, MICROWAVE)
+        for p in (_ASTM_NS2, ProbeSpec(kind=ProbeKind.TMSV, n0=2.0),
+                  ProbeSpec(kind=ProbeKind.COHERENT, ns=2.0))),
+    "fig4a": _ns_comparison("fig4a", 0.1, LOW_NOISE),
+    "fig4b": (_fig4b,),
+    "fig5": (_fig5,),
+}
+
+FIGURE_IDS = tuple(_FIGURES)
 
 
 def reproduce_figure(figure_id: str, out_dir: str) -> list[str]:
     """Write the CSV tables behind one figure; returns the file paths."""
-    if figure_id not in FIGURE_IDS:
+    if figure_id not in _FIGURES:
         raise ValidationError(f"unknown figure id {figure_id!r}")
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-
-    def emit(name: str, table: SweepTable) -> None:
-        path = os.path.join(out_dir, name)
-        write_table(table, path)
-        written.append(path)
-
-    if figure_id == "fig2a":
-        # SNR vs idler squeezing at fixed signal energy; flat curves.
-        grid = np.linspace(0.0, 4.0, 17)
-        for tag, n1 in (("ns1", 0.0), ("ns2", solve_n1_for_signal_energy(2.0, 1.0))):
-            probe = ProbeSpec(kind=ProbeKind.ASTM, n0=1.0, n1=n1)
-            emit(f"fig2a_{tag}.csv", sweep("n2", grid, probe, MICROWAVE))
-    elif figure_id == "fig2b":
-        grid = np.linspace(0.1, 2.0, 20)
-        for n1 in (0.0, 1.0, 2.0, 3.0):
-            probe = ProbeSpec(kind=ProbeKind.ASTM, n1=n1)
-            emit(f"fig2b_n1_{n1:g}.csv", sweep("n0", grid, probe, MICROWAVE))
-    elif figure_id in ("fig3a", "fig4a"):
-        n0 = 1.0 if figure_id == "fig3a" else 0.1
-        scenario = MICROWAVE if figure_id == "fig3a" else LOW_NOISE
-        grid = np.linspace(n0, 4.0, 32)
-        table = sweep("ns", grid, ProbeSpec(kind=ProbeKind.ASTM, n0=n0), scenario)
-        for kind in ("astm", "tmsv", "coherent"):
-            sub = SweepTable(table.axis, table.grid,
-                             [r for r in table.rows if r.kind == kind])
-            emit(f"{figure_id}_{kind}.csv", sub)
-    elif figure_id == "fig3b":
-        grid = np.linspace(0.005, 0.1, 20)
-        ns_fixed = 2.0
-        probes = {
-            "astm": ProbeSpec(kind=ProbeKind.ASTM, n0=1.0,
-                              n1=solve_n1_for_signal_energy(ns_fixed, 1.0)),
-            "tmsv": ProbeSpec(kind=ProbeKind.TMSV, n0=ns_fixed),
-            "coherent": ProbeSpec(kind=ProbeKind.COHERENT, ns=ns_fixed),
-        }
-        for kind, probe in probes.items():
-            emit(f"fig3b_{kind}.csv", sweep("kappa", grid, probe, MICROWAVE))
-    elif figure_id == "fig4b":
-        n0_grid = np.linspace(0.05, 1.0, 20)
-        path = os.path.join(out_dir, "fig4b_slopes.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n0", "slope_astm", "slope_ci"])
-            for n0 in n0_grid:
-                slope_astm, slope_ci = _astm_ci_slopes(
-                    float(n0), LOW_NOISE, None, FIT_TO_DEFAULT, FIT_POINTS_DEFAULT)
-                writer.writerow([_fmt(float(n0)), _fmt(slope_astm), _fmt(slope_ci)])
-        written.append(path)
-    elif figure_id == "fig5":
-        n0 = 0.1
-        grid = np.linspace(n0, 4.0, 32)
-        table = sweep("ns", grid, ProbeSpec(kind=ProbeKind.ASTM, n0=n0),
-                      LOW_NOISE, with_discord=True)
-        path = os.path.join(out_dir, "fig5_advantage_discord.csv")
-        astm = [r for r in table.rows if r.kind == "astm"]
-        ci = {r.axis_value: r for r in table.rows if r.kind == "coherent"}
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["ns", "advantage", "discord"])
-            for row in astm:
-                adv = row.snr / ci[row.axis_value].snr
-                writer.writerow([_fmt(row.axis_value), _fmt(adv), _fmt(row.discord)])
-        written.append(path)
-    return written
+    return [write(out_dir) for write in _FIGURES[figure_id]]
 
 
 def gnuplot_script(csv_paths: list[str], out_path: str) -> str:

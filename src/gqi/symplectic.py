@@ -1,4 +1,4 @@
-"""Dense real linear algebra for Gaussian states in the quadrature picture.
+"""Gaussian states in the quadrature picture: validation and the symplectic spectrum.
 
 Convention (single source of truth for the whole package):
     x = a + a†,  p = -i(a - a†),  ordering (x1, p1, x2, p2, ...).
@@ -6,14 +6,11 @@ The vacuum covariance is the identity and a thermal state with mean photon
 number N has covariance (2N+1) I_2.
 """
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import schur, sqrtm
 
-SYMPLECTIC_RESIDUAL_TOL = 1e-10
 EIGENVALUE_CLAMP_TOL = 1e-9
 SYMMETRY_RTOL = 1e-12
 
@@ -58,9 +55,15 @@ def _check_covariance(cov: np.ndarray) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
         raise ValidationError(f"covariance must be 2n x 2n, got shape {cov.shape}")
-    scale = max(np.abs(cov).max(), 1.0)
-    if np.abs(cov - cov.T).max() > SYMMETRY_RTOL * scale:
+    scale = np.abs(cov).max()  # NaN or inf if any entry is
+    if not np.isfinite(scale):
+        raise ValidationError("covariance has a non-finite entry")
+    if np.abs(cov - cov.T).max() > SYMMETRY_RTOL * max(scale, 1.0):
         raise ValidationError("covariance matrix is not symmetric")
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise ValidationError("covariance matrix is not positive definite") from None
     return cov
 
 
@@ -97,10 +100,6 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """
     cov = _check_covariance(cov)
     n = cov.shape[0] // 2
-    try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise ValidationError("covariance matrix is not positive definite") from None
     ev = np.linalg.eigvals(1j * symplectic_form(n) @ cov)
     nus = np.sort(np.abs(ev))[::2]
     return np.sort(nus)[::-1]
@@ -142,130 +141,3 @@ class GaussianState:
         self.spectrum = symplectic_eigenvalues(self.cov)
         _require_physical(self.cov, self.spectrum.min())
 
-
-@dataclass
-class SymplecticMatrix:
-    """Real 2n x 2n matrix S with S Omega S^T = Omega."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=float)
-        m = self.entries
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
-            raise ValidationError(f"symplectic matrix must be 2n x 2n, got {m.shape}")
-        omega = symplectic_form(m.shape[0] // 2)
-        residual = np.linalg.norm(m @ omega @ m.T - omega)
-        # Rounding in S Omega S^T grows with the entries of S, so the bound
-        # scales with |S|^2 (a squeezer with N photons has |S|^2 ~ 4N).
-        if residual > SYMPLECTIC_RESIDUAL_TOL * max(1.0, np.vdot(m, m)):
-            raise ValidationError(
-                f"matrix is not symplectic: |S Omega S^T - Omega| = {residual:g}"
-            )
-
-    @property
-    def n_modes(self) -> int:
-        return self.entries.shape[0] // 2
-
-
-@dataclass
-class WilliamsonDecomposition:
-    """V = S (direct sum nu_k I_2) S^T with S symplectic, nu descending."""
-
-    s_matrix: SymplecticMatrix
-    spectrum: np.ndarray = field(default_factory=lambda: np.array([]))
-
-    def reconstruct(self) -> np.ndarray:
-        s = self.s_matrix.entries
-        d = np.repeat(self.spectrum, 2)
-        return (s * d) @ s.T
-
-
-def williamson(cov: np.ndarray) -> WilliamsonDecomposition:
-    """Williamson normal form via the symmetric square root of the covariance.
-
-    Builds W = V^{-1/2} Omega V^{-1/2} (antisymmetric), brings it to real
-    canonical form with a Schur decomposition, and assembles the symplectic
-    S = V^{1/2} O D^{-1/2}. Eigenvalues below 1 within the physical-state
-    tolerance of GaussianState are clamped to 1; larger violations raise.
-    """
-    cov = _check_covariance(cov)
-    n = cov.shape[0] // 2
-    try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise ValidationError("covariance matrix is not positive definite") from None
-
-    root = np.real(sqrtm(cov))
-    root_inv = np.linalg.inv(root)
-    w = root_inv @ symplectic_form(n) @ root_inv
-    w = 0.5 * (w - w.T)  # exact antisymmetry against roundoff
-    t, o = schur(w, output="real")
-
-    # Normalize each 2x2 block to [[0, lambda], [-lambda, 0]] with lambda > 0.
-    lam = np.empty(n)
-    for k in range(n):
-        i = 2 * k
-        if t[i, i + 1] < 0.0:
-            o[:, [i, i + 1]] = o[:, [i + 1, i]]
-            t[[i, i + 1], :] = t[[i + 1, i], :]
-            t[:, [i, i + 1]] = t[:, [i + 1, i]]
-        lam[k] = t[i, i + 1]
-    nu = 1.0 / lam
-
-    order = np.argsort(-nu)
-    col_order = np.empty(2 * n, dtype=int)
-    for new, old in enumerate(order):
-        col_order[2 * new] = 2 * old
-        col_order[2 * new + 1] = 2 * old + 1
-    o = o[:, col_order]
-    nu = nu[order]
-
-    _require_physical(cov, nu.min())
-    s = root @ o @ np.diag(np.repeat(1.0 / np.sqrt(nu), 2))
-    nu = np.maximum(nu, 1.0)
-    return WilliamsonDecomposition(SymplecticMatrix(s), nu)
-
-
-def apply_symplectic(state: GaussianState, s: SymplecticMatrix) -> GaussianState:
-    """Conjugate a state by a symplectic map: cov -> S cov S^T, mean -> S mean."""
-    if s.n_modes != state.n_modes:
-        raise ValidationError(
-            f"dimension mismatch: state has {state.n_modes} modes, "
-            f"symplectic acts on {s.n_modes}"
-        )
-    m = s.entries
-    return GaussianState(state.n_modes, m @ state.mean, m @ state.cov @ m.T)
-
-
-def single_mode_squeezer(n_mean: float, mode: int, n_modes: int) -> SymplecticMatrix:
-    """Squeezer on one mode, parameterized by its mean photon number N = sinh^2 r.
-
-    Diagonal with (gamma_-, gamma_+) = (sqrt(N+1) -+ sqrt(N)) on the chosen
-    mode's (x, p) entries; identity elsewhere.
-    """
-    if n_mean < 0:
-        raise ValidationError(f"squeezer photon number must be >= 0, got {n_mean}")
-    if not 0 <= mode < n_modes:
-        raise ValidationError(f"mode {mode} out of range for {n_modes} modes")
-    s = np.eye(2 * n_modes)
-    s[2 * mode, 2 * mode], s[2 * mode + 1, 2 * mode + 1] = _squeezer_gains(n_mean)
-    return SymplecticMatrix(s)
-
-
-def _squeezer_gains(n_mean: float) -> tuple[float, float]:
-    """(gamma_-, gamma_+) = sqrt(N+1) -+ sqrt(N)."""
-    root_plus, root = math.sqrt(n_mean + 1.0), math.sqrt(n_mean)
-    return root_plus - root, root_plus + root
-
-
-def photons_from_squeezing(r: float) -> float:
-    """Mean photon number N = sinh^2 r of a squeezed vacuum."""
-    return float(np.sinh(r) ** 2)
-
-
-def squeezing_from_photons(n_mean: float) -> float:
-    """Inverse of photons_from_squeezing: r = arcsinh(sqrt(N))."""
-    if n_mean < 0:
-        raise ValidationError(f"photon number must be >= 0, got {n_mean}")
-    return float(np.arcsinh(np.sqrt(n_mean)))

@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -18,14 +19,15 @@ from gqi import (
 )
 from gqi.sweeps import (
     CSV_COLUMNS,
+    FIGURE_IDS,
     SweepRow,
     SweepTable,
+    reproduce_figure,
     table_from_csv,
     table_to_string,
 )
 
 MICROWAVE = TargetScenario(kappa=0.01, nb=3.8e3, ensembles=1e7)
-
 
 class TestRunScenario:
     def test_tmsv_row_is_complete(self):
@@ -195,3 +197,42 @@ class TestAdvantageThreshold:
         )
         n0_star = advantage_threshold(TargetScenario(0.01, 30.0, 1e7), tol=0.005)
         assert abs(n0_star - 0.15) <= 0.005
+
+
+SWEEP_HEADER = ["axis_value", "n0", "n1", "n2", "ns", "kappa", "nb", "ensembles",
+                "kind", "s_star", "q_min", "log_error_prob", "snr", "discord"]
+# Figure id -> (file name, header, data rows) of each table, in written order.
+FIGURE_TABLES = {
+    "fig2a": [("fig2a_ns1.csv", SWEEP_HEADER, 17),
+              ("fig2a_ns2.csv", SWEEP_HEADER, 17)],
+    "fig2b": [(f"fig2b_n1_{n1}.csv", SWEEP_HEADER, 20) for n1 in range(4)],
+    "fig3a": [(f"fig3a_{kind}.csv", SWEEP_HEADER, 32)
+              for kind in ("astm", "tmsv", "coherent")],
+    "fig3b": [(f"fig3b_{kind}.csv", SWEEP_HEADER, 20)
+              for kind in ("astm", "tmsv", "coherent")],
+    "fig4a": [(f"fig4a_{kind}.csv", SWEEP_HEADER, 32)
+              for kind in ("astm", "tmsv", "coherent")],
+    "fig4b": [("fig4b_slopes.csv", ["n0", "slope_astm", "slope_ci"], 20)],
+    "fig5": [("fig5_advantage_discord.csv", ["ns", "advantage", "discord"], 32)],
+}
+
+
+class TestReproduceFigure:
+    def test_every_figure_is_pinned(self):
+        assert FIGURE_IDS == tuple(FIGURE_TABLES)
+        assert sum(len(t) for t in FIGURE_TABLES.values()) == 17
+
+    @pytest.mark.parametrize("figure_id", FIGURE_IDS)
+    def test_files_headers_and_row_counts(self, figure_id, tmp_path):
+        paths = reproduce_figure(figure_id, str(tmp_path))
+        expected = FIGURE_TABLES[figure_id]
+        assert paths == [str(tmp_path / name) for name, _, _ in expected]
+        for path, (_, header, rows) in zip(paths, expected):
+            with open(path, newline="") as fh:
+                records = list(csv.reader(fh))
+            assert records[0] == header
+            assert len(records) - 1 == rows
+
+    def test_unknown_figure(self, tmp_path):
+        with pytest.raises(ValidationError, match="unknown figure id"):
+            reproduce_figure("fig9", str(tmp_path))

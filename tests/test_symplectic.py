@@ -82,6 +82,23 @@ class TestSymplecticEigenvalues:
             np.testing.assert_allclose(after, before, rtol=1e-9, atol=1e-9)
 
 
+class TestCovarianceCheck:
+    """The check every covariance passes, for states and the toolkit alike."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", [
+        lambda cov: GaussianState(1, np.zeros(2), cov),
+        symplectic_eigenvalues,
+        williamson,
+    ], ids=["GaussianState", "symplectic_eigenvalues", "williamson"])
+    def test_rejects_non_finite_covariance(self, call, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            call(np.diag([bad, 1.0]))
+        with pytest.raises(ValidationError, match="non-finite"):
+            call(np.diag([bad, bad]))
+
+
 class TestWilliamson:
     def test_identity(self):
         dec = williamson(np.eye(4))
