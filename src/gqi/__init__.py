@@ -12,7 +12,8 @@ from .probes import (HypothesisPair, ProbeKind, ProbeSpec, TargetScenario,
                      astm_state, coherent_state, cross_correlation,
                      make_hypotheses, mean_photon, probe_state, tmsv_state)
 from .chernoff import (DiscriminationResult, chernoff_infimum, discriminate,
-                       log_error_prob, log_p_from_snr, q_s, snr, snr_from_log_p)
+                       discriminate_many, log_error_prob, log_p_from_snr, q_s,
+                       snr, snr_from_log_p)
 from .discord import (BlockDeterminants, DiscordResult, block_determinants,
                       entropy_f, gaussian_discord, remained_discord)
 from .sweeps import (LOW_NOISE, MICROWAVE, SweepRow, SweepTable,

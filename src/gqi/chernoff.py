@@ -9,8 +9,34 @@ Pirandola & Lloyd, PRA 78, 012331 (2008):
 
 where V = S D S^T is the Williamson form of a covariance, alpha_k and beta_k
 are the symplectic spectra of the two hypotheses and d is the difference of
-their means. No decomposition is computed. With P_k = S_k S_k^T for the two
-columns of S that belong to mode k,
+their means. No decomposition is computed. Q_s is evaluated in the inverse
+form (det V(p) = prod_k Lambda_k^2)
+
+    Q_s = 2^n prod_k (G_k / Lambda_k) / sqrt(det Sigma'_s)
+          * exp(-1/2 (V_A(s)^-1 d)^T Sigma'_s^-1 (V_B(1-s)^-1 d)),
+    Sigma'_s = V_A(s)^-1 + V_B(1-s)^-1,
+
+whose weights 1/Lambda_k all lie in (0, 1], whereas Lambda_p of a mixed mode
+diverges as p -> 0. A pair is analysed once, so that Sigma'_s for a whole
+array of s is one matrix product of the weights with fixed parts, and the
+infimum over s is a zoom over 64-point scans (Q_s is convex in s).
+
+Standard-form core (discriminate_many). Every pair make_hypotheses builds
+has no x-p correlations (Duan, Giedke, Cirac & Zoller, PRL 84, 2722 (2000)):
+V = X (+) P with X and P the 2x2 x and p blocks. Then nu_+-^2 are the
+eigenvalues of PX (symplectic.standard_form_spectrum), Sigma'_s splits into
+an x and a p block, and det Sigma'_s is a product of two 2x2 determinants,
+so a batch of pairs is elementwise arithmetic over a (points, 64) array of
+s per zoom round. The pairs are analysed in np.longdouble, the zoom runs in
+float64, and Q is evaluated once more at each s* in np.longdouble, whose
+-ln Q goes on to ln P: 1 - Q ~ 1e-7 at the figure presets, where float64
+alone leaves ~eps / (1 - Q) ~ 4e-9 of the SNR. Where np.longdouble is
+float64 (macOS arm64, Windows) that evaluation is a float64 one. The
+coherent pair, a displaced and an undisplaced thermal state, takes its
+closed form at s* = 1/2.
+
+General path (q_s, chernoff_infimum and discriminate on any other pair).
+With P_k = S_k S_k^T for the two columns of S that belong to mode k,
 
     V(p) = sum_k Lambda_p(nu_k) P_k,
 
@@ -27,29 +53,22 @@ annihilates mode -+, which leaves
     nu_+- P_+- = -+V ((Omega V)^2 + nu_-+^2) / (nu_+^2 - nu_-^2).
 
 This is the 2-point Lagrange fit of Lambda_p(nu)/nu against -nu^2 in
-V(p) = c0 V + c1 V (Omega V)^2, written in its Lagrange basis.
-
-A pair is analysed once: spectra and P_k of both covariances. Q_s is then
-evaluated in the inverse form (det V(p) = prod_k Lambda_k^2)
-
-    Q_s = 2^n prod_k (G_k / Lambda_k) / sqrt(det Sigma'_s)
-          * exp(-1/2 (V_A(s)^-1 d)^T Sigma'_s^-1 (V_B(1-s)^-1 d)),
-    Sigma'_s = V_A(s)^-1 + V_B(1-s)^-1 = sum_k Omega P_k Omega^T / Lambda_k,
-
-whose weights 1/Lambda_k all lie in (0, 1], whereas Lambda_p of a mixed mode
-diverges as p -> 0. For a whole array of s, Sigma'_s is one matrix product
-of the weights with the fixed Omega P_k Omega^T, and one batched determinant
+V(p) = c0 V + c1 V (Omega V)^2, written in its Lagrange basis. Then
+Sigma'_s = sum_k Omega P_k Omega^T / Lambda_k, and one batched determinant
 (and solve, for displaced pairs) gives every Q_s.
 """
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import log_ndtr, ndtri_exp
 
-from .probes import HypothesisPair, ProbeSpec, TargetScenario, make_hypotheses
-from .symplectic import ValidationError, symplectic_form
+from .probes import (HypothesisPair, ProbeKind, ProbeSpec, TargetScenario,
+                     _absent_entries, _probe_entries, _return_entries)
+from .symplectic import (StandardSpectrum, ValidationError,
+                         standard_form_spectrum, symplectic_form)
 
 LN_HALF = -math.log(2.0)
 
@@ -60,6 +79,29 @@ _S_EDGE = 1e-12
 
 # Points of the guard scan over [0, 1] and of every zoom round after it.
 _SCAN_POINTS = 64
+_STEPS = np.linspace(0.0, 1.0, _SCAN_POINTS)
+# Offsets from each grid point to the neighbours that bracket it, inside
+# the grid.
+_NEIGHBOURS = np.array([[-min(i, 1), min(_SCAN_POINTS - 1 - i, 1)]
+                        for i in range(_SCAN_POINTS)])
+
+# Power of each column of a standard-form pair (nu_+, nu_- of rho_A, then
+# of rho_B): p = sign s + offset.
+_SIGN = np.array([1.0, 1.0, -1.0, -1.0])[:, None]
+_OFFSET = np.array([0.0, 0.0, 1.0, 1.0])[:, None]
+
+# Rows of [K; -K_12, -K_21] (K = PX - nu_-^2, entries 11, 12, 21, 22) and of
+# the standard-form entries that make the 2x2 factors of K P, K^T X, L P and
+# L^T X, where L = nu_+^2 - PX = [[K_22, -K_12], [-K_21, K_11]].
+_LEFT = np.array([[[0, 1], [2, 3]], [[0, 2], [1, 3]],
+                  [[3, 4], [5, 0]], [[3, 5], [4, 0]]])
+_RIGHT = np.array([[[1, 5], [5, 3]], [[0, 4], [4, 2]]] * 2)
+
+# Covariance positions of the six standard-form entries, and of the x-p
+# correlations a standard-form covariance lacks.
+_ENTRY_POS = ([0, 1, 2, 3, 0, 1], [0, 1, 2, 3, 2, 3])
+_XP_POS = ([0, 1, 0, 3, 1, 2, 2, 3], [1, 0, 3, 0, 2, 1, 3, 2])
+
 
 # A symplectic eigenvalue within a tolerance of 1 is a pure mode, where G_p
 # and Lambda_p take their exact limit 1. Lambda_p(1 + e) - 1 grows like e^p,
@@ -76,6 +118,12 @@ _PURE_ULPS = 256
 # Relative gap nu_+^2 - nu_-^2 below which the spectrum counts as degenerate:
 # P_+- = V / (2 nu_+-), which leaves out a term of this relative size.
 _DEGENERATE_RTOL = 1e-14
+
+# The standard-form analysis splits the modes while nu_+^2 - nu_-^2 exceeds
+# this many ulps of nu_+^2 in the dtype it runs in: the projectors then lose
+# ~eps / gap of their size, which enters Sigma'_s with a weight difference
+# proportional to the gap, so that the product stays ~eps.
+_DEGENERATE_ULPS = 64
 
 DEFAULT_S_TOL = 1e-9
 
@@ -245,6 +293,181 @@ def _pair_data(pair: HypothesisPair) -> _PairData:
     )
 
 
+@dataclass(frozen=True)
+class _StandardPairs:
+    """n standard-form two-mode pairs analysed once, for Q_s at any s.
+
+    Axis 0 runs over the pairs. The four columns are nu_+ and nu_- of rho_A
+    (power s) and of rho_B (power 1 - s); dual holds, per column, the x and
+    p blocks (entries 11, 12, 22) of its part of Sigma'_s, so that one
+    matrix product with the weights 1/Lambda_k gives Sigma'_s and
+    det Sigma'_s = det(x block) det(p block). Q_s comes in the dtype of the
+    arrays: float64 for the zoom, np.longdouble at s*.
+    """
+
+    ln_r: np.ndarray      # (n, 4, 1)
+    dual: np.ndarray      # (n, 6, 4)
+    ln_g: np.ndarray      # (n, 1): ln 2^n + sum_B ln(2 / (nu + 1))
+    ln_ratio: np.ndarray  # (n, 1): sum_B ln(nu + 1) - sum_A ln(nu + 1)
+
+    def astype(self, dtype) -> "_StandardPairs":
+        return _StandardPairs(*(getattr(self, f.name).astype(dtype)
+                                for f in fields(self)))
+
+    def q(self, s: np.ndarray) -> np.ndarray:
+        """Q_s for an (n, m) array of s in [_S_EDGE, 1 - _S_EDGE]."""
+        n, m = s.shape
+        p = s[:, None, :] * _SIGN + _OFFSET  # s for rho_A, 1 - s for rho_B
+        e = np.expm1(np.multiply(p, self.ln_r, out=p), out=p)  # -em
+        d = -2.0 - e  # -(2 - em), so prod(d) = prod(2 - em)
+        sigma = (self.dual @ (e / d)).reshape(n, 2, 3, m)
+        det = sigma[:, :, 0] * sigma[:, :, 2] - sigma[:, :, 1] ** 2
+        return np.exp(self.ln_g + s * self.ln_ratio) / (
+            np.multiply.reduce(d, axis=1) * np.sqrt(det[:, 0] * det[:, 1]))
+
+
+def _standard_pairs(entries: np.ndarray, spec: StandardSpectrum) -> _StandardPairs:
+    """Analyse n standard-form pairs: entries (6, 2n), rho_A's then rho_B's.
+
+    With X and P the x and p blocks of V and M = PX (Williamson V = S D S^T,
+    S = S_x + S_p), V(p)^-1 = X(p)^-1 + P(p)^-1, where
+
+        X(p)^-1 = sum_k Pi_k P / (nu_k Lambda_k),
+        P(p)^-1 = sum_k Pi_k^T X / (nu_k Lambda_k),
+
+    Pi_k the spectral projectors of M: Pi_+ = (M - nu_-^2) / g and
+    Pi_- = (nu_+^2 - M) / g. Each column of dual is one Pi_k P / nu_k with
+    its Pi_k^T X / nu_k, the six entries (11, 12, 22) of both blocks. At a
+    gap g within rounding of 0, both take half of P / nu_k and X / nu_k.
+    """
+    n = entries.shape[1] // 2
+    ax, ap, bx, bp, cx, cp = entries
+    # K = PX - nu_-^2 = g Pi_+ and L = nu_+^2 - PX = g Pi_-, as 2x2 stacks,
+    # times P and X: K P, K^T X, L P, L^T X.
+    k = np.concatenate([spec.k, -spec.k[1:3]])
+    left = k[_LEFT].transpose(0, 3, 1, 2)
+    right = entries[_RIGHT].transpose(0, 3, 1, 2)
+    scale = spec.gap * spec.nu[[0, 0, 1, 1]]
+    split = spec.gap > _DEGENERATE_ULPS * np.finfo(entries.dtype).eps * spec.nu[0] ** 2
+    if split.all():
+        prod = left @ right
+    else:
+        prod = np.where(split[:, None, None], left @ right, right)
+        scale = np.where(split, scale, 2.0 * spec.nu[[0, 0, 1, 1]])
+    prod = prod.reshape(4, 2 * n, 4)
+    sym = (prod[..., [0, 1, 3]] + prod[..., [0, 2, 3]]) * (0.5 / scale)[..., None]
+    # (hi x, hi p, lo x, lo p; A then B; entry) -> (pair; x then p entries;
+    # A hi, A lo, B hi, B lo)
+    dual = sym.reshape(2, 2, 2, n, 3).transpose(3, 1, 4, 2, 0).reshape(n, 6, 4)
+
+    det_r = (spec.nu[0] * spec.nu[1]) ** 2 / (ax * bx * ap * bp)
+    pure_tol = _PURE_ULPS * np.finfo(float).eps * (np.abs(entries).max(axis=0)
+                                                    + 1.0 / det_r)
+    nu = _snap(spec.nu, pure_tol)
+    ln_nu1 = np.log1p(nu).reshape(2, 2, n).sum(axis=0)  # sum over a state's modes
+    return _StandardPairs(
+        ln_r=_log_ratio(nu).reshape(2, 2, n).transpose(2, 1, 0).reshape(n, 4, 1),
+        dual=dual,
+        ln_g=(4.0 * np.log(entries.dtype.type(2.0)) - ln_nu1[1])[:, None],
+        ln_ratio=(ln_nu1[1] - ln_nu1[0])[:, None],
+    )
+
+
+def _discriminate_standard(ent_a: np.ndarray, ent_b: np.ndarray,
+                           ensembles: np.ndarray, tol: float) -> list:
+    """Chernoff infimum, ln P and SNR of n standard-form two-mode pairs.
+
+    ent_a and ent_b are the (6, n) entries of rho_A and rho_B in float64.
+    They are analysed in np.longdouble; a zoom in float64 finds s*, and Q is
+    evaluated once more at s* in np.longdouble, whose -ln Q goes on to ln P.
+    One entry per pair: its DiscriminationResult or its ValidationError.
+    """
+    n = ent_a.shape[1]
+    entries = np.concatenate([ent_a, ent_b], axis=1).astype(np.longdouble)
+    spec = standard_form_spectrum(entries)
+    out: list = [None] * n
+    for i in range(n):
+        reason = spec.errors[i] or spec.errors[n + i]
+        if reason:
+            out[i] = ValidationError(reason)
+    ok = np.flatnonzero([r is None for r in out])
+    if not ok.size:
+        return out
+    if ok.size < n:
+        entries = entries[:, np.concatenate([ok, n + ok])]
+        spec = standard_form_spectrum(entries)
+    pairs = _standard_pairs(entries, spec)
+    s_star, _ = _zoom(pairs.astype(float).q, ok.size, tol)
+    with np.errstate(invalid="ignore"):
+        q = pairs.q(s_star[:, None].astype(np.longdouble))[:, 0]
+    exponent = np.maximum(-np.log1p(q - 1.0), 0.0).astype(float)
+    for i, result, good in zip(ok, _results(s_star, exponent, ensembles[ok]),
+                               np.isfinite(q) & (q > 0.0)):
+        out[i] = result if good else ValidationError(
+            "V_A(s) + V_B(1-s) is singular")
+    return out
+
+
+def _results(s_star: np.ndarray, exponent: np.ndarray,
+             ensembles: np.ndarray) -> list[DiscriminationResult]:
+    """Results from s* and -ln Q_min >= 0: ln P = -M (-ln Q_min) + ln(1/2)."""
+    log_p = LN_HALF - ensembles * exponent
+    y = ndtri_exp(log_p)
+    return [DiscriminationResult(*row) for row in zip(
+        s_star.tolist(), np.exp(-exponent).tolist(), log_p.tolist(),
+        (0.5 * y * y).tolist())]
+
+
+def _coherent(signal: np.ndarray, nb: np.ndarray, ensembles: np.ndarray) -> list:
+    """Displaced against undisplaced thermal state, both of N_B photons.
+
+    Q_s is smallest at s = 1/2 by symmetry, where
+    -ln Q = |d|^2/4 (sqrt(N_B + 1) - sqrt(N_B))^2 with |d|^2/4 = signal, the
+    classical-illumination exponent kappa N_S (sqrt(N_B + 1) - sqrt(N_B))^2
+    (Tan et al., PRL 101, 253601 (2008)), written without cancellation.
+    """
+    with np.errstate(over="ignore"):
+        exponent = signal / (np.sqrt(nb + 1.0) + np.sqrt(nb)) ** 2
+        thermal = 2.0 * nb + 1.0
+    out = _results(np.full(nb.size, 0.5), exponent, ensembles)
+    for i in np.flatnonzero(~np.isfinite(thermal)):
+        out[i] = ValidationError("covariance has a non-finite entry")
+    return out
+
+
+def _zoom(q, n: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize n convex functions of s over [0, 1]; returns (s_star, minimum).
+
+    q maps an (n, m) array of s to the values there. Each row's grid point
+    with the smallest value brackets its minimum between its neighbours. A
+    64-point scan of [0, 1] finds that bracket, and 64-point scans of the
+    bracket shrink it by 2/63 per round until it is no wider than 2 tol, or
+    until rounding stops it shrinking. Rows that stop keep their bracket and
+    best value while the others go on.
+    """
+    lo = np.full((n, 1), _S_EDGE)
+    width = np.full((n, 1), 1.0 - 2.0 * _S_EDGE)
+    s_star, best = np.full(n, 0.5), np.full(n, np.inf)
+    active = np.ones(n, dtype=bool)
+    row_start = np.arange(n) * _SCAN_POINTS
+    while True:
+        grid = lo + width * _STEPS
+        values = q(grid)
+        i = values.argmin(axis=1)
+        at = row_start + i
+        value = values.take(at)
+        better = value < best
+        np.copyto(best, value, where=better)
+        np.copyto(s_star, grid.take(at), where=better)
+        ends = grid.take(at[:, None] + _NEIGHBOURS[i])
+        new_width = ends[:, 1] - ends[:, 0]
+        active &= (new_width > 2.0 * tol) & (new_width < width[:, 0])
+        if not active.any():
+            return s_star, best
+        np.copyto(lo[:, 0], ends[:, 0], where=active)
+        np.copyto(width[:, 0], new_width, where=active)
+
+
 def q_s(pair: HypothesisPair, s: float) -> float:
     """Tr(rho_A^s rho_B^{1-s}) for a Gaussian hypothesis pair."""
     if not 0.0 <= s <= 1.0:
@@ -254,27 +477,13 @@ def q_s(pair: HypothesisPair, s: float) -> float:
 
 
 def chernoff_infimum(pair: HypothesisPair, tol: float = DEFAULT_S_TOL) -> tuple[float, float]:
-    """Minimize Q_s over s in [0, 1]; returns (s_star, q_min).
+    """Minimize Q_s over s in [0, 1] by a zoom search; returns (s_star, q_min).
 
-    Q_s is convex in s, so the grid point with the smallest value brackets
-    the minimum between its neighbours. A 64-point scan of [0, 1] finds that
-    bracket, and 64-point scans of the bracket shrink it by 2/63 per round
-    until it is no wider than 2 tol, or until rounding stops it shrinking.
+    Any one- or two-mode pair, through its general 4x4 analysis.
     """
     data = _pair_data(pair)
-    lo, hi = _S_EDGE, 1.0 - _S_EDGE
-    s_star, q_min = 0.5, math.inf
-    while True:
-        grid = np.linspace(lo, hi, _SCAN_POINTS)
-        values = data.q(grid)
-        i = int(np.argmin(values))
-        if values[i] < q_min:
-            s_star, q_min = float(grid[i]), float(values[i])
-        width = hi - lo
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, _SCAN_POINTS - 1)]
-        if hi - lo <= 2.0 * tol or hi - lo >= width:
-            return s_star, min(q_min, 1.0)
+    s_star, q_min = _zoom(lambda s: data.q(s[0])[None], 1, tol)
+    return float(s_star[0]), min(float(q_min[0]), 1.0)
 
 
 def log_error_prob(q_min: float, ensembles: float) -> float:
@@ -305,9 +514,74 @@ def log_p_from_snr(snr_value: float) -> float:
     return float(log_ndtr(-math.sqrt(2.0 * snr_value)))
 
 
+def discriminate_many(probes: Sequence[ProbeSpec],
+                      scenarios: Sequence[TargetScenario],
+                      tol: float = DEFAULT_S_TOL) -> list:
+    """Chernoff infimum -> M-copy log P -> SNR for many (probe, scenario) points.
+
+    The points are evaluated as one batch: two-mode probes through the
+    standard-form core, with one zoom over a (points, 64) array of s per
+    round, and coherent probes in closed form at s* = 1/2. Returns, per
+    point, its DiscriminationResult or the ValidationError that rejected it;
+    a bad point does not fail the others.
+    """
+    if len(probes) != len(scenarios):
+        raise ValidationError(
+            f"{len(probes)} probes against {len(scenarios)} scenarios")
+    kappa, nb, ensembles = (np.array([getattr(sc, k) for sc in scenarios], dtype=float)
+                            for k in ("kappa", "nb", "ensembles"))
+    coherent = [i for i, p in enumerate(probes) if p.kind is ProbeKind.COHERENT]
+    two_mode = [i for i, p in enumerate(probes) if p.kind is not ProbeKind.COHERENT]
+    out: list = [None] * len(probes)
+    if coherent:
+        ns = np.array([probes[i].ns for i in coherent], dtype=float)
+        results = _coherent(kappa[coherent] * ns, nb[coherent], ensembles[coherent])
+        for i, result in zip(coherent, results):
+            out[i] = result
+    if two_mode:
+        n0, n1, n2 = (np.array([getattr(probes[i], k) for i in two_mode], dtype=float)
+                      for k in ("n0", "n1", "n2"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            entries = _probe_entries(n0, n1, n2)
+            ent_a = np.array(_return_entries(entries, kappa[two_mode], nb[two_mode]))
+            ent_b = np.array(_absent_entries(entries, nb[two_mode]))
+        results = _discriminate_standard(ent_a, ent_b, ensembles[two_mode], tol)
+        for i, result in zip(two_mode, results):
+            out[i] = result
+    return out
+
+
+def _one(result):
+    if isinstance(result, ValidationError):
+        raise result
+    return result
+
+
 def discriminate(pair: HypothesisPair, ensembles: float,
                  tol: float = DEFAULT_S_TOL) -> DiscriminationResult:
-    """Chernoff infimum -> M-copy log P -> SNR for a built hypothesis pair."""
+    """Chernoff infimum -> M-copy log P -> SNR for a built hypothesis pair.
+
+    The pair's form selects the path: two-mode pairs in standard form with
+    equal means (every pair make_hypotheses builds from a two-mode probe)
+    and one-mode pairs of one thermal covariance (the coherent probe) take
+    the batched core of discriminate_many; any other pair the general one.
+    """
+    if not (0.0 < ensembles < math.inf):
+        raise ValidationError(f"ensembles must be > 0 and finite, got {ensembles}")
+    a, b = pair.rho_a, pair.rho_b
+    m = np.array([ensembles], dtype=float)
+    if a.n_modes == b.n_modes == 2 and np.array_equal(a.mean, b.mean):
+        covs = np.array([a.cov, b.cov])
+        if not covs[:, _XP_POS[0], _XP_POS[1]].any() and np.array_equal(
+                covs, covs.transpose(0, 2, 1)):
+            ent = covs[:, _ENTRY_POS[0], _ENTRY_POS[1]]
+            return _one(_discriminate_standard(ent[0][:, None], ent[1][:, None],
+                                               m, tol)[0])
+    if (a.n_modes == b.n_modes == 1 and np.array_equal(a.cov, b.cov)
+            and a.cov[0, 1] == a.cov[1, 0] == 0.0 and a.cov[0, 0] == a.cov[1, 1]):
+        d = a.mean - b.mean
+        nb = np.array([max(0.5 * (a.cov[0, 0] - 1.0), 0.0)])
+        return _one(_coherent(np.array([0.25 * (d @ d)]), nb, m)[0])
     s_star, q_min = chernoff_infimum(pair, tol=tol)
     log_p = log_error_prob(q_min, ensembles)
     return DiscriminationResult(s_star, q_min, log_p, snr_from_log_p(log_p))
@@ -315,5 +589,5 @@ def discriminate(pair: HypothesisPair, ensembles: float,
 
 def snr(probe: ProbeSpec, scenario: TargetScenario,
         tol: float = DEFAULT_S_TOL) -> DiscriminationResult:
-    """Full pipeline: hypotheses -> Chernoff infimum -> log P -> SNR."""
-    return discriminate(make_hypotheses(probe, scenario), scenario.ensembles, tol)
+    """Full pipeline for one point: hypotheses -> Chernoff infimum -> log P -> SNR."""
+    return _one(discriminate_many([probe], [scenario], tol)[0])

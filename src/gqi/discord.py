@@ -67,13 +67,16 @@ def gaussian_discord(state: GaussianState) -> DiscordResult:
 
     D = f(sqrt(beta)) - f(nu_+) - f(nu_-) + f(sqrt(eps)), where nu_+- are the
     symplectic eigenvalues of the full covariance matrix (state.spectrum) and
-    eps follows the closed-form branch on the block determinants.
+    eps follows the closed-form branch on the block determinants. A
+    spectrum value within the tolerance the state was validated with
+    (state.spectrum_tol) of 1 is a pure mode, and is taken as exactly 1.
     """
     d = block_determinants(state)
     alpha, beta, gamma, delta = d.alpha, d.beta, d.gamma, d.delta
-    nu_hi, nu_lo = state.spectrum
+    nu_hi, nu_lo = (1.0 if abs(nu - 1.0) <= state.spectrum_tol else nu
+                    for nu in state.spectrum.tolist())
 
-    if nu_hi <= 1.0 + _ZERO_CLAMP:
+    if nu_hi == 1.0:
         # Pure state: eps -> 1 and both entropy terms vanish, leaving the
         # marginal entropy. The closed forms below lose ~1e-7 to cancellation
         # exactly on this boundary, so take the limit directly.
@@ -114,4 +117,5 @@ def remained_discord(probe: ProbeSpec, scenario: TargetScenario) -> DiscordResul
     """Discord left between the return and idler modes after the channel."""
     if probe.kind is ProbeKind.COHERENT:
         raise ValidationError("remained_discord needs an idler mode")
-    return gaussian_discord(_return_idler_state(_probe_entries(probe), scenario))
+    entries = _probe_entries(probe.n0, probe.n1, probe.n2)
+    return gaussian_discord(_return_idler_state(entries, scenario))

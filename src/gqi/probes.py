@@ -104,41 +104,57 @@ def _two_mode_cov(ax: float, ap: float, bx: float, bp: float,
                      [0.0, cp, 0.0, bp]])
 
 
-def _squeezer_gains(n_mean: float) -> tuple[float, float]:
+def _sqrt(x):
+    """np.sqrt of an array, math.sqrt of a float; both round correctly."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _squeezer_gains(n_mean):
     """(gamma_-, gamma_+) = sqrt(N+1) -+ sqrt(N) of a squeezer with N photons."""
-    root_plus, root = math.sqrt(n_mean + 1.0), math.sqrt(n_mean)
+    root_plus, root = _sqrt(n_mean + 1.0), _sqrt(n_mean)
     return root_plus - root, root_plus + root
 
 
-def _probe_entries(spec: ProbeSpec) -> tuple[float, ...]:
+def _probe_entries(n0, n1, n2) -> tuple:
     """Nonzero covariance entries of a TMSV/ASTM probe, as _two_mode_cov takes them.
 
-    The squeezers (reference.single_mode_squeezer) scale rows and then
-    columns of the TMSV covariance by m = (gamma_-, gamma_+) on their mode,
-    cov -> (cov m_i) m_j, which is what S cov S^T does with a diagonal S,
-    rounding included.
+    Takes floats or equal-shaped arrays, and returns the same. The squeezers
+    (reference.single_mode_squeezer) scale rows and then columns of the TMSV
+    covariance by m = (gamma_-, gamma_+) on their mode, cov -> (cov m_i) m_j,
+    which is what S cov S^T does with a diagonal S, rounding included.
     """
-    a = 2.0 * spec.n0 + 1.0
-    c = 2.0 * math.sqrt(spec.n0 * (spec.n0 + 1.0))
-    s_minus, s_plus = _squeezer_gains(spec.n1)
-    i_minus, i_plus = _squeezer_gains(spec.n2)
+    a = 2.0 * n0 + 1.0
+    c = 2.0 * _sqrt(n0 * (n0 + 1.0))
+    s_minus, s_plus = _squeezer_gains(n1)
+    i_minus, i_plus = _squeezer_gains(n2)
     return ((a * s_minus) * s_minus, (a * s_plus) * s_plus,
             (a * i_minus) * i_minus, (a * i_plus) * i_plus,
             (c * s_minus) * i_minus, (-c * s_plus) * i_plus)
 
 
-def _return_idler_state(entries: tuple[float, ...],
-                        scenario: TargetScenario) -> GaussianState:
-    """rho_A: the probe's signal mode after the channel, with its idler.
+def _return_entries(entries: tuple, kappa, nb) -> tuple:
+    """rho_A's entries: the probe's signal mode after the channel, with its idler.
 
     The channel scales the signal rows and columns by k = sqrt(kappa),
     (v k_i) k_j, and adds the transmitted noise to the signal diagonal.
+    Floats or arrays, like _probe_entries.
     """
     ax, ap, bx, bp, cx, cp = entries
-    k = math.sqrt(scenario.kappa)
-    noise = 2.0 * scenario.nb + (1.0 - scenario.kappa)
-    cov = _two_mode_cov((ax * k) * k + noise, (ap * k) * k + noise, bx, bp,
-                        cx * k, cp * k)
+    k = _sqrt(kappa)
+    noise = 2.0 * nb + (1.0 - kappa)
+    return ((ax * k) * k + noise, (ap * k) * k + noise, bx, bp, cx * k, cp * k)
+
+
+def _absent_entries(entries: tuple, nb) -> tuple:
+    """rho_B's entries: thermal noise N_B on the return mode, the idler untouched."""
+    thermal = 2.0 * nb + 1.0
+    zero = np.zeros_like(thermal)
+    return (thermal, thermal, entries[2], entries[3], zero, zero)
+
+
+def _return_idler_state(entries: tuple, scenario: TargetScenario) -> GaussianState:
+    """rho_A as a validated state."""
+    cov = _two_mode_cov(*_return_entries(entries, scenario.kappa, scenario.nb))
     return GaussianState(2, np.zeros(4), cov)
 
 
@@ -151,7 +167,8 @@ def astm_state(spec: ProbeSpec) -> GaussianState:
     """Asymmetrically squeezed two-mode state: independent squeezers on TMSV."""
     if spec.kind is ProbeKind.COHERENT:
         raise ValidationError("astm_state requires a TMSV or ASTM probe")
-    return GaussianState(2, np.zeros(4), _two_mode_cov(*_probe_entries(spec)))
+    return GaussianState(2, np.zeros(4),
+                         _two_mode_cov(*_probe_entries(spec.n0, spec.n1, spec.n2)))
 
 
 def coherent_state(ns: float) -> GaussianState:
@@ -202,8 +219,7 @@ def make_hypotheses(probe: ProbeSpec, scenario: TargetScenario) -> HypothesisPai
         rho_b = GaussianState(1, np.zeros(2), cov.copy())
         return HypothesisPair(rho_a, rho_b)
 
-    entries = _probe_entries(probe)
-    thermal = 2.0 * nb + 1.0
-    v_b = _two_mode_cov(thermal, thermal, entries[2], entries[3], 0.0, 0.0)
+    entries = _probe_entries(probe.n0, probe.n1, probe.n2)
+    v_b = _two_mode_cov(*_absent_entries(entries, nb))
     return HypothesisPair(_return_idler_state(entries, scenario),
                           GaussianState(2, np.zeros(4), v_b))

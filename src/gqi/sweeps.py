@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chernoff import discriminate
-from .discord import gaussian_discord
-from .probes import ProbeKind, ProbeSpec, TargetScenario, make_hypotheses
+from .chernoff import DiscriminationResult, discriminate_many, snr
+from .discord import remained_discord
+from .probes import ProbeKind, ProbeSpec, TargetScenario
 from .symplectic import ValidationError
 
 CSV_COLUMNS = [
@@ -66,19 +66,12 @@ def solve_n1_for_signal_energy(ns: float, n0: float) -> float:
     return (ns - n0) / (2.0 * n0 + 1.0)
 
 
-def run_scenario(probe: ProbeSpec, scenario: TargetScenario,
-                 with_discord: bool = False,
-                 axis_value: float = float("nan")) -> SweepRow:
-    """Evaluate one probe/scenario pair into a sweep row.
-
-    The pair is built once: the discord is that of its rho_A, the state
-    remained_discord measures.
-    """
-    pair = make_hypotheses(probe, scenario)
-    result = discriminate(pair, scenario.ensembles)
+def _row(probe: ProbeSpec, scenario: TargetScenario,
+         result: DiscriminationResult, with_discord: bool,
+         axis_value: float) -> SweepRow:
     discord_value = None
     if with_discord and probe.kind is not ProbeKind.COHERENT:
-        discord_value = gaussian_discord(pair.rho_a).value
+        discord_value = remained_discord(probe, scenario).value
     return SweepRow(
         axis_value=axis_value,
         n0=probe.n0, n1=probe.n1, n2=probe.n2,
@@ -89,6 +82,16 @@ def run_scenario(probe: ProbeSpec, scenario: TargetScenario,
         log_error_prob=result.log_error_prob, snr=result.snr,
         discord=discord_value,
     )
+
+
+def run_scenario(probe: ProbeSpec, scenario: TargetScenario,
+                 with_discord: bool = False,
+                 axis_value: float = float("nan")) -> SweepRow:
+    """Evaluate one probe/scenario pair into a sweep row.
+
+    The discord is that of rho_A, the state remained_discord measures.
+    """
+    return _row(probe, scenario, snr(probe, scenario), with_discord, axis_value)
 
 
 def _with_axis(probe: ProbeSpec, scenario: TargetScenario, axis: str,
@@ -122,23 +125,38 @@ def sweep(axis: str, grid, probe: ProbeSpec, scenario: TargetScenario,
         if compare is None else compare
     )
     table = SweepTable(axis=axis, grid=[float(v) for v in grid])
-    errors = []
-    for value in table.grid:
+    # (grid index, probe, scenario, with_discord) of every row, in order; a
+    # grid value whose inputs cannot be built gets its error instead.
+    points, failed = [], {}
+    for j, value in enumerate(table.grid):
         try:
             p, s = _with_axis(probe, scenario, axis, value)
-            table.rows.append(run_scenario(p, s, with_discord, axis_value=value))
+            rows = [(j, p, s, with_discord)]
             if emit_compare:
-                tmsv = ProbeSpec(kind=ProbeKind.TMSV, n0=value)
-                table.rows.append(
-                    run_scenario(tmsv, s, with_discord, axis_value=value))
-                coherent = ProbeSpec(kind=ProbeKind.COHERENT, ns=value)
-                table.rows.append(
-                    run_scenario(coherent, s, False, axis_value=value))
+                rows += [(j, ProbeSpec(kind=ProbeKind.TMSV, n0=value), s,
+                          with_discord),
+                         (j, ProbeSpec(kind=ProbeKind.COHERENT, ns=value), s,
+                          False)]
         except ValidationError as exc:
-            errors.append(f"{axis}={value}: {exc}")
-    if errors and not table.rows:
-        raise ValidationError("every grid point failed: " + "; ".join(errors))
-    table.errors.extend(errors)
+            failed[j] = exc
+            continue
+        points += rows
+    results = discriminate_many([pt[1] for pt in points], [pt[2] for pt in points])
+    # A grid value's rows stop at its first error, which is reported.
+    for (j, p, s, discord), result in zip(points, results):
+        if j in failed:
+            continue
+        if isinstance(result, ValidationError):
+            failed[j] = result
+            continue
+        try:
+            table.rows.append(_row(p, s, result, discord, table.grid[j]))
+        except ValidationError as exc:
+            failed[j] = exc
+    messages = [f"{axis}={table.grid[j]}: {failed[j]}" for j in sorted(failed)]
+    if messages and not table.rows:
+        raise ValidationError("every grid point failed: " + "; ".join(messages))
+    table.errors.extend(messages)
     return table
 
 

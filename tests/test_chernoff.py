@@ -26,10 +26,12 @@ from gqi import (
     q_s,
     snr,
     snr_from_log_p,
+    sweep,
     symplectic_form,
     v_of_p,
     williamson,
 )
+from gqi.chernoff import discriminate, discriminate_many
 from gqi.probes import HypothesisPair, tmsv_state
 
 
@@ -522,3 +524,122 @@ class TestSnrPipeline:
         ]
         spread = (max(values) - min(values)) / values[0]
         assert spread < 1e-6
+
+
+def mp_coherent_snr(ns: float, scenario: TargetScenario, dps: int = 50) -> float:
+    """SNR of the coherent benchmark from its closed-form exponent (oracle)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        kappa, nb, m = (mpmath.mpf(v) for v in (
+            scenario.kappa, scenario.nb, scenario.ensembles))
+        exponent = kappa * ns * (mpmath.sqrt(nb + 1) - mpmath.sqrt(nb)) ** 2
+        log_p = -m * exponent - mpmath.log(2)
+        # ln[(1/2) erfc(sqrt(x))] falls from ln(1/2) at 0 to below log_p
+        # at -log_p, so the root is bracketed there.
+        return float(mpmath.findroot(
+            lambda v: mpmath.log(mpmath.erfc(mpmath.sqrt(v)) / 2) - log_p,
+            (mpmath.mpf(0), -log_p), solver="illinois"))
+
+
+point = st.tuples(
+    st.floats(0.0, 10.0), st.floats(0.0, 1e3), st.floats(0.0, 1e3),
+    st.floats(1e-3, 0.9), st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+    st.booleans())
+
+
+class TestDiscriminateMany:
+    # Each point of one batch against the general 4x4 path on its pair,
+    # with the bound of TestAgainstWilliamsonForm: the batched Q_min is
+    # evaluated in np.longdouble, so the general path's own rounding sets it.
+    @given(points=st.lists(point, min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_general_path(self, points):
+        probes, scenarios = [], []
+        for n0, n1, n2, kappa, nb, coherent in points:
+            probes.append(ProbeSpec(kind=ProbeKind.COHERENT, ns=n0) if coherent
+                          else ProbeSpec(kind=ProbeKind.ASTM, n0=n0, n1=n1, n2=n2))
+            scenarios.append(TargetScenario(kappa, nb, 1e6))
+        for probe, scenario, result in zip(
+                probes, scenarios, discriminate_many(probes, scenarios)):
+            pair = make_hypotheses(probe, scenario)
+            _, expected = chernoff_infimum(pair)
+            covs = (pair.rho_a.cov, pair.rho_b.cov)
+            rel = 1e-9
+            if scenario.nb > 0.0:
+                rel += EPS * max(np.abs(v).max() for v in covs) / scenario.nb
+            ulps = 32 + 4 * sum(inv_det_r(v) for v in covs)
+            assert abs(result.q_min - expected) <= rel * (1.0 - expected) + ulps * EPS
+            assert result.log_error_prob <= math.log(0.5)
+            assert log_p_from_snr(result.snr) == pytest.approx(
+                result.log_error_prob, rel=1e-9, abs=1e-12)
+
+    def test_bad_point_does_not_fail_the_batch(self):
+        probes = [ProbeSpec(kind=ProbeKind.ASTM, n0=1.0, n1=0.5),
+                  ProbeSpec(kind=ProbeKind.TMSV, n0=1e300),  # overflows
+                  ProbeSpec(kind=ProbeKind.COHERENT, ns=2.0),
+                  ProbeSpec(kind=ProbeKind.COHERENT, ns=2.0)]
+        scenarios = [MICROWAVE, MICROWAVE, MICROWAVE, TargetScenario(0.01, 1e308)]
+        results = discriminate_many(probes, scenarios)
+        assert isinstance(results[1], ValidationError)
+        assert "non-finite" in str(results[1])
+        assert isinstance(results[3], ValidationError)
+        for i in (0, 2):
+            assert results[i] == snr(probes[i], scenarios[i])
+        with pytest.raises(ValidationError, match="non-finite"):
+            snr(probes[1], MICROWAVE)
+
+    def test_empty_batch(self):
+        assert discriminate_many([], []) == []
+
+    @pytest.mark.parametrize("nb", [30.0, 3.8e3, 1e6, 1e8, 1e10])
+    def test_coherent_snr_against_closed_form(self, nb):
+        # -ln Q goes from the closed form straight into ln P; the SNR at
+        # N_B = 1e10 was 5.4e-3 off when it went through Q_min.
+        scenario = TargetScenario(0.01, nb, 1e12)
+        result = snr(ProbeSpec(kind=ProbeKind.COHERENT, ns=2.0), scenario)
+        assert result.s_star == 0.5
+        assert result.snr == pytest.approx(mp_coherent_snr(2.0, scenario), rel=1e-9)
+
+    @pytest.mark.parametrize("probe", [
+        ProbeSpec(kind=ProbeKind.ASTM, n0=0.5, n1=1.2, n2=0.3),
+        ProbeSpec(kind=ProbeKind.TMSV, n0=2.0),
+    ])
+    def test_pair_in_standard_form_takes_the_batched_path(self, probe):
+        scenario = TargetScenario(0.05, 12.0, 1e6)
+        assert discriminate(make_hypotheses(probe, scenario), 1e6) == snr(probe, scenario)
+
+    @pytest.mark.parametrize("ensembles", [0.0, -1.0, math.nan, math.inf])
+    def test_discriminate_rejects_bad_copy_count(self, ensembles):
+        pair = make_hypotheses(ProbeSpec(kind=ProbeKind.TMSV, n0=1.0), MICROWAVE)
+        with pytest.raises(ValidationError, match="ensembles"):
+            discriminate(pair, ensembles)
+
+    def test_coherent_pair_takes_the_closed_form(self):
+        probe = ProbeSpec(kind=ProbeKind.COHERENT, ns=1.5)
+        scenario = TargetScenario(0.05, 12.0, 1e6)
+        result = discriminate(make_hypotheses(probe, scenario), 1e6)
+        expected = snr(probe, scenario)
+        assert result.s_star == 0.5
+        assert result.snr == pytest.approx(expected.snr, rel=1e-14)
+
+    def test_other_pairs_take_the_general_path(self, rng):
+        for n_modes in (1, 2):
+            pair = HypothesisPair(
+                GaussianState(n_modes, np.zeros(2 * n_modes),
+                              random_physical_cov(n_modes, rng)),
+                GaussianState(n_modes, np.zeros(2 * n_modes),
+                              random_physical_cov(n_modes, rng)))
+            s_star, q_min = chernoff_infimum(pair)
+            result = discriminate(pair, 10.0)
+            assert (result.s_star, result.q_min) == (s_star, q_min)
+
+    def test_microwave_table_against_mpmath(self):
+        # The fig2b_n1_0 table (TMSV, N0 = 0.1..2 at MICROWAVE), each SNR
+        # against the 50-digit infimum. Q evaluated in float64 left 2.7e-9
+        # at N0 = 0.1; evaluated at s* in np.longdouble it leaves 1.8e-10,
+        # most of it from where the float64 zoom put s*.
+        table = sweep("n0", np.linspace(0.1, 2.0, 20),
+                      ProbeSpec(kind=ProbeKind.ASTM, n1=0.0), MICROWAVE)
+        worst = max(abs(row.snr / mp_tmsv_snr(row.n0, MICROWAVE, dps=50) - 1.0)
+                    for row in table.rows)
+        assert worst <= 5e-10

@@ -180,3 +180,26 @@ class TestRemainedDiscord:
             values.append(remained_discord(probe, scenario).value)
         assert min(values) < values[0]
         assert values[-1] > values[-2] > values[-3]
+
+
+class TestSpectrumSnap:
+    def test_probe_at_strong_idler_squeezing(self):
+        # The spectrum of this pure probe reads 1 - 1.1e-10, which
+        # GaussianState accepts (its tolerance is 1e-9) and the fixed 1e-10
+        # clamp of entropy_f rejected. Against a 50-digit evaluation of the
+        # marginal entropy f(sqrt(det B)) this is off by 1.2e-11.
+        probe = ProbeSpec(kind=ProbeKind.ASTM, n0=3.7614462458241293,
+                          n1=2.67089304626055, n2=79815.16583773255)
+        result = gaussian_discord(astm_state(probe))
+        assert result.branch == "pure"
+        assert result.value == pytest.approx(2.447304628875966, rel=1e-9)
+
+    def test_strongly_squeezed_tmsv_is_pure(self):
+        # tmsv_state(1e4) reads its spectrum as 1 -+ ~4e-8, within the
+        # tolerance it was validated with.
+        state = tmsv_state(1e4)
+        result = gaussian_discord(state)
+        assert result.nu_pair == (1.0, 1.0)
+        n0 = 1e4
+        marginal = (n0 + 1) * math.log(n0 + 1) - n0 * math.log(n0)
+        assert result.value == pytest.approx(marginal, rel=1e-9)

@@ -112,6 +112,38 @@ class TestSweep:
         assert len(table.errors) == 1
         assert {r.axis_value for r in table.rows} == {2.0}
 
+    def test_bad_points_inside_the_batch_are_reported(self):
+        # -1 fails when its probe is built, 1e300 inside the batch (its
+        # covariance overflows); the points around them are evaluated.
+        grid = [0.5, -1.0, 1.0, 1e300, 2.0]
+        table = sweep("n0", grid, ProbeSpec(kind=ProbeKind.ASTM, n1=0.5), MICROWAVE)
+        assert [r.axis_value for r in table.rows] == [0.5, 1.0, 2.0]
+        assert len(table.errors) == 2
+        assert table.errors[0].startswith("n0=-1.0: ")
+        assert table.errors[1] == "n0=1e+300: covariance has a non-finite entry"
+
+    def test_bad_point_drops_its_comparison_rows(self):
+        table = sweep("ns", [2.0, 0.5, 3.0],
+                      ProbeSpec(kind=ProbeKind.ASTM, n0=1.0), MICROWAVE)
+        assert [r.axis_value for r in table.rows] == [2.0] * 3 + [3.0] * 3
+        assert len(table.errors) == 1 and table.errors[0].startswith("ns=0.5: ")
+
+    def test_rows_agree_with_run_scenario(self):
+        # Each row is evaluated in a batch of 3 x 16 points, alone in
+        # run_scenario. The arithmetic is elementwise per point, so only a
+        # vector kernel that rounds by position could split them; on x86-64
+        # with numpy 2 they agree bit for bit.
+        table = sweep("ns", np.linspace(1.0, 4.0, 16),
+                      ProbeSpec(kind=ProbeKind.ASTM, n0=1.0), MICROWAVE)
+        for row in table.rows:
+            probe = ProbeSpec(kind=ProbeKind(row.kind), n0=row.n0, n1=row.n1,
+                              n2=row.n2, ns=row.ns if row.kind == "coherent" else 0.0)
+            alone = run_scenario(probe, MICROWAVE, axis_value=row.axis_value)
+            assert row.snr == pytest.approx(alone.snr, rel=1e-12)
+            assert row.log_error_prob == pytest.approx(alone.log_error_prob, rel=1e-12)
+            assert row.q_min == pytest.approx(alone.q_min, abs=4e-16)
+            assert row.s_star == pytest.approx(alone.s_star, abs=1e-4)
+
     def test_unknown_axis(self):
         with pytest.raises(ValidationError):
             sweep("phi", [0.1], ProbeSpec(kind=ProbeKind.TMSV, n0=1.0), MICROWAVE)

@@ -15,7 +15,8 @@ from gqi import (
     symplectic_form,
     williamson,
 )
-from gqi.probes import tmsv_state
+from gqi.probes import _probe_entries, _return_entries, _two_mode_cov, tmsv_state
+from gqi.symplectic import standard_form_spectrum
 
 from conftest import random_physical_cov, random_symplectic
 
@@ -97,6 +98,12 @@ class TestCovarianceCheck:
             call(np.diag([bad, 1.0]))
         with pytest.raises(ValidationError, match="non-finite"):
             call(np.diag([bad, bad]))
+
+    @pytest.mark.parametrize("call", [symplectic_eigenvalues, williamson],
+                             ids=["symplectic_eigenvalues", "williamson"])
+    def test_rejects_empty_covariance(self, call):
+        with pytest.raises(ValidationError, match="2n x 2n"):
+            call(np.zeros((0, 0)))
 
 
 class TestWilliamson:
@@ -278,3 +285,47 @@ class TestGaussianStateValidation:
 
     def test_accepts_marginally_pure(self):
         GaussianState(1, np.zeros(2), (1.0 - 1e-10) * np.eye(2))
+
+
+def standard_entries(cov: np.ndarray) -> np.ndarray:
+    """The six entries standard_form_spectrum takes, as a (6, 1) column."""
+    return cov[[0, 1, 2, 3, 0, 1], [0, 1, 2, 3, 2, 3]][:, None]
+
+
+class TestStandardFormSpectrum:
+    @given(n0=st.floats(0.0, 10.0), n1=st.floats(0.0, 1e3), n2=st.floats(0.0, 1e3),
+           kappa=st.floats(0.0, 0.99), nb=st.floats(0.0, 1e3))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_eigvals_spectrum(self, n0, n1, n2, kappa, nb):
+        entries = _return_entries(_probe_entries(n0, n1, n2), kappa, nb)
+        cov = _two_mode_cov(*entries)
+        spec = standard_form_spectrum(np.array(entries)[:, None])
+        assert spec.errors == [None]
+        np.testing.assert_allclose(spec.nu[:, 0], symplectic_eigenvalues(cov),
+                                   rtol=1e-12, atol=1e-6 * np.finfo(float).eps
+                                   * np.abs(cov).max() ** 2)
+
+    def test_rejects_what_gaussian_state_rejects(self):
+        covs = [0.5 * np.eye(4), (1.0 - 1e-6) * np.eye(4),
+                np.diag([2e8, 2e8, 0.9, 0.9]), np.diag([2e6, 2e6, 0.5, 1.5])]
+        spec = standard_form_spectrum(np.hstack([standard_entries(c) for c in covs]))
+        for cov, error in zip(covs, spec.errors):
+            with pytest.raises(ValidationError, match="smallest symplectic eigenvalue"):
+                GaussianState(2, np.zeros(4), cov)
+            assert "smallest symplectic eigenvalue" in error
+
+    @pytest.mark.parametrize("n0", [3e3, 1e4])
+    def test_accepts_strongly_squeezed_tmsv(self, n0):
+        spec = standard_form_spectrum(standard_entries(tmsv_state(n0).cov))
+        assert spec.errors == [None]
+        np.testing.assert_allclose(spec.nu[:, 0], [1.0, 1.0], atol=1e-6)
+
+    def test_rejects_each_bad_covariance_alone(self):
+        good = standard_entries(tmsv_state(1.0).cov)[:, 0]
+        nan, indefinite = good.copy(), good.copy()
+        nan[2] = np.nan
+        indefinite[4] = 10.0  # x1x2 beyond sqrt(x1x1 x2x2)
+        spec = standard_form_spectrum(np.array([good, nan, indefinite, good]).T)
+        assert spec.errors == [None, "covariance has a non-finite entry",
+                               "covariance matrix is not positive definite", None]
+        assert spec.nu[:, 0] == pytest.approx([1.0, 1.0])
