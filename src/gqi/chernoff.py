@@ -67,8 +67,8 @@ from scipy.special import log_ndtr, ndtri_exp
 
 from .probes import (HypothesisPair, ProbeKind, ProbeSpec, TargetScenario,
                      _absent_entries, _probe_entries, _return_entries)
-from .symplectic import (StandardSpectrum, ValidationError,
-                         standard_form_spectrum, symplectic_form)
+from .symplectic import (StandardSpectrum, ValidationError, _require_finite_mean,
+                         _standard_entries, standard_form_spectrum, symplectic_form)
 
 LN_HALF = -math.log(2.0)
 
@@ -96,11 +96,6 @@ _OFFSET = np.array([0.0, 0.0, 1.0, 1.0])[:, None]
 _LEFT = np.array([[[0, 1], [2, 3]], [[0, 2], [1, 3]],
                   [[3, 4], [5, 0]], [[3, 5], [4, 0]]])
 _RIGHT = np.array([[[1, 5], [5, 3]], [[0, 4], [4, 2]]] * 2)
-
-# Covariance positions of the six standard-form entries, and of the x-p
-# correlations a standard-form covariance lacks.
-_ENTRY_POS = ([0, 1, 2, 3, 0, 1], [0, 1, 2, 3, 2, 3])
-_XP_POS = ([0, 1, 0, 3, 1, 2, 2, 3], [1, 0, 3, 0, 2, 1, 3, 2])
 
 
 # A symplectic eigenvalue within a tolerance of 1 is a pure mode, where G_p
@@ -486,10 +481,16 @@ def chernoff_infimum(pair: HypothesisPair, tol: float = DEFAULT_S_TOL) -> tuple[
     return float(s_star[0]), min(float(q_min[0]), 1.0)
 
 
+def _check_ensembles(ensembles: float) -> None:
+    if not 0.0 < ensembles < math.inf:
+        raise ValidationError(f"ensembles must be > 0 and finite, got {ensembles}")
+
+
 def log_error_prob(q_min: float, ensembles: float) -> float:
     """ln of the M-copy Chernoff bound, (1/2) q_min^M, computed stably."""
     if not 0.0 < q_min <= 1.0:
         raise ValidationError(f"q_min must lie in (0, 1], got {q_min}")
+    _check_ensembles(ensembles)
     log_q = math.log1p(q_min - 1.0) if q_min > 0.5 else math.log(q_min)
     return ensembles * log_q + LN_HALF
 
@@ -501,7 +502,7 @@ def snr_from_log_p(log_p: float) -> float:
     single call to the inverse of the log-domain normal CDF, valid far below
     where the probability itself underflows.
     """
-    if log_p > LN_HALF + 1e-15:
+    if not log_p <= LN_HALF + 1e-15:
         raise ValidationError(f"log_p must be <= ln(1/2), got {log_p}")
     y = float(ndtri_exp(min(log_p, LN_HALF)))
     return 0.5 * y * y
@@ -509,7 +510,7 @@ def snr_from_log_p(log_p: float) -> float:
 
 def log_p_from_snr(snr_value: float) -> float:
     """Forward map ln[(1/2) erfc(sqrt(x))], the inverse of snr_from_log_p."""
-    if snr_value < 0:
+    if not snr_value >= 0:
         raise ValidationError(f"snr must be >= 0, got {snr_value}")
     return float(log_ndtr(-math.sqrt(2.0 * snr_value)))
 
@@ -566,17 +567,16 @@ def discriminate(pair: HypothesisPair, ensembles: float,
     and one-mode pairs of one thermal covariance (the coherent probe) take
     the batched core of discriminate_many; any other pair the general one.
     """
-    if not (0.0 < ensembles < math.inf):
-        raise ValidationError(f"ensembles must be > 0 and finite, got {ensembles}")
+    _check_ensembles(ensembles)
     a, b = pair.rho_a, pair.rho_b
+    _require_finite_mean(a.mean)
+    _require_finite_mean(b.mean)
     m = np.array([ensembles], dtype=float)
     if a.n_modes == b.n_modes == 2 and np.array_equal(a.mean, b.mean):
-        covs = np.array([a.cov, b.cov])
-        if not covs[:, _XP_POS[0], _XP_POS[1]].any() and np.array_equal(
-                covs, covs.transpose(0, 2, 1)):
-            ent = covs[:, _ENTRY_POS[0], _ENTRY_POS[1]]
-            return _one(_discriminate_standard(ent[0][:, None], ent[1][:, None],
-                                               m, tol)[0])
+        ent_a, ent_b = _standard_entries(a.cov), _standard_entries(b.cov)
+        if ent_a is not None and ent_b is not None:
+            return _one(_discriminate_standard(np.array(ent_a)[:, None],
+                                               np.array(ent_b)[:, None], m, tol)[0])
     if (a.n_modes == b.n_modes == 1 and np.array_equal(a.cov, b.cov)
             and a.cov[0, 1] == a.cov[1, 0] == 0.0 and a.cov[0, 0] == a.cov[1, 1]):
         d = a.mean - b.mean

@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .symplectic import GaussianState, ValidationError
+from .symplectic import GaussianState, ValidationError, _sqrt
 
 
 class ProbeKind(str, Enum):
@@ -104,11 +104,6 @@ def _two_mode_cov(ax: float, ap: float, bx: float, bp: float,
                      [0.0, cp, 0.0, bp]])
 
 
-def _sqrt(x):
-    """np.sqrt of an array, math.sqrt of a float; both round correctly."""
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
-
-
 def _squeezer_gains(n_mean):
     """(gamma_-, gamma_+) = sqrt(N+1) -+ sqrt(N) of a squeezer with N photons."""
     root_plus, root = _sqrt(n_mean + 1.0), _sqrt(n_mean)
@@ -152,12 +147,6 @@ def _absent_entries(entries: tuple, nb) -> tuple:
     return (thermal, thermal, entries[2], entries[3], zero, zero)
 
 
-def _return_idler_state(entries: tuple, scenario: TargetScenario) -> GaussianState:
-    """rho_A as a validated state."""
-    cov = _two_mode_cov(*_return_entries(entries, scenario.kappa, scenario.nb))
-    return GaussianState(2, np.zeros(4), cov)
-
-
 def tmsv_state(n0: float) -> GaussianState:
     """Two-mode squeezed vacuum with per-mode photon number n0."""
     return astm_state(ProbeSpec(n0=n0))
@@ -173,6 +162,7 @@ def astm_state(spec: ProbeSpec) -> GaussianState:
 
 def coherent_state(ns: float) -> GaussianState:
     """Coherent probe with |alpha|^2 = ns; phase fixed to 0."""
+    _check_finite("ns", ns)
     if ns < 0:
         raise ValidationError(f"ns must be >= 0, got {ns}")
     return GaussianState(1, np.array([2.0 * np.sqrt(ns), 0.0]), np.eye(2))
@@ -220,6 +210,7 @@ def make_hypotheses(probe: ProbeSpec, scenario: TargetScenario) -> HypothesisPai
         return HypothesisPair(rho_a, rho_b)
 
     entries = _probe_entries(probe.n0, probe.n1, probe.n2)
+    v_a = _two_mode_cov(*_return_entries(entries, kappa, nb))
     v_b = _two_mode_cov(*_absent_entries(entries, nb))
-    return HypothesisPair(_return_idler_state(entries, scenario),
+    return HypothesisPair(GaussianState(2, np.zeros(4), v_a),
                           GaussianState(2, np.zeros(4), v_b))

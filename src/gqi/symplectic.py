@@ -6,6 +6,7 @@ The vacuum covariance is the identity and a thermal state with mean photon
 number N has covariance (2N+1) I_2.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -69,6 +70,11 @@ def _check_covariance(cov: np.ndarray) -> np.ndarray:
     return cov
 
 
+def _require_finite_mean(mean: np.ndarray) -> None:
+    if not np.isfinite(mean).all():
+        raise ValidationError("mean has a non-finite entry")
+
+
 def _require_physical(cov: np.ndarray, nu_min: float) -> float:
     """Raise unless cov is physical to within the error of its spectrum.
 
@@ -108,25 +114,62 @@ def _unphysical(nu: float) -> str:
 
 
 class StandardSpectrum(NamedTuple):
-    """Closed-form spectra of a batch of standard-form two-mode covariances.
+    """Closed-form spectra of standard-form two-mode covariances.
 
-    Each array has one entry (or column) per covariance. With X and P the
-    2x2 x and p blocks, nu_+-^2 are the eigenvalues of PX.
+    From a (6, n) array, each field has one entry (or column) per
+    covariance; from six floats, floats (nu and k as tuples) and one error.
+    With X and P the 2x2 x and p blocks, nu_+-^2 are the eigenvalues of PX.
     """
 
     nu: np.ndarray   # (2, n): nu_+ and nu_-
     gap: np.ndarray  # nu_+^2 - nu_-^2
     k: np.ndarray    # (4, n): PX - nu_-^2, entries 11, 12, 21, 22
     errors: list     # None, or why the covariance is not a physical state
+    tol: np.ndarray  # the shortfall below 1 that nu_- was allowed
 
 
-def standard_form_spectrum(entries: np.ndarray) -> StandardSpectrum:
+# Standard-form positions in a flattened 4x4 covariance: the six entries
+# standard_form_spectrum takes, the x-p correlations such a covariance
+# lacks, and the transposes of its two cross entries.
+_ENTRY_FLAT = (0, 5, 10, 15, 2, 7)
+_XP_FLAT = (1, 3, 4, 6, 9, 11, 12, 14)
+
+
+def _standard_entries(cov: np.ndarray) -> tuple | None:
+    """(x1x1, p1p1, x2x2, p2p2, x1x2, p1p2) of a two-mode covariance in
+    standard form, exactly symmetric and without x-p correlations; else None."""
+    v = cov.ravel().tolist()
+    if (len(v) != 16 or any(v[i] for i in _XP_FLAT)
+            or v[2] != v[8] or v[7] != v[13]):
+        return None
+    return tuple(v[i] for i in _ENTRY_FLAT)
+
+
+def _sqrt(x):
+    """np.sqrt of an array, math.sqrt of a float; both round correctly."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _where(cond, a, b):
+    """np.where on arrays, a conditional expression on floats."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _ratio(num, den):
+    """num / den where den > 0, else 0."""
+    if isinstance(den, np.ndarray):
+        return np.where(den > 0.0, num / den, 0.0)
+    return num / den if den > 0.0 else 0.0
+
+
+def standard_form_spectrum(entries) -> StandardSpectrum:
     """Symplectic spectra and validation of standard-form covariances.
 
-    entries is (6, n): (x1x1, p1p1, x2x2, p2p2, x1x2, p1p2) of n covariances
-    with no x-p correlations (Duan, Giedke, Cirac & Zoller, PRL 84, 2722
-    (2000)), in any float dtype. Then X = [[x1x1, x1x2], [x1x2, x2x2]],
-    P likewise, and nu_+-^2 are the eigenvalues of PX:
+    entries is (x1x1, p1p1, x2x2, p2p2, x1x2, p1p2) of covariances with no
+    x-p correlations (Duan, Giedke, Cirac & Zoller, PRL 84, 2722 (2000)):
+    six floats, or a (6, n) array of n covariances in any float dtype. Then
+    X = [[x1x1, x1x2], [x1x2, x2x2]], P likewise, and nu_+-^2 are the
+    eigenvalues of PX:
 
         nu_+^2 = (tr PX + g) / 2,   nu_-^2 = det X det P / nu_+^2,
         g = sqrt(x^2 + 4 (PX)_12 (PX)_21),   x = (PX)_11 - (PX)_22,
@@ -137,52 +180,83 @@ def standard_form_spectrum(entries: np.ndarray) -> StandardSpectrum:
 
     A covariance that GaussianState would reject gets its reason in errors,
     with the same bound: the smallest eigenvalue may fall short of 1 by
-    max(EIGENVALUE_CLAMP_TOL, the error of an eigvals spectrum). With u the
-    eigenvector of PX for nu_-^2, the eigenvector of i Omega V is
-    (u, -i X u / nu_-), which gives that error in closed form.
+    max(EIGENVALUE_CLAMP_TOL, the error of an eigvals spectrum), which is
+    tol. With u the eigenvector of PX for nu_-^2, the eigenvector of
+    i Omega V is (u, -i X u / nu_-), which gives that error in closed form.
+    Six floats take no numpy call, and their fields are nan when errors
+    holds a reason other than the shortfall.
     """
     ax, ap, bx, bp, cx, cp = entries
-    with np.errstate(all="ignore"):
-        k12, k21 = ap * cx + cp * bx, cp * ax + bp * cx
-        x = ap * ax - bp * bx
-        u = k12 * k21
-        gap = np.sqrt(np.maximum(x * x + 4.0 * u, 0.0))
-        big = 0.5 * (gap + np.abs(x))
-        small = np.where(big > 0.0, u / big, 0.0)
-        first = x >= 0.0
-        k = np.array([np.where(first, big, small), k12, k21,
-                      np.where(first, small, big)])
-        det_x, det_p = ax * bx - cx * cx, ap * bp - cp * cp
-        hi2 = 0.5 * (ap * ax + bp * bx + 2.0 * cp * cx + gap)
-        nu = np.sqrt([hi2, det_x * det_p / hi2])
-    errors = [None] * nu.shape[1]
-    bad = ~(np.isfinite(entries).all(axis=0) & (ax > 0.0) & (ap > 0.0)
-            & (det_x > 0.0) & (det_p > 0.0) & (nu[1] >= 1.0 - EIGENVALUE_CLAMP_TOL))
-    for i in np.flatnonzero(bad):
-        if not np.isfinite(entries[:, i]).all():
-            errors[i] = "covariance has a non-finite entry"
-        elif not (ax[i] > 0.0 and ap[i] > 0.0 and det_x[i] > 0.0 and det_p[i] > 0.0):
-            errors[i] = "covariance matrix is not positive definite"
-        else:
-            errors[i] = _standard_shortfall(entries[:, i], nu[1, i], k[:, i])
-    return StandardSpectrum(nu, gap, k, errors)
+    if isinstance(ax, np.ndarray):
+        with np.errstate(all="ignore"):
+            det_x, det_p = ax * bx - cx * cx, ap * bp - cp * cp
+            nu, gap, k = _spectrum(entries, det_x, det_p)
+        nu, k = np.array(nu), np.array(k)
+        errors, tol = [None] * nu.shape[1], np.full(nu.shape[1], EIGENVALUE_CLAMP_TOL)
+        bad = ~(np.isfinite(entries).all(axis=0) & (ax > 0.0) & (ap > 0.0)
+                & (det_x > 0.0) & (det_p > 0.0)
+                & (nu[1] >= 1.0 - EIGENVALUE_CLAMP_TOL))
+        for i in np.flatnonzero(bad):
+            entry = entries[:, i].astype(float).tolist()
+            errors[i] = _definiteness(entry, det_x[i], det_p[i])
+            if errors[i] is None:
+                errors[i], tol[i] = _shortfall(entry, float(nu[1, i]),
+                                               k[:, i].astype(float).tolist())
+        return StandardSpectrum(nu, gap, k, errors, tol)
+    det_x, det_p = ax * bx - cx * cx, ap * bp - cp * cp
+    error = _definiteness(entries, det_x, det_p)
+    if error:
+        return StandardSpectrum((math.nan,) * 2, math.nan, (math.nan,) * 4,
+                                [error], math.nan)
+    nu, gap, k = _spectrum(entries, det_x, det_p)
+    error, tol = _shortfall(entries, nu[1], k)
+    return StandardSpectrum(nu, gap, k, [error], tol)
 
 
-def _standard_shortfall(entry, nu_lo, k) -> str | None:
-    """_require_physical for one standard-form covariance, in closed form."""
-    ax, _, bx, _, cx, _ = (float(v) for v in entry)
-    # (PX - nu_-^2) u = 0: the larger of the two vectors its rows give.
-    rows = np.array([[k[1], -k[0]], [k[3], -k[2]]], dtype=float)
-    u = rows[np.argmax(np.abs(rows).sum(axis=1))]
-    if not np.any(u):
-        u = np.array([1.0, 0.0])
-    x_u = np.array([ax * u[0] + cx * u[1], cx * u[0] + bx * u[1]])
-    nu = float(nu_lo)
-    # |x|^2 / |x^H i Omega x| with x = (u, -i X u / nu)
-    condition = (u @ u + x_u @ x_u / nu**2) * nu / (2.0 * (u @ x_u))
-    if nu < 1.0 - _allowed_shortfall(float(np.abs(entry).max()), condition):
-        return _unphysical(nu)
+def _spectrum(entries, det_x, det_p) -> tuple:
+    """nu_+-, g and the entries of PX - nu_-^2, as tuples of floats or arrays."""
+    ax, ap, bx, bp, cx, cp = entries
+    k12, k21 = ap * cx + cp * bx, cp * ax + bp * cx
+    x = ap * ax - bp * bx
+    u = k12 * k21
+    disc = x * x + 4.0 * u
+    gap = _sqrt(_where(disc > 0.0, disc, 0.0))
+    big = 0.5 * (gap + abs(x))
+    small = _ratio(u, big)
+    first = x >= 0.0
+    k = (_where(first, big, small), k12, k21, _where(first, small, big))
+    hi2 = 0.5 * (ap * ax + bp * bx + 2.0 * cp * cx + gap)
+    return (_sqrt(hi2), _sqrt(det_x * det_p / hi2)), gap, k
+
+
+def _definiteness(entry, det_x, det_p) -> str | None:
+    """Why one standard-form covariance is not positive definite, or None."""
+    if not all(map(math.isfinite, entry)):
+        return "covariance has a non-finite entry"
+    if not (entry[0] > 0.0 and entry[1] > 0.0 and det_x > 0.0 and det_p > 0.0):
+        return "covariance matrix is not positive definite"
     return None
+
+
+def _shortfall(entry, nu_lo: float, k) -> tuple[str | None, float]:
+    """_require_physical for one positive-definite standard-form covariance.
+
+    Returns why it is not physical (or None) and the shortfall it allowed.
+    """
+    if nu_lo >= 1.0 - EIGENVALUE_CLAMP_TOL:
+        return None, EIGENVALUE_CLAMP_TOL
+    ax, _, bx, _, cx, _ = entry
+    k11, k12, k21, k22 = k
+    # (PX - nu_-^2) u = 0: the larger of the two vectors its rows give.
+    u0, u1 = max(((k12, -k11), (k22, -k21)), key=lambda r: abs(r[0]) + abs(r[1]))
+    if not (u0 or u1):
+        u0, u1 = 1.0, 0.0
+    xu0, xu1 = ax * u0 + cx * u1, cx * u0 + bx * u1
+    # |x|^2 / |x^H i Omega x| with x = (u, -i X u / nu)
+    condition = ((u0 * u0 + u1 * u1 + (xu0 * xu0 + xu1 * xu1) / nu_lo**2) * nu_lo
+                 / (2.0 * (u0 * xu0 + u1 * xu1)))
+    tol = _allowed_shortfall(max(map(abs, entry)), condition)
+    return (None if nu_lo >= 1.0 - tol else _unphysical(nu_lo)), tol
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
@@ -227,6 +301,7 @@ class GaussianState:
             raise ValidationError(
                 f"mean must have length {2 * self.n_modes}, got shape {self.mean.shape}"
             )
+        _require_finite_mean(self.mean)
         self.cov = np.asarray(self.cov, dtype=float)
         if self.cov.shape != (2 * self.n_modes, 2 * self.n_modes):
             raise ValidationError(

@@ -405,6 +405,16 @@ class TestSnrInversion:
         with pytest.raises(ValidationError):
             snr_from_log_p(-0.1)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValidationError):
+            snr_from_log_p(math.nan)
+        with pytest.raises(ValidationError):
+            log_p_from_snr(math.nan)
+
+    def test_infinite_limits(self):
+        assert snr_from_log_p(-math.inf) == math.inf
+        assert log_p_from_snr(math.inf) == -math.inf
+
 
 class TestLogErrorProb:
     def test_matches_direct_formula(self):
@@ -421,6 +431,12 @@ class TestLogErrorProb:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValidationError):
             log_error_prob(0.0, 10.0)
+
+    @pytest.mark.parametrize("ensembles", [-1.0, 0.0, math.nan, math.inf])
+    def test_rejects_bad_copy_count(self, ensembles):
+        # M = -1 gave ln P = -0.588, above ln(1/2); NaN gave NaN.
+        with pytest.raises(ValidationError, match="ensembles"):
+            log_error_prob(0.9, ensembles)
 
 
 def mp_tmsv_snr(n0: float, scenario: TargetScenario, dps: int = 40) -> float:

@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 
 from gqi import (
     GaussianState,
+    ProbeKind,
+    ProbeSpec,
     SymplecticMatrix,
+    TargetScenario,
     ValidationError,
     apply_symplectic,
     photons_from_squeezing,
@@ -15,7 +18,9 @@ from gqi import (
     symplectic_form,
     williamson,
 )
-from gqi.probes import _probe_entries, _return_entries, _two_mode_cov, tmsv_state
+from gqi.chernoff import discriminate
+from gqi.probes import (HypothesisPair, _probe_entries, _return_entries, _two_mode_cov,
+                        coherent_state, make_hypotheses, tmsv_state)
 from gqi.symplectic import standard_form_spectrum
 
 from conftest import random_physical_cov, random_symplectic
@@ -83,6 +88,14 @@ class TestSymplecticEigenvalues:
             np.testing.assert_allclose(after, before, rtol=1e-9, atol=1e-9)
 
 
+def _displaced_pair(x: float) -> HypothesisPair:
+    """A coherent hypothesis pair whose mean was set to x after validation."""
+    pair = make_hypotheses(ProbeSpec(kind=ProbeKind.COHERENT, ns=1.0),
+                           TargetScenario(0.01, 1.0))
+    pair.rho_a.mean = np.array([x, 0.0])
+    return pair
+
+
 class TestCovarianceCheck:
     """The check every covariance passes, for states and the toolkit alike."""
 
@@ -98,6 +111,18 @@ class TestCovarianceCheck:
             call(np.diag([bad, 1.0]))
         with pytest.raises(ValidationError, match="non-finite"):
             call(np.diag([bad, bad]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", [
+        lambda x: GaussianState(1, np.array([x, 0.0]), np.eye(2)),
+        coherent_state,
+        lambda x: discriminate(_displaced_pair(x), 1e6),
+    ], ids=["GaussianState", "coherent_state", "discriminate"])
+    def test_rejects_non_finite_mean(self, call, bad):
+        # discriminate gave DiscriminationResult(0.5, nan, nan, nan).
+        with pytest.raises(ValidationError, match="finite"):
+            call(bad)
 
     @pytest.mark.parametrize("call", [symplectic_eigenvalues, williamson],
                              ids=["symplectic_eigenvalues", "williamson"])
@@ -319,6 +344,26 @@ class TestStandardFormSpectrum:
         spec = standard_form_spectrum(standard_entries(tmsv_state(n0).cov))
         assert spec.errors == [None]
         np.testing.assert_allclose(spec.nu[:, 0], [1.0, 1.0], atol=1e-6)
+
+    @given(n0=st.floats(0.0, 10.0), n1=st.floats(0.0, 1e3), n2=st.floats(0.0, 1e3),
+           kappa=st.floats(0.0, 0.99), nb=st.floats(0.0, 1e3))
+    @settings(max_examples=50, deadline=None)
+    def test_floats_match_a_column(self, n0, n1, n2, kappa, nb):
+        # Six floats take no numpy call and round as the array path does.
+        entries = _return_entries(_probe_entries(n0, n1, n2), kappa, nb)
+        floats = standard_form_spectrum(entries)
+        column = standard_form_spectrum(np.array(entries)[:, None])
+        assert floats.nu == tuple(column.nu[:, 0])
+        assert (floats.gap, floats.k) == (column.gap[0], tuple(column.k[:, 0]))
+        assert (floats.errors, floats.tol) == (column.errors, column.tol[0])
+
+    def test_floats_rejected_alone(self):
+        good = tuple(standard_entries(tmsv_state(1.0).cov)[:, 0])
+        for bad, reason in ((good[:2] + (np.nan,) + good[3:], "non-finite"),
+                            (good[:4] + (10.0,) + good[5:], "positive definite"),
+                            ((1.0 - 1e-6,) * 4 + (0.0, 0.0), "smallest symplectic")):
+            spec = standard_form_spectrum(bad)
+            assert len(spec.errors) == 1 and reason in spec.errors[0]
 
     def test_rejects_each_bad_covariance_alone(self):
         good = standard_entries(tmsv_state(1.0).cov)[:, 0]
