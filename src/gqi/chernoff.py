@@ -35,27 +35,11 @@ float64 (macOS arm64, Windows) that evaluation is a float64 one. The
 coherent pair, a displaced and an undisplaced thermal state, takes its
 closed form at s* = 1/2.
 
-General path (q_s, chernoff_infimum and discriminate on any other pair).
-With P_k = S_k S_k^T for the two columns of S that belong to mode k,
-
-    V(p) = sum_k Lambda_p(nu_k) P_k,
-
-and both nu_k and P_k have closed forms. One mode: nu = sqrt(det V) and
-P = V / nu. Two modes, with blocks V = [[A, C], [C^T, B]] (Serafini,
-Illuminati & De Siena, J. Phys. B 37, L21 (2004)):
-
-    nu_+-^2 = (Delta +- sqrt(Delta^2 - 4 det V)) / 2,
-    Delta = det A + det B + 2 det C,
-
-and since (Omega V)^2 = -S^{-T} D^2 S^T, the matrix (Omega V)^2 + nu_-+^2
-annihilates mode -+, which leaves
-
-    nu_+- P_+- = -+V ((Omega V)^2 + nu_-+^2) / (nu_+^2 - nu_-^2).
-
-This is the 2-point Lagrange fit of Lambda_p(nu)/nu against -nu^2 in
-V(p) = c0 V + c1 V (Omega V)^2, written in its Lagrange basis. Then
-Sigma'_s = sum_k Omega P_k Omega^T / Lambda_k, and one batched determinant
-(and solve, for displaced pairs) gives every Q_s.
+Every built pair goes through one router (_route), shared by q_s,
+chernoff_infimum and discriminate: two-mode pairs in standard form with
+equal means take the standard-form core, and coherent pairs the closed
+form. Q_s of a coherent pair away from s* and any other pair take the
+general 4x4 analysis of gqi.reference, which loads on first use.
 """
 
 import math
@@ -67,8 +51,8 @@ from scipy.special import log_ndtr, ndtri_exp
 
 from .probes import (HypothesisPair, ProbeKind, ProbeSpec, TargetScenario,
                      _absent_entries, _probe_entries, _return_entries)
-from .symplectic import (StandardSpectrum, ValidationError, _require_finite_mean,
-                         _standard_entries, standard_form_spectrum, symplectic_form)
+from .symplectic import (ValidationError, _require_finite_mean, _standard_entries,
+                         standard_form_spectrum)
 
 LN_HALF = -math.log(2.0)
 
@@ -110,19 +94,16 @@ _RIGHT = np.array([[[1, 5], [5, 3]], [[0, 4], [4, 2]]] * 2)
 # 1/det R) in 99% of the draws and below 160 eps (max|V| + 1/det R) in all.
 _PURE_ULPS = 256
 
-# Relative gap nu_+^2 - nu_-^2 below which the spectrum counts as degenerate:
-# P_+- = V / (2 nu_+-), which leaves out a term of this relative size.
-_DEGENERATE_RTOL = 1e-14
-
 # The standard-form analysis splits the modes while nu_+^2 - nu_-^2 exceeds
 # this many ulps of nu_+^2 in the dtype it runs in: the projectors then lose
 # ~eps / gap of their size, which enters Sigma'_s with a weight difference
 # proportional to the gap, so that the product stays ~eps.
 _DEGENERATE_ULPS = 64
 
-DEFAULT_S_TOL = 1e-9
+# Half-width of the bracket around s* at which the zoom stops.
+_S_TOL = 1e-9
 
-_EYE2 = np.eye(2)
+_SINGULAR = "V_A(s) + V_B(1-s) is singular"
 
 
 @dataclass
@@ -141,151 +122,9 @@ def _log_ratio(nu: np.ndarray) -> np.ndarray:
         return np.log1p(-2.0 / (nu + 1.0))
 
 
-def _em(p: np.ndarray, ln_r: np.ndarray) -> np.ndarray:
-    """em = 1 - ((nu-1)/(nu+1))^p for p > 0, computed cancellation-free.
-
-    G_p = (2/(nu+1))^p / em and Lambda_p = (2 - em) / em stay accurate for
-    nu >> 1 and for p -> 0; a pure mode gives em = 1, so G_p = Lambda_p = 1.
-    """
-    return -np.expm1(p * ln_r)
-
-
-def _det2(m: np.ndarray) -> float:
-    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-
-
-def _mode_parts(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symplectic spectrum nu (descending) and the P_k of a covariance.
-
-    V(p) = sum_k Lambda_p(nu_k) P_k. The P_k rest on the spectrum as found;
-    a pure mode's nu snaps to 1 (within the covariance's rounding) only for
-    G_p and Lambda_p.
-    """
-    cov = np.asarray(cov, dtype=float)
-    n = cov.shape[0] // 2
-    if cov.shape != (2 * n, 2 * n) or n not in (1, 2):
-        raise ValidationError(
-            f"Q_s needs a one- or two-mode covariance, got shape {cov.shape}")
-    scale = np.sqrt(np.diag(cov))
-    det_r = float(np.linalg.det(cov / np.outer(scale, scale)))
-    if not det_r > 0.0:
-        raise ValidationError("covariance is not positive definite")
-    det_v = float(np.prod(scale) ** 2 * det_r)
-    pure_tol = _PURE_ULPS * np.finfo(float).eps * (np.abs(cov).max() + 1.0 / det_r)
-    if n == 1:
-        nu = math.sqrt(det_v)
-        return _snap(np.array([nu]), pure_tol), (cov / nu)[None]
-
-    # With x = det A - det B, t = tr(A J C J B J C^T J) and
-    # u = det C (det A + det B) + t, the identity
-    # det V = det A det B + det C^2 - t gives Delta^2 - 4 det V = x^2 + 4u,
-    # so q = nu_+^2 - nu_-^2 = sqrt(x^2 + 4u). As J A J A = -det A and
-    # J C J C^T = -det C, the diagonal blocks of (Omega V)^2 + nu_+^2 are
-    # (q - x)/2 and (q + x)/2, and those of (Omega V)^2 + nu_-^2 are
-    # -(q + x)/2 and -(q - x)/2. The product of the two halves is u, which
-    # gives the smaller one without cancellation.
-    a, b, c = cov[:2, :2], cov[2:, 2:], cov[:2, 2:]
-    det_a, det_b, det_c = _det2(a), _det2(b), _det2(c)
-    j = symplectic_form(1)
-    x = det_a - det_b
-    u = det_c * (det_a + det_b) + float(np.trace(j @ a @ j @ c @ j @ b @ j @ c.T))
-    q = math.sqrt(max(x * x + 4.0 * u, 0.0))
-    big = 0.5 * (q + abs(x))
-    small = u / big if big > 0.0 else 0.0
-    q_minus_x, q_plus_x = (small, big) if x >= 0.0 else (big, small)
-
-    hi2 = 0.5 * (det_a + det_b + 2.0 * det_c + q)
-    lo2 = det_v / hi2  # not (Delta - q)/2, which cancels for nu_- << nu_+
-    if q > _DEGENERATE_RTOL * hi2:
-        k_hi = symplectic_form(2) @ cov
-        k_hi = k_hi @ k_hi
-        k_lo = k_hi.copy()
-        k_hi[:2, :2] = q_minus_x * _EYE2
-        k_hi[2:, 2:] = q_plus_x * _EYE2
-        k_lo[:2, :2] = -q_plus_x * _EYE2
-        k_lo[2:, 2:] = -q_minus_x * _EYE2
-        p_hi = -cov @ k_lo / (q * math.sqrt(hi2))
-        p_lo = cov @ k_hi / (q * math.sqrt(lo2))
-        parts = np.array([p_hi + p_hi.T, p_lo + p_lo.T]) / 2.0
-    else:
-        parts = np.array([cov / (2.0 * math.sqrt(hi2)), cov / (2.0 * math.sqrt(lo2))])
-    return _snap(np.sqrt([hi2, lo2]), pure_tol), parts
-
-
 def _snap(nu: np.ndarray, tol: float) -> np.ndarray:
     """Clamp rounding below 1 and set pure modes (nu <= 1 + tol) to exactly 1."""
     return np.where(nu <= 1.0 + tol, 1.0, nu)
-
-
-@dataclass(frozen=True)
-class _PairData:
-    """A hypothesis pair analysed once, for Q_s at any number of s.
-
-    Each column k is one symplectic eigenvalue, of rho_A (power p = s) or
-    of rho_B (power p = 1 - s): p = sign * s + offset. The dual parts
-    Omega P_k Omega^T are stored scaled to the unit diagonal of
-    V_A^-1 + V_B^-1: without it the determinant lost several ulps of Q near
-    1, and the figure-table SNRs were up to 1.8e-8 off a 50-digit reference
-    instead of 2.7e-9. The factors
-    (2/(nu_k+1))^p_k multiply to g_b * ratio^s with g_b = prod_B 2/(nu+1)
-    and ratio = prod_B (nu+1) / prod_A (nu+1), which is close to 1 when the
-    hypotheses are; exponentiating each ln(2/(nu+1)) ~ -9 separately would
-    lose several ulps of Q.
-    """
-
-    n_modes: int
-    split: int  # columns [:split] belong to rho_A
-    sign: np.ndarray
-    offset: np.ndarray
-    ln_r: np.ndarray
-    g_b: float
-    ratio: float
-    dual: np.ndarray  # (k, 4 n^2), scaled Omega P_k Omega^T
-    det_scale: float
-    dual_d: np.ndarray | None  # (k, 2n), scaled Omega P_k Omega^T d
-
-    def q(self, s: np.ndarray) -> np.ndarray:
-        """Q_s for an array of s in [_S_EDGE, 1 - _S_EDGE]."""
-        em = _em(s[:, None] * self.sign + self.offset, self.ln_r)
-        inv_lam = em / (2.0 - em)
-        dim = 2 * self.n_modes
-        sigma = (inv_lam @ self.dual).reshape(s.size, dim, dim)
-        det = np.linalg.det(sigma) * self.det_scale
-        if not np.all(det > 0.0):
-            raise ValidationError("V_A(s) + V_B(1-s) is singular")
-        g_over_lam = self.g_b * self.ratio**s / np.prod(2.0 - em, axis=1)
-        value = 2.0 ** self.n_modes * g_over_lam / np.sqrt(det)
-        if self.dual_d is not None:
-            # d^T Sigma^-1 d = (V_A(s)^-1 d)^T Sigma'^-1 (V_B(1-s)^-1 d)
-            k = self.split
-            u_a = inv_lam[:, :k] @ self.dual_d[:k]
-            u_b = inv_lam[:, k:] @ self.dual_d[k:]
-            sol = np.linalg.solve(sigma, u_b[..., None])[..., 0]
-            value = value * np.exp(-0.5 * np.sum(u_a * sol, axis=1))
-        return value
-
-
-def _pair_data(pair: HypothesisPair) -> _PairData:
-    if pair.rho_a.n_modes != pair.rho_b.n_modes:
-        raise ValidationError("hypothesis pair has mismatched mode counts")
-    nu_a, parts_a = _mode_parts(pair.rho_a.cov)
-    nu_b, parts_b = _mode_parts(pair.rho_b.cov)
-    nu = np.concatenate([nu_a, nu_b])
-    omega = symplectic_form(pair.rho_a.n_modes)
-    dual = omega @ np.concatenate([parts_a, parts_b]) @ omega.T
-    # diag of V_A^-1 + V_B^-1, the size of Sigma' away from s = 0 and 1.
-    scale = np.sqrt((np.diagonal(dual, axis1=1, axis2=2) / nu[:, None]).sum(axis=0))
-    d = pair.rho_a.mean - pair.rho_b.mean
-    on_b = np.arange(nu.size) >= nu_a.size
-    return _PairData(
-        n_modes=pair.rho_a.n_modes, split=nu_a.size,
-        sign=np.where(on_b, -1.0, 1.0), offset=on_b.astype(float),
-        ln_r=_log_ratio(nu), g_b=float(np.prod(2.0 / (nu_b + 1.0))),
-        ratio=float(np.prod(nu_b + 1.0) / np.prod(nu_a + 1.0)),
-        dual=(dual / np.outer(scale, scale)).reshape(nu.size, -1),
-        det_scale=float(np.prod(scale) ** 2),
-        dual_d=(dual @ d) / scale if np.any(d) else None,
-    )
 
 
 @dataclass(frozen=True)
@@ -294,10 +133,8 @@ class _StandardPairs:
 
     Axis 0 runs over the pairs. The four columns are nu_+ and nu_- of rho_A
     (power s) and of rho_B (power 1 - s); dual holds, per column, the x and
-    p blocks (entries 11, 12, 22) of its part of Sigma'_s, so that one
-    matrix product with the weights 1/Lambda_k gives Sigma'_s and
-    det Sigma'_s = det(x block) det(p block). Q_s comes in the dtype of the
-    arrays: float64 for the zoom, np.longdouble at s*.
+    p blocks (entries 11, 12, 22) of its part of Sigma'_s. Q_s comes in the
+    dtype of the arrays.
     """
 
     ln_r: np.ndarray      # (n, 4, 1)
@@ -321,8 +158,12 @@ class _StandardPairs:
             np.multiply.reduce(d, axis=1) * np.sqrt(det[:, 0] * det[:, 1]))
 
 
-def _standard_pairs(entries: np.ndarray, spec: StandardSpectrum) -> _StandardPairs:
-    """Analyse n standard-form pairs: entries (6, 2n), rho_A's then rho_B's.
+def _standard(ent_a: np.ndarray, ent_b: np.ndarray) -> tuple:
+    """Validate n standard-form two-mode pairs and analyse them in np.longdouble.
+
+    ent_a and ent_b are the (6, n) float64 entries of rho_A and rho_B.
+    Returns (out, ok, pairs): out[i] is pair i's ValidationError or None,
+    ok indexes the pairs that passed, and pairs is their analysis.
 
     With X and P the x and p blocks of V and M = PX (Williamson V = S D S^T,
     S = S_x + S_p), V(p)^-1 = X(p)^-1 + P(p)^-1, where
@@ -335,7 +176,18 @@ def _standard_pairs(entries: np.ndarray, spec: StandardSpectrum) -> _StandardPai
     its Pi_k^T X / nu_k, the six entries (11, 12, 22) of both blocks. At a
     gap g within rounding of 0, both take half of P / nu_k and X / nu_k.
     """
-    n = entries.shape[1] // 2
+    n = ent_a.shape[1]
+    entries = np.concatenate([ent_a, ent_b], axis=1).astype(np.longdouble)
+    spec = standard_form_spectrum(entries)
+    reasons = [spec.errors[i] or spec.errors[n + i] for i in range(n)]
+    out: list = [ValidationError(r) if r else None for r in reasons]
+    ok = np.flatnonzero([not r for r in reasons])
+    if not ok.size:
+        return out, ok, None
+    if ok.size < n:
+        entries = entries[:, np.concatenate([ok, n + ok])]
+        spec = standard_form_spectrum(entries)
+    n = ok.size
     ax, ap, bx, bp, cx, cp = entries
     # K = PX - nu_-^2 = g Pi_+ and L = nu_+^2 - PX = g Pi_-, as 2x2 stacks,
     # times P and X: K P, K^T X, L P, L^T X.
@@ -360,7 +212,7 @@ def _standard_pairs(entries: np.ndarray, spec: StandardSpectrum) -> _StandardPai
                                                     + 1.0 / det_r)
     nu = _snap(spec.nu, pure_tol)
     ln_nu1 = np.log1p(nu).reshape(2, 2, n).sum(axis=0)  # sum over a state's modes
-    return _StandardPairs(
+    return out, ok, _StandardPairs(
         ln_r=_log_ratio(nu).reshape(2, 2, n).transpose(2, 1, 0).reshape(n, 4, 1),
         dual=dual,
         ln_g=(4.0 * np.log(entries.dtype.type(2.0)) - ln_nu1[1])[:, None],
@@ -369,37 +221,19 @@ def _standard_pairs(entries: np.ndarray, spec: StandardSpectrum) -> _StandardPai
 
 
 def _discriminate_standard(ent_a: np.ndarray, ent_b: np.ndarray,
-                           ensembles: np.ndarray, tol: float) -> list:
-    """Chernoff infimum, ln P and SNR of n standard-form two-mode pairs.
-
-    ent_a and ent_b are the (6, n) entries of rho_A and rho_B in float64.
-    They are analysed in np.longdouble; a zoom in float64 finds s*, and Q is
-    evaluated once more at s* in np.longdouble, whose -ln Q goes on to ln P.
-    One entry per pair: its DiscriminationResult or its ValidationError.
-    """
-    n = ent_a.shape[1]
-    entries = np.concatenate([ent_a, ent_b], axis=1).astype(np.longdouble)
-    spec = standard_form_spectrum(entries)
-    out: list = [None] * n
-    for i in range(n):
-        reason = spec.errors[i] or spec.errors[n + i]
-        if reason:
-            out[i] = ValidationError(reason)
-    ok = np.flatnonzero([r is None for r in out])
-    if not ok.size:
+                           ensembles: np.ndarray) -> list:
+    """Chernoff infimum, ln P and SNR of n standard-form two-mode pairs, as
+    the module docstring says; per pair its result or its ValidationError."""
+    out, ok, pairs = _standard(ent_a, ent_b)
+    if pairs is None:
         return out
-    if ok.size < n:
-        entries = entries[:, np.concatenate([ok, n + ok])]
-        spec = standard_form_spectrum(entries)
-    pairs = _standard_pairs(entries, spec)
-    s_star, _ = _zoom(pairs.astype(float).q, ok.size, tol)
+    s_star, _ = _zoom(pairs.astype(float).q, ok.size, _S_TOL)
     with np.errstate(invalid="ignore"):
         q = pairs.q(s_star[:, None].astype(np.longdouble))[:, 0]
     exponent = np.maximum(-np.log1p(q - 1.0), 0.0).astype(float)
     for i, result, good in zip(ok, _results(s_star, exponent, ensembles[ok]),
                                np.isfinite(q) & (q > 0.0)):
-        out[i] = result if good else ValidationError(
-            "V_A(s) + V_B(1-s) is singular")
+        out[i] = result if good else ValidationError(_SINGULAR)
     return out
 
 
@@ -463,22 +297,60 @@ def _zoom(q, n: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
         np.copyto(width[:, 0], new_width, where=active)
 
 
+def _route(pair: HypothesisPair) -> tuple:
+    """(core, args) for the form of a built pair (see the module docstring):
+    _discriminate_standard on the (6, 1) entries of a standard-form pair,
+    _coherent on |d|^2/4 and N_B, or None for _general."""
+    a, b = pair.rho_a, pair.rho_b
+    _require_finite_mean(a.mean)
+    _require_finite_mean(b.mean)
+    if a.n_modes == b.n_modes == 2 and np.array_equal(a.mean, b.mean):
+        ent_a, ent_b = _standard_entries(a.cov), _standard_entries(b.cov)
+        if ent_a is not None and ent_b is not None:
+            return _discriminate_standard, (np.array(ent_a)[:, None],
+                                            np.array(ent_b)[:, None])
+    if (a.n_modes == b.n_modes == 1 and np.array_equal(a.cov, b.cov)
+            and a.cov[0, 1] == a.cov[1, 0] == 0.0 and a.cov[0, 0] == a.cov[1, 1]):
+        d = a.mean - b.mean
+        return _coherent, (np.array([0.25 * (d @ d)]),
+                           np.array([max(0.5 * (a.cov[0, 0] - 1.0), 0.0)]))
+    return None, ()
+
+
+def _general(pair: HypothesisPair):
+    from .reference import _PairData  # loads gqi.reference on first use
+    return _PairData(pair)
+
+
 def q_s(pair: HypothesisPair, s: float) -> float:
     """Tr(rho_A^s rho_B^{1-s}) for a Gaussian hypothesis pair."""
     if not 0.0 <= s <= 1.0:
         raise ValidationError(f"s must lie in [0, 1], got {s}")
     s = min(max(s, _S_EDGE), 1.0 - _S_EDGE)
-    return float(_pair_data(pair).q(np.array([s]))[0])
+    core, args = _route(pair)
+    if core is not _discriminate_standard:
+        return float(_general(pair).q(np.array([s]))[0])
+    out, _, pairs = _standard(*args)
+    if out[0] is not None:
+        raise out[0]
+    with np.errstate(invalid="ignore"):
+        q = pairs.q(np.array([[s]], dtype=np.longdouble))[0, 0]
+    if not (np.isfinite(q) and q > 0.0):
+        raise ValidationError(_SINGULAR)
+    return float(q)
 
 
-def chernoff_infimum(pair: HypothesisPair, tol: float = DEFAULT_S_TOL) -> tuple[float, float]:
+def chernoff_infimum(pair: HypothesisPair) -> tuple[float, float]:
     """Minimize Q_s over s in [0, 1] by a zoom search; returns (s_star, q_min).
 
-    Any one- or two-mode pair, through its general 4x4 analysis.
+    A pair in standard form or a coherent pair gives the s* and Q_min of
+    discriminate; any other pair is minimized through its general analysis.
     """
-    data = _pair_data(pair)
-    s_star, q_min = _zoom(lambda s: data.q(s[0])[None], 1, tol)
-    return float(s_star[0]), min(float(q_min[0]), 1.0)
+    core, args = _route(pair)
+    if core is None:
+        return _general(pair).infimum()
+    result = _one(core(*args, np.ones(1))[0])
+    return result.s_star, result.q_min
 
 
 def _check_ensembles(ensembles: float) -> None:
@@ -516,8 +388,7 @@ def log_p_from_snr(snr_value: float) -> float:
 
 
 def discriminate_many(probes: Sequence[ProbeSpec],
-                      scenarios: Sequence[TargetScenario],
-                      tol: float = DEFAULT_S_TOL) -> list:
+                      scenarios: Sequence[TargetScenario]) -> list:
     """Chernoff infimum -> M-copy log P -> SNR for many (probe, scenario) points.
 
     The points are evaluated as one batch: two-mode probes through the
@@ -546,48 +417,35 @@ def discriminate_many(probes: Sequence[ProbeSpec],
             entries = _probe_entries(n0, n1, n2)
             ent_a = np.array(_return_entries(entries, kappa[two_mode], nb[two_mode]))
             ent_b = np.array(_absent_entries(entries, nb[two_mode]))
-        results = _discriminate_standard(ent_a, ent_b, ensembles[two_mode], tol)
+        results = _discriminate_standard(ent_a, ent_b, ensembles[two_mode])
         for i, result in zip(two_mode, results):
             out[i] = result
     return out
 
 
 def _one(result):
+    """A result, or raise the ValidationError that stands in for it."""
     if isinstance(result, ValidationError):
         raise result
     return result
 
 
-def discriminate(pair: HypothesisPair, ensembles: float,
-                 tol: float = DEFAULT_S_TOL) -> DiscriminationResult:
+def discriminate(pair: HypothesisPair, ensembles: float) -> DiscriminationResult:
     """Chernoff infimum -> M-copy log P -> SNR for a built hypothesis pair.
 
-    The pair's form selects the path: two-mode pairs in standard form with
-    equal means (every pair make_hypotheses builds from a two-mode probe)
-    and one-mode pairs of one thermal covariance (the coherent probe) take
-    the batched core of discriminate_many; any other pair the general one.
+    Pairs in standard form and coherent pairs take the batched core of
+    discriminate_many, so that discriminate(make_hypotheses(p, sc), M)
+    equals snr(p, sc); any other pair its general analysis.
     """
     _check_ensembles(ensembles)
-    a, b = pair.rho_a, pair.rho_b
-    _require_finite_mean(a.mean)
-    _require_finite_mean(b.mean)
-    m = np.array([ensembles], dtype=float)
-    if a.n_modes == b.n_modes == 2 and np.array_equal(a.mean, b.mean):
-        ent_a, ent_b = _standard_entries(a.cov), _standard_entries(b.cov)
-        if ent_a is not None and ent_b is not None:
-            return _one(_discriminate_standard(np.array(ent_a)[:, None],
-                                               np.array(ent_b)[:, None], m, tol)[0])
-    if (a.n_modes == b.n_modes == 1 and np.array_equal(a.cov, b.cov)
-            and a.cov[0, 1] == a.cov[1, 0] == 0.0 and a.cov[0, 0] == a.cov[1, 1]):
-        d = a.mean - b.mean
-        nb = np.array([max(0.5 * (a.cov[0, 0] - 1.0), 0.0)])
-        return _one(_coherent(np.array([0.25 * (d @ d)]), nb, m)[0])
-    s_star, q_min = chernoff_infimum(pair, tol=tol)
+    core, args = _route(pair)
+    if core is not None:
+        return _one(core(*args, np.array([ensembles], dtype=float))[0])
+    s_star, q_min = _general(pair).infimum()
     log_p = log_error_prob(q_min, ensembles)
     return DiscriminationResult(s_star, q_min, log_p, snr_from_log_p(log_p))
 
 
-def snr(probe: ProbeSpec, scenario: TargetScenario,
-        tol: float = DEFAULT_S_TOL) -> DiscriminationResult:
+def snr(probe: ProbeSpec, scenario: TargetScenario) -> DiscriminationResult:
     """Full pipeline for one point: hypotheses -> Chernoff infimum -> log P -> SNR."""
-    return _one(discriminate_many([probe], [scenario], tol)[0])
+    return _one(discriminate_many([probe], [scenario])[0])

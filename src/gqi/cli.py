@@ -89,7 +89,7 @@ def build_inputs(args) -> tuple[ProbeSpec, TargetScenario]:
         return cfg.get(key, default)
 
     probe = ProbeSpec(
-        kind=ProbeKind(pick("kind", "probe.kind", "tmsv")),
+        kind=pick("kind", "probe.kind", "tmsv"),
         n0=pick("n0", "probe.n0", 0.0),
         n1=pick("n1", "probe.n1", 0.0),
         n2=pick("n2", "probe.n2", 0.0),
@@ -119,6 +119,8 @@ def cmd_snr(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.steps < 1:
+        raise ValidationError(f"--steps must be >= 1, got {args.steps}")
     probe, scenario = build_inputs(args)
     grid = np.linspace(args.from_, args.to, args.steps)
     table = sweep(args.axis, grid, probe, scenario,

@@ -41,7 +41,12 @@ class ProbeSpec:
     ns: float = 0.0
 
     def __post_init__(self):
-        self.kind = ProbeKind(self.kind)
+        try:
+            self.kind = ProbeKind(self.kind)
+        except ValueError:
+            raise ValidationError(
+                f"probe kind must be one of {[k.value for k in ProbeKind]}, "
+                f"got {self.kind!r}") from None
         for name in ("n0", "n1", "n2", "ns"):
             value = getattr(self, name)
             _check_finite(name, value)

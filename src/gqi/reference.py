@@ -1,20 +1,50 @@
-"""Reference toolkit: general symplectic algebra and the textbook G_p, Lambda_p.
+"""Reference toolkit: general symplectic algebra, the textbook G_p, Lambda_p,
+and the general Q_s path.
 
 Oracles for the closed forms of the other modules (e.g. the Williamson form of
-Pirandola & Lloyd, PRA 78, 012331 (2008)), none of which imports this one.
+Pirandola & Lloyd, PRA 78, 012331 (2008)). No module imports this one at load
+time; gqi.chernoff loads it for q_s on a coherent pair and for pairs neither
+in standard form nor coherent, which the package never builds.
+
+General Q_s path (_PairData), in the inverse form of gqi.chernoff. With
+P_k = S_k S_k^T for the two columns of S that belong to mode k,
+V(p) = sum_k Lambda_p(nu_k) P_k, and both nu_k and P_k have closed forms.
+One mode: nu = sqrt(det V) and P = V / nu. Two modes, with blocks
+V = [[A, C], [C^T, B]] (Serafini, Illuminati & De Siena, J. Phys. B 37, L21
+(2004)):
+
+    nu_+-^2 = (Delta +- sqrt(Delta^2 - 4 det V)) / 2,
+    Delta = det A + det B + 2 det C,
+
+and since (Omega V)^2 = -S^{-T} D^2 S^T, (Omega V)^2 + nu_-+^2 annihilates
+mode -+, which leaves
+
+    nu_+- P_+- = -+V ((Omega V)^2 + nu_-+^2) / (nu_+^2 - nu_-^2),
+
+the 2-point Lagrange fit of Lambda_p(nu)/nu against -nu^2 in
+V(p) = c0 V + c1 V (Omega V)^2. Then Sigma'_s = sum_k Omega P_k Omega^T /
+Lambda_k, and one batched determinant (and solve, for displaced pairs)
+gives every Q_s.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import schur, sqrtm
 
-from .chernoff import _em, _log_ratio, _mode_parts, _snap
-from .probes import _squeezer_gains
+from .chernoff import _PURE_ULPS, _S_TOL, _SINGULAR, _log_ratio, _snap, _zoom
+from .probes import HypothesisPair, _squeezer_gains
 from .symplectic import (EIGENVALUE_CLAMP_TOL, GaussianState, ValidationError,
                          _check_covariance, _require_physical, symplectic_form)
 
 SYMPLECTIC_RESIDUAL_TOL = 1e-10
+
+# Relative gap nu_+^2 - nu_-^2 below which the spectrum counts as degenerate:
+# P_+- = V / (2 nu_+-), which leaves out a term of this relative size.
+_DEGENERATE_RTOL = 1e-14
+
+_EYE2 = np.eye(2)
 
 # g_func and lambda_func take a bare eigenvalue within this of 1 as pure.
 _PURE_TOL = 1e-14
@@ -164,3 +194,135 @@ def v_of_p(cov: np.ndarray, p: float) -> np.ndarray:
     nu, parts = _mode_parts(cov)
     lam = [lambda_func(p, x) for x in nu]
     return np.tensordot(lam, parts, axes=1)
+
+
+def _em(p: np.ndarray, ln_r: np.ndarray) -> np.ndarray:
+    """em = 1 - ((nu-1)/(nu+1))^p for p > 0, computed cancellation-free.
+
+    G_p = (2/(nu+1))^p / em and Lambda_p = (2 - em) / em stay accurate for
+    nu >> 1 and for p -> 0; a pure mode gives em = 1, so G_p = Lambda_p = 1.
+    """
+    return -np.expm1(p * ln_r)
+
+
+def _det2(m: np.ndarray) -> float:
+    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+
+
+def _mode_parts(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symplectic spectrum nu (descending) and the P_k of a covariance.
+
+    V(p) = sum_k Lambda_p(nu_k) P_k. The P_k rest on the spectrum as found;
+    a pure mode's nu snaps to 1 (within the covariance's rounding) only for
+    G_p and Lambda_p.
+    """
+    cov = np.asarray(cov, dtype=float)
+    n = cov.shape[0] // 2
+    if cov.shape != (2 * n, 2 * n) or n not in (1, 2):
+        raise ValidationError(
+            f"Q_s needs a one- or two-mode covariance, got shape {cov.shape}")
+    scale = np.sqrt(np.diag(cov))
+    det_r = float(np.linalg.det(cov / np.outer(scale, scale)))
+    if not det_r > 0.0:
+        raise ValidationError("covariance is not positive definite")
+    det_v = float(np.prod(scale) ** 2 * det_r)
+    pure_tol = _PURE_ULPS * np.finfo(float).eps * (np.abs(cov).max() + 1.0 / det_r)
+    if n == 1:
+        nu = math.sqrt(det_v)
+        return _snap(np.array([nu]), pure_tol), (cov / nu)[None]
+
+    # With x = det A - det B, t = tr(A J C J B J C^T J) and
+    # u = det C (det A + det B) + t, the identity
+    # det V = det A det B + det C^2 - t gives Delta^2 - 4 det V = x^2 + 4u,
+    # so q = nu_+^2 - nu_-^2 = sqrt(x^2 + 4u). As J A J A = -det A and
+    # J C J C^T = -det C, the diagonal blocks of (Omega V)^2 + nu_+^2 are
+    # (q - x)/2 and (q + x)/2, and those of (Omega V)^2 + nu_-^2 are
+    # -(q + x)/2 and -(q - x)/2. The product of the two halves is u, which
+    # gives the smaller one without cancellation.
+    a, b, c = cov[:2, :2], cov[2:, 2:], cov[:2, 2:]
+    det_a, det_b, det_c = _det2(a), _det2(b), _det2(c)
+    j = symplectic_form(1)
+    x = det_a - det_b
+    u = det_c * (det_a + det_b) + float(np.trace(j @ a @ j @ c @ j @ b @ j @ c.T))
+    q = math.sqrt(max(x * x + 4.0 * u, 0.0))
+    big = 0.5 * (q + abs(x))
+    small = u / big if big > 0.0 else 0.0
+    q_minus_x, q_plus_x = (small, big) if x >= 0.0 else (big, small)
+
+    hi2 = 0.5 * (det_a + det_b + 2.0 * det_c + q)
+    lo2 = det_v / hi2  # not (Delta - q)/2, which cancels for nu_- << nu_+
+    if q > _DEGENERATE_RTOL * hi2:
+        k_hi = symplectic_form(2) @ cov
+        k_hi = k_hi @ k_hi
+        k_lo = k_hi.copy()
+        k_hi[:2, :2] = q_minus_x * _EYE2
+        k_hi[2:, 2:] = q_plus_x * _EYE2
+        k_lo[:2, :2] = -q_plus_x * _EYE2
+        k_lo[2:, 2:] = -q_minus_x * _EYE2
+        p_hi = -cov @ k_lo / (q * math.sqrt(hi2))
+        p_lo = cov @ k_hi / (q * math.sqrt(lo2))
+        parts = np.array([p_hi + p_hi.T, p_lo + p_lo.T]) / 2.0
+    else:
+        parts = np.array([cov / (2.0 * math.sqrt(hi2)), cov / (2.0 * math.sqrt(lo2))])
+    return _snap(np.sqrt([hi2, lo2]), pure_tol), parts
+
+
+class _PairData:
+    """A hypothesis pair analysed once, for Q_s at any number of s.
+
+    Each column k is one symplectic eigenvalue, of rho_A (power p = s) or
+    of rho_B (power p = 1 - s): p = sign * s + offset. The dual parts
+    Omega P_k Omega^T are stored scaled to the unit diagonal of
+    V_A^-1 + V_B^-1, without which the determinant loses several ulps of Q
+    near 1. The factors (2/(nu_k+1))^p_k multiply to g_b * ratio^s with
+    g_b = prod_B 2/(nu+1) and ratio = prod_B (nu+1) / prod_A (nu+1), which
+    is close to 1 when the hypotheses are; exponentiating each
+    ln(2/(nu+1)) ~ -9 separately would lose several ulps of Q.
+    """
+
+    def __init__(self, pair: HypothesisPair):
+        if pair.rho_a.n_modes != pair.rho_b.n_modes:
+            raise ValidationError("hypothesis pair has mismatched mode counts")
+        nu_a, parts_a = _mode_parts(pair.rho_a.cov)
+        nu_b, parts_b = _mode_parts(pair.rho_b.cov)
+        nu = np.concatenate([nu_a, nu_b])
+        self.n_modes, self.split = pair.rho_a.n_modes, nu_a.size  # [:split]: rho_A
+        omega = symplectic_form(self.n_modes)
+        dual = omega @ np.concatenate([parts_a, parts_b]) @ omega.T
+        # diag of V_A^-1 + V_B^-1, the size of Sigma' away from s = 0 and 1.
+        scale = np.sqrt((np.diagonal(dual, axis1=1, axis2=2) / nu[:, None]).sum(axis=0))
+        on_b = np.arange(nu.size) >= nu_a.size
+        self.sign, self.offset = np.where(on_b, -1.0, 1.0), on_b.astype(float)
+        self.ln_r = _log_ratio(nu)
+        self.g_b = float(np.prod(2.0 / (nu_b + 1.0)))
+        self.ratio = float(np.prod(nu_b + 1.0) / np.prod(nu_a + 1.0))
+        self.dual = (dual / np.outer(scale, scale)).reshape(nu.size, -1)
+        self.det_scale = float(np.prod(scale) ** 2)
+        d = pair.rho_a.mean - pair.rho_b.mean
+        self.dual_d = (dual @ d) / scale if np.any(d) else None
+
+    def q(self, s: np.ndarray) -> np.ndarray:
+        """Q_s for an array of s in [_S_EDGE, 1 - _S_EDGE]."""
+        em = _em(s[:, None] * self.sign + self.offset, self.ln_r)
+        inv_lam = em / (2.0 - em)
+        dim = 2 * self.n_modes
+        sigma = (inv_lam @ self.dual).reshape(s.size, dim, dim)
+        det = np.linalg.det(sigma) * self.det_scale
+        if not np.all(det > 0.0):
+            raise ValidationError(_SINGULAR)
+        g_over_lam = self.g_b * self.ratio**s / np.prod(2.0 - em, axis=1)
+        value = 2.0 ** self.n_modes * g_over_lam / np.sqrt(det)
+        if self.dual_d is not None:
+            # d^T Sigma^-1 d = (V_A(s)^-1 d)^T Sigma'^-1 (V_B(1-s)^-1 d)
+            k = self.split
+            u_a = inv_lam[:, :k] @ self.dual_d[:k]
+            u_b = inv_lam[:, k:] @ self.dual_d[k:]
+            sol = np.linalg.solve(sigma, u_b[..., None])[..., 0]
+            value = value * np.exp(-0.5 * np.sum(u_a * sol, axis=1))
+        return value
+
+    def infimum(self) -> tuple[float, float]:
+        """(s_star, q_min) by the zoom search of gqi.chernoff."""
+        s_star, q_min = _zoom(lambda s: self.q(s[0])[None], 1, _S_TOL)
+        return float(s_star[0]), min(float(q_min[0]), 1.0)
+

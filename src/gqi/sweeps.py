@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -200,12 +201,19 @@ def advantage_threshold(scenario: TargetScenario,
     no sign change rather than guessing.  On the figure presets the ASTM
     slope stays below this benchmark, so the search raises.
     """
+    lo, hi = bracket
+    if not lo < hi:
+        raise ValidationError(f"N0 bracket must have lo < hi, got [{lo}, {hi}]")
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"tol must be > 0 and finite, got {tol}")
+    if points < 2:
+        raise ValidationError(f"slope fit needs points >= 2, got {points}")
+
     def gap(n0: float) -> float:
         slope_astm, slope_ci = _astm_ci_slopes(
             n0, scenario, fit_from, fit_to, points)
         return slope_astm - slope_ci
 
-    lo, hi = bracket
     g_lo, g_hi = gap(lo), gap(hi)
     if g_lo * g_hi > 0.0:
         raise ValidationError(

@@ -31,8 +31,9 @@ from gqi import (
     v_of_p,
     williamson,
 )
-from gqi.chernoff import discriminate, discriminate_many
+from gqi.chernoff import _S_TOL, _zoom, discriminate, discriminate_many
 from gqi.probes import HypothesisPair, tmsv_state
+from gqi.reference import _PairData
 
 
 EPS = np.finfo(float).eps
@@ -217,6 +218,20 @@ class TestQs:
         with pytest.raises(ValidationError):
             q_s(_small_pair(), 1.2)
 
+    @pytest.mark.parametrize("nb", [1e-3, 0.1, 1.0])
+    def test_strongly_correlated_pair_near_the_ends_against_mpmath(self, nb):
+        # The general 4x4 path lost 1.5e-9 to 6.4e-9 of 1 - Q here, at
+        # s = 1 - 1e-6, to cancellation in its closed-form parts; the
+        # standard-form core that q_s now takes keeps ~7e-12.
+        mpmath = pytest.importorskip("mpmath")
+        scenario = TargetScenario(0.5, nb)
+        pair = make_hypotheses(ProbeSpec(kind=ProbeKind.TMSV, n0=10.0), scenario)
+        with mpmath.workdps(80):
+            q = mp_tmsv_q(10.0, scenario)
+            for s in (1e-6, 1.0 - 1e-6):
+                expected = q(mpmath.mpf(s))
+                assert abs(q_s(pair, s) - expected) <= 1e-10 * (1 - expected)
+
 
 class TestAgainstWilliamsonForm:
     # N_B = n0 makes the target-absent spectrum exactly degenerate, N_B = 0
@@ -363,9 +378,24 @@ class TestChernoffInfimum:
             assert q_min == pytest.approx(scan, abs=1e-12)
 
     def test_zero_tolerance_stops_at_rounding(self):
-        pair = _small_pair()
-        assert chernoff_infimum(pair, tol=0.0)[1] == pytest.approx(
-            chernoff_infimum(pair)[1], abs=1e-15)
+        # The zoom with tol 0 ends once rounding stops its bracket shrinking.
+        data = _PairData(_small_pair())
+        q = lambda s: data.q(s[0])[None]  # noqa: E731
+        assert _zoom(q, 1, 0.0)[1][0] == pytest.approx(
+            _zoom(q, 1, _S_TOL)[1][0], abs=1e-15)
+
+    @pytest.mark.parametrize("scenario", [MICROWAVE, LOW_NOISE])
+    @pytest.mark.parametrize("probe", [
+        ProbeSpec(kind=ProbeKind.ASTM, n0=1.0, n1=1.0),
+        ProbeSpec(kind=ProbeKind.TMSV, n0=0.3),
+        ProbeSpec(kind=ProbeKind.COHERENT, ns=2.0),
+    ])
+    def test_built_pair_has_the_answer_of_snr(self, probe, scenario):
+        # One pair, one answer: the general 4x4 path put s* at 0.4999957
+        # for the ASTM probe at MICROWAVE, snr at 0.4999992.
+        result = snr(probe, scenario)
+        assert chernoff_infimum(make_hypotheses(probe, scenario)) == (
+            result.s_star, result.q_min)
 
     def test_swap_symmetry(self):
         pair = _small_pair()
@@ -439,47 +469,58 @@ class TestLogErrorProb:
             log_error_prob(0.9, ensembles)
 
 
-def mp_tmsv_snr(n0: float, scenario: TargetScenario, dps: int = 40) -> float:
-    """SNR of a TMSV probe at dps digits, independently of gqi (oracle).
+def mp_tmsv_q(n0: float, scenario: TargetScenario):
+    """Q_s of a TMSV pair, as a function of an mpmath s (oracle).
 
     rho_A = [[a I, c Z], [c Z, b I]] with Z = diag(1, -1) is a two-mode
     squeezer S with cosh 2r = (a+b)/y, sinh 2r = 2c/y on thermal modes
     nu = (y +- (a - b))/2, y = sqrt((a+b)^2 - 4c^2); rho_B = diag(t I, b I)
     is already in Williamson form. Then V_A(s) = S Lambda_s(D) S^T keeps the
-    block form, Sigma_s = [[x I, z Z], [z Z, w I]] has det (x w - z^2)^2, and
-    a golden-section search over s finds the infimum of the convex Q_s.
+    block form, and Sigma_s = [[x I, z Z], [z Z, w I]] has det (x w - z^2)^2.
+    Evaluates at the working precision of the caller.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    n0, kappa, nb = (mpmath.mpf(v) for v in (n0, scenario.kappa, scenario.nb))
+    a = kappa * (2 * n0 + 1) + 2 * nb + 1 - kappa
+    b = 2 * n0 + 1
+    c = mpmath.sqrt(kappa) * 2 * mpmath.sqrt(n0 * (n0 + 1))
+    t = 2 * nb + 1
+    y = mpmath.sqrt((a + b) ** 2 - 4 * c**2)
+    nu1, nu2 = (y + a - b) / 2, (y - a + b) / 2
+    ch, sh = (a + b) / y, 2 * c / y
+
+    def diff(p, x):
+        return (x + 1) ** p - (x - 1) ** p
+
+    def lam(p, x):
+        return ((x + 1) ** p + (x - 1) ** p) / diff(p, x)
+
+    def q(s):
+        l1, l2 = lam(s, nu1), lam(s, nu2)
+        x = l1 * (1 + ch) / 2 + l2 * (ch - 1) / 2 + lam(1 - s, t)
+        w = l1 * (ch - 1) / 2 + l2 * (1 + ch) / 2 + lam(1 - s, b)
+        z = (l1 + l2) * sh / 2
+        g = 4 / (diff(s, nu1) * diff(s, nu2) * diff(1 - s, t) * diff(1 - s, b))
+        return 4 * g / (x * w - z * z)
+
+    return q
+
+
+def mp_tmsv_snr(n0: float, scenario: TargetScenario, dps: int = 40) -> float:
+    """SNR of a TMSV probe at dps digits, independently of gqi (oracle).
+
+    A golden-section search over s finds the infimum of the convex
+    Q_s of mp_tmsv_q.
     """
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(dps):
-        n0, kappa, nb, m = (mpmath.mpf(v) for v in (
-            n0, scenario.kappa, scenario.nb, scenario.ensembles))
-        a = kappa * (2 * n0 + 1) + 2 * nb + 1 - kappa
-        b = 2 * n0 + 1
-        c = mpmath.sqrt(kappa) * 2 * mpmath.sqrt(n0 * (n0 + 1))
-        t = 2 * nb + 1
-        y = mpmath.sqrt((a + b) ** 2 - 4 * c**2)
-        nu1, nu2 = (y + a - b) / 2, (y - a + b) / 2
-        ch, sh = (a + b) / y, 2 * c / y
-
-        def diff(p, x):
-            return (x + 1) ** p - (x - 1) ** p
-
-        def lam(p, x):
-            return ((x + 1) ** p + (x - 1) ** p) / diff(p, x)
-
-        def q(s):
-            l1, l2 = lam(s, nu1), lam(s, nu2)
-            x = l1 * (1 + ch) / 2 + l2 * (ch - 1) / 2 + lam(1 - s, t)
-            w = l1 * (ch - 1) / 2 + l2 * (1 + ch) / 2 + lam(1 - s, b)
-            z = (l1 + l2) * sh / 2
-            g = 4 / (diff(s, nu1) * diff(s, nu2) * diff(1 - s, t) * diff(1 - s, b))
-            return 4 * g / (x * w - z * z)
-
+        q = mp_tmsv_q(n0, scenario)
         lo, hi = mpmath.mpf(0), mpmath.mpf(1)
         golden = (mpmath.sqrt(5) - 1) / 2
         while hi - lo > mpmath.mpf(10) ** -15:
             s1, s2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
             lo, hi = (lo, s2) if q(s1) < q(s2) else (s1, hi)
+        m = mpmath.mpf(scenario.ensembles)
         log_p = m * mpmath.log(q((lo + hi) / 2)) - mpmath.log(2)
         return float(mpmath.findroot(
             lambda v: mpmath.log(mpmath.erfc(mpmath.sqrt(v)) / 2) - log_p, -log_p))
@@ -564,8 +605,9 @@ point = st.tuples(
 
 
 class TestDiscriminateMany:
-    # Each point of one batch against the general 4x4 path on its pair,
-    # with the bound of TestAgainstWilliamsonForm: the batched Q_min is
+    # Each point of one batch against the general 4x4 path of gqi.reference
+    # on its pair (not the routed chernoff_infimum, which is the batch), with
+    # the bound of TestAgainstWilliamsonForm: the batched Q_min is
     # evaluated in np.longdouble, so the general path's own rounding sets it.
     @given(points=st.lists(point, min_size=1, max_size=8))
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -578,7 +620,7 @@ class TestDiscriminateMany:
         for probe, scenario, result in zip(
                 probes, scenarios, discriminate_many(probes, scenarios)):
             pair = make_hypotheses(probe, scenario)
-            _, expected = chernoff_infimum(pair)
+            _, expected = _PairData(pair).infimum()
             covs = (pair.rho_a.cov, pair.rho_b.cov)
             rel = 1e-9
             if scenario.nb > 0.0:

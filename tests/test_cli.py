@@ -113,6 +113,33 @@ class TestSweepCommand:
         assert "plot" in script.read_text()
 
 
+    @pytest.mark.parametrize("steps", ["-1", "0"])
+    def test_bad_step_count_exit_code(self, steps, tmp_path, capsys):
+        # -1 exited 1 with numpy's error; 0 wrote a header-only CSV
+        out_path = tmp_path / "sweep.csv"
+        code, _, err = run(
+            ["sweep", "--axis", "ns", "--from", "1", "--to", "4", "--steps",
+             steps, "--kind", "astm", "--n0", "1", "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error:") and "--steps" in err
+        assert not out_path.exists()
+
+    def test_unknown_probe_kind_in_config_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("probe.kind = foo\n")
+        out_path = tmp_path / "sweep.csv"
+        code, _, err = run(
+            ["sweep", "--config", str(cfg), "--axis", "nb", "--from", "1",
+             "--to", "2", "--steps", "2", "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error:") and "'foo'" in err
+        assert not out_path.exists()
+
+
 class TestDiscordCommand:
     def test_reports_both_values(self, capsys):
         code, out, _ = run(
@@ -139,6 +166,13 @@ class TestThresholdCommand:
         )
         assert code == 2
         assert "no slope crossing" in err
+
+    def test_bad_fit_points_exit_code(self, capsys):
+        # leaked numpy's ValueError and exited 1
+        code, _, err = run(["threshold", "--kappa", "0.01", "--nb", "30",
+                            "--fit-points", "-1"], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "points" in err
 
     def test_crossing_reported(self, monkeypatch, capsys):
         # gap = 1000*N0 - 150 crosses zero at N0 = 0.15

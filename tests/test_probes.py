@@ -255,6 +255,14 @@ class TestProbeSpec:
         with pytest.raises(ValidationError):
             ProbeSpec(kind=ProbeKind.TMSV, n0=-1.0)
 
+    def test_kind_from_its_value(self):
+        assert ProbeSpec(kind="astm").kind is ProbeKind.ASTM
+
+    def test_rejects_unknown_kind(self):
+        # a bare ValueError, which the CLI reported as an internal error
+        with pytest.raises(ValidationError, match="'foo'"):
+            ProbeSpec(kind="foo")
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -229,6 +230,23 @@ class TestAdvantageThreshold:
         )
         n0_star = advantage_threshold(TargetScenario(0.01, 30.0, 1e7), tol=0.005)
         assert abs(n0_star - 0.15) <= 0.005
+
+    @pytest.mark.parametrize("kwargs, match", [
+        # tol = 0 stalled the bisection on adjacent floats
+        ({"tol": 0.0}, "tol"), ({"tol": -1.0}, "tol"),
+        ({"tol": math.nan}, "tol"), ({"tol": math.inf}, "tol"),
+        # a reversed bracket returned 0.51
+        ({"bracket": (1.0, 0.02)}, "lo < hi"), ({"bracket": (0.3, 0.3)}, "lo < hi"),
+        ({"points": 1}, "points"), ({"points": -1}, "points"),
+    ])
+    def test_rejects_bad_search_inputs(self, monkeypatch, kwargs, match):
+        # gap = 1000*N0 - 300 crosses zero at N0 = 0.3
+        monkeypatch.setattr(
+            "gqi.sweeps._astm_ci_slopes",
+            lambda n0, scenario, fit_from, fit_to, points: (1000.0 * n0, 300.0),
+        )
+        with pytest.raises(ValidationError, match=match):
+            advantage_threshold(TargetScenario(0.01, 30.0, 1e7), **kwargs)
 
 
 SWEEP_HEADER = ["axis_value", "n0", "n1", "n2", "ns", "kappa", "nb", "ensembles",
