@@ -18,8 +18,16 @@ form (det V(p) = prod_k Lambda_k^2)
 
 whose weights 1/Lambda_k all lie in (0, 1], whereas Lambda_p of a mixed mode
 diverges as p -> 0. A pair is analysed once, so that Sigma'_s for a whole
-array of s is one matrix product of the weights with fixed parts, and the
-infimum over s is a zoom over 64-point scans (Q_s is convex in s).
+array of s is one matrix product of the weights with fixed parts.
+
+The infimum over s (Q_s is convex in s) takes two 64-point float64 scans
+(_infimum): one of [0, 1], then one of the bracket around its best point.
+Two parabolic vertices refine the second scan's best point: that of its
+three values around the best point, which removes the grid's error where
+float64 resolves their curvature, and that of a least-squares parabola
+through the whole scan, which averages over rounding at high noise, where
+the values near the minimum differ by a few ulps. Q is evaluated once more
+at the best point and both vertices, and the smallest is kept.
 
 Standard-form core (discriminate_many). Every pair make_hypotheses builds
 has no x-p correlations (Duan, Giedke, Cirac & Zoller, PRL 84, 2722 (2000)):
@@ -27,13 +35,13 @@ V = X (+) P with X and P the 2x2 x and p blocks. Then nu_+-^2 are the
 eigenvalues of PX (symplectic.standard_form_spectrum), Sigma'_s splits into
 an x and a p block, and det Sigma'_s is a product of two 2x2 determinants,
 so a batch of pairs is elementwise arithmetic over a (points, 64) array of
-s per zoom round. The pairs are analysed in np.longdouble, the zoom runs in
-float64, and Q is evaluated once more at each s* in np.longdouble, whose
--ln Q goes on to ln P: 1 - Q ~ 1e-7 at the figure presets, where float64
-alone leaves ~eps / (1 - Q) ~ 4e-9 of the SNR. Where np.longdouble is
-float64 (macOS arm64, Windows) that evaluation is a float64 one. The
-coherent pair, a displaced and an undisplaced thermal state, takes its
-closed form at s* = 1/2.
+s per scan. The pairs are analysed in np.longdouble, the scans run in
+float64, and the last evaluation, at the three candidates for s*, runs in
+np.longdouble, whose -ln Q goes on to ln P: 1 - Q ~ 1e-7 at the figure
+presets, where float64 alone leaves ~eps / (1 - Q) ~ 4e-9 of the SNR. Where
+np.longdouble is float64 (macOS arm64, Windows) that evaluation is a float64
+one. The coherent pair, a displaced and an undisplaced thermal state, takes
+its closed form at s* = 1/2.
 
 Every built pair goes through one router (_route), shared by q_s,
 chernoff_infimum and discriminate: two-mode pairs in standard form with
@@ -61,13 +69,17 @@ LN_HALF = -math.log(2.0)
 # to ~1e-12 for full-rank hypotheses.
 _S_EDGE = 1e-12
 
-# Points of the guard scan over [0, 1] and of every zoom round after it.
+# Points of each of the two scans of the search for s*.
 _SCAN_POINTS = 64
 _STEPS = np.linspace(0.0, 1.0, _SCAN_POINTS)
-# Offsets from each grid point to the neighbours that bracket it, inside
-# the grid.
-_NEIGHBOURS = np.array([[-min(i, 1), min(_SCAN_POINTS - 1 - i, 1)]
-                        for i in range(_SCAN_POINTS)])
+_GUARD = _S_EDGE + (1.0 - 2.0 * _S_EDGE) * _STEPS
+_THREE = np.array([-1, 0, 1])
+# Least-squares fit of a u^2 + b u + c to a scan, u = step - 1/2: the
+# columns weigh the values into b and a (1, u and u^2 - mean u^2 are
+# orthogonal over the symmetric steps).
+_U = _STEPS - 0.5
+_U2 = _U * _U - np.mean(_U * _U)
+_FIT = np.stack([_U / (_U @ _U), _U2 / (_U2 @ _U2)], axis=1)
 
 # Power of each column of a standard-form pair (nu_+, nu_- of rho_A, then
 # of rho_B): p = sign s + offset.
@@ -80,6 +92,10 @@ _OFFSET = np.array([0.0, 0.0, 1.0, 1.0])[:, None]
 _LEFT = np.array([[[0, 1], [2, 3]], [[0, 2], [1, 3]],
                   [[3, 4], [5, 0]], [[3, 5], [4, 0]]])
 _RIGHT = np.array([[[1, 5], [5, 3]], [[0, 4], [4, 2]]] * 2)
+# The nu_k of each of those four factors, and the entries 11, 12, 22 of a
+# 2x2 product M and of M^T, whose sum is twice the symmetric part.
+_HI_LO = np.array([0, 0, 1, 1])
+_SYM = np.array([0, 1, 3]), np.array([0, 2, 3])
 
 
 # A symplectic eigenvalue within a tolerance of 1 is a pure mode, where G_p
@@ -99,9 +115,6 @@ _PURE_ULPS = 256
 # ~eps / gap of their size, which enters Sigma'_s with a weight difference
 # proportional to the gap, so that the product stays ~eps.
 _DEGENERATE_ULPS = 64
-
-# Half-width of the bracket around s* at which the zoom stops.
-_S_TOL = 1e-9
 
 _SINGULAR = "V_A(s) + V_B(1-s) is singular"
 
@@ -181,7 +194,7 @@ def _standard(ent_a: np.ndarray, ent_b: np.ndarray) -> tuple:
     spec = standard_form_spectrum(entries)
     reasons = [spec.errors[i] or spec.errors[n + i] for i in range(n)]
     out: list = [ValidationError(r) if r else None for r in reasons]
-    ok = np.flatnonzero([not r for r in reasons])
+    ok = np.array([i for i, r in enumerate(reasons) if not r], dtype=np.intp)
     if not ok.size:
         return out, ok, None
     if ok.size < n:
@@ -192,17 +205,18 @@ def _standard(ent_a: np.ndarray, ent_b: np.ndarray) -> tuple:
     # K = PX - nu_-^2 = g Pi_+ and L = nu_+^2 - PX = g Pi_-, as 2x2 stacks,
     # times P and X: K P, K^T X, L P, L^T X.
     k = np.concatenate([spec.k, -spec.k[1:3]])
-    left = k[_LEFT].transpose(0, 3, 1, 2)
-    right = entries[_RIGHT].transpose(0, 3, 1, 2)
-    scale = spec.gap * spec.nu[[0, 0, 1, 1]]
+    left = k.take(_LEFT, axis=0).transpose(0, 3, 1, 2)
+    right = entries.take(_RIGHT, axis=0).transpose(0, 3, 1, 2)
+    nu_k = spec.nu.take(_HI_LO, axis=0)
+    scale = spec.gap * nu_k
     split = spec.gap > _DEGENERATE_ULPS * np.finfo(entries.dtype).eps * spec.nu[0] ** 2
     if split.all():
         prod = left @ right
     else:
         prod = np.where(split[:, None, None], left @ right, right)
-        scale = np.where(split, scale, 2.0 * spec.nu[[0, 0, 1, 1]])
+        scale = np.where(split, scale, 2.0 * nu_k)
     prod = prod.reshape(4, 2 * n, 4)
-    sym = (prod[..., [0, 1, 3]] + prod[..., [0, 2, 3]]) * (0.5 / scale)[..., None]
+    sym = (prod.take(_SYM[0], axis=2) + prod.take(_SYM[1], axis=2)) * (0.5 / scale)[..., None]
     # (hi x, hi p, lo x, lo p; A then B; entry) -> (pair; x then p entries;
     # A hi, A lo, B hi, B lo)
     dual = sym.reshape(2, 2, 2, n, 3).transpose(3, 1, 4, 2, 0).reshape(n, 6, 4)
@@ -227,9 +241,9 @@ def _discriminate_standard(ent_a: np.ndarray, ent_b: np.ndarray,
     out, ok, pairs = _standard(ent_a, ent_b)
     if pairs is None:
         return out
-    s_star, _ = _zoom(pairs.astype(float).q, ok.size, _S_TOL)
     with np.errstate(invalid="ignore"):
-        q = pairs.q(s_star[:, None].astype(np.longdouble))[:, 0]
+        s_star, q = _infimum(pairs.astype(float).q,
+                             lambda s: pairs.q(s.astype(np.longdouble)), ok.size)
     exponent = np.maximum(-np.log1p(q - 1.0), 0.0).astype(float)
     for i, result, good in zip(ok, _results(s_star, exponent, ensembles[ok]),
                                np.isfinite(q) & (q > 0.0)):
@@ -264,37 +278,44 @@ def _coherent(signal: np.ndarray, nb: np.ndarray, ensembles: np.ndarray) -> list
     return out
 
 
-def _zoom(q, n: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _infimum(scan, evaluate, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Minimize n convex functions of s over [0, 1]; returns (s_star, minimum).
 
-    q maps an (n, m) array of s to the values there. Each row's grid point
-    with the smallest value brackets its minimum between its neighbours. A
-    64-point scan of [0, 1] finds that bracket, and 64-point scans of the
-    bracket shrink it by 2/63 per round until it is no wider than 2 tol, or
-    until rounding stops it shrinking. Rows that stop keep their bracket and
-    best value while the others go on.
+    scan maps an (n, m) float64 array of s to the values there, and
+    evaluate does so in the precision of the result. A 64-point scan of
+    [0, 1] brackets each row's minimum between the neighbours of its best
+    grid point, and a 64-point scan of that bracket finds the best point
+    again. Two vertices refine it: that of the parabola through the three
+    values around the best point, clipped to one grid step of it, which
+    removes the grid's error where rounding leaves those values their
+    curvature; and that of the least-squares parabola through the whole
+    second scan, clipped to the bracket, which averages over the rounding
+    where the values near the minimum differ by a few ulps only. evaluate
+    takes the values at the best point and at both vertices, and each row
+    keeps the smallest (the best point's on ties and where another is not a
+    number).
     """
-    lo = np.full((n, 1), _S_EDGE)
-    width = np.full((n, 1), 1.0 - 2.0 * _S_EDGE)
-    s_star, best = np.full(n, 0.5), np.full(n, np.inf)
-    active = np.ones(n, dtype=bool)
-    row_start = np.arange(n) * _SCAN_POINTS
-    while True:
-        grid = lo + width * _STEPS
-        values = q(grid)
-        i = values.argmin(axis=1)
-        at = row_start + i
-        value = values.take(at)
-        better = value < best
-        np.copyto(best, value, where=better)
-        np.copyto(s_star, grid.take(at), where=better)
-        ends = grid.take(at[:, None] + _NEIGHBOURS[i])
-        new_width = ends[:, 1] - ends[:, 0]
-        active &= (new_width > 2.0 * tol) & (new_width < width[:, 0])
-        if not active.any():
-            return s_star, best
-        np.copyto(lo[:, 0], ends[:, 0], where=active)
-        np.copyto(width[:, 0], new_width, where=active)
+    last = _SCAN_POINTS - 1
+    rows = np.arange(n)
+    i = scan(_GUARD * np.ones((n, 1))).argmin(axis=1)[:, None]
+    lo = _GUARD.take(np.maximum(i - 1, 0))
+    width = _GUARD.take(np.minimum(i + 1, last)) - lo
+    values = scan(lo + width * _STEPS)
+    j = values.argmin(axis=1)[:, None]
+    c = np.minimum(np.maximum(j, 1), last - 1)  # middle of the three values
+    f0, f1, f2 = values[rows[:, None], c + _THREE].T[:, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        at = c + 0.5 * (f0 - f2) / (f0 - 2.0 * f1 + f2)  # as a grid index
+        fit = (values - f1) @ _FIT
+        mid = 0.5 - 0.5 * fit[:, :1] / fit[:, 1:]  # as a fraction of the bracket
+    # A flat stencil's 0/0 becomes the neighbour below, and the fit's the
+    # bracket's lower end.
+    at = np.fmin(np.fmax(at, np.maximum(j - 1, 0)), np.minimum(j + 1, last))
+    mid = np.fmin(np.fmax(mid, 0.0), 1.0)
+    s = lo + width * np.concatenate([_STEPS.take(j), at * (1.0 / last), mid], axis=1)
+    value = evaluate(s)
+    pick = rows, np.fmin(value, value[:, :1]).argmin(axis=1)
+    return s[pick], value[pick]
 
 
 def _route(pair: HypothesisPair) -> tuple:
@@ -341,7 +362,7 @@ def q_s(pair: HypothesisPair, s: float) -> float:
 
 
 def chernoff_infimum(pair: HypothesisPair) -> tuple[float, float]:
-    """Minimize Q_s over s in [0, 1] by a zoom search; returns (s_star, q_min).
+    """Minimize Q_s over s in [0, 1] by two scans; returns (s_star, q_min).
 
     A pair in standard form or a coherent pair gives the s* and Q_min of
     discriminate; any other pair is minimized through its general analysis.
@@ -392,35 +413,42 @@ def discriminate_many(probes: Sequence[ProbeSpec],
     """Chernoff infimum -> M-copy log P -> SNR for many (probe, scenario) points.
 
     The points are evaluated as one batch: two-mode probes through the
-    standard-form core, with one zoom over a (points, 64) array of s per
-    round, and coherent probes in closed form at s* = 1/2. Returns, per
+    standard-form core, with each scan of the search for s* one (points, 64)
+    array of s, and coherent probes in closed form at s* = 1/2. Returns, per
     point, its DiscriminationResult or the ValidationError that rejected it;
     a bad point does not fail the others.
     """
     if len(probes) != len(scenarios):
         raise ValidationError(
             f"{len(probes)} probes against {len(scenarios)} scenarios")
-    kappa, nb, ensembles = (np.array([getattr(sc, k) for sc in scenarios], dtype=float)
-                            for k in ("kappa", "nb", "ensembles"))
     coherent = [i for i, p in enumerate(probes) if p.kind is ProbeKind.COHERENT]
     two_mode = [i for i, p in enumerate(probes) if p.kind is not ProbeKind.COHERENT]
     out: list = [None] * len(probes)
     if coherent:
-        ns = np.array([probes[i].ns for i in coherent], dtype=float)
-        results = _coherent(kappa[coherent] * ns, nb[coherent], ensembles[coherent])
-        for i, result in zip(coherent, results):
+        ns, kappa, nb, ensembles = _columns(probes, scenarios, coherent, ("ns",))
+        for i, result in zip(coherent, _coherent(kappa * ns, nb, ensembles)):
             out[i] = result
     if two_mode:
-        n0, n1, n2 = (np.array([getattr(probes[i], k) for i in two_mode], dtype=float)
-                      for k in ("n0", "n1", "n2"))
+        n0, n1, n2, kappa, nb, ensembles = _columns(probes, scenarios, two_mode,
+                                                    ("n0", "n1", "n2"))
+        if len(two_mode) == 1:
+            # Floats take the same +, * and correctly rounded sqrt as
+            # arrays, without ~30 numpy calls on length-1 arrays.
+            n0, n1, n2, kappa, nb = (float(v[0]) for v in (n0, n1, n2, kappa, nb))
         with np.errstate(over="ignore", invalid="ignore"):
             entries = _probe_entries(n0, n1, n2)
-            ent_a = np.array(_return_entries(entries, kappa[two_mode], nb[two_mode]))
-            ent_b = np.array(_absent_entries(entries, nb[two_mode]))
-        results = _discriminate_standard(ent_a, ent_b, ensembles[two_mode])
-        for i, result in zip(two_mode, results):
+            ent_a = np.array(_return_entries(entries, kappa, nb)).reshape(6, -1)
+            ent_b = np.array(_absent_entries(entries, nb)).reshape(6, -1)
+        for i, result in zip(two_mode, _discriminate_standard(ent_a, ent_b, ensembles)):
             out[i] = result
     return out
+
+
+def _columns(probes, scenarios, points: list, names: tuple) -> np.ndarray:
+    """Rows of the named probe parameters, then kappa, N_B and M, over points."""
+    return np.array([[getattr(probes[i], k) for k in names]
+                     + [scenarios[i].kappa, scenarios[i].nb, scenarios[i].ensembles]
+                     for i in points], dtype=float).T
 
 
 def _one(result):
@@ -442,6 +470,9 @@ def discriminate(pair: HypothesisPair, ensembles: float) -> DiscriminationResult
     if core is not None:
         return _one(core(*args, np.array([ensembles], dtype=float))[0])
     s_star, q_min = _general(pair).infimum()
+    if q_min == 0.0:
+        # The general path forms Q before its log, so -ln Q > 745 is lost.
+        raise ValidationError(f"Q_min underflows to 0 at s* = {s_star:.6g}")
     log_p = log_error_prob(q_min, ensembles)
     return DiscriminationResult(s_star, q_min, log_p, snr_from_log_p(log_p))
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import schur, sqrtm
 
-from .chernoff import _PURE_ULPS, _S_TOL, _SINGULAR, _log_ratio, _snap, _zoom
+from .chernoff import _PURE_ULPS, _SINGULAR, _infimum, _log_ratio, _snap
 from .probes import HypothesisPair, _squeezer_gains
 from .symplectic import (EIGENVALUE_CLAMP_TOL, GaussianState, ValidationError,
                          _check_covariance, _require_physical, symplectic_form)
@@ -322,7 +322,8 @@ class _PairData:
         return value
 
     def infimum(self) -> tuple[float, float]:
-        """(s_star, q_min) by the zoom search of gqi.chernoff."""
-        s_star, q_min = _zoom(lambda s: self.q(s[0])[None], 1, _S_TOL)
+        """(s_star, q_min) by the search of gqi.chernoff, in float64."""
+        q = lambda s: self.q(s[0])[None]  # noqa: E731
+        s_star, q_min = _infimum(q, q, 1)
         return float(s_star[0]), min(float(q_min[0]), 1.0)
 

@@ -126,6 +126,8 @@ def sweep(axis: str, grid, probe: ProbeSpec, scenario: TargetScenario,
         if compare is None else compare
     )
     table = SweepTable(axis=axis, grid=[float(v) for v in grid])
+    if not table.grid:
+        raise ValidationError("grid has no points")
     # (grid index, probe, scenario, with_discord) of every row, in order; a
     # grid value whose inputs cannot be built gets its error instead.
     points, failed = [], {}

@@ -193,9 +193,10 @@ def standard_form_spectrum(entries) -> StandardSpectrum:
             nu, gap, k = _spectrum(entries, det_x, det_p)
         nu, k = np.array(nu), np.array(k)
         errors, tol = [None] * nu.shape[1], np.full(nu.shape[1], EIGENVALUE_CLAMP_TOL)
-        bad = ~(np.isfinite(entries).all(axis=0) & (ax > 0.0) & (ap > 0.0)
-                & (det_x > 0.0) & (det_p > 0.0)
-                & (nu[1] >= 1.0 - EIGENVALUE_CLAMP_TOL))
+        # det_x det_p is not finite where an entry is not; where it overflows
+        # from finite entries, the loop below passes the column.
+        bad = ~((np.minimum(np.minimum(ax, ap), np.minimum(det_x, det_p)) > 0.0)
+                & (nu[1] >= 1.0 - EIGENVALUE_CLAMP_TOL) & np.isfinite(det_x * det_p))
         for i in np.flatnonzero(bad):
             entry = entries[:, i].astype(float).tolist()
             errors[i] = _definiteness(entry, det_x[i], det_p[i])

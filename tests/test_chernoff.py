@@ -31,7 +31,8 @@ from gqi import (
     v_of_p,
     williamson,
 )
-from gqi.chernoff import _S_TOL, _zoom, discriminate, discriminate_many
+from gqi import chernoff
+from gqi.chernoff import discriminate, discriminate_many
 from gqi.probes import HypothesisPair, tmsv_state
 from gqi.reference import _PairData
 
@@ -337,6 +338,15 @@ class TestRankDeficientPairs:
         assert q_s(pair, s) == pytest.approx(expected, rel=2e-10)
 
 
+def dense_scan(pair: HypothesisPair) -> float:
+    """min of q_s over 4001 points of [0, 1], then over 4001 points between
+    the neighbours of the best."""
+    grid = np.linspace(0.0, 1.0, 4001)
+    i = int(np.argmin([q_s(pair, s) for s in grid]))
+    fine = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, 4000)], 4001)
+    return min(q_s(pair, s) for s in fine)
+
+
 class TestChernoffInfimum:
     def test_identical_states(self):
         pair = make_hypotheses(
@@ -366,23 +376,26 @@ class TestChernoffInfimum:
              TargetScenario(kappa=0.01, nb=30.0)),
             (ProbeSpec(kind=ProbeKind.TMSV, n0=2.0),
              TargetScenario(kappa=0.2, nb=0.5)),
+            # nb = 0: Q_s falls all the way to s = 0, so s* is the edge
+            (ProbeSpec(kind=ProbeKind.TMSV, n0=1.0),
+             TargetScenario(kappa=0.1, nb=0.0)),
+            # 1 - Q ~ 3e-9, a few million ulps of Q
+            (ProbeSpec(kind=ProbeKind.TMSV, n0=1.0),
+             TargetScenario(kappa=0.01, nb=1e6)),
         ):
             pair = make_hypotheses(probe, scenario)
             _, q_min = chernoff_infimum(pair)
-            # 4001 points, then 4001 more between the neighbours of the best
-            grid = np.linspace(1e-9, 1 - 1e-9, 4001)
-            i = int(np.argmin([q_s(pair, s) for s in grid]))
-            fine = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, 4000)], 4001)
-            scan = min(q_s(pair, s) for s in fine)
+            scan = dense_scan(pair)
             assert q_min <= scan + 1e-15
             assert q_min == pytest.approx(scan, abs=1e-12)
 
-    def test_zero_tolerance_stops_at_rounding(self):
-        # The zoom with tol 0 ends once rounding stops its bracket shrinking.
-        data = _PairData(_small_pair())
-        q = lambda s: data.q(s[0])[None]  # noqa: E731
-        assert _zoom(q, 1, 0.0)[1][0] == pytest.approx(
-            _zoom(q, 1, _S_TOL)[1][0], abs=1e-15)
+    def test_search_is_below_a_dense_scan(self):
+        # The two-scan search on the general path's float64 Q_s and on the
+        # standard-form core's.
+        pair = _small_pair()
+        scan = dense_scan(pair)
+        assert _PairData(pair).infimum()[1] <= scan + 1e-15
+        assert chernoff_infimum(pair)[1] <= scan + 1e-15
 
     @pytest.mark.parametrize("scenario", [MICROWAVE, LOW_NOISE])
     @pytest.mark.parametrize("probe", [
@@ -534,6 +547,14 @@ class TestSnrPipeline:
         result = snr(ProbeSpec(kind=ProbeKind.TMSV, n0=n0), LOW_NOISE)
         assert result.snr == pytest.approx(mp_tmsv_snr(n0, LOW_NOISE), rel=1e-9)
 
+    @pytest.mark.parametrize("n0, nb", [(1.0, 1e7), (0.1, 1e6)])
+    def test_high_noise_tmsv_against_mpmath(self, n0, nb):
+        # 1 - Q ~ 4e-10: float64 Q_s near s* differs by a few ulps, so the
+        # best scan point alone leaves ~1e-7 of the SNR.
+        scenario = TargetScenario(0.01, nb, 1e12)
+        result = snr(ProbeSpec(kind=ProbeKind.TMSV, n0=n0), scenario)
+        assert result.snr == pytest.approx(mp_tmsv_snr(n0, scenario, dps=50), rel=1e-8)
+
     def test_microwave_tmsv_operating_point(self):
         result = snr(
             ProbeSpec(kind=ProbeKind.TMSV, n0=1.0),
@@ -649,6 +670,29 @@ class TestDiscriminateMany:
     def test_empty_batch(self):
         assert discriminate_many([], []) == []
 
+    @given(points=st.lists(point, min_size=2, max_size=4))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_one_point_builds_the_entries_of_a_batch(self, points):
+        # One two-mode point is built from floats, a batch from arrays; the
+        # core must receive the same entries from both, bit for bit.
+        seen = []
+        core = chernoff._discriminate_standard
+
+        def spy(ent_a, ent_b, ensembles):
+            seen.append(np.concatenate([ent_a, ent_b, ensembles[None]]))
+            return core(ent_a, ent_b, ensembles)
+
+        probes = [ProbeSpec(kind=ProbeKind.ASTM, n0=n0, n1=n1, n2=n2)
+                  for n0, n1, n2, *_ in points]
+        scenarios = [TargetScenario(kappa, nb, 1e6) for *_, kappa, nb, _ in points]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chernoff, "_discriminate_standard", spy)
+            discriminate_many(probes, scenarios)
+            for probe, scenario in zip(probes, scenarios):
+                discriminate_many([probe], [scenario])
+        batch, *alone = seen
+        np.testing.assert_array_equal(np.concatenate(alone, axis=1), batch)
+
     @pytest.mark.parametrize("nb", [30.0, 3.8e3, 1e6, 1e8, 1e10])
     def test_coherent_snr_against_closed_form(self, nb):
         # -ln Q goes from the closed form straight into ln P; the SNR at
@@ -691,13 +735,24 @@ class TestDiscriminateMany:
             result = discriminate(pair, 10.0)
             assert (result.s_star, result.q_min) == (s_star, q_min)
 
+    def test_underflow_on_the_general_path_is_named(self):
+        # -ln Q ~ 2500: Q_min is 0.0 in float64, which log_error_prob
+        # rejected as "q_min must lie in (0, 1], got 0.0".
+        pair = HypothesisPair(
+            GaussianState(1, np.array([100.0, 0.0]), np.diag([2.0, 0.6])),
+            GaussianState(1, np.zeros(2), np.diag([1.5, 1.0])))
+        s_star, _ = chernoff_infimum(pair)
+        with pytest.raises(ValidationError,
+                           match=f"underflows to 0 at s\\* = {s_star:.6g}$"):
+            discriminate(pair, 10.0)
+
     def test_microwave_table_against_mpmath(self):
         # The fig2b_n1_0 table (TMSV, N0 = 0.1..2 at MICROWAVE), each SNR
         # against the 50-digit infimum. Q evaluated in float64 left 2.7e-9
-        # at N0 = 0.1; evaluated at s* in np.longdouble it leaves 1.8e-10,
-        # most of it from where the float64 zoom put s*.
+        # at N0 = 0.1; evaluated in np.longdouble at the s* of a six-round
+        # zoom it left 1.8e-10, at that of the two-scan search 2.7e-12.
         table = sweep("n0", np.linspace(0.1, 2.0, 20),
                       ProbeSpec(kind=ProbeKind.ASTM, n1=0.0), MICROWAVE)
         worst = max(abs(row.snr / mp_tmsv_snr(row.n0, MICROWAVE, dps=50) - 1.0)
                     for row in table.rows)
-        assert worst <= 5e-10
+        assert worst <= 2e-11

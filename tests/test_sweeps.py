@@ -145,6 +145,21 @@ class TestSweep:
             assert row.q_min == pytest.approx(alone.q_min, abs=4e-16)
             assert row.s_star == pytest.approx(alone.s_star, abs=1e-4)
 
+    def test_empty_grid(self):
+        # an empty table would be written as a header-only CSV
+        with pytest.raises(ValidationError, match="no points"):
+            sweep("ns", [], ProbeSpec(kind="astm", n0=1.0), MICROWAVE)
+
+    @pytest.mark.parametrize("probe", [
+        ProbeSpec(kind=ProbeKind.ASTM, n0=1.0),
+        ProbeSpec(kind=ProbeKind.ASTM, n0=1.0, n1=solve_n1_for_signal_energy(2.0, 1.0)),
+    ])
+    def test_fig2a_is_flat_in_idler_squeezing(self, probe):
+        # The idler squeezer acts on the mode that never meets the target,
+        # so fig2a's SNRs agree to rounding.
+        snrs = sweep("n2", np.linspace(0.0, 4.0, 17), probe, MICROWAVE).column("snr")
+        assert (snrs.max() - snrs.min()) / snrs.min() <= 1e-11
+
     def test_unknown_axis(self):
         with pytest.raises(ValidationError):
             sweep("phi", [0.1], ProbeSpec(kind=ProbeKind.TMSV, n0=1.0), MICROWAVE)
