@@ -47,7 +47,30 @@ Every built pair goes through one router (_route), shared by q_s,
 chernoff_infimum and discriminate: two-mode pairs in standard form with
 equal means take the standard-form core, and coherent pairs the closed
 form. Q_s of a coherent pair away from s* and any other pair take the
-general 4x4 analysis of gqi.reference, which loads on first use.
+general path (_PairData), the one- or two-mode analysis below.
+
+General path. With P_k = S_k S_k^T for the two columns of S that belong
+to mode k, V(p) = sum_k Lambda_p(nu_k) P_k, and both nu_k and P_k have
+closed forms. One mode: nu = sqrt(det V) and P = V / nu. Two modes, with
+blocks V = [[A, C], [C^T, B]] (Serafini, Illuminati & De Siena, J. Phys.
+B 37, L21 (2004)):
+
+    nu_+-^2 = (Delta +- sqrt(Delta^2 - 4 det V)) / 2,
+    Delta = det A + det B + 2 det C,
+
+and since (Omega V)^2 = -S^{-T} D^2 S^T, (Omega V)^2 + nu_-+^2 annihilates
+mode -+, which leaves
+
+    nu_+- P_+- = -+V ((Omega V)^2 + nu_-+^2) / (nu_+^2 - nu_-^2),
+
+the 2-point Lagrange fit of Lambda_p(nu)/nu against -nu^2 in
+V(p) = c0 V + c1 V (Omega V)^2. Then Sigma'_s = sum_k Omega P_k Omega^T /
+Lambda_k, and one batched determinant (and solve, for displaced pairs)
+gives every Q_s.
+
+The SNR map ln P = ln[(1/2) erfc(sqrt(SNR))] and its inverse need numpy
+no more than the rest: math.erfc, the asymptotic series of erfc, and
+Newton in sqrt(SNR) (_snr_from_log_p).
 """
 
 import math
@@ -55,12 +78,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import log_ndtr, ndtri_exp
 
 from .probes import (HypothesisPair, ProbeKind, ProbeSpec, TargetScenario,
                      _absent_entries, _probe_entries, _return_entries)
 from .symplectic import (ValidationError, _require_finite_mean, _standard_entries,
-                         standard_form_spectrum)
+                         standard_form_spectrum, symplectic_form)
 
 LN_HALF = -math.log(2.0)
 
@@ -68,6 +90,22 @@ LN_HALF = -math.log(2.0)
 # but Q_s is smooth there, so evaluating a hair inside the interval is exact
 # to ~1e-12 for full-rank hypotheses.
 _S_EDGE = 1e-12
+
+# The SNR map (_snr_from_log_p). math.erfc is within ~1.5 ulp below
+# _ERFC_TAIL, where erfc(26) = 5.7e-296; beyond it erfc nears the subnormal
+# numbers, and ln erfc comes from its asymptotic series, whose coefficients
+# of w^6 down to w are _ERFC_SERIES. Below _ERF_BELOW, erf keeps more
+# digits of ln erfc = log1p(-erf) than erfc does. _QUANTILE holds c0, c1,
+# d1 and d2 of Abramowitz & Stegun 26.2.22.
+_ERFC_TAIL = 26.0
+_ERFC_SERIES = (10395.0, -945.0, 105.0, -15.0, 3.0, -1.0)
+_ERF_BELOW = 0.5
+_QUANTILE = (2.30753, 0.27061, 0.99229, 0.04481)
+_NEWTON_STEPS = 3
+_SQRT_PI = math.sqrt(math.pi)
+_HALF_SQRT_PI = 0.5 * _SQRT_PI
+_LN_SQRT_PI = math.log(_SQRT_PI)
+_SQRT_HALF = math.sqrt(0.5)
 
 # Points of each of the two scans of the search for s*.
 _SCAN_POINTS = 64
@@ -117,6 +155,12 @@ _PURE_ULPS = 256
 _DEGENERATE_ULPS = 64
 
 _SINGULAR = "V_A(s) + V_B(1-s) is singular"
+
+# Relative gap nu_+^2 - nu_-^2 below which the spectrum counts as degenerate:
+# P_+- = V / (2 nu_+-), which leaves out a term of this relative size.
+_DEGENERATE_RTOL = 1e-14
+
+_EYE2 = np.eye(2)
 
 
 @dataclass
@@ -254,11 +298,9 @@ def _discriminate_standard(ent_a: np.ndarray, ent_b: np.ndarray,
 def _results(s_star: np.ndarray, exponent: np.ndarray,
              ensembles: np.ndarray) -> list[DiscriminationResult]:
     """Results from s* and -ln Q_min >= 0: ln P = -M (-ln Q_min) + ln(1/2)."""
-    log_p = LN_HALF - ensembles * exponent
-    y = ndtri_exp(log_p)
+    log_p = (LN_HALF - ensembles * exponent).tolist()
     return [DiscriminationResult(*row) for row in zip(
-        s_star.tolist(), np.exp(-exponent).tolist(), log_p.tolist(),
-        (0.5 * y * y).tolist())]
+        s_star.tolist(), np.exp(-exponent).tolist(), log_p, map(_snr_from_log_p, log_p))]
 
 
 def _coherent(signal: np.ndarray, nb: np.ndarray, ensembles: np.ndarray) -> list:
@@ -318,10 +360,143 @@ def _infimum(scan, evaluate, n: int) -> tuple[np.ndarray, np.ndarray]:
     return s[pick], value[pick]
 
 
+def _em(p: np.ndarray, ln_r: np.ndarray) -> np.ndarray:
+    """em = 1 - ((nu-1)/(nu+1))^p for p > 0, computed cancellation-free.
+
+    G_p = (2/(nu+1))^p / em and Lambda_p = (2 - em) / em stay accurate for
+    nu >> 1 and for p -> 0; a pure mode gives em = 1, so G_p = Lambda_p = 1.
+    """
+    return -np.expm1(p * ln_r)
+
+
+def _det2(m: np.ndarray) -> float:
+    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+
+
+def _mode_parts(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symplectic spectrum nu (descending) and the P_k of a covariance.
+
+    V(p) = sum_k Lambda_p(nu_k) P_k. The P_k rest on the spectrum as found;
+    a pure mode's nu snaps to 1 (within the covariance's rounding) only for
+    G_p and Lambda_p.
+    """
+    cov = np.asarray(cov, dtype=float)
+    n = cov.shape[0] // 2
+    if cov.shape != (2 * n, 2 * n) or n not in (1, 2):
+        raise ValidationError(
+            f"Q_s needs a one- or two-mode covariance, got shape {cov.shape}")
+    scale = np.sqrt(np.diag(cov))
+    det_r = float(np.linalg.det(cov / np.outer(scale, scale)))
+    if not det_r > 0.0:
+        raise ValidationError("covariance is not positive definite")
+    det_v = float(np.prod(scale) ** 2 * det_r)
+    pure_tol = _PURE_ULPS * np.finfo(float).eps * (np.abs(cov).max() + 1.0 / det_r)
+    if n == 1:
+        nu = math.sqrt(det_v)
+        return _snap(np.array([nu]), pure_tol), (cov / nu)[None]
+
+    # As J A J A = -det A and J C J C^T = -det C, (Omega V)^2 has diagonal
+    # blocks -(det A + det C) and -(det B + det C) times I, and an
+    # off-diagonal block N with N N' = det N I. With x = det A - det B and
+    # u = det N, q = nu_+^2 - nu_-^2 = sqrt(x^2 + 4u); the diagonal blocks of
+    # (Omega V)^2 + nu_+^2 are (q - x)/2 and (q + x)/2, and those of
+    # (Omega V)^2 + nu_-^2 are -(q + x)/2 and -(q - x)/2. The product of the
+    # two halves is u, which gives the smaller one without cancellation. u
+    # comes from the entries of N, not from det C (det A + det B) +
+    # tr(A J C J B J C^T J), whose terms cancel to u: nearly product states
+    # lost all of u that way, and with it the smaller half.
+    a, b, c = cov[:2, :2], cov[2:, 2:], cov[:2, 2:]
+    det_a, det_b, det_c = _det2(a), _det2(b), _det2(c)
+    k_hi = symplectic_form(2) @ cov
+    k_hi = k_hi @ k_hi
+    x = det_a - det_b
+    u = _det2(k_hi[:2, 2:])
+    q = math.sqrt(max(x * x + 4.0 * u, 0.0))
+    big = 0.5 * (q + abs(x))
+    small = u / big if big > 0.0 else 0.0
+    q_minus_x, q_plus_x = (small, big) if x >= 0.0 else (big, small)
+
+    hi2 = 0.5 * (det_a + det_b + 2.0 * det_c + q)
+    lo2 = det_v / hi2  # not (Delta - q)/2, which cancels for nu_- << nu_+
+    if q > _DEGENERATE_RTOL * hi2:
+        k_lo = k_hi.copy()
+        k_hi[:2, :2] = q_minus_x * _EYE2
+        k_hi[2:, 2:] = q_plus_x * _EYE2
+        k_lo[:2, :2] = -q_plus_x * _EYE2
+        k_lo[2:, 2:] = -q_minus_x * _EYE2
+        p_hi = -cov @ k_lo / (q * math.sqrt(hi2))
+        p_lo = cov @ k_hi / (q * math.sqrt(lo2))
+        parts = np.array([p_hi + p_hi.T, p_lo + p_lo.T]) / 2.0
+    else:
+        parts = np.array([cov / (2.0 * math.sqrt(hi2)), cov / (2.0 * math.sqrt(lo2))])
+    return _snap(np.sqrt([hi2, lo2]), pure_tol), parts
+
+
+class _PairData:
+    """A hypothesis pair analysed once, for Q_s at any number of s.
+
+    Each column k is one symplectic eigenvalue, of rho_A (power p = s) or
+    of rho_B (power p = 1 - s): p = sign * s + offset. The dual parts
+    Omega P_k Omega^T are stored scaled to the unit diagonal of
+    V_A^-1 + V_B^-1, without which the determinant loses several ulps of Q
+    near 1. The factors (2/(nu_k+1))^p_k multiply to g_b * ratio^s with
+    g_b = prod_B 2/(nu+1) and ratio = prod_B (nu+1) / prod_A (nu+1), which
+    is close to 1 when the hypotheses are; exponentiating each
+    ln(2/(nu+1)) ~ -9 separately would lose several ulps of Q.
+    """
+
+    def __init__(self, pair: HypothesisPair):
+        if pair.rho_a.n_modes != pair.rho_b.n_modes:
+            raise ValidationError("hypothesis pair has mismatched mode counts")
+        nu_a, parts_a = _mode_parts(pair.rho_a.cov)
+        nu_b, parts_b = _mode_parts(pair.rho_b.cov)
+        nu = np.concatenate([nu_a, nu_b])
+        self.n_modes, self.split = pair.rho_a.n_modes, nu_a.size  # [:split]: rho_A
+        omega = symplectic_form(self.n_modes)
+        dual = omega @ np.concatenate([parts_a, parts_b]) @ omega.T
+        # diag of V_A^-1 + V_B^-1, the size of Sigma' away from s = 0 and 1.
+        scale = np.sqrt((np.diagonal(dual, axis1=1, axis2=2) / nu[:, None]).sum(axis=0))
+        on_b = np.arange(nu.size) >= nu_a.size
+        self.sign, self.offset = np.where(on_b, -1.0, 1.0), on_b.astype(float)
+        self.ln_r = _log_ratio(nu)
+        self.g_b = float(np.prod(2.0 / (nu_b + 1.0)))
+        self.ratio = float(np.prod(nu_b + 1.0) / np.prod(nu_a + 1.0))
+        self.dual = (dual / np.outer(scale, scale)).reshape(nu.size, -1)
+        self.det_scale = float(np.prod(scale) ** 2)
+        d = pair.rho_a.mean - pair.rho_b.mean
+        self.dual_d = (dual @ d) / scale if np.any(d) else None
+
+    def q(self, s: np.ndarray) -> np.ndarray:
+        """Q_s for an array of s in [_S_EDGE, 1 - _S_EDGE]."""
+        em = _em(s[:, None] * self.sign + self.offset, self.ln_r)
+        inv_lam = em / (2.0 - em)
+        dim = 2 * self.n_modes
+        sigma = (inv_lam @ self.dual).reshape(s.size, dim, dim)
+        det = np.linalg.det(sigma) * self.det_scale
+        if not np.all(det > 0.0):
+            raise ValidationError(_SINGULAR)
+        g_over_lam = self.g_b * self.ratio**s / np.prod(2.0 - em, axis=1)
+        value = 2.0 ** self.n_modes * g_over_lam / np.sqrt(det)
+        if self.dual_d is not None:
+            # d^T Sigma^-1 d = (V_A(s)^-1 d)^T Sigma'^-1 (V_B(1-s)^-1 d)
+            k = self.split
+            u_a = inv_lam[:, :k] @ self.dual_d[:k]
+            u_b = inv_lam[:, k:] @ self.dual_d[k:]
+            sol = np.linalg.solve(sigma, u_b[..., None])[..., 0]
+            value = value * np.exp(-0.5 * np.sum(u_a * sol, axis=1))
+        return value
+
+    def infimum(self) -> tuple[float, float]:
+        """(s_star, q_min) by the search of _infimum, in float64."""
+        q = lambda s: self.q(s[0])[None]  # noqa: E731
+        s_star, q_min = _infimum(q, q, 1)
+        return float(s_star[0]), min(float(q_min[0]), 1.0)
+
+
 def _route(pair: HypothesisPair) -> tuple:
     """(core, args) for the form of a built pair (see the module docstring):
     _discriminate_standard on the (6, 1) entries of a standard-form pair,
-    _coherent on |d|^2/4 and N_B, or None for _general."""
+    _coherent on |d|^2/4 and N_B, or None for the general path (_PairData)."""
     a, b = pair.rho_a, pair.rho_b
     _require_finite_mean(a.mean)
     _require_finite_mean(b.mean)
@@ -338,11 +513,6 @@ def _route(pair: HypothesisPair) -> tuple:
     return None, ()
 
 
-def _general(pair: HypothesisPair):
-    from .reference import _PairData  # loads gqi.reference on first use
-    return _PairData(pair)
-
-
 def q_s(pair: HypothesisPair, s: float) -> float:
     """Tr(rho_A^s rho_B^{1-s}) for a Gaussian hypothesis pair."""
     if not 0.0 <= s <= 1.0:
@@ -350,7 +520,7 @@ def q_s(pair: HypothesisPair, s: float) -> float:
     s = min(max(s, _S_EDGE), 1.0 - _S_EDGE)
     core, args = _route(pair)
     if core is not _discriminate_standard:
-        return float(_general(pair).q(np.array([s]))[0])
+        return float(_PairData(pair).q(np.array([s]))[0])
     out, _, pairs = _standard(*args)
     if out[0] is not None:
         raise out[0]
@@ -369,7 +539,7 @@ def chernoff_infimum(pair: HypothesisPair) -> tuple[float, float]:
     """
     core, args = _route(pair)
     if core is None:
-        return _general(pair).infimum()
+        return _PairData(pair).infimum()
     result = _one(core(*args, np.ones(1))[0])
     return result.s_star, result.q_min
 
@@ -391,21 +561,63 @@ def log_error_prob(q_min: float, ensembles: float) -> float:
 def snr_from_log_p(log_p: float) -> float:
     """Invert log_p = ln[(1/2) erfc(sqrt(x))] for x >= 0.
 
-    Uses the identity (1/2) erfc(y) = Phi(-y sqrt(2)) so the inversion is a
-    single call to the inverse of the log-domain normal CDF, valid far below
-    where the probability itself underflows.
+    Works in the log domain, valid far below where the probability itself
+    underflows (see _snr_from_log_p).
     """
     if not log_p <= LN_HALF + 1e-15:
         raise ValidationError(f"log_p must be <= ln(1/2), got {log_p}")
-    y = float(ndtri_exp(min(log_p, LN_HALF)))
-    return 0.5 * y * y
+    return _snr_from_log_p(min(log_p, LN_HALF))
 
 
 def log_p_from_snr(snr_value: float) -> float:
     """Forward map ln[(1/2) erfc(sqrt(x))], the inverse of snr_from_log_p."""
     if not snr_value >= 0:
         raise ValidationError(f"snr must be >= 0, got {snr_value}")
-    return float(log_ndtr(-math.sqrt(2.0 * snr_value)))
+    return LN_HALF + _ln_erfc(math.sqrt(snr_value))[0]
+
+
+def _ln_erfc(y: float) -> tuple[float, float]:
+    """ln erfc(y) and erfcx(y) = exp(y^2) erfc(y).
+
+    From math.erfc below _ERFC_TAIL, and beyond it from the asymptotic
+    series sqrt(pi) y erfcx(y) = 1 - w + 3 w^2 - 15 w^3 + ..., w = 1/(2 y^2)
+    (Abramowitz & Stegun 7.1.23), whose first omitted term is below 2e-17
+    there.
+    """
+    if y < _ERFC_TAIL:
+        e = math.erfc(y)
+        return math.log(e), math.exp(y * y) * e
+    y2 = y * y
+    w = 0.5 / y2
+    s = 0.0
+    for c in _ERFC_SERIES:
+        s = (s + c) * w
+    return math.log1p(s) - y2 - math.log(y) - _LN_SQRT_PI, (1.0 + s) / (y * _SQRT_PI)
+
+
+def _snr_from_log_p(log_p: float) -> float:
+    """x >= 0 with ln[(1/2) erfc(sqrt(x))] = log_p <= ln(1/2).
+
+    Newton in y = sqrt(x) on ln erfc(y) = -L, L = ln(1/2) - log_p, where
+    the slope of ln erfc is -2 / (sqrt(pi) erfcx(y)). It starts from the
+    normal quantile of Abramowitz & Stegun 26.2.22, within 3e-3 of y, and
+    _NEWTON_STEPS steps reach the root to rounding where y >= _ERF_BELOW.
+    Below that, erfc(y) ~ 1 keeps ln erfc to ~eps only, which is ~eps / y
+    of y, and one more step takes ln erfc = log1p(-erf(y)).
+    """
+    if log_p == -math.inf:
+        return math.inf
+    big = LN_HALF - log_p
+    t = math.sqrt(-2.0 * log_p)
+    c0, c1, d1, d2 = _QUANTILE
+    y = (t - (c0 + c1 * t) / (1.0 + (d1 + d2 * t) * t)) * _SQRT_HALF
+    for _ in range(_NEWTON_STEPS):
+        ln_erfc, erfcx = _ln_erfc(y)
+        y += (ln_erfc + big) * (_HALF_SQRT_PI * erfcx)
+    if y < _ERF_BELOW:
+        erf = math.erf(y)
+        y += (math.log1p(-erf) + big) * (_HALF_SQRT_PI * math.exp(y * y) * (1.0 - erf))
+    return y * y
 
 
 def discriminate_many(probes: Sequence[ProbeSpec],
@@ -469,7 +681,7 @@ def discriminate(pair: HypothesisPair, ensembles: float) -> DiscriminationResult
     core, args = _route(pair)
     if core is not None:
         return _one(core(*args, np.array([ensembles], dtype=float))[0])
-    s_star, q_min = _general(pair).infimum()
+    s_star, q_min = _PairData(pair).infimum()
     if q_min == 0.0:
         # The general path forms Q before its log, so -ln Q > 745 is lost.
         raise ValidationError(f"Q_min underflows to 0 at s* = {s_star:.6g}")

@@ -110,16 +110,21 @@ def _two_mode_cov(ax: float, ap: float, bx: float, bp: float,
 
 
 def _squeezer_gains(n_mean):
-    """(gamma_-, gamma_+) = sqrt(N+1) -+ sqrt(N) of a squeezer with N photons."""
+    """(gamma_-, gamma_+) = sqrt(N+1) -+ sqrt(N) of a squeezer with N photons.
+
+    gamma_- is taken as 1 / gamma_+: the difference cancels, and its
+    relative error grows like 4N eps.
+    """
     root_plus, root = _sqrt(n_mean + 1.0), _sqrt(n_mean)
-    return root_plus - root, root_plus + root
+    gain = root_plus + root
+    return 1.0 / gain, gain
 
 
 def _probe_entries(n0, n1, n2) -> tuple:
     """Nonzero covariance entries of a TMSV/ASTM probe, as _two_mode_cov takes them.
 
     Takes floats or equal-shaped arrays, and returns the same. The squeezers
-    (reference.single_mode_squeezer) scale rows and then columns of the TMSV
+    (diagonal symplectic maps) scale rows and then columns of the TMSV
     covariance by m = (gamma_-, gamma_+) on their mode, cov -> (cov m_i) m_j,
     which is what S cov S^T does with a diagonal S, rounding included.
     """

@@ -191,25 +191,33 @@ def standard_form_spectrum(entries) -> StandardSpectrum:
         with np.errstate(all="ignore"):
             det_x, det_p = ax * bx - cx * cx, ap * bp - cp * cp
             nu, gap, k = _spectrum(entries, det_x, det_p)
-        nu, k = np.array(nu), np.array(k)
+            nu, k = np.array(nu), np.array(k)
+            # det_x det_p is not finite where an entry is not; where it
+            # overflows from finite entries, the loop below passes the column.
+            bad = ~((np.minimum(np.minimum(ax, ap), np.minimum(det_x, det_p)) > 0.0)
+                    & (nu[1] >= 1.0 - EIGENVALUE_CLAMP_TOL) & np.isfinite(det_x * det_p))
         errors, tol = [None] * nu.shape[1], np.full(nu.shape[1], EIGENVALUE_CLAMP_TOL)
-        # det_x det_p is not finite where an entry is not; where it overflows
-        # from finite entries, the loop below passes the column.
-        bad = ~((np.minimum(np.minimum(ax, ap), np.minimum(det_x, det_p)) > 0.0)
-                & (nu[1] >= 1.0 - EIGENVALUE_CLAMP_TOL) & np.isfinite(det_x * det_p))
         for i in np.flatnonzero(bad):
             entry = entries[:, i].astype(float).tolist()
             errors[i] = _definiteness(entry, det_x[i], det_p[i])
+            if errors[i] is None and _range_error(nu[:, i]):
+                column, column_gap, column_k = _centred_spectrum(entries[:, i:i + 1], entry)
+                nu[:, i], gap[i], k[:, i] = np.concatenate(column), column_gap[0], np.concatenate(column_k)
+                errors[i] = _range_error(nu[:, i])
             if errors[i] is None:
                 errors[i], tol[i] = _shortfall(entry, float(nu[1, i]),
                                                k[:, i].astype(float).tolist())
         return StandardSpectrum(nu, gap, k, errors, tol)
     det_x, det_p = ax * bx - cx * cx, ap * bp - cp * cp
     error = _definiteness(entries, det_x, det_p)
+    if not error:
+        nu, gap, k = _spectrum(entries, det_x, det_p)
+        if _range_error(nu):
+            nu, gap, k = _centred_spectrum(entries, entries)
+            error = _range_error(nu)
     if error:
         return StandardSpectrum((math.nan,) * 2, math.nan, (math.nan,) * 4,
                                 [error], math.nan)
-    nu, gap, k = _spectrum(entries, det_x, det_p)
     error, tol = _shortfall(entries, nu[1], k)
     return StandardSpectrum(nu, gap, k, [error], tol)
 
@@ -228,6 +236,33 @@ def _spectrum(entries, det_x, det_p) -> tuple:
     k = (_where(first, big, small), k12, k21, _where(first, small, big))
     hi2 = 0.5 * (ap * ax + bp * bx + 2.0 * cp * cx + gap)
     return (_sqrt(hi2), _sqrt(det_x * det_p / hi2)), gap, k
+
+
+def _range_error(nu) -> str | None:
+    """Why a computed nu_+, nu_- is not a spectrum (0, inf or NaN), or None."""
+    if 0.0 < nu[1] and nu[0] < math.inf:
+        return None
+    return "covariance entries span too wide a range"
+
+
+def _centred_spectrum(entries, entry) -> tuple:
+    """_spectrum of one covariance whose products of entries overflow or
+    underflow: entries as six floats or six (1,) arrays, entry as floats.
+
+    The entries are scaled by the power of 2 that centres the exponents of
+    the largest and smallest nonzero ones. nu_+- scale by it and g and the
+    entries of PX - nu_-^2 by its square, all exactly, so undoing the scale
+    gives the spectrum where the entries alone are in range:
+    diag(1, 1, 1, 1e300) has nu = (1e150, 1), though x^2 ~ 1e600.
+    """
+    sizes = [abs(e) for e in entry if e]
+    shift = (math.frexp(max(sizes))[1] + math.frexp(min(sizes))[1]) // 2
+    scale = math.ldexp(1.0, -shift)
+    ax, ap, bx, bp, cx, cp = scaled = [e * scale for e in entries]
+    square = scale * scale
+    with np.errstate(all="ignore"):
+        (hi, lo), gap, k = _spectrum(scaled, ax * bx - cx * cx, ap * bp - cp * cp)
+        return (hi / scale, lo / scale), gap / square, tuple(v / square for v in k)
 
 
 def _definiteness(entry, det_x, det_p) -> str | None:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gqi import SymplecticMatrix, symplectic_form
+from gqi import symplectic_form
+from oracles import SymplecticMatrix
 
 
 def random_symplectic(n_modes: int, rng: np.random.Generator,

@@ -1,0 +1,286 @@
+"""Test oracles: general symplectic algebra, the textbook G_p and Lambda_p,
+and a truncated-Fock brute-force Q_s.
+
+Independent checks of the closed forms of gqi, which needs numpy alone;
+these use scipy.linalg.
+
+Symplectic toolkit: SymplecticMatrix, the Williamson form through the
+symmetric square root of the covariance (e.g. Pirandola & Lloyd, PRA 78,
+012331 (2008)), squeezers and the photon/squeezing conversions, and the
+scalar G_p, Lambda_p and V(p).
+
+Fock oracle: independent of the covariance-matrix route. The probe is built
+from the number-basis TMSV amplitudes, squeezers and the target beam
+splitter are truncated matrix exponentials of their generators, and the
+thermal source enters as a Fock-diagonal mixture. Intended for small photon
+numbers where a modest cutoff captures the populations.
+"""
+
+from dataclasses import dataclass, field
+
+import numpy as np
+from scipy.linalg import expm, schur, sqrtm
+
+from gqi.chernoff import _em, _log_ratio, _mode_parts, _snap
+from gqi.probes import ProbeKind, ProbeSpec, TargetScenario, _squeezer_gains
+from gqi.symplectic import (EIGENVALUE_CLAMP_TOL, GaussianState, ValidationError,
+                            _check_covariance, _require_physical, symplectic_form)
+
+SYMPLECTIC_RESIDUAL_TOL = 1e-10
+
+# g_func and lambda_func take a bare eigenvalue within this of 1 as pure.
+_PURE_TOL = 1e-14
+
+
+@dataclass
+class SymplecticMatrix:
+    """Real 2n x 2n matrix S with S Omega S^T = Omega."""
+
+    entries: np.ndarray
+
+    def __post_init__(self):
+        self.entries = np.asarray(self.entries, dtype=float)
+        m = self.entries
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
+            raise ValidationError(f"symplectic matrix must be 2n x 2n, got {m.shape}")
+        omega = symplectic_form(m.shape[0] // 2)
+        residual = np.linalg.norm(m @ omega @ m.T - omega)
+        # Rounding in S Omega S^T grows with the entries of S, so the bound
+        # scales with |S|^2 (a squeezer with N photons has |S|^2 ~ 4N).
+        if residual > SYMPLECTIC_RESIDUAL_TOL * max(1.0, np.vdot(m, m)):
+            raise ValidationError(
+                f"matrix is not symplectic: |S Omega S^T - Omega| = {residual:g}"
+            )
+
+    @property
+    def n_modes(self) -> int:
+        return self.entries.shape[0] // 2
+
+
+@dataclass
+class WilliamsonDecomposition:
+    """V = S (direct sum nu_k I_2) S^T with S symplectic, nu descending."""
+
+    s_matrix: SymplecticMatrix
+    spectrum: np.ndarray = field(default_factory=lambda: np.array([]))
+
+    def reconstruct(self) -> np.ndarray:
+        s = self.s_matrix.entries
+        d = np.repeat(self.spectrum, 2)
+        return (s * d) @ s.T
+
+
+def williamson(cov: np.ndarray) -> WilliamsonDecomposition:
+    """Williamson normal form via the symmetric square root of the covariance.
+
+    Builds W = V^{-1/2} Omega V^{-1/2} (antisymmetric), brings it to real
+    canonical form with a Schur decomposition, and assembles the symplectic
+    S = V^{1/2} O D^{-1/2}. Eigenvalues below 1 within the physical-state
+    tolerance of GaussianState are clamped to 1; larger violations raise.
+    """
+    cov = _check_covariance(cov)
+    n = cov.shape[0] // 2
+    root = np.real(sqrtm(cov))
+    root_inv = np.linalg.inv(root)
+    w = root_inv @ symplectic_form(n) @ root_inv
+    w = 0.5 * (w - w.T)  # exact antisymmetry against roundoff
+    t, o = schur(w, output="real")
+
+    # Normalize each 2x2 block to [[0, lambda], [-lambda, 0]] with lambda > 0.
+    lam = np.empty(n)
+    for k in range(n):
+        i = 2 * k
+        if t[i, i + 1] < 0.0:
+            o[:, [i, i + 1]] = o[:, [i + 1, i]]
+            t[[i, i + 1], :] = t[[i + 1, i], :]
+            t[:, [i, i + 1]] = t[:, [i + 1, i]]
+        lam[k] = t[i, i + 1]
+    nu = 1.0 / lam
+
+    order = np.argsort(-nu)
+    col_order = np.empty(2 * n, dtype=int)
+    for new, old in enumerate(order):
+        col_order[2 * new] = 2 * old
+        col_order[2 * new + 1] = 2 * old + 1
+    o = o[:, col_order]
+    nu = nu[order]
+
+    _require_physical(cov, nu.min())
+    s = root @ o @ np.diag(np.repeat(1.0 / np.sqrt(nu), 2))
+    nu = np.maximum(nu, 1.0)
+    return WilliamsonDecomposition(SymplecticMatrix(s), nu)
+
+
+def apply_symplectic(state: GaussianState, s: SymplecticMatrix) -> GaussianState:
+    """Conjugate a state by a symplectic map: cov -> S cov S^T, mean -> S mean."""
+    if s.n_modes != state.n_modes:
+        raise ValidationError(
+            f"dimension mismatch: state has {state.n_modes} modes, "
+            f"symplectic acts on {s.n_modes}"
+        )
+    m = s.entries
+    return GaussianState(state.n_modes, m @ state.mean, m @ state.cov @ m.T)
+
+
+def single_mode_squeezer(n_mean: float, mode: int, n_modes: int) -> SymplecticMatrix:
+    """Squeezer on one mode, parameterized by its mean photon number N = sinh^2 r.
+
+    Diagonal with (gamma_-, gamma_+) = (sqrt(N+1) -+ sqrt(N)) on the chosen
+    mode's (x, p) entries; identity elsewhere.
+    """
+    if n_mean < 0:
+        raise ValidationError(f"squeezer photon number must be >= 0, got {n_mean}")
+    if not 0 <= mode < n_modes:
+        raise ValidationError(f"mode {mode} out of range for {n_modes} modes")
+    s = np.eye(2 * n_modes)
+    s[2 * mode, 2 * mode], s[2 * mode + 1, 2 * mode + 1] = _squeezer_gains(n_mean)
+    return SymplecticMatrix(s)
+
+
+def photons_from_squeezing(r: float) -> float:
+    """Mean photon number N = sinh^2 r of a squeezed vacuum."""
+    return float(np.sinh(r) ** 2)
+
+
+def squeezing_from_photons(n_mean: float) -> float:
+    """Inverse of photons_from_squeezing: r = arcsinh(sqrt(N))."""
+    if n_mean < 0:
+        raise ValidationError(f"photon number must be >= 0, got {n_mean}")
+    return float(np.arcsinh(np.sqrt(n_mean)))
+
+
+def _scalar_em(p: float, x: float) -> tuple[float, float]:
+    """(nu, em) for one eigenvalue x, with a pure mode snapped to nu = 1."""
+    if not p > 0.0:
+        raise ValidationError(f"G_p/Lambda_p need p > 0, got {p}")
+    if not x >= 1.0 - EIGENVALUE_CLAMP_TOL:
+        raise ValidationError(f"G_p/Lambda_p need x >= 1, got {x}")
+    nu = _snap(np.array([x]), _PURE_TOL)
+    return float(nu[0]), float(_em(float(p), _log_ratio(nu))[0])
+
+
+def g_func(p: float, x: float) -> float:
+    """G_p(x) = 2^p / ((x+1)^p - (x-1)^p), with G_p(1) = 1 as the limit."""
+    nu, em = _scalar_em(p, x)
+    return (2.0 / (nu + 1.0)) ** p / em
+
+
+def lambda_func(p: float, x: float) -> float:
+    """Lambda_p(x) = ((x+1)^p + (x-1)^p) / ((x+1)^p - (x-1)^p); limit 1 at x=1."""
+    _, em = _scalar_em(p, x)
+    return (2.0 - em) / em
+
+
+def v_of_p(cov: np.ndarray, p: float) -> np.ndarray:
+    """S Lambda_p(D) S^T for the Williamson form V = S D S^T of cov."""
+    nu, parts = _mode_parts(cov)
+    lam = [lambda_func(p, x) for x in nu]
+    return np.tensordot(lam, parts, axes=1)
+
+
+# Truncated-Fock oracle
+
+TRACE_DEFICIT_TOL = 1e-8
+_THERMAL_TAIL = 1e-14
+
+
+def annihilation(cutoff: int) -> np.ndarray:
+    return np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+
+
+def squeezer_matrix(r: float, cutoff: int) -> np.ndarray:
+    """exp[(r/2)(a^2 - a†^2)] truncated to the first `cutoff` Fock levels."""
+    a = annihilation(cutoff)
+    return expm(0.5 * r * (a @ a - a.T @ a.T))
+
+
+def beam_splitter_matrix(kappa: float, cutoff: int) -> np.ndarray:
+    """Two-mode mixer with output port sqrt(kappa) a_sig + sqrt(1-kappa) a_env."""
+    a = annihilation(cutoff)
+    theta = np.arccos(np.sqrt(kappa))
+    gen = np.kron(a.T, a) - np.kron(a, a.T)
+    return expm(theta * gen)
+
+
+def _thermal_populations(n_mean: float, cutoff: int) -> np.ndarray:
+    n = np.arange(cutoff)
+    return n_mean**n / (n_mean + 1.0) ** (n + 1)
+
+
+def _tmsv_amplitudes(n0: float, cutoff: int) -> np.ndarray:
+    # psi[signal, idler] with nonzero entries on the diagonal only
+    n = np.arange(cutoff)
+    return np.diag(np.sqrt(n0**n / (n0 + 1.0) ** (n + 1)))
+
+
+def fock_hypotheses(probe: ProbeSpec, scenario: TargetScenario,
+                    cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense truncated density matrices (rho_a, rho_b) for both hypotheses."""
+    kappa, nb = scenario.kappa, scenario.nb
+    n_source = nb / (1.0 - kappa)
+    bs = beam_splitter_matrix(kappa, cutoff).reshape(cutoff, cutoff, cutoff, cutoff)
+    source = _thermal_populations(n_source, cutoff)
+
+    if probe.kind is ProbeKind.COHERENT:
+        k = np.arange(cutoff)
+        log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1.0, cutoff)))))
+        psi = np.exp(-probe.ns / 2.0 + 0.5 * k * np.log(probe.ns) - 0.5 * log_fact) \
+            if probe.ns > 0 else np.eye(cutoff)[0]
+        rho_a = np.zeros((cutoff, cutoff))
+        for n, p in enumerate(source):
+            if p < _THERMAL_TAIL and n > 4:
+                break
+            out = np.einsum("sexy,x,y->se", bs, psi, np.eye(cutoff)[n])
+            rho_a += p * (out @ out.T)
+        rho_b = np.diag(_thermal_populations(nb, cutoff))
+        _check_trace(rho_a, rho_b, cutoff)
+        return rho_a, rho_b
+
+    psi = _tmsv_amplitudes(probe.n0, cutoff)
+    psi = squeezer_matrix(squeezing_from_photons(probe.n1), cutoff) @ psi
+    psi = psi @ squeezer_matrix(squeezing_from_photons(probe.n2), cutoff).T
+
+    dim = cutoff * cutoff
+    rho_a = np.zeros((dim, dim))
+    for n, p in enumerate(source):
+        if p < _THERMAL_TAIL and n > 4:
+            break
+        # out[s, i, e]: beam splitter couples the signal leg to the source
+        out = np.einsum("sexy,xi,y->sie", bs, psi, np.eye(cutoff)[n])
+        flat = out.reshape(dim, cutoff)
+        rho_a += p * (flat @ flat.T)
+
+    rho_idler = psi.T @ psi
+    rho_b = np.einsum(
+        "ab,cd->acbd", np.diag(_thermal_populations(nb, cutoff)), rho_idler
+    ).reshape(dim, dim)
+    _check_trace(rho_a, rho_b, cutoff)
+    return rho_a, rho_b
+
+
+def _check_trace(rho_a: np.ndarray, rho_b: np.ndarray, cutoff: int) -> None:
+    deficit = max(abs(1.0 - np.trace(rho_a)), abs(1.0 - np.trace(rho_b)))
+    if deficit > TRACE_DEFICIT_TOL:
+        raise ValidationError(
+            f"Fock cutoff {cutoff} too small: trace deficit {deficit:g}"
+        )
+
+
+def q_s_from_density_matrices(rho_a: np.ndarray, rho_b: np.ndarray,
+                              s: float) -> float:
+    """Tr(rho_a^s rho_b^{1-s}) by eigendecomposition of both operators."""
+    if not 0.0 <= s <= 1.0:
+        raise ValidationError(f"s must lie in [0, 1], got {s}")
+    vals_a, vecs_a = np.linalg.eigh(rho_a)
+    vals_b, vecs_b = np.linalg.eigh(rho_b)
+    vals_a = np.clip(vals_a, 0.0, None)
+    vals_b = np.clip(vals_b, 0.0, None)
+    overlap = vecs_a.T @ vecs_b
+    return float(vals_a**s @ (overlap**2) @ vals_b ** (1.0 - s))
+
+
+def fock_oracle_q_s(probe: ProbeSpec, scenario: TargetScenario, s: float,
+                    cutoff: int = 30) -> float:
+    """Brute-force Q_s; refuses when the cutoff visibly truncates the states."""
+    rho_a, rho_b = fock_hypotheses(probe, scenario, cutoff)
+    return q_s_from_density_matrices(rho_a, rho_b, s)

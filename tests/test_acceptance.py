@@ -16,7 +16,6 @@ from gqi import (
     MICROWAVE,
     ProbeKind,
     ProbeSpec,
-    SymplecticMatrix,
     TargetScenario,
     ValidationError,
     advantage_threshold,
@@ -24,22 +23,20 @@ from gqi import (
     chernoff_infimum,
     cross_correlation,
     entropy_f,
-    fock_oracle_q_s,
     gaussian_discord,
     make_hypotheses,
     mean_photon,
     probe_state,
     q_s,
-    single_mode_squeezer,
     slope_fit,
     snr,
     solve_n1_for_signal_energy,
     sweep,
     symplectic_form,
     tmsv_state,
-    williamson,
 )
 from gqi.sweeps import FIT_TO_DEFAULT, _astm_ci_slopes
+from oracles import SymplecticMatrix, fock_oracle_q_s, single_mode_squeezer, williamson
 
 
 SCORECARD: list[str] = []

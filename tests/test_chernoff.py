@@ -13,13 +13,9 @@ from gqi import (
     GaussianState,
     ProbeKind,
     ProbeSpec,
-    SymplecticMatrix,
     TargetScenario,
     ValidationError,
-    apply_symplectic,
     chernoff_infimum,
-    g_func,
-    lambda_func,
     log_error_prob,
     log_p_from_snr,
     make_hypotheses,
@@ -28,13 +24,13 @@ from gqi import (
     snr_from_log_p,
     sweep,
     symplectic_form,
-    v_of_p,
-    williamson,
 )
 from gqi import chernoff
 from gqi.chernoff import discriminate, discriminate_many
 from gqi.probes import HypothesisPair, tmsv_state
-from gqi.reference import _PairData
+from gqi.chernoff import _PairData
+from oracles import (SymplecticMatrix, apply_symplectic, g_func, lambda_func, v_of_p,
+                     williamson)
 
 
 EPS = np.finfo(float).eps
@@ -458,6 +454,31 @@ class TestSnrInversion:
         assert snr_from_log_p(-math.inf) == math.inf
         assert log_p_from_snr(math.inf) == -math.inf
 
+    def test_map_against_mpmath(self):
+        # Forward on 3000 log-uniform x in [1e-12, 1e8]; inverse on the
+        # float ln P of those with x > 1e-4 and on the ln P that M = 1e12
+        # copies give at exponents 1e-14 to 1. Below x ~ 1e-4 the rounding
+        # of ln P itself, ~eps / sqrt(x) of x, sets the inverse's error.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20261019)
+        xs = 10.0 ** rng.uniform(-12.0, 8.0, 3000)
+        with mpmath.workdps(40):
+            def exact(x):
+                return mpmath.log(mpmath.erfc(mpmath.sqrt(x)) / 2)
+
+            worst = max(abs(log_p_from_snr(x) / exact(x) - 1) for x in xs)
+            assert worst <= 1e-15
+            log_ps = [float(exact(x)) for x in xs if x > 1e-4]
+            log_ps += [math.log(0.5) - 1e12 * e for e in np.geomspace(1e-14, 1.0, 200)]
+            for log_p in log_ps:
+                x = snr_from_log_p(log_p)
+                root = mpmath.mpf(x)
+                for _ in range(2):  # Newton at 40 digits from x
+                    y = mpmath.sqrt(root)
+                    slope = -mpmath.exp(-root) / (mpmath.sqrt(mpmath.pi) * y * mpmath.erfc(y))
+                    root -= (exact(root) - log_p) / slope
+                assert abs(x / root - 1) <= 2e-14, log_p
+
 
 class TestLogErrorProb:
     def test_matches_direct_formula(self):
@@ -593,6 +614,18 @@ class TestSnrPipeline:
             for n2 in (0.0, 1e6)
         ]
         assert values[1] == pytest.approx(values[0], rel=1e-9)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "_standard snaps a mode to pure within 256 eps (max|V| + 1/det R); a "
+        "1e6-photon idler squeezer makes max|V| ~ 1e7 and snaps the mixed "
+        "return mode (ROADMAP item 7)"))
+    def test_strong_idler_squeezing_at_low_noise(self):
+        # The 50-digit reference (perfbench/reference.py) gives
+        # 282.344474187836 here, as does n2 = 0; the core returns 284.926
+        # with s* = 0.967, 0.9% off and with no error.
+        result = snr(ProbeSpec(kind=ProbeKind.ASTM, n0=1.0, n1=1.0, n2=1e6),
+                     TargetScenario(0.1, 1e-7, 1e3))
+        assert result.snr == pytest.approx(282.344474187836, rel=1e-9)
 
     def test_idler_squeezing_has_no_effect(self):
         scenario = TargetScenario(kappa=0.01, nb=3.8e3, ensembles=1e7)
@@ -734,6 +767,17 @@ class TestDiscriminateMany:
             s_star, q_min = chernoff_infimum(pair)
             result = discriminate(pair, 10.0)
             assert (result.s_star, result.q_min) == (s_star, q_min)
+
+    def test_nearly_product_pair_on_the_general_path(self):
+        # rho_A of TMSV n0 = 1e-9 at kappa = 0.5, N_B = 0 is nearly a product
+        # state (nu_+ - 1 = 1e-9, nu_- = 1). Formed as det C (det A + det B)
+        # + tr(A J C J B J C^T J), u cancelled to 0, which put 1 - Q near
+        # s = 0 at 7.5e-10. At 120 digits it is 5.0e-10 there and
+        # 5.43035402e-10 at s = 0.47.
+        pair = make_hypotheses(ProbeSpec(kind=ProbeKind.TMSV, n0=1e-9),
+                               TargetScenario(0.5, 0.0, 1e6))
+        one_minus_q = 1.0 - _PairData(pair).q(np.array([1e-12, 0.47]))
+        np.testing.assert_allclose(one_minus_q, [5.0e-10, 5.43035402045e-10], rtol=1e-6)
 
     def test_underflow_on_the_general_path_is_named(self):
         # -ln Q ~ 2500: Q_min is 0.0 in float64, which log_error_prob

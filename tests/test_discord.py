@@ -203,6 +203,14 @@ class TestSpectrumSnap:
         assert result.branch == "pure"
         assert result.value == pytest.approx(2.447304628875966, rel=1e-9)
 
+    def test_wide_product_state(self):
+        # GaussianState accepts diag(1, 1, 1, 1e300) (spectrum 1e150, 1);
+        # its discord raised ZeroDivisionError in the closed-form spectrum.
+        state = GaussianState(2, np.zeros(4), np.diag([1.0, 1.0, 1.0, 1e300]))
+        result = gaussian_discord(state)
+        assert result.value == 0.0
+        assert result.nu_pair == pytest.approx((1e150, 1.0), rel=1e-15)
+
     def test_strongly_squeezed_tmsv_is_pure(self):
         # tmsv_state(1e4) reads its spectrum as 1 -+ ~4e-8, within the
         # tolerance it was validated with.

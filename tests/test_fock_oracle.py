@@ -6,13 +6,11 @@ from gqi import (
     ProbeSpec,
     TargetScenario,
     ValidationError,
-    fock_hypotheses,
-    fock_oracle_q_s,
     make_hypotheses,
     q_s,
-    q_s_from_density_matrices,
 )
-from gqi.fock import annihilation, beam_splitter_matrix, squeezer_matrix
+from oracles import (annihilation, beam_splitter_matrix, fock_hypotheses, fock_oracle_q_s,
+                     q_s_from_density_matrices, squeezer_matrix)
 
 CUTOFF = 30
 SMALL_SCENARIO = TargetScenario(kappa=0.3, nb=0.4)

@@ -14,11 +14,12 @@ from gqi import (
     cross_correlation,
     make_hypotheses,
     mean_photon,
-    apply_symplectic,
-    single_mode_squeezer,
     symplectic_eigenvalues,
+    snr,
     tmsv_state,
 )
+from gqi.probes import _squeezer_gains
+from oracles import apply_symplectic, single_mode_squeezer
 
 photons = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
 
@@ -77,6 +78,25 @@ class TestAstmState:
             np.sqrt((n1 + 1) * (n2 + 1)) + np.sqrt(n1 * n2)
         )
         assert cross_correlation(state) == pytest.approx(expected, abs=1e-9)
+
+    def test_squeezer_gains_are_reciprocal(self):
+        # gamma_- = sqrt(N+1) - sqrt(N) cancels; its relative error grew like
+        # 4N eps, and gamma_- gamma_+ drifted from 1 by as much.
+        eps = np.finfo(float).eps
+        for n in np.concatenate([[0.0], np.geomspace(1e-6, 1e15, 400)]):
+            minus, plus = _squeezer_gains(float(n))
+            assert abs(minus * plus - 1.0) <= 2.0 * eps, n
+        minus, plus = _squeezer_gains(np.geomspace(1e-6, 1e15, 400))
+        np.testing.assert_allclose(minus * plus, 1.0, rtol=2.0 * eps, atol=0.0)
+
+    def test_idler_squeezing_leaves_the_snr(self):
+        # Local squeezing of the idler, which never leaves the lab, changes
+        # neither hypothesis' distinguishability; with the cancelling gamma_-
+        # the SNR moved by 9.2e-8 at n2 = 1e9.
+        scenario = TargetScenario(0.1, 1e-3, 1e6)
+        values = [snr(ProbeSpec(kind=ProbeKind.ASTM, n0=1.0, n1=1.0, n2=n2),
+                      scenario).snr for n2 in (0.0, 1e4, 1e6, 1e8, 1e9)]
+        np.testing.assert_allclose(values, values[0], rtol=1e-13, atol=0.0)
 
     @given(n0=photons, n1=photons, n2=photons)
     @settings(max_examples=40, deadline=None)

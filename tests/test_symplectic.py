@@ -7,16 +7,10 @@ from gqi import (
     GaussianState,
     ProbeKind,
     ProbeSpec,
-    SymplecticMatrix,
     TargetScenario,
     ValidationError,
-    apply_symplectic,
-    photons_from_squeezing,
-    single_mode_squeezer,
-    squeezing_from_photons,
     symplectic_eigenvalues,
     symplectic_form,
-    williamson,
 )
 from gqi.chernoff import discriminate
 from gqi.probes import (HypothesisPair, _probe_entries, _return_entries, _two_mode_cov,
@@ -24,6 +18,8 @@ from gqi.probes import (HypothesisPair, _probe_entries, _return_entries, _two_mo
 from gqi.symplectic import standard_form_spectrum
 
 from conftest import random_physical_cov, random_symplectic
+from oracles import (SymplecticMatrix, apply_symplectic, photons_from_squeezing,
+                     single_mode_squeezer, squeezing_from_photons, williamson)
 
 photons = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
 
@@ -364,6 +360,33 @@ class TestStandardFormSpectrum:
                             ((1.0 - 1e-6,) * 4 + (0.0, 0.0), "smallest symplectic")):
             spec = standard_form_spectrum(bad)
             assert len(spec.errors) == 1 and reason in spec.errors[0]
+
+    def test_wide_entries_keep_their_spectrum(self):
+        # x^2 ~ 1e600 overflowed, nu_- came out 0 and the shortfall check
+        # divided by it (ZeroDivisionError), as floats and as a column.
+        entries = (1.0, 1.0, 1.0, 1e300, 0.0, 0.0)
+        floats = standard_form_spectrum(entries)
+        assert floats.errors == [None]
+        assert floats.nu == pytest.approx((1e150, 1.0), rel=1e-15)
+        column = standard_form_spectrum(np.array(entries)[:, None])
+        assert column.errors == [None]
+        np.testing.assert_allclose(column.nu[:, 0], [1e150, 1.0], rtol=1e-15)
+
+    def test_underflowing_entries_are_rejected(self):
+        # det X det P ~ 1e-400 underflowed to 0: nu_- read 0, then the same
+        # division by it.
+        entries = (1e-100,) * 4 + (0.0, 0.0)
+        for spec in (standard_form_spectrum(entries),
+                     standard_form_spectrum(np.array(entries)[:, None])):
+            assert "smallest symplectic eigenvalue 1e-100" in spec.errors[0]
+
+    def test_entries_beyond_range_are_rejected(self):
+        # PX has entries of 1e400: no float64 spectrum, and a ValidationError
+        # reason rather than a NaN one.
+        entries = (1e200, 1e200, 1.0, 1.0, 0.0, 0.0)
+        for spec in (standard_form_spectrum(entries),
+                     standard_form_spectrum(np.array(entries)[:, None])):
+            assert spec.errors == ["covariance entries span too wide a range"]
 
     def test_rejects_each_bad_covariance_alone(self):
         good = standard_entries(tmsv_state(1.0).cov)[:, 0]
