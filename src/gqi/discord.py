@@ -118,12 +118,15 @@ def _standard_discord(entries) -> DiscordResult:
     if spec.errors[0]:
         raise ValidationError(spec.errors[0])
     ax, ap, bx, bp, cx, cp = entries
+    product = not (cx or cp)
     # alpha, beta and gamma are products of two entries. det X det P, and
     # with it delta and nu_+-^2, cancels for a strongly correlated state.
-    det_ulps = _INPUT_ULPS * (1.0 + (ax * bx + cx * cx) / (ax * bx - cx * cx)
-                              + (ap * bp + cp * cp) / (ap * bp - cp * cp))
+    # A product state has no discord to round, and its det X may underflow.
+    det_ulps = 0.0 if product else _INPUT_ULPS * (
+        1.0 + (ax * bx + cx * cx) / (ax * bx - cx * cx)
+        + (ap * bp + cp * cp) / (ap * bp - cp * cp))
     return _discord(_standard_determinants(entries), spec.nu, spec.tol,
-                    not (cx or cp), _INPUT_ULPS, det_ulps)
+                    product, _INPUT_ULPS, det_ulps)
 
 
 def _discord(d: BlockDeterminants, nu, tol: float, product: bool,

@@ -21,13 +21,17 @@ SYMMETRY_RTOL = 1e-12
 # more than the error of the computed spectrum. eigvals is backward stable:
 # its spectrum is exact for i Omega V + E, |E| ~ eps max|V|, so nu_k is off
 # by up to |E| |x|^2 / |x^H i Omega x| (x its eigenvector, i Omega x the left
-# one): |E| times the condition number of nu_k. That is ~eps max|V|^2 for a strongly squeezed
-# mode (tmsv_state(1e4) reads 1 - 3.7e-8) and ~eps max|V| for one that is
-# not (diag(2e8, 2e8, 0.9, 0.9) is rejected). On ~9000 sampled pure and
-# nearly pure states (closed-form TMSV and ASTM probes with n0 up to 3e4 and
-# squeezers up to 1e6 photons, the same through random beam splitters and
-# phases, S diag(nu) S^T for random one- and two-mode symplectic S) whose
-# shortfall exceeded 1e-10, it stayed below 1.4 times that bound.
+# one): |E| times the condition number of nu_k. That is ~eps max|V|^2 for a
+# strongly squeezed mode (symplectic_eigenvalues reads the pure covariance of
+# tmsv_state(1e4) as 1 - 3.7e-8, and the same state of 5e3 photons through
+# a beam splitter, out of standard form, as 1 - 1.9e-8) and ~eps max|V| for
+# one that is not (diag(2e8, 2e8, 0.9, 0.9) is rejected). On ~9000 sampled
+# pure and nearly pure states (closed-form TMSV and ASTM probes with n0 up
+# to 3e4 and squeezers up to 1e6 photons, the same through random beam
+# splitters and phases, S diag(nu) S^T for random one- and two-mode
+# symplectic S) whose shortfall exceeded 1e-10, it stayed below 1.4 times
+# that bound. A covariance in standard form is held to the same bound in
+# closed form (standard_form_spectrum).
 _SPECTRUM_ULPS = 8
 
 
@@ -91,8 +95,13 @@ def _require_physical(cov: np.ndarray, nu_min: float) -> float:
     ev, vecs = np.linalg.eig(i_omega @ cov)
     x = vecs[:, np.argmin(np.abs(ev))]
     norm = abs(np.vdot(x, i_omega @ x))
-    nu = np.vdot(x, cov @ x).real / norm
-    tol = _allowed_shortfall(np.abs(cov).max(), np.vdot(x, x).real / norm)
+    with np.errstate(all="ignore"):
+        nu = np.vdot(x, cov @ x).real / norm
+        tol = _allowed_shortfall(np.abs(cov).max(), np.vdot(x, x).real / norm)
+    # eigvals reads the spectrum of diag(1e-300, 1e300) as 0, and norm with
+    # it: no bound follows.
+    if not tol < math.inf:
+        raise ValidationError(_WIDE_RANGE)
     if nu < 1.0 - tol:
         raise ValidationError(_unphysical(nu))
     return tol
@@ -106,6 +115,9 @@ def _allowed_shortfall(scale: float, condition: float) -> float:
     """
     return max(EIGENVALUE_CLAMP_TOL,
                _SPECTRUM_ULPS * np.finfo(float).eps * scale * condition)
+
+
+_WIDE_RANGE = "covariance entries span too wide a range"
 
 
 def _unphysical(nu: float) -> str:
@@ -242,7 +254,7 @@ def _range_error(nu) -> str | None:
     """Why a computed nu_+, nu_- is not a spectrum (0, inf or NaN), or None."""
     if 0.0 < nu[1] and nu[0] < math.inf:
         return None
-    return "covariance entries span too wide a range"
+    return _WIDE_RANGE
 
 
 def _centred_spectrum(entries, entry) -> tuple:
@@ -254,22 +266,39 @@ def _centred_spectrum(entries, entry) -> tuple:
     entries of PX - nu_-^2 by its square, all exactly, so undoing the scale
     gives the spectrum where the entries alone are in range:
     diag(1, 1, 1, 1e300) has nu = (1e150, 1), though x^2 ~ 1e600.
+
+    A product state (x1x2 = p1p2 = 0) takes each mode's nu as
+    sqrt(x x) sqrt(p p), which squares no product: diag(1e200, 1e200, 1, 1)
+    has nu = (1e200, 1) and diag(1e-300, 1e300, 1e-300, 1e300) nu = (1, 1),
+    though no scale brings their x^2 or det X into range.
     """
-    sizes = [abs(e) for e in entry if e]
-    shift = (math.frexp(max(sizes))[1] + math.frexp(min(sizes))[1]) // 2
-    scale = math.ldexp(1.0, -shift)
-    ax, ap, bx, bp, cx, cp = scaled = [e * scale for e in entries]
-    square = scale * scale
     with np.errstate(all="ignore"):
+        if not (entry[4] or entry[5]):
+            ax, ap, bx, bp, zero, _ = entries
+            first, second = _sqrt(ax) * _sqrt(ap), _sqrt(bx) * _sqrt(bp)
+            hi, lo = (first, second) if first >= second else (second, first)
+            k = ((first - lo) * (first + lo), zero, zero, (second - lo) * (second + lo))
+            return (hi, lo), (hi - lo) * (hi + lo), k
+        sizes = [abs(e) for e in entry if e]
+        shift = (math.frexp(max(sizes))[1] + math.frexp(min(sizes))[1]) // 2
+        scale = math.ldexp(1.0, -shift)
+        ax, ap, bx, bp, cx, cp = scaled = [e * scale for e in entries]
+        square = scale * scale
         (hi, lo), gap, k = _spectrum(scaled, ax * bx - cx * cx, ap * bp - cp * cp)
         return (hi / scale, lo / scale), gap / square, tuple(v / square for v in k)
 
 
 def _definiteness(entry, det_x, det_p) -> str | None:
-    """Why one standard-form covariance is not positive definite, or None."""
+    """Why one standard-form covariance is not positive definite, or None.
+
+    Without cross entries det X = x1x1 x2x2 > 0 iff x2x2 > 0, whether or not
+    the product underflows; det P likewise.
+    """
     if not all(map(math.isfinite, entry)):
         return "covariance has a non-finite entry"
-    if not (entry[0] > 0.0 and entry[1] > 0.0 and det_x > 0.0 and det_p > 0.0):
+    ax, ap, bx, bp, cx, cp = entry
+    if not (ax > 0.0 and ap > 0.0 and (det_x > 0.0 or not cx and bx > 0.0)
+            and (det_p > 0.0 or not cp and bp > 0.0)):
         return "covariance matrix is not positive definite"
     return None
 
@@ -313,9 +342,13 @@ class GaussianState:
     """Gaussian state: quadrature mean vector and covariance over n modes.
 
     Construction validates the state and keeps the symplectic spectrum of
-    the covariance it was given (descending) as ``spectrum``. The smallest
-    symplectic eigenvalue may fall below 1 by max(1e-9, the error of the
-    computed spectrum); williamson applies the same test. That error follows
+    the covariance it was given (descending) as ``spectrum``. A two-mode
+    covariance in standard form (no x-p correlations, as _standard_entries
+    decides: every probe and hypothesis state the package builds) takes the
+    closed form of standard_form_spectrum, with no LAPACK call; any other
+    covariance takes the Cholesky and eigvals of symplectic_eigenvalues.
+    Either way the smallest symplectic eigenvalue may fall below 1 by
+    max(1e-9, the error of an eigvals spectrum). That error follows
     the conditioning of the eigenvalue, not |V| alone, so a state whose
     small entries sit below the rounding of its large ones passes:
     diag(2e8, 1e-9) (nu = 0.45) is within eps * 2e8 = 4.4e-8 of the pure
@@ -343,7 +376,18 @@ class GaussianState:
             raise ValidationError(
                 f"cov must be {2 * self.n_modes} x {2 * self.n_modes}, got {self.cov.shape}"
             )
-        # symplectic_eigenvalues runs the symmetry and positivity checks.
-        self.spectrum = symplectic_eigenvalues(self.cov)
-        self.spectrum_tol = _require_physical(self.cov, self.spectrum.min())
+        entries = _standard_entries(self.cov) if self.n_modes == 2 else None
+        if entries is None:
+            # symplectic_eigenvalues runs the symmetry and positivity checks.
+            self.spectrum = symplectic_eigenvalues(self.cov)
+            self.spectrum_tol = _require_physical(self.cov, self.spectrum.min())
+            return
+        spec = standard_form_spectrum(entries)
+        if spec.errors[0]:
+            raise ValidationError(spec.errors[0])
+        # Where nu_+ and nu_- are both ~1 (a pure probe), the closed form may
+        # round nu_+ an ulp below nu_-.
+        hi, lo = spec.nu
+        self.spectrum = np.array((hi, lo) if hi >= lo else (lo, hi))
+        self.spectrum_tol = spec.tol
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +20,9 @@ from gqi import (
     snr,
     tmsv_state,
 )
+from gqi.discord import gaussian_discord
 from gqi.probes import _squeezer_gains
+from gqi.symplectic import _allowed_shortfall, symplectic_form
 from oracles import apply_symplectic, single_mode_squeezer
 
 photons = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
@@ -257,6 +261,96 @@ class TestClosedFormsMatchToolkit:
         assert np.array_equal(pair.rho_b.cov, v_b)
         if n1 == 0.0 and n2 == 0.0:
             assert np.array_equal(tmsv_state(n0).cov, v_probe)
+
+
+def eigvals_bounds(cov: np.ndarray) -> np.ndarray:
+    """The error GaussianState allows each eigvals symplectic eigenvalue,
+    descending: max(1e-9, 8 eps max|V| times its condition number)."""
+    i_omega = 1j * symplectic_form(cov.shape[0] // 2)
+    ev, vecs = np.linalg.eig(i_omega @ cov)
+    pairs = sorted(((abs(e), np.vdot(x, x).real / abs(np.vdot(x, i_omega @ x)))
+                    for e, x in zip(ev, vecs.T) if e.real > 0), reverse=True)
+    return np.array([_allowed_shortfall(np.abs(cov).max(), c) for _, c in pairs])
+
+
+class TestClosedFormValidation:
+    """Standard-form states are validated from their six entries, with no LAPACK."""
+
+    @given(
+        n0=st.floats(0.0, 1e4), n1=st.floats(0.0, 1e8), n2=st.floats(0.0, 1e8),
+        kappa=st.floats(1e-4, 0.99), nb=st.floats(0.0, 1e9),
+    )
+    @example(n0=1e4, n1=1e8, n2=1e8, kappa=0.99, nb=0.0)
+    @example(n0=9225.7, n1=0.0, n2=0.0, kappa=1.84e-3, nb=1.75e8)
+    @settings(max_examples=150, deadline=None)
+    def test_spectra_match_eigvals(self, n0, n1, n2, kappa, nb):
+        # Each side may be off by the bound the state is validated with.
+        probe = ProbeSpec(kind=ProbeKind.ASTM, n0=n0, n1=n1, n2=n2)
+        pair = make_hypotheses(probe, TargetScenario(kappa=kappa, nb=nb))
+        for state in (astm_state(probe), pair.rho_a, pair.rho_b):
+            bound = np.maximum(eigvals_bounds(state.cov), state.spectrum_tol)
+            np.testing.assert_array_less(
+                np.abs(state.spectrum - symplectic_eigenvalues(state.cov)), 2.0 * bound)
+
+    def test_pure_spectrum_descends(self):
+        # The closed form reads n0 = n1 = 1, n2 = 1e4 as nu_+ = 1 - 4e-16,
+        # nu_- = 1 + 2e-16.
+        for n0, n1, n2 in itertools.product([0.0, 1.0, 1e2, 1e4],
+                                            [0.0, 1.0, 1e4, 1e6, 1e8],
+                                            [0.0, 1.0, 1e4, 1e6, 1e8]):
+            spectrum = astm_state(ProbeSpec(kind=ProbeKind.ASTM,
+                                            n0=n0, n1=n1, n2=n2)).spectrum
+            assert spectrum[0] >= spectrum[1], (n0, n1, n2)
+            np.testing.assert_allclose(spectrum, [1.0, 1.0], atol=1e-6)
+
+    def test_no_lapack_call(self, monkeypatch):
+        def refuse(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} called")
+            return call
+
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "eigvals", refuse("eigvals"))
+        monkeypatch.setattr(np.linalg, "cholesky", refuse("cholesky"))
+        probe = ProbeSpec(kind=ProbeKind.ASTM, n0=1.0, n1=1.0, n2=1e6)
+        astm_state(probe)
+        tmsv_state(1e4)
+        pair = make_hypotheses(probe, TargetScenario(kappa=0.01, nb=3.8e3))
+        # A phase turn on the signal mode takes the state out of standard form.
+        c, s = np.cos(0.3), np.sin(0.3)
+        turn = np.eye(4)
+        turn[:2, :2] = [[c, -s], [s, c]]
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        with pytest.raises(AssertionError, match="eigvals called"):
+            GaussianState(2, np.zeros(4), turn @ pair.rho_a.cov @ turn.T)
+
+    # gaussian_discord(astm_state(p)) where it read the eigvals spectrum
+    # validation kept, over the discord_map draw domain (n0 in [0.1, 4],
+    # n1 in [0, 4], n2 in [1e-3, 1e3]) and three of its edge probes.
+    PROBE_DISCORDS = [
+        ((3.4727105893646875, 3.421210059728236, 73.47513500118097), 2.3767959216703085),
+        ((1.1196408095242587, 0.3087978308736856, 477.30356998371116), 1.4658447583751408),
+        ((2.493787595083697, 0.01052301450519888, 290.03009737089735), 2.0918510497647893),
+        ((3.9407335534264663, 1.1451864166646817, 76.20206461175125), 2.4886985909588044),
+        ((0.42139098113710205, 1.7531201892136856, 80.57914380407858), 0.8639758103734194),
+        ((1.6940599974901172, 2.0709988287479084, 0.005037781193944026), 1.7769599245968513),
+        ((3.274625425075436, 1.9914696333300488, 0.030879849093610377), 2.32536119987087),
+        ((3.129076008403387, 3.9169131567582505, 1.6984759606015), 2.2857961820239066),
+        ((2.974885868221056, 3.9710427553934506, 0.001516229626258636), 2.2420892839660818),
+        ((2.436012844230408, 3.8691811111663466, 0.005058473079260169), 2.0721762157059436),
+        ((1.0, 1.0, 1e6), 1.3862943611198906),
+        ((0.0, 1.0, 0.0), 0.0),
+        ((3.7614462458241293, 2.67089304626055, 79815.16583773255), 2.447304628875966),
+    ]
+
+    @pytest.mark.parametrize("params, value", PROBE_DISCORDS)
+    def test_probe_discord_bit_for_bit(self, params, value):
+        n0, n1, n2 = params
+        result = gaussian_discord(astm_state(ProbeSpec(kind=ProbeKind.ASTM,
+                                                       n0=n0, n1=n1, n2=n2)))
+        assert result.value == value
+        assert result.branch == ("product" if n0 == 0.0 else "pure")
+        assert result.nu_pair == (1.0, 1.0)
 
 
 class TestProbeSpec:

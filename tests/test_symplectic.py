@@ -13,9 +13,11 @@ from gqi import (
     symplectic_form,
 )
 from gqi.chernoff import discriminate
+from gqi.discord import gaussian_discord
 from gqi.probes import (HypothesisPair, _probe_entries, _return_entries, _two_mode_cov,
-                        coherent_state, make_hypotheses, tmsv_state)
-from gqi.symplectic import standard_form_spectrum
+                        coherent_state, make_hypotheses, probe_state, tmsv_state)
+from gqi.symplectic import (EIGENVALUE_CLAMP_TOL, _require_physical, _standard_entries,
+                            standard_form_spectrum)
 
 from conftest import random_physical_cov, random_symplectic
 from oracles import (SymplecticMatrix, apply_symplectic, photons_from_squeezing,
@@ -269,8 +271,10 @@ class TestGaussianStateValidation:
 
     @pytest.mark.parametrize("n0", [3e3, 1e4])
     def test_accepts_strongly_squeezed_tmsv(self, n0):
-        # eigvals reads the smaller eigenvalue of tmsv_state(1e4) as 1 - 3.7e-8,
-        # rounding of ~0.4 eps max|V|^2 that a fixed 1e-9 bound rejected.
+        # symplectic_eigenvalues reads the smaller eigenvalue of this
+        # covariance as 1 - 3.7e-8 (n0 = 1e4), rounding of ~0.4 eps max|V|^2
+        # that a fixed 1e-9 bound rejected. The state itself is in standard
+        # form and takes the closed form, which reads 1.
         state = tmsv_state(n0)
         np.testing.assert_allclose(state.spectrum, [1.0, 1.0], atol=1e-6)
 
@@ -306,6 +310,81 @@ class TestGaussianStateValidation:
 
     def test_accepts_marginally_pure(self):
         GaussianState(1, np.zeros(2), (1.0 - 1e-10) * np.eye(2))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_a_spectrum_eigvals_cannot_resolve(self):
+        # eigvals reads the spectrum of diag(1e-300, 1e300) as 0 and the
+        # bound divided by a zero norm: the state was accepted with
+        # spectrum [0.] and spectrum_tol inf, after two RuntimeWarnings.
+        with pytest.raises(ValidationError, match="too wide a range"):
+            GaussianState(1, np.zeros(2), np.diag([1e-300, 1e300]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("diagonal, spectrum", [
+        ((1e-300, 1e300, 1e-300, 1e300), (1.0, 1.0)),
+        ((1e200, 1e200, 1.0, 1.0), (1e200, 1.0)),
+        ((1.0, 1.0, 1e200, 1e200), (1e200, 1.0)),
+    ])
+    def test_wide_product_states(self, diagonal, spectrum):
+        # det X of the first underflows and x^2 of the others overflows; each
+        # mode has nu = sqrt(x x) sqrt(p p). The state and its discord agree.
+        state = GaussianState(2, np.zeros(4), np.diag(diagonal))
+        assert tuple(state.spectrum) == pytest.approx(spectrum, rel=1e-15)
+        assert state.spectrum_tol == EIGENVALUE_CLAMP_TOL
+        result = gaussian_discord(state)
+        assert (result.value, result.branch) == (0.0, "product")
+        assert result.nu_pair == pytest.approx(spectrum, rel=1e-15)
+        entries = diagonal + (0.0, 0.0)
+        for dtype in (float, np.longdouble):
+            column = standard_form_spectrum(np.array(entries, dtype=dtype)[:, None])
+            assert column.errors == [None]
+            np.testing.assert_allclose(column.nu[:, 0].astype(float), spectrum, rtol=1e-15)
+
+
+def exact_nu_minus(entries) -> float:
+    """nu_- of six standard-form entries, taken as exact, to 60 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        ax, ap, bx, bp, cx, cp = map(mpmath.mpf, entries)
+        det = (ax * bx - cx * cx) * (ap * bp - cp * cp)
+        trace = ap * ax + bp * bx + 2 * cp * cx
+        return float(mpmath.sqrt(2 * det / (trace + mpmath.sqrt(trace**2 - 4 * det))))
+
+
+class TestValidationRoute:
+    """A standard-form covariance is validated in closed form, any other by eigvals."""
+
+    @staticmethod
+    def accepts(validate, cov: np.ndarray) -> bool:
+        try:
+            validate(cov)
+        except ValidationError:
+            return False
+        return True
+
+    def test_decisions_at_the_edge(self):
+        # Each probe, rho_A and rho_B is scaled so that its closed-form nu_-
+        # reads 1 - m tol, tol the shortfall it would be allowed there. Where
+        # the eigvals path decides otherwise, its spectrum is off by about
+        # tol: the closed-form decision is the one nu_- to 60 digits gives.
+        rng = np.random.default_rng(13)
+        for _ in range(150):
+            n0, n1, n2, nb = 10.0 ** rng.uniform([-3, -3, -3, -3], [4, 8, 8, 9])
+            probe = ProbeSpec(kind=ProbeKind.ASTM, n0=n0, n1=n1, n2=n2)
+            pair = make_hypotheses(probe, TargetScenario(10.0 ** rng.uniform(-4, -0.01), nb))
+            for cov in (probe_state(probe).cov, pair.rho_a.cov, pair.rho_b.cov):
+                nu_lo = standard_form_spectrum(_standard_entries(cov)).nu[1]
+                edge = cov * ((1.0 - 2.0 * EIGENVALUE_CLAMP_TOL) / nu_lo)
+                tol = standard_form_spectrum(_standard_entries(edge)).tol
+                for m in (0.5, 2.0):
+                    scaled = cov * ((1.0 - m * tol) / nu_lo)
+                    accepted = self.accepts(lambda v: GaussianState(2, np.zeros(4), v),
+                                            scaled)
+                    if accepted != self.accepts(lambda v: _require_physical(
+                            v, symplectic_eigenvalues(v).min()), scaled):
+                        entries = _standard_entries(scaled)
+                        allowed = standard_form_spectrum(entries).tol
+                        assert accepted == (exact_nu_minus(entries) >= 1.0 - allowed)
 
 
 def standard_entries(cov: np.ndarray) -> np.ndarray:
@@ -381,9 +460,11 @@ class TestStandardFormSpectrum:
             assert "smallest symplectic eigenvalue 1e-100" in spec.errors[0]
 
     def test_entries_beyond_range_are_rejected(self):
-        # PX has entries of 1e400: no float64 spectrum, and a ValidationError
-        # reason rather than a NaN one.
-        entries = (1e200, 1e200, 1.0, 1.0, 0.0, 0.0)
+        # PX has entries of 1e400 and, with the cross entries, no scale
+        # brings them into range: no float64 spectrum, and a ValidationError
+        # reason rather than a NaN one. (Without them the modes are apart,
+        # as TestGaussianStateValidation::test_wide_product_states checks.)
+        entries = (1e200, 1e200, 1.0, 1.0, 1e-5, 1e-5)
         for spec in (standard_form_spectrum(entries),
                      standard_form_spectrum(np.array(entries)[:, None])):
             assert spec.errors == ["covariance entries span too wide a range"]
