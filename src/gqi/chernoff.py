@@ -40,8 +40,9 @@ float64, and the last evaluation, at the three candidates for s*, runs in
 np.longdouble, whose -ln Q goes on to ln P: 1 - Q ~ 1e-7 at the figure
 presets, where float64 alone leaves ~eps / (1 - Q) ~ 4e-9 of the SNR. Where
 np.longdouble is float64 (macOS arm64, Windows) that evaluation is a float64
-one. The coherent pair, a displaced and an undisplaced thermal state, takes
-its closed form at s* = 1/2.
+one. -ln Q is -log1p(Q - 1) above 1/2 and -ln Q below, on every path
+(_exponent). The coherent pair, a displaced and an undisplaced thermal
+state, takes its closed form at s* = 1/2.
 
 Every built pair goes through one router (_route), shared by q_s,
 chernoff_infimum and discriminate: two-mode pairs in standard form with
@@ -148,17 +149,13 @@ _SYM = np.array([0, 1, 3]), np.array([0, 2, 3])
 # 1/det R) in 99% of the draws and below 160 eps (max|V| + 1/det R) in all.
 _PURE_ULPS = 256
 
-# The standard-form analysis splits the modes while nu_+^2 - nu_-^2 exceeds
-# this many ulps of nu_+^2 in the dtype it runs in: the projectors then lose
-# ~eps / gap of their size, which enters Sigma'_s with a weight difference
-# proportional to the gap, so that the product stays ~eps.
+# Both analyses (_standard, _mode_parts) split the modes while nu_+^2 - nu_-^2
+# exceeds this many ulps of nu_+^2 in the dtype they run in: the projectors
+# then lose ~eps / gap of their size, which enters Sigma'_s with a weight
+# difference proportional to the gap, so that the product stays ~eps.
 _DEGENERATE_ULPS = 64
 
 _SINGULAR = "V_A(s) + V_B(1-s) is singular"
-
-# Relative gap nu_+^2 - nu_-^2 below which the spectrum counts as degenerate:
-# P_+- = V / (2 nu_+-), which leaves out a term of this relative size.
-_DEGENERATE_RTOL = 1e-14
 
 _EYE2 = np.eye(2)
 
@@ -219,8 +216,10 @@ def _standard(ent_a: np.ndarray, ent_b: np.ndarray) -> tuple:
     """Validate n standard-form two-mode pairs and analyse them in np.longdouble.
 
     ent_a and ent_b are the (6, n) float64 entries of rho_A and rho_B.
-    Returns (out, ok, pairs): out[i] is pair i's ValidationError or None,
-    ok indexes the pairs that passed, and pairs is their analysis.
+    Returns (errors, pairs): errors[i] is why pair i was rejected, or None,
+    and pairs the analysis of all n, one spectrum for the batch. A rejected
+    pair's numbers mean nothing: the caller silences what they raise and
+    drops its Q_s.
 
     With X and P the x and p blocks of V and M = PX (Williamson V = S D S^T,
     S = S_x + S_p), V(p)^-1 = X(p)^-1 + P(p)^-1, where
@@ -236,15 +235,7 @@ def _standard(ent_a: np.ndarray, ent_b: np.ndarray) -> tuple:
     n = ent_a.shape[1]
     entries = np.concatenate([ent_a, ent_b], axis=1).astype(np.longdouble)
     spec = standard_form_spectrum(entries)
-    reasons = [spec.errors[i] or spec.errors[n + i] for i in range(n)]
-    out: list = [ValidationError(r) if r else None for r in reasons]
-    ok = np.array([i for i, r in enumerate(reasons) if not r], dtype=np.intp)
-    if not ok.size:
-        return out, ok, None
-    if ok.size < n:
-        entries = entries[:, np.concatenate([ok, n + ok])]
-        spec = standard_form_spectrum(entries)
-    n = ok.size
+    errors = [spec.errors[i] or spec.errors[n + i] for i in range(n)]
     ax, ap, bx, bp, cx, cp = entries
     # K = PX - nu_-^2 = g Pi_+ and L = nu_+^2 - PX = g Pi_-, as 2x2 stacks,
     # times P and X: K P, K^T X, L P, L^T X.
@@ -270,7 +261,7 @@ def _standard(ent_a: np.ndarray, ent_b: np.ndarray) -> tuple:
                                                     + 1.0 / det_r)
     nu = _snap(spec.nu, pure_tol)
     ln_nu1 = np.log1p(nu).reshape(2, 2, n).sum(axis=0)  # sum over a state's modes
-    return out, ok, _StandardPairs(
+    return errors, _StandardPairs(
         ln_r=_log_ratio(nu).reshape(2, 2, n).transpose(2, 1, 0).reshape(n, 4, 1),
         dual=dual,
         ln_g=(4.0 * np.log(entries.dtype.type(2.0)) - ln_nu1[1])[:, None],
@@ -282,17 +273,20 @@ def _discriminate_standard(ent_a: np.ndarray, ent_b: np.ndarray,
                            ensembles: np.ndarray) -> list:
     """Chernoff infimum, ln P and SNR of n standard-form two-mode pairs, as
     the module docstring says; per pair its result or its ValidationError."""
-    out, ok, pairs = _standard(ent_a, ent_b)
-    if pairs is None:
-        return out
-    with np.errstate(invalid="ignore"):
+    with np.errstate(all="ignore"):
+        errors, pairs = _standard(ent_a, ent_b)
         s_star, q = _infimum(pairs.astype(float).q,
-                             lambda s: pairs.q(s.astype(np.longdouble)), ok.size)
-    exponent = np.maximum(-np.log1p(q - 1.0), 0.0).astype(float)
-    for i, result, good in zip(ok, _results(s_star, exponent, ensembles[ok]),
-                               np.isfinite(q) & (q > 0.0)):
-        out[i] = result if good else ValidationError(_SINGULAR)
-    return out
+                             lambda s: pairs.q(s.astype(np.longdouble)), len(errors))
+        exponent = np.maximum(_exponent(q), 0.0).astype(float)
+    good = np.isfinite(q) & (q > 0.0)
+    return [result if ok and not error else ValidationError(error or _SINGULAR)
+            for error, result, ok in zip(errors, _results(s_star, exponent, ensembles), good)]
+
+
+def _exponent(q: np.ndarray) -> np.ndarray:
+    """-ln Q: -log1p(Q - 1) above 1/2, keeping the digits of 1 - Q, and -ln Q
+    below, where Q - 1 would lose Q's (Q = 0 warns: callers silence it)."""
+    return np.where(q > 0.5, -np.log1p(q - 1.0), -np.log(q))
 
 
 def _results(s_star: np.ndarray, exponent: np.ndarray,
@@ -418,7 +412,7 @@ def _mode_parts(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     hi2 = 0.5 * (det_a + det_b + 2.0 * det_c + q)
     lo2 = det_v / hi2  # not (Delta - q)/2, which cancels for nu_- << nu_+
-    if q > _DEGENERATE_RTOL * hi2:
+    if q > _DEGENERATE_ULPS * np.finfo(float).eps * hi2:
         k_lo = k_hi.copy()
         k_hi[:2, :2] = q_minus_x * _EYE2
         k_hi[2:, 2:] = q_plus_x * _EYE2
@@ -521,11 +515,11 @@ def q_s(pair: HypothesisPair, s: float) -> float:
     core, args = _route(pair)
     if core is not _discriminate_standard:
         return float(_PairData(pair).q(np.array([s]))[0])
-    out, _, pairs = _standard(*args)
-    if out[0] is not None:
-        raise out[0]
-    with np.errstate(invalid="ignore"):
+    with np.errstate(all="ignore"):
+        errors, pairs = _standard(*args)
         q = pairs.q(np.array([[s]], dtype=np.longdouble))[0, 0]
+    if errors[0]:
+        raise ValidationError(errors[0])
     if not (np.isfinite(q) and q > 0.0):
         raise ValidationError(_SINGULAR)
     return float(q)
@@ -554,8 +548,7 @@ def log_error_prob(q_min: float, ensembles: float) -> float:
     if not 0.0 < q_min <= 1.0:
         raise ValidationError(f"q_min must lie in (0, 1], got {q_min}")
     _check_ensembles(ensembles)
-    log_q = math.log1p(q_min - 1.0) if q_min > 0.5 else math.log(q_min)
-    return ensembles * log_q + LN_HALF
+    return LN_HALF - ensembles * float(_exponent(np.float64(q_min)))
 
 
 def snr_from_log_p(log_p: float) -> float:

@@ -4,10 +4,10 @@ The measured party is mode 2 (the idler in the return-idler ordering), and
 all entropies are in nats. The discord is the closed form of Adesso &
 Datta, PRL 105, 030501 (2010), evaluated on floats. A state in standard
 form (every two-mode probe and rho_A the package builds) takes its block
-determinants from its six covariance entries and its spectrum from
-symplectic.standard_form_spectrum, with no GaussianState and no LAPACK
-call; any other two-mode state takes its 2x2 block determinants in closed
-form, det V from LAPACK and the spectrum it was validated with.
+determinants from its six covariance entries with no LAPACK call, any other
+two-mode state its 2x2 ones in closed form and det V from LAPACK; both take
+the spectrum the state was validated with. remained_discord builds no
+state: its spectrum comes from symplectic.standard_form_spectrum.
 """
 
 import math
@@ -96,14 +96,14 @@ def gaussian_discord(state: GaussianState) -> DiscordResult:
 
     A state in standard form takes the closed-form path of remained_discord,
     so gaussian_discord(make_hypotheses(p, sc).rho_a) equals
-    remained_discord(p, sc); any other state its block determinants and
-    the spectrum it was validated with (state.spectrum, state.spectrum_tol).
-    Either raises ValidationError where float64 cannot resolve the discord
-    to _DISCORD_RTOL (see _discord).
+    remained_discord(p, sc); any other state its block determinants. Both
+    take the spectrum the state was validated with (state.spectrum and
+    state.spectrum_tol), and raise ValidationError where float64 cannot
+    resolve the discord to _DISCORD_RTOL (see _discord).
     """
     entries = _standard_entries(state.cov) if state.n_modes == 2 else None
     if entries is not None:
-        return _standard_discord(entries)
+        return _standard_discord(entries, state.spectrum.tolist(), state.spectrum_tol)
     d = block_determinants(state)
     # The spectrum (eigvals), det V (LU) and the 2x2 determinants lose up
     # to ~eps times the condition number of V: a strongly squeezed mode's.
@@ -113,10 +113,8 @@ def gaussian_discord(state: GaussianState) -> DiscordResult:
                     not state.cov[:2, 2:].any(), ulps, ulps)
 
 
-def _standard_discord(entries) -> DiscordResult:
-    spec = standard_form_spectrum(entries)
-    if spec.errors[0]:
-        raise ValidationError(spec.errors[0])
+def _standard_discord(entries, nu, tol: float) -> DiscordResult:
+    """_discord of a validated standard-form state: entries, nu_+- and tol."""
     ax, ap, bx, bp, cx, cp = entries
     product = not (cx or cp)
     # alpha, beta and gamma are products of two entries. det X det P, and
@@ -125,7 +123,7 @@ def _standard_discord(entries) -> DiscordResult:
     det_ulps = 0.0 if product else _INPUT_ULPS * (
         1.0 + (ax * bx + cx * cx) / (ax * bx - cx * cx)
         + (ap * bp + cp * cp) / (ap * bp - cp * cp))
-    return _discord(_standard_determinants(entries), spec.nu, spec.tol,
+    return _discord(_standard_determinants(entries), nu, tol,
                     product, _INPUT_ULPS, det_ulps)
 
 
@@ -223,5 +221,9 @@ def remained_discord(probe: ProbeSpec, scenario: TargetScenario) -> DiscordResul
     """Discord left between the return and idler modes after the channel."""
     if probe.kind is ProbeKind.COHERENT:
         raise ValidationError("remained_discord needs an idler mode")
-    entries = _probe_entries(probe.n0, probe.n1, probe.n2)
-    return _standard_discord(_return_entries(entries, scenario.kappa, scenario.nb))
+    entries = _return_entries(_probe_entries(probe.n0, probe.n1, probe.n2),
+                              scenario.kappa, scenario.nb)
+    spec = standard_form_spectrum(entries)
+    if spec.errors[0]:
+        raise ValidationError(spec.errors[0])
+    return _standard_discord(entries, spec.nu, spec.tol)

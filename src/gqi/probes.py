@@ -30,7 +30,8 @@ class ProbeSpec:
     """Declarative probe description by photon-number parameters.
 
     n0: per-mode photons of the initial two-mode squeezed vacuum.
-    n1, n2: photon numbers of the extra squeezers on signal / idler mode.
+    n1, n2: photon numbers of the extra squeezers on signal / idler mode
+    (ASTM only: a TMSV probe has none, and rejects n1 or n2 != 0).
     ns: |alpha|^2 of the coherent probe (COHERENT only).
     """
 
@@ -54,6 +55,8 @@ class ProbeSpec:
                 raise ValidationError(
                     f"probe parameter {name} must be >= 0, got {value}"
                 )
+        if self.kind is ProbeKind.TMSV and (self.n1 or self.n2):
+            raise ValidationError("a tmsv probe has no squeezers n1, n2: use kind astm")
 
     @property
     def signal_energy(self) -> float:

@@ -103,8 +103,10 @@ def _with_axis(probe: ProbeSpec, scenario: TargetScenario, axis: str,
          "ensembles": scenario.ensembles}
     if axis in ("kappa", "nb"):
         s[axis] = value
-    elif axis == "ns" and probe.kind is not ProbeKind.COHERENT:
+    elif axis == "ns" and probe.kind is ProbeKind.ASTM:
         p["n1"] = solve_n1_for_signal_energy(value, probe.n0)
+    elif axis == "ns" and probe.kind is ProbeKind.TMSV:
+        p["n0"] = value  # N_S = N0 without squeezers
     else:
         p[axis] = value
     return ProbeSpec(**p), TargetScenario(**s)
@@ -114,10 +116,11 @@ def sweep(axis: str, grid, probe: ProbeSpec, scenario: TargetScenario,
           with_discord: bool = False, compare: bool | None = None) -> SweepTable:
     """Evaluate one row per grid point along the chosen axis.
 
-    For axis="ns" on a two-mode probe, N1 is solved from the signal-energy
+    For axis="ns" on an ASTM probe, N1 is solved from the signal-energy
     closed form at fixed N0, and matched TMSV (N0 = N_S) and coherent
     (|alpha|^2 = N_S) comparison rows are emitted alongside each ASTM row
-    unless compare=False.
+    unless compare=False. On a TMSV probe the axis sets N0 = N_S, and that
+    row is the TMSV comparison: only the coherent row comes with it.
     """
     if axis not in SWEEP_AXES:
         raise ValidationError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -136,10 +139,11 @@ def sweep(axis: str, grid, probe: ProbeSpec, scenario: TargetScenario,
             p, s = _with_axis(probe, scenario, axis, value)
             rows = [(j, p, s, with_discord)]
             if emit_compare:
-                rows += [(j, ProbeSpec(kind=ProbeKind.TMSV, n0=value), s,
-                          with_discord),
-                         (j, ProbeSpec(kind=ProbeKind.COHERENT, ns=value), s,
-                          False)]
+                if not (axis == "ns" and p.kind is ProbeKind.TMSV):
+                    rows.append((j, ProbeSpec(kind=ProbeKind.TMSV, n0=value), s,
+                                 with_discord))
+                rows.append((j, ProbeSpec(kind=ProbeKind.COHERENT, ns=value), s,
+                             False))
         except ValidationError as exc:
             failed[j] = exc
             continue

@@ -158,8 +158,8 @@ def _standard_entries(cov: np.ndarray) -> tuple | None:
 
 
 def _sqrt(x):
-    """np.sqrt of an array, math.sqrt of a float; both round correctly."""
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+    """math.sqrt of a float, np.sqrt of an array or np.longdouble; both round correctly."""
+    return math.sqrt(x) if isinstance(x, (float, int)) else np.sqrt(x)
 
 
 def _where(cond, a, b):
@@ -195,8 +195,11 @@ def standard_form_spectrum(entries) -> StandardSpectrum:
     max(EIGENVALUE_CLAMP_TOL, the error of an eigvals spectrum), which is
     tol. With u the eigenvector of PX for nu_-^2, the eigenvector of
     i Omega V is (u, -i X u / nu_-), which gives that error in closed form.
-    Six floats take no numpy call, and their fields are nan when errors
-    holds a reason other than the shortfall.
+    A column flagged on the common path (not finite, not positive definite,
+    det X det P overflowing, or nu_- below 1 - EIGENVALUE_CLAMP_TOL) takes
+    the path of six floats, as numpy scalars of its dtype. Six floats take
+    no numpy call, and their fields are nan when errors holds a reason
+    other than the shortfall.
     """
     ax, ap, bx, bp, cx, cp = entries
     if isinstance(ax, np.ndarray):
@@ -204,28 +207,20 @@ def standard_form_spectrum(entries) -> StandardSpectrum:
             det_x, det_p = ax * bx - cx * cx, ap * bp - cp * cp
             nu, gap, k = _spectrum(entries, det_x, det_p)
             nu, k = np.array(nu), np.array(k)
-            # det_x det_p is not finite where an entry is not; where it
-            # overflows from finite entries, the loop below passes the column.
+            # det_x det_p is not finite where an entry is not, or it overflows.
             bad = ~((np.minimum(np.minimum(ax, ap), np.minimum(det_x, det_p)) > 0.0)
                     & (nu[1] >= 1.0 - EIGENVALUE_CLAMP_TOL) & np.isfinite(det_x * det_p))
-        errors, tol = [None] * nu.shape[1], np.full(nu.shape[1], EIGENVALUE_CLAMP_TOL)
-        for i in np.flatnonzero(bad):
-            entry = entries[:, i].astype(float).tolist()
-            errors[i] = _definiteness(entry, det_x[i], det_p[i])
-            if errors[i] is None and _range_error(nu[:, i]):
-                column, column_gap, column_k = _centred_spectrum(entries[:, i:i + 1], entry)
-                nu[:, i], gap[i], k[:, i] = np.concatenate(column), column_gap[0], np.concatenate(column_k)
-                errors[i] = _range_error(nu[:, i])
-            if errors[i] is None:
-                errors[i], tol[i] = _shortfall(entry, float(nu[1, i]),
-                                               k[:, i].astype(float).tolist())
+            errors, tol = [None] * nu.shape[1], np.full(nu.shape[1], EIGENVALUE_CLAMP_TOL)
+            for i in np.flatnonzero(bad):
+                nu[:, i], gap[i], k[:, i], (errors[i],), tol[i] = standard_form_spectrum(
+                    tuple(entries[:, i]))
         return StandardSpectrum(nu, gap, k, errors, tol)
     det_x, det_p = ax * bx - cx * cx, ap * bp - cp * cp
     error = _definiteness(entries, det_x, det_p)
     if not error:
         nu, gap, k = _spectrum(entries, det_x, det_p)
         if _range_error(nu):
-            nu, gap, k = _centred_spectrum(entries, entries)
+            nu, gap, k = _centred_spectrum(entries)
             error = _range_error(nu)
     if error:
         return StandardSpectrum((math.nan,) * 2, math.nan, (math.nan,) * 4,
@@ -257,9 +252,9 @@ def _range_error(nu) -> str | None:
     return _WIDE_RANGE
 
 
-def _centred_spectrum(entries, entry) -> tuple:
+def _centred_spectrum(entries) -> tuple:
     """_spectrum of one covariance whose products of entries overflow or
-    underflow: entries as six floats or six (1,) arrays, entry as floats.
+    underflow, from its six entries (floats or numpy scalars).
 
     The entries are scaled by the power of 2 that centres the exponents of
     the largest and smallest nonzero ones. nu_+- scale by it and g and the
@@ -273,13 +268,13 @@ def _centred_spectrum(entries, entry) -> tuple:
     though no scale brings their x^2 or det X into range.
     """
     with np.errstate(all="ignore"):
-        if not (entry[4] or entry[5]):
+        if not (entries[4] or entries[5]):
             ax, ap, bx, bp, zero, _ = entries
             first, second = _sqrt(ax) * _sqrt(ap), _sqrt(bx) * _sqrt(bp)
             hi, lo = (first, second) if first >= second else (second, first)
             k = ((first - lo) * (first + lo), zero, zero, (second - lo) * (second + lo))
             return (hi, lo), (hi - lo) * (hi + lo), k
-        sizes = [abs(e) for e in entry if e]
+        sizes = [abs(e) for e in entries if e]
         shift = (math.frexp(max(sizes))[1] + math.frexp(min(sizes))[1]) // 2
         scale = math.ldexp(1.0, -shift)
         ax, ap, bx, bp, cx, cp = scaled = [e * scale for e in entries]
@@ -310,7 +305,7 @@ def _shortfall(entry, nu_lo: float, k) -> tuple[str | None, float]:
     """
     if nu_lo >= 1.0 - EIGENVALUE_CLAMP_TOL:
         return None, EIGENVALUE_CLAMP_TOL
-    ax, _, bx, _, cx, _ = entry
+    ax, ap, bx, bp, cx, cp = entry
     k11, k12, k21, k22 = k
     # (PX - nu_-^2) u = 0: the larger of the two vectors its rows give.
     u0, u1 = max(((k12, -k11), (k22, -k21)), key=lambda r: abs(r[0]) + abs(r[1]))
@@ -320,7 +315,10 @@ def _shortfall(entry, nu_lo: float, k) -> tuple[str | None, float]:
     # |x|^2 / |x^H i Omega x| with x = (u, -i X u / nu)
     condition = ((u0 * u0 + u1 * u1 + (xu0 * xu0 + xu1 * xu1) / nu_lo**2) * nu_lo
                  / (2.0 * (u0 * xu0 + u1 * xu1)))
-    tol = _allowed_shortfall(max(map(abs, entry)), condition)
+    # In a product state u lies in the short mode, held to GaussianState(1,
+    # ...)'s bound for it: the other mode's entries cannot round into it.
+    own = entry if cx or cp else (ax, ap) if u0 else (bx, bp)
+    tol = _allowed_shortfall(max(map(abs, own)), condition)
     return (None if nu_lo >= 1.0 - tol else _unphysical(nu_lo)), tol
 
 
@@ -387,7 +385,6 @@ class GaussianState:
             raise ValidationError(spec.errors[0])
         # Where nu_+ and nu_- are both ~1 (a pure probe), the closed form may
         # round nu_+ an ulp below nu_-.
-        hi, lo = spec.nu
-        self.spectrum = np.array((hi, lo) if hi >= lo else (lo, hi))
+        self.spectrum = np.array(sorted(spec.nu, reverse=True))
         self.spectrum_tol = spec.tol
 

@@ -36,7 +36,8 @@ from gqi import (
     tmsv_state,
 )
 from gqi.sweeps import FIT_TO_DEFAULT, _astm_ci_slopes
-from oracles import SymplecticMatrix, fock_oracle_q_s, single_mode_squeezer, williamson
+from oracles import (SymplecticMatrix, fock_hypotheses, q_s_from_density_matrices,
+                     single_mode_squeezer, williamson)
 
 
 SCORECARD: list[str] = []
@@ -216,19 +217,18 @@ def test_advantage_and_discord_trends():
 def test_number_basis_oracle_agreement():
     """Gaussian Q_s must match the truncated number-basis computation."""
     scenario = TargetScenario(kappa=0.3, nb=0.4, ensembles=1.0)
+    probes = [ProbeSpec(kind=ProbeKind.ASTM, n0=n0, n1=n1)
+              for n0 in (0.05, 0.1) for n1 in (0.0, 0.5)]
+    probes.append(ProbeSpec(kind=ProbeKind.COHERENT, ns=0.1))
     worst = 0.0
-    for n0 in (0.05, 0.1):
-        for n1 in (0.0, 0.5):
-            probe = ProbeSpec(kind=ProbeKind.ASTM, n0=n0, n1=n1)
-            pair = make_hypotheses(probe, scenario)
-            for s in (0.3, 0.5, 0.7):
-                gap = abs(q_s(pair, s) - fock_oracle_q_s(probe, scenario, s))
-                worst = max(worst, gap)
-    coherent = ProbeSpec(kind=ProbeKind.COHERENT, ns=0.1)
-    pair = make_hypotheses(coherent, scenario)
-    for s in (0.3, 0.5, 0.7):
-        gap = abs(q_s(pair, s) - fock_oracle_q_s(coherent, scenario, s))
-        worst = max(worst, gap)
+    for probe in probes:
+        pair = make_hypotheses(probe, scenario)
+        # One number-basis build per probe (fock_oracle_q_s's cutoff, 30)
+        # serves every s.
+        rho_a, rho_b = fock_hypotheses(probe, scenario, 30)
+        for s in (0.3, 0.5, 0.7):
+            gap = abs(q_s(pair, s) - q_s_from_density_matrices(rho_a, rho_b, s))
+            worst = max(worst, gap)
     report(
         "number-basis oracle agreement",
         worst < 1e-4,

@@ -496,6 +496,19 @@ class TestLogErrorProb:
         with pytest.raises(ValidationError):
             log_error_prob(0.0, 10.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n0", [1e12, 1e14, 1e20])
+    def test_small_q_min_keeps_its_exponent(self, n0):
+        # The batch took -log1p(Q - 1) at any Q: Q - 1 rounds away the
+        # digits of a small Q (6.1e-10 and 1.5e-7 of the exponent at n0 =
+        # 1e12 and 1e14), and all of Q = 1e-20, whose exponent read inf.
+        probe, scenario = ProbeSpec(kind=ProbeKind.TMSV, n0=n0), TargetScenario(0.5, 0.0, 1e7)
+        result = snr(probe, scenario)
+        exponent = -(result.log_error_prob - math.log(0.5)) / scenario.ensembles
+        expected = -math.log(q_s(make_hypotheses(probe, scenario), result.s_star))
+        assert exponent == pytest.approx(expected, rel=1e-12)
+        assert result.q_min > 0.0 and math.isfinite(result.snr)
+
     @pytest.mark.parametrize("ensembles", [-1.0, 0.0, math.nan, math.inf])
     def test_rejects_bad_copy_count(self, ensembles):
         # M = -1 gave ln P = -0.588, above ln(1/2); NaN gave NaN.
@@ -702,6 +715,28 @@ class TestDiscriminateMany:
 
     def test_empty_batch(self):
         assert discriminate_many([], []) == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_one_spectrum_per_batch(self, monkeypatch):
+        # A rejected pair stays in the batch and its result is dropped: the
+        # spectrum was computed again for the pairs that passed, and the
+        # rejected pair's numbers raised no RuntimeWarning either way.
+        calls = []
+        spectrum = chernoff.standard_form_spectrum
+
+        def spy(entries):
+            calls.append(entries.shape)
+            return spectrum(entries)
+
+        monkeypatch.setattr(chernoff, "standard_form_spectrum", spy)
+        probes = [ProbeSpec(kind=ProbeKind.ASTM, n0=1.0, n1=0.5),
+                  ProbeSpec(kind=ProbeKind.TMSV, n0=1e300),
+                  ProbeSpec(kind=ProbeKind.TMSV, n0=2.0)]
+        scenarios = [MICROWAVE, MICROWAVE, TargetScenario(0.01, 1e308)]
+        results = discriminate_many(probes, scenarios)
+        assert calls == [(6, 6)]
+        assert [isinstance(r, ValidationError) for r in results] == [False, True, True]
+        assert results[0] == snr(probes[0], scenarios[0])
 
     @given(points=st.lists(point, min_size=2, max_size=4))
     @settings(max_examples=40, deadline=None, derandomize=True)

@@ -75,6 +75,12 @@ class TestSnrCommand:
         assert code == 2
         assert "n0" in err
 
+    def test_squeezers_need_kind_astm(self, capsys):
+        # The default kind is tmsv, which has no squeezers.
+        code, _, err = run(["snr", "--n0", "1", "--n1", "1"], capsys)
+        assert code == 2
+        assert "use kind astm" in err
+
 
     @pytest.mark.parametrize("flag, value", [
         ("--nb", "nan"), ("--n0", "inf"), ("--n1", "nan"), ("--nb", "inf"),

@@ -22,6 +22,7 @@ from gqi import (
     sweep,
     tmsv_state,
 )
+from gqi import discord
 
 photons = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
 
@@ -307,6 +308,18 @@ class TestClosedFormDiscord:
         closed = remained_discord(probe, scenario)
         assert (built.value, built.branch, built.nu_pair) == (
             closed.value, closed.branch, closed.nu_pair)
+
+    def test_built_state_keeps_its_spectrum(self, monkeypatch):
+        # The state was validated with its spectrum; the discord computed
+        # it again.
+        state = astm_state(ProbeSpec(kind=ProbeKind.ASTM, n0=1.0, n1=1.0))
+        expected = gaussian_discord(state)
+
+        def refuse(entries):
+            raise AssertionError("spectrum computed again")
+
+        monkeypatch.setattr(discord, "standard_form_spectrum", refuse)
+        assert gaussian_discord(state) == expected
 
     def test_builds_no_state_and_calls_no_lapack(self, monkeypatch):
         probe = ProbeSpec(kind=ProbeKind.ASTM, n0=0.1, n1=0.5)

@@ -77,8 +77,9 @@ class TestOracleAgreement:
     def test_no_target_gives_unity(self):
         probe = ProbeSpec(kind=ProbeKind.ASTM, n0=0.1, n1=0.3)
         scenario = TargetScenario(kappa=0.0, nb=0.4)
+        rho_a, rho_b = fock_hypotheses(probe, scenario, CUTOFF)
         for s in (0.3, 0.5, 0.7):
-            assert fock_oracle_q_s(probe, scenario, s, CUTOFF) == pytest.approx(
+            assert q_s_from_density_matrices(rho_a, rho_b, s) == pytest.approx(
                 1.0, abs=1e-9
             )
 

@@ -369,6 +369,12 @@ class TestProbeSpec:
         with pytest.raises(ValidationError):
             ProbeSpec(kind=ProbeKind.TMSV, n0=-1.0)
 
+    @pytest.mark.parametrize("squeezer", ["n1", "n2"])
+    def test_tmsv_has_no_squeezers(self, squeezer):
+        # A TMSV with squeezers is an ASTM probe under the wrong label.
+        with pytest.raises(ValidationError, match="tmsv probe has no squeezers"):
+            ProbeSpec(kind="tmsv", n0=1.0, **{squeezer: 0.25})
+
     def test_kind_from_its_value(self):
         assert ProbeSpec(kind="astm").kind is ProbeKind.ASTM
 

@@ -106,6 +106,25 @@ class TestSweep:
         for row in table.rows:
             assert row.ns == pytest.approx(row.axis_value)
 
+    def test_ns_axis_of_a_tmsv_probe_sets_n0(self):
+        # It solved n1 = 0.25 at N_S = 1 (an ASTM probe labelled tmsv, SNR
+        # 6.37) and added the TMSV comparison row (7.40): two tmsv rows.
+        table = sweep("ns", [1.0, 2.0, 3.0], ProbeSpec(kind=ProbeKind.TMSV, n0=0.5),
+                      MICROWAVE)
+        assert [r.kind for r in table.rows] == ["tmsv", "coherent"] * 3
+        for row in table.rows[::2]:
+            assert (row.n0, row.n1, row.n2, row.ns) == (row.axis_value, 0.0, 0.0,
+                                                       row.axis_value)
+            assert row.snr == run_scenario(
+                ProbeSpec(kind=ProbeKind.TMSV, n0=row.axis_value), MICROWAVE).snr
+
+    def test_squeezer_axis_of_a_tmsv_probe_is_reported(self):
+        table = sweep("n1", [0.0, 1.0], ProbeSpec(kind=ProbeKind.TMSV, n0=0.5),
+                      MICROWAVE)
+        assert [r.axis_value for r in table.rows] == [0.0]
+        assert table.errors == ["n1=1.0: a tmsv probe has no squeezers n1, n2: "
+                                "use kind astm"]
+
     def test_bad_grid_points_skipped_and_reported(self):
         table = sweep(
             "ns", [0.5, 2.0], ProbeSpec(kind=ProbeKind.ASTM, n0=1.0), MICROWAVE,

@@ -319,6 +319,31 @@ class TestGaussianStateValidation:
         with pytest.raises(ValidationError, match="too wide a range"):
             GaussianState(1, np.zeros(2), np.diag([1e-300, 1e300]))
 
+    @pytest.mark.parametrize("diagonal", [(1e16, 1e16, 0.5, 0.5), (0.5, 0.5, 1e16, 1e16)])
+    def test_product_state_short_mode_takes_its_own_bound(self, diagonal):
+        # The bound scaled with max|V| over both modes, 1e16: the state was
+        # accepted with spectrum (1e16, 0.5) and spectrum_tol 17.8, though
+        # the 0.5 mode's entries are exact to an ulp.
+        with pytest.raises(ValidationError, match="smallest symplectic eigenvalue 0.5"):
+            GaussianState(2, np.zeros(4), np.diag(diagonal))
+        entries = diagonal + (0.0, 0.0)
+        for dtype in (float, np.longdouble):
+            column = standard_form_spectrum(np.array(entries, dtype=dtype)[:, None])
+            assert "smallest symplectic eigenvalue" in column.errors[0]
+
+    @pytest.mark.parametrize("short, other", [((5e-9, 5e7), (1.0, 1.0)),
+                                              ((5e-9, 5e7), (1e16, 1e16)),
+                                              ((1.0, 1.0), (1e16, 1e16))])
+    def test_product_state_keeps_the_one_mode_decision(self, short, other):
+        # Each order of the modes gets what GaussianState(1, ...) gives the
+        # short mode alone: diag(5e-9, 5e7) (nu = 0.5) is within its own
+        # rounding of a pure mode, and is accepted with tolerance 4.44.
+        alone = GaussianState(1, np.zeros(2), np.diag(short))
+        for diagonal in (short + other, other + short):
+            state = GaussianState(2, np.zeros(4), np.diag(diagonal))
+            assert state.spectrum[1] == pytest.approx(alone.spectrum[0], rel=1e-12)
+            assert state.spectrum_tol == pytest.approx(alone.spectrum_tol, rel=1e-12)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("diagonal, spectrum", [
         ((1e-300, 1e300, 1e-300, 1e300), (1.0, 1.0)),
