@@ -44,6 +44,13 @@ one. -ln Q is -log1p(Q - 1) above 1/2 and -ln Q below, on every path
 (_exponent). The coherent pair, a displaced and an undisplaced thermal
 state, takes its closed form at s* = 1/2.
 
+One pair (snr, discriminate, chernoff_infimum, q_s) takes the same core
+without arrays of pairs: its entries are analysed as np.longdouble scalars
+(_standard_one) and its search is bookkept on floats (_infimum_one), around
+the same three numpy evaluations of Q_s. Each step is the operation the
+batch applies to the pair's row, so one point gives the bits of its row in
+any batch.
+
 Every built pair goes through one router (_route), shared by q_s,
 chernoff_infimum and discriminate: two-mode pairs in standard form with
 equal means take the standard-form core, and coherent pairs the closed
@@ -103,6 +110,9 @@ _ERFC_SERIES = (10395.0, -945.0, 105.0, -15.0, 3.0, -1.0)
 _ERF_BELOW = 0.5
 _QUANTILE = (2.30753, 0.27061, 0.99229, 0.04481)
 _NEWTON_STEPS = 3
+# At and below it -2 ln P overflows; x = -ln P - ln(2 sqrt(pi x)) - ... then
+# rounds to -ln P, whose ulp (~2e291) dwarfs the logarithms (~355).
+_LOG_P_HUGE = -math.ldexp(1.0, 1023)
 _SQRT_PI = math.sqrt(math.pi)
 _HALF_SQRT_PI = 0.5 * _SQRT_PI
 _LN_SQRT_PI = math.log(_SQRT_PI)
@@ -113,6 +123,7 @@ _SCAN_POINTS = 64
 _STEPS = np.linspace(0.0, 1.0, _SCAN_POINTS)
 _GUARD = _S_EDGE + (1.0 - 2.0 * _S_EDGE) * _STEPS
 _THREE = np.array([-1, 0, 1])
+_STEPS_LIST, _GUARD_LIST = _STEPS.tolist(), _GUARD.tolist()
 # Least-squares fit of a u^2 + b u + c to a scan, u = step - 1/2: the
 # columns weigh the values into b and a (1, u and u^2 - mean u^2 are
 # orthogonal over the symmetric steps).
@@ -156,6 +167,12 @@ _PURE_ULPS = 256
 _DEGENERATE_ULPS = 64
 
 _SINGULAR = "V_A(s) + V_B(1-s) is singular"
+
+# The constants of _standard, in the dtypes its batch forms them in.
+_LN_16 = 4.0 * np.log(np.longdouble(2.0))  # ln 2^n of two modes
+_SPLIT_ULPS = _DEGENERATE_ULPS * np.finfo(np.longdouble).eps
+_PURE_EPS = _PURE_ULPS * np.finfo(float).eps
+_ONE = np.longdouble(1.0)
 
 _EYE2 = np.eye(2)
 
@@ -212,12 +229,14 @@ class _StandardPairs:
             np.multiply.reduce(d, axis=1) * np.sqrt(det[:, 0] * det[:, 1]))
 
 
-def _standard(ent_a: np.ndarray, ent_b: np.ndarray) -> tuple:
+def _standard(ent_a, ent_b) -> tuple:
     """Validate n standard-form two-mode pairs and analyse them in np.longdouble.
 
-    ent_a and ent_b are the (6, n) float64 entries of rho_A and rho_B.
-    Returns (errors, pairs): errors[i] is why pair i was rejected, or None,
-    and pairs the analysis of all n, one spectrum for the batch. A rejected
+    ent_a and ent_b are the (6, n) float64 entries of rho_A and rho_B, or
+    the six floats of one pair, which _standard_one analyses on
+    np.longdouble scalars into the bits of the batch's column. Returns
+    (errors, pairs): errors[i] is why pair i was rejected, or None, and
+    pairs the analysis of all n, one spectrum for the batch. A rejected
     pair's numbers mean nothing: the caller silences what they raise and
     drops its Q_s.
 
@@ -232,6 +251,8 @@ def _standard(ent_a: np.ndarray, ent_b: np.ndarray) -> tuple:
     its Pi_k^T X / nu_k, the six entries (11, 12, 22) of both blocks. At a
     gap g within rounding of 0, both take half of P / nu_k and X / nu_k.
     """
+    if not isinstance(ent_a, np.ndarray):
+        return _standard_one(ent_a, ent_b)
     n = ent_a.shape[1]
     entries = np.concatenate([ent_a, ent_b], axis=1).astype(np.longdouble)
     spec = standard_form_spectrum(entries)
@@ -244,7 +265,7 @@ def _standard(ent_a: np.ndarray, ent_b: np.ndarray) -> tuple:
     right = entries.take(_RIGHT, axis=0).transpose(0, 3, 1, 2)
     nu_k = spec.nu.take(_HI_LO, axis=0)
     scale = spec.gap * nu_k
-    split = spec.gap > _DEGENERATE_ULPS * np.finfo(entries.dtype).eps * spec.nu[0] ** 2
+    split = spec.gap > _SPLIT_ULPS * spec.nu[0] ** 2
     if split.all():
         prod = left @ right
     else:
@@ -257,30 +278,86 @@ def _standard(ent_a: np.ndarray, ent_b: np.ndarray) -> tuple:
     dual = sym.reshape(2, 2, 2, n, 3).transpose(3, 1, 4, 2, 0).reshape(n, 6, 4)
 
     det_r = (spec.nu[0] * spec.nu[1]) ** 2 / (ax * bx * ap * bp)
-    pure_tol = _PURE_ULPS * np.finfo(float).eps * (np.abs(entries).max(axis=0)
-                                                    + 1.0 / det_r)
-    nu = _snap(spec.nu, pure_tol)
+    nu = _snap(spec.nu, _PURE_EPS * (np.abs(entries).max(axis=0) + 1.0 / det_r))
     ln_nu1 = np.log1p(nu).reshape(2, 2, n).sum(axis=0)  # sum over a state's modes
     return errors, _StandardPairs(
         ln_r=_log_ratio(nu).reshape(2, 2, n).transpose(2, 1, 0).reshape(n, 4, 1),
         dual=dual,
-        ln_g=(4.0 * np.log(entries.dtype.type(2.0)) - ln_nu1[1])[:, None],
+        ln_g=(_LN_16 - ln_nu1[1])[:, None],
         ln_ratio=(ln_nu1[1] - ln_nu1[0])[:, None],
     )
 
 
-def _discriminate_standard(ent_a: np.ndarray, ent_b: np.ndarray,
-                           ensembles: np.ndarray) -> list:
+def _matmul2(a: tuple, b: tuple) -> tuple:
+    """a @ b of 2x2 matrices given as entries (11, 12, 21, 22), summed as
+    numpy's matmul loop for dtypes without BLAS sums: 0 + a_i1 b_1j + a_i2 b_2j."""
+    a11, a12, a21, a22 = a
+    b11, b12, b21, b22 = b
+    return (0.0 + a11 * b11 + a12 * b21, 0.0 + a11 * b12 + a12 * b22,
+            0.0 + a21 * b11 + a22 * b21, 0.0 + a21 * b12 + a22 * b22)
+
+
+def _standard_one(ent_a: tuple, ent_b: tuple) -> tuple:
+    """_standard of one pair, from the six floats of rho_A and of rho_B.
+
+    The entries become np.longdouble scalars, which standard_form_spectrum
+    takes on the path of six floats, as the batch does for a flagged column.
+    K P, K^T X, L P and L^T X are explicit 2x2 products (_matmul2), and the
+    rest repeats the batch's operations in its order.
+    """
+    entries = np.array(ent_a + ent_b, dtype=np.longdouble).tolist()
+    errors, dual, nu = [], [[None] * 4 for _ in range(6)], []
+    for state in (0, 1):
+        ax, ap, bx, bp, cx, cp = state_entries = entries[6 * state:6 * state + 6]
+        spec = standard_form_spectrum(state_entries)
+        errors.append(spec.errors[0])
+        hi, lo = spec.nu
+        k11, k12, k21, k22 = spec.k
+        x, p = (ax, cx, cx, bx), (ap, cp, cp, bp)
+        split = spec.gap > _SPLIT_ULPS * (hi * hi)
+        # (left, right, nu_k, first dual row, dual column) of K P, K^T X, L P, L^T X
+        for left, right, nu_k, row, col in (
+                ((k11, k12, k21, k22), p, hi, 0, 2 * state),
+                ((k11, k21, k12, k22), x, hi, 3, 2 * state),
+                ((k22, -k12, -k21, k11), p, lo, 0, 2 * state + 1),
+                ((k22, -k21, -k12, k11), x, lo, 3, 2 * state + 1)):
+            if split:
+                prod, half = _matmul2(left, right), 0.5 / (spec.gap * nu_k)
+            else:
+                prod, half = right, 0.5 / (2.0 * nu_k)
+            dual[row][col] = (prod[0] + prod[0]) * half
+            dual[row + 1][col] = (prod[1] + prod[2]) * half
+            dual[row + 2][col] = (prod[3] + prod[3]) * half
+        det_r = (hi * lo) * (hi * lo) / (ax * bx * ap * bp)
+        pure_tol = _PURE_EPS * (max(map(abs, state_entries)) + 1.0 / det_r)
+        nu += [_ONE if v <= 1.0 + pure_tol else v for v in (hi, lo)]
+    nu = np.array(nu, dtype=np.longdouble)  # A hi, A lo, B hi, B lo
+    ln_nu1 = np.log1p(nu).tolist()
+    ln_a, ln_b = ln_nu1[0] + ln_nu1[1], ln_nu1[2] + ln_nu1[3]
+    return [errors[0] or errors[1]], _StandardPairs(
+        ln_r=_log_ratio(nu).reshape(1, 4, 1),
+        dual=np.array(dual, dtype=np.longdouble)[None],
+        ln_g=np.array([[_LN_16 - ln_b]]),
+        ln_ratio=np.array([[ln_b - ln_a]]),
+    )
+
+
+def _discriminate_standard(ent_a, ent_b, ensembles) -> list:
     """Chernoff infimum, ln P and SNR of n standard-form two-mode pairs, as
-    the module docstring says; per pair its result or its ValidationError."""
+    the module docstring says; per pair its result or its ValidationError.
+    The entries are those _standard takes, M an array of n."""
     with np.errstate(all="ignore"):
         errors, pairs = _standard(ent_a, ent_b)
-        s_star, q = _infimum(pairs.astype(float).q,
-                             lambda s: pairs.q(s.astype(np.longdouble)), len(errors))
+        scan, evaluate = pairs.astype(float).q, lambda s: pairs.q(s.astype(np.longdouble))
+        if len(errors) == 1:
+            s_star, q = (np.array([v]) for v in _infimum_one(scan, evaluate))
+        else:
+            s_star, q = _infimum(scan, evaluate, len(errors))
         exponent = np.maximum(_exponent(q), 0.0).astype(float)
+        results = _results(s_star, exponent, ensembles)
     good = np.isfinite(q) & (q > 0.0)
     return [result if ok and not error else ValidationError(error or _SINGULAR)
-            for error, result, ok in zip(errors, _results(s_star, exponent, ensembles), good)]
+            for error, result, ok in zip(errors, results, good)]
 
 
 def _exponent(q: np.ndarray) -> np.ndarray:
@@ -291,7 +368,8 @@ def _exponent(q: np.ndarray) -> np.ndarray:
 
 def _results(s_star: np.ndarray, exponent: np.ndarray,
              ensembles: np.ndarray) -> list[DiscriminationResult]:
-    """Results from s* and -ln Q_min >= 0: ln P = -M (-ln Q_min) + ln(1/2)."""
+    """Results from s* and -ln Q_min >= 0: ln P = -M (-ln Q_min) + ln(1/2),
+    -inf where M (-ln Q_min) overflows (callers silence the warning)."""
     log_p = (LN_HALF - ensembles * exponent).tolist()
     return [DiscriminationResult(*row) for row in zip(
         s_star.tolist(), np.exp(-exponent).tolist(), log_p, map(_snr_from_log_p, log_p))]
@@ -308,7 +386,7 @@ def _coherent(signal: np.ndarray, nb: np.ndarray, ensembles: np.ndarray) -> list
     with np.errstate(over="ignore"):
         exponent = signal / (np.sqrt(nb + 1.0) + np.sqrt(nb)) ** 2
         thermal = 2.0 * nb + 1.0
-    out = _results(np.full(nb.size, 0.5), exponent, ensembles)
+        out = _results(np.full(nb.size, 0.5), exponent, ensembles)
     for i in np.flatnonzero(~np.isfinite(thermal)):
         out[i] = ValidationError("covariance has a non-finite entry")
     return out
@@ -330,6 +408,11 @@ def _infimum(scan, evaluate, n: int) -> tuple[np.ndarray, np.ndarray]:
     takes the values at the best point and at both vertices, and each row
     keeps the smallest (the best point's on ties and where another is not a
     number).
+
+    Each row's fit is its own (1, 64) @ (64, 2) product: an (n, 64) product
+    sums a row in an order that depends on n and on the row's place, which
+    moves s* of ~1.5% of points by an ulp from batch to batch. _infimum_one
+    searches one row with the bits of its row here, its bookkeeping on floats.
     """
     last = _SCAN_POINTS - 1
     rows = np.arange(n)
@@ -342,7 +425,7 @@ def _infimum(scan, evaluate, n: int) -> tuple[np.ndarray, np.ndarray]:
     f0, f1, f2 = values[rows[:, None], c + _THREE].T[:, :, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         at = c + 0.5 * (f0 - f2) / (f0 - 2.0 * f1 + f2)  # as a grid index
-        fit = (values - f1) @ _FIT
+        fit = ((values - f1)[:, None, :] @ _FIT)[:, 0]
         mid = 0.5 - 0.5 * fit[:, :1] / fit[:, 1:]  # as a fraction of the bracket
     # A flat stencil's 0/0 becomes the neighbour below, and the fit's the
     # bracket's lower end.
@@ -352,6 +435,49 @@ def _infimum(scan, evaluate, n: int) -> tuple[np.ndarray, np.ndarray]:
     value = evaluate(s)
     pick = rows, np.fmin(value, value[:, :1]).argmin(axis=1)
     return s[pick], value[pick]
+
+
+def _quotient(num: float, den: float) -> float:
+    """num / den, or numpy's inf or nan where den is 0 (a flat stencil or fit)."""
+    if den:
+        return num / den
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.float64(num) / den)
+
+
+def _clip(x: float, lo, hi) -> float:
+    """np.fmin(np.fmax(x, lo), hi) of a float: lo where x is not a number."""
+    return lo if x != x else min(max(x, lo), hi)
+
+
+def _infimum_one(scan, evaluate) -> tuple:
+    """_infimum of one function, its bookkeeping on floats; returns (s_star,
+    minimum), the minimum a scalar of evaluate's dtype.
+
+    The scans, the fit and the last evaluation are _infimum's numpy calls on
+    a (1, m) array; the bracket, the stencil's vertex, the clipping and the
+    pick are the same operations on floats, so that the result has the bits
+    of _infimum's row.
+    """
+    last = _SCAN_POINTS - 1
+    i = int(scan(_GUARD[None]).argmin())
+    lo = _GUARD_LIST[max(i - 1, 0)]
+    width = _GUARD_LIST[min(i + 1, last)] - lo
+    values = scan((lo + width * _STEPS)[None])
+    j = int(values.argmin())
+    c = min(max(j, 1), last - 1)
+    f0, f1, f2 = values[0, c - 1:c + 2].tolist()
+    fit_u, fit_u2 = ((values - f1) @ _FIT)[0].tolist()
+    at = _clip(c + _quotient(0.5 * (f0 - f2), f0 - 2.0 * f1 + f2),
+               max(j - 1, 0), min(j + 1, last))
+    mid = _clip(0.5 - _quotient(0.5 * fit_u, fit_u2), 0.0, 1.0)
+    s = [lo + width * u for u in (_STEPS_LIST[j], at * (1.0 / last), mid)]
+    value = evaluate(np.array([s]))[0]
+    best = 0
+    for k in (1, 2):
+        if value[k] < value[best]:
+            best = k
+    return s[best], value[best]
 
 
 def _em(p: np.ndarray, ln_r: np.ndarray) -> np.ndarray:
@@ -384,7 +510,7 @@ def _mode_parts(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not det_r > 0.0:
         raise ValidationError("covariance is not positive definite")
     det_v = float(np.prod(scale) ** 2 * det_r)
-    pure_tol = _PURE_ULPS * np.finfo(float).eps * (np.abs(cov).max() + 1.0 / det_r)
+    pure_tol = _PURE_EPS * (np.abs(cov).max() + 1.0 / det_r)
     if n == 1:
         nu = math.sqrt(det_v)
         return _snap(np.array([nu]), pure_tol), (cov / nu)[None]
@@ -483,22 +609,22 @@ class _PairData:
     def infimum(self) -> tuple[float, float]:
         """(s_star, q_min) by the search of _infimum, in float64."""
         q = lambda s: self.q(s[0])[None]  # noqa: E731
-        s_star, q_min = _infimum(q, q, 1)
-        return float(s_star[0]), min(float(q_min[0]), 1.0)
+        s_star, q_min = _infimum_one(q, q)
+        return s_star, min(float(q_min), 1.0)
 
 
 def _route(pair: HypothesisPair) -> tuple:
     """(core, args) for the form of a built pair (see the module docstring):
-    _discriminate_standard on the (6, 1) entries of a standard-form pair,
-    _coherent on |d|^2/4 and N_B, or None for the general path (_PairData)."""
+    _discriminate_standard on the six float entries of each state of a
+    standard-form pair, _coherent on |d|^2/4 and N_B, or None for the
+    general path (_PairData)."""
     a, b = pair.rho_a, pair.rho_b
     _require_finite_mean(a.mean)
     _require_finite_mean(b.mean)
     if a.n_modes == b.n_modes == 2 and np.array_equal(a.mean, b.mean):
         ent_a, ent_b = _standard_entries(a.cov), _standard_entries(b.cov)
         if ent_a is not None and ent_b is not None:
-            return _discriminate_standard, (np.array(ent_a)[:, None],
-                                            np.array(ent_b)[:, None])
+            return _discriminate_standard, (ent_a, ent_b)
     if (a.n_modes == b.n_modes == 1 and np.array_equal(a.cov, b.cov)
             and a.cov[0, 1] == a.cov[1, 0] == 0.0 and a.cov[0, 0] == a.cov[1, 1]):
         d = a.mean - b.mean
@@ -598,8 +724,8 @@ def _snr_from_log_p(log_p: float) -> float:
     Below that, erfc(y) ~ 1 keeps ln erfc to ~eps only, which is ~eps / y
     of y, and one more step takes ln erfc = log1p(-erf(y)).
     """
-    if log_p == -math.inf:
-        return math.inf
+    if log_p <= _LOG_P_HUGE:
+        return -log_p
     big = LN_HALF - log_p
     t = math.sqrt(-2.0 * log_p)
     c0, c1, d1, d2 = _QUANTILE
@@ -636,14 +762,18 @@ def discriminate_many(probes: Sequence[ProbeSpec],
     if two_mode:
         n0, n1, n2, kappa, nb, ensembles = _columns(probes, scenarios, two_mode,
                                                     ("n0", "n1", "n2"))
-        if len(two_mode) == 1:
+        one = len(two_mode) == 1
+        if one:
             # Floats take the same +, * and correctly rounded sqrt as
-            # arrays, without ~30 numpy calls on length-1 arrays.
+            # arrays, without ~30 numpy calls on length-1 arrays, and the
+            # core takes one pair's entries as floats.
             n0, n1, n2, kappa, nb = (float(v[0]) for v in (n0, n1, n2, kappa, nb))
         with np.errstate(over="ignore", invalid="ignore"):
             entries = _probe_entries(n0, n1, n2)
-            ent_a = np.array(_return_entries(entries, kappa, nb)).reshape(6, -1)
-            ent_b = np.array(_absent_entries(entries, nb)).reshape(6, -1)
+            ent_a = _return_entries(entries, kappa, nb)
+            ent_b = _absent_entries(entries, nb)
+        if not one:
+            ent_a, ent_b = np.array(ent_a), np.array(ent_b)
         for i, result in zip(two_mode, _discriminate_standard(ent_a, ent_b, ensembles)):
             out[i] = result
     return out

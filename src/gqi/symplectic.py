@@ -87,10 +87,27 @@ def _require_physical(cov: np.ndarray, nu_min: float) -> float:
     nu = x^H V x / |x^H i Omega x|, an upper bound on the exact smallest
     eigenvalue (Courant-Fischer for the pencil V - nu i Omega) that is
     accurate to second order in x, and the bound above gives its error.
-    Returns the shortfall below 1 that it allowed.
+    A product of one-mode states (no entries between modes) holds each mode
+    to GaussianState(1, ...)'s bound, from its own entries, as
+    standard_form_spectrum does. Returns the shortfall below 1 that it
+    allowed for the smallest eigenvalue.
     """
     if nu_min >= 1.0 - EIGENVALUE_CLAMP_TOL:
         return EIGENVALUE_CLAMP_TOL
+    n = cov.shape[0] // 2
+    blocks = [cov[2 * k:2 * k + 2, 2 * k:2 * k + 2] for k in range(n)]
+    if n == 1 or np.count_nonzero(cov) > sum(map(np.count_nonzero, blocks)):
+        blocks = [cov]
+    bounds = sorted(map(_eigenvector_bound, blocks))  # smallest nu first
+    for k, (nu, tol) in enumerate(bounds):
+        if nu < 1.0 - tol:
+            raise ValidationError(_unphysical(nu, smallest=k == 0))
+    return bounds[0][1]
+
+
+def _eigenvector_bound(cov: np.ndarray) -> tuple[float, float]:
+    """(nu, tol): the smallest symplectic eigenvalue from its eigenvector, as
+    _require_physical says, and the shortfall below 1 allowed it."""
     i_omega = 1j * symplectic_form(cov.shape[0] // 2)
     ev, vecs = np.linalg.eig(i_omega @ cov)
     x = vecs[:, np.argmin(np.abs(ev))]
@@ -102,9 +119,7 @@ def _require_physical(cov: np.ndarray, nu_min: float) -> float:
     # it: no bound follows.
     if not tol < math.inf:
         raise ValidationError(_WIDE_RANGE)
-    if nu < 1.0 - tol:
-        raise ValidationError(_unphysical(nu))
-    return tol
+    return nu, tol
 
 
 def _allowed_shortfall(scale: float, condition: float) -> float:
@@ -120,9 +135,12 @@ def _allowed_shortfall(scale: float, condition: float) -> float:
 _WIDE_RANGE = "covariance entries span too wide a range"
 
 
-def _unphysical(nu: float) -> str:
-    return ("covariance violates the physical-state condition: "
-            f"smallest symplectic eigenvalue {nu}")
+def _unphysical(nu: float, smallest: bool = True) -> str:
+    """Why a covariance is rejected: its smallest symplectic eigenvalue, or
+    another mode of a product state, falls short of 1."""
+    which = "smallest symplectic eigenvalue" if smallest else (
+        "symplectic eigenvalue of a mode of a product state")
+    return f"covariance violates the physical-state condition: {which} {nu}"
 
 
 class StandardSpectrum(NamedTuple):
@@ -225,7 +243,7 @@ def standard_form_spectrum(entries) -> StandardSpectrum:
     if error:
         return StandardSpectrum((math.nan,) * 2, math.nan, (math.nan,) * 4,
                                 [error], math.nan)
-    error, tol = _shortfall(entries, nu[1], k)
+    error, tol = _shortfall(entries, nu, k)
     return StandardSpectrum(nu, gap, k, [error], tol)
 
 
@@ -298,11 +316,15 @@ def _definiteness(entry, det_x, det_p) -> str | None:
     return None
 
 
-def _shortfall(entry, nu_lo: float, k) -> tuple[str | None, float]:
+def _shortfall(entry, nu, k) -> tuple[str | None, float]:
     """_require_physical for one positive-definite standard-form covariance.
 
-    Returns why it is not physical (or None) and the shortfall it allowed.
+    nu is (nu_+, nu_-). Returns why the covariance is not physical (or
+    None) and the shortfall allowed for nu_-. A product state (x1x2 = p1p2 =
+    0) holds each mode to GaussianState(1, ...)'s bound for it, from its own
+    entries: the other mode's cannot round into it.
     """
+    nu_hi, nu_lo = nu
     if nu_lo >= 1.0 - EIGENVALUE_CLAMP_TOL:
         return None, EIGENVALUE_CLAMP_TOL
     ax, ap, bx, bp, cx, cp = entry
@@ -315,11 +337,17 @@ def _shortfall(entry, nu_lo: float, k) -> tuple[str | None, float]:
     # |x|^2 / |x^H i Omega x| with x = (u, -i X u / nu)
     condition = ((u0 * u0 + u1 * u1 + (xu0 * xu0 + xu1 * xu1) / nu_lo**2) * nu_lo
                  / (2.0 * (u0 * xu0 + u1 * xu1)))
-    # In a product state u lies in the short mode, held to GaussianState(1,
-    # ...)'s bound for it: the other mode's entries cannot round into it.
-    own = entry if cx or cp else (ax, ap) if u0 else (bx, bp)
-    tol = _allowed_shortfall(max(map(abs, own)), condition)
-    return (None if nu_lo >= 1.0 - tol else _unphysical(nu_lo)), tol
+    if cx or cp:
+        tol = _allowed_shortfall(max(map(abs, entry)), condition)
+        return (None if nu_lo >= 1.0 - tol else _unphysical(nu_lo)), tol
+    # u lies in the short mode; the long one has condition (x + p) / (2 nu).
+    (sx, sp), (lx, lp) = ((ax, ap), (bx, bp)) if u0 else ((bx, bp), (ax, ap))
+    tol = _allowed_shortfall(max(sx, sp), condition)
+    if nu_lo < 1.0 - tol:
+        return _unphysical(nu_lo), tol
+    if nu_hi < 1.0 - _allowed_shortfall(max(lx, lp), (lx + lp) / (2.0 * nu_hi)):
+        return _unphysical(nu_hi, smallest=False), tol
+    return None, tol
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
@@ -351,7 +379,9 @@ class GaussianState:
     small entries sit below the rounding of its large ones passes:
     diag(2e8, 1e-9) (nu = 0.45) is within eps * 2e8 = 4.4e-8 of the pure
     diag(2e8, 5e-9), and its float64 entries cannot tell the two apart.
-    ``spectrum_tol`` is the shortfall below 1 that the state was allowed.
+    A product state holds each mode to the bound it would have alone.
+    ``spectrum_tol`` is the shortfall below 1 that the smallest eigenvalue
+    was allowed.
     """
 
     n_modes: int

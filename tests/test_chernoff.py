@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc
 
@@ -27,7 +27,8 @@ from gqi import (
 )
 from gqi import chernoff
 from gqi.chernoff import discriminate, discriminate_many
-from gqi.probes import HypothesisPair, tmsv_state
+from gqi.probes import (HypothesisPair, _absent_entries, _probe_entries, _return_entries,
+                        tmsv_state)
 from gqi.chernoff import _PairData
 from oracles import (SymplecticMatrix, apply_symplectic, g_func, lambda_func, v_of_p,
                      williamson)
@@ -454,6 +455,21 @@ class TestSnrInversion:
         assert snr_from_log_p(-math.inf) == math.inf
         assert log_p_from_snr(math.inf) == -math.inf
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_copies_whose_exponent_overflows(self):
+        # M (-ln Q_min) = 5e311: ln P is -inf and the SNR inf, which the
+        # parent returned after an overflow RuntimeWarning.
+        result = snr(ProbeSpec(kind=ProbeKind.COHERENT, ns=1e300), TargetScenario(0.5, 0.0, 1e12))
+        assert (result.log_error_prob, result.snr) == (-math.inf, math.inf)
+
+    @pytest.mark.parametrize("log_p", [-math.ldexp(1.0, 1023), -1e308, -1.7e308])
+    def test_log_p_whose_double_overflows(self, log_p):
+        # -2 ln P overflowed in the starting guess, and the SNR came out NaN
+        # (a coherent probe of N_S = 1e300 at kappa = 1e-4, N_B = 0 and
+        # M = 1e12 reached it); it is -ln P to rounding there.
+        assert snr_from_log_p(log_p) == -log_p
+        assert log_p_from_snr(-log_p) == pytest.approx(log_p, rel=1e-15)
+
     def test_map_against_mpmath(self):
         # Forward on 3000 log-uniform x in [1e-12, 1e8]; inverse on the
         # float ln P of those with x > 1e-4 and on the ln P that M = 1e12
@@ -671,6 +687,39 @@ point = st.tuples(
     st.booleans())
 
 
+# Points for one point against its batch row: both probe kinds of the
+# standard-form core and coherent ones, with the edges of the core: nb = 0,
+# where s* sits on the boundary and the return mode of rho_B is pure (a
+# snap); n0 = 0, a product probe whose rho_B at nb = 0 has no gap to split;
+# and n0 = 1e300, whose entries overflow.
+mixed_point = st.tuples(
+    st.sampled_from([ProbeKind.ASTM, ProbeKind.TMSV, ProbeKind.COHERENT]),
+    st.one_of(st.just(0.0), st.just(1e300), st.floats(0.0, 1e4)),
+    st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+    st.one_of(st.just(0.0), st.floats(0.0, 1e8)),
+    st.floats(1e-4, 0.99),
+    st.one_of(st.just(0.0), st.floats(0.0, 1e8)),
+    st.sampled_from([1.0, 1e6, 1e12]))
+
+
+def outcome(call, *args) -> tuple:
+    """("ok", what call returns) or ("error", the ValidationError's text)."""
+    try:
+        return "ok", call(*args)
+    except ValidationError as err:
+        return "error", str(err)
+
+
+def standard_entries_of(probes, scenarios) -> tuple:
+    """The (6, n) entries of rho_A and rho_B that discriminate_many builds."""
+    n0, n1, n2 = (np.array([getattr(p, k) for p in probes]) for k in ("n0", "n1", "n2"))
+    kappa, nb = (np.array([getattr(sc, k) for sc in scenarios]) for k in ("kappa", "nb"))
+    with np.errstate(all="ignore"):
+        entries = _probe_entries(n0, n1, n2)
+        return (np.array(_return_entries(entries, kappa, nb)),
+                np.array(_absent_entries(entries, nb)))
+
+
 class TestDiscriminateMany:
     # Each point of one batch against the general 4x4 path of gqi.reference
     # on its pair (not the routed chernoff_infimum, which is the batch), with
@@ -725,7 +774,7 @@ class TestDiscriminateMany:
         spectrum = chernoff.standard_form_spectrum
 
         def spy(entries):
-            calls.append(entries.shape)
+            calls.append(np.shape(entries))
             return spectrum(entries)
 
         monkeypatch.setattr(chernoff, "standard_form_spectrum", spy)
@@ -741,13 +790,17 @@ class TestDiscriminateMany:
     @given(points=st.lists(point, min_size=2, max_size=4))
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_one_point_builds_the_entries_of_a_batch(self, points):
-        # One two-mode point is built from floats, a batch from arrays; the
-        # core must receive the same entries from both, bit for bit.
+        # One two-mode point is built from floats and handed over as floats,
+        # a batch from arrays; the core must receive the same entries from
+        # both, bit for bit.
         seen = []
         core = chernoff._discriminate_standard
 
         def spy(ent_a, ent_b, ensembles):
-            seen.append(np.concatenate([ent_a, ent_b, ensembles[None]]))
+            if not isinstance(ent_a, np.ndarray):
+                assert not isinstance(ent_b, np.ndarray) and len(ent_a) == len(ent_b) == 6
+            seen.append(np.vstack([np.reshape(np.array(v, dtype=float), (-1, len(ensembles)))
+                                   for v in (ent_a, ent_b, ensembles)]))
             return core(ent_a, ent_b, ensembles)
 
         probes = [ProbeSpec(kind=ProbeKind.ASTM, n0=n0, n1=n1, n2=n2)
@@ -760,6 +813,66 @@ class TestDiscriminateMany:
                 discriminate_many([probe], [scenario])
         batch, *alone = seen
         np.testing.assert_array_equal(np.concatenate(alone, axis=1), batch)
+
+    @given(points=st.lists(mixed_point, min_size=2, max_size=8))
+    @example(points=[
+        (ProbeKind.ASTM, 0.0, 0.0, 0.0, 0.5, 0.0, 1e6),  # no gap to split, s* = _S_EDGE
+        (ProbeKind.TMSV, 1.0, 0.0, 0.0, 0.1, 0.0, 1e6),  # nu_- of rho_A snaps to 1
+        (ProbeKind.ASTM, 1e300, 0.0, 0.0, 0.5, 1.0, 1e6),  # entries overflow
+        (ProbeKind.COHERENT, 1.0, 0.0, 0.0, 0.01, 3.8e3, 1e7),
+        (ProbeKind.ASTM, 1.0, 1.0, 0.0, 0.01, 3.8e3, 1e7)])
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_one_point_is_its_row_of_a_batch(self, points):
+        # snr, discriminate, chernoff_infimum and q_s of one point give the
+        # bits of its row in a batch: the result under ==, or the same
+        # ValidationError text.
+        probes, scenarios = [], []
+        for kind, n0, n1, n2, kappa, nb, m in points:
+            if kind is ProbeKind.COHERENT:
+                probes.append(ProbeSpec(kind=kind, ns=n0))
+            else:
+                squeezed = kind is ProbeKind.ASTM
+                probes.append(ProbeSpec(kind=kind, n0=n0, n1=n1 * squeezed, n2=n2 * squeezed))
+            scenarios.append(TargetScenario(kappa, nb, m))
+        rows = discriminate_many(probes, scenarios)
+        for probe, scenario, row in zip(probes, scenarios, rows):
+            expected = outcome(chernoff._one, row)
+            assert outcome(snr, probe, scenario) == expected
+            if probe.kind is ProbeKind.COHERENT:
+                continue  # a built coherent pair forms |d|^2/4 from its means
+            try:
+                pair = make_hypotheses(probe, scenario)
+            except ValidationError:
+                continue  # rejected before the core, as the batch row was
+            assert outcome(discriminate, pair, scenario.ensembles) == expected
+            assert outcome(chernoff_infimum, pair) == (
+                expected if expected[0] == "error" else ("ok", (row.s_star, row.q_min)))
+        two_mode = [i for i, p in enumerate(probes) if p.kind is not ProbeKind.COHERENT]
+        if not two_mode:
+            return
+        ent_a, ent_b = standard_entries_of(
+            [probes[i] for i in two_mode], [scenarios[i] for i in two_mode])
+        with np.errstate(all="ignore"):
+            errors, batch = chernoff._standard(ent_a, ent_b)
+            s = np.array([[0.3]], dtype=np.longdouble)
+            batch_q = batch.q(np.repeat(s, len(two_mode), axis=0))[:, 0]
+        for col, i in enumerate(two_mode):
+            with np.errstate(all="ignore"):
+                one_errors, one = chernoff._standard(tuple(ent_a[:, col]), tuple(ent_b[:, col]))
+            assert one_errors == [errors[col]]
+            if errors[col]:
+                continue
+            for name in ("ln_r", "dual", "ln_g", "ln_ratio"):
+                a, b = getattr(one, name)[0], getattr(batch, name)[col]
+                assert np.array_equal(a, b, equal_nan=True), name
+                assert np.array_equal(np.signbit(a), np.signbit(b)), name
+            try:
+                pair = make_hypotheses(probes[i], scenarios[i])
+            except ValidationError:
+                continue
+            good = np.isfinite(batch_q[col]) and batch_q[col] > 0.0
+            assert outcome(q_s, pair, 0.3) == (outcome(lambda: float(batch_q[col])) if good
+                                                else ("error", chernoff._SINGULAR))
 
     @pytest.mark.parametrize("nb", [30.0, 3.8e3, 1e6, 1e8, 1e10])
     def test_coherent_snr_against_closed_form(self, nb):

@@ -16,8 +16,8 @@ from gqi.chernoff import discriminate
 from gqi.discord import gaussian_discord
 from gqi.probes import (HypothesisPair, _probe_entries, _return_entries, _two_mode_cov,
                         coherent_state, make_hypotheses, probe_state, tmsv_state)
-from gqi.symplectic import (EIGENVALUE_CLAMP_TOL, _require_physical, _standard_entries,
-                            standard_form_spectrum)
+from gqi.symplectic import (EIGENVALUE_CLAMP_TOL, _allowed_shortfall, _require_physical,
+                            _standard_entries, standard_form_spectrum)
 
 from conftest import random_physical_cov, random_symplectic
 from oracles import (SymplecticMatrix, apply_symplectic, photons_from_squeezing,
@@ -344,6 +344,42 @@ class TestGaussianStateValidation:
             assert state.spectrum[1] == pytest.approx(alone.spectrum[0], rel=1e-12)
             assert state.spectrum_tol == pytest.approx(alone.spectrum_tol, rel=1e-12)
 
+    @pytest.mark.parametrize("diagonal", [(1e16, 8.1e-17, 0.95, 0.95),
+                                          (0.95, 0.95, 1e16, 8.1e-17)])
+    def test_product_state_long_mode_takes_its_own_bound(self, diagonal):
+        # The 0.9 mode is within its own rounding of a pure mode (its bound
+        # is ~1e17), but the 0.95 mode alone is rejected: only the short
+        # mode was held to a bound, and the state passed with spectrum
+        # (0.95, 0.9).
+        with pytest.raises(ValidationError, match="smallest symplectic eigenvalue 0.95"):
+            GaussianState(1, np.zeros(2), np.diag([0.95, 0.95]))
+        with pytest.raises(ValidationError, match="eigenvalue of a mode of a product state 0.95"):
+            GaussianState(2, np.zeros(4), np.diag(diagonal))
+        entries = diagonal + (0.0, 0.0)
+        for dtype in (float, np.longdouble):
+            column = standard_form_spectrum(np.array(entries, dtype=dtype)[:, None])
+            assert "of a mode of a product state" in column.errors[0]
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_product_state_out_of_standard_form_takes_each_mode_alone(self, first):
+        # The eigvals path scaled the bound by max|V| over both modes: with
+        # the second mode R diag(0.25, 1) R^T (nu = 0.5, x-p correlated) the
+        # state was accepted with spectrum (1e16, 0.5) and spectrum_tol 22.2.
+        c, s = np.cos(0.3), np.sin(0.3)
+        rotation = np.array([[c, -s], [s, c]])
+        cov = np.zeros((4, 4))
+        big, small = (slice(0, 2), slice(2, 4)) if first else (slice(2, 4), slice(0, 2))
+        cov[big, big] = np.diag([1e16, 1e16])
+        cov[small, small] = rotation @ np.diag([0.25, 1.0]) @ rotation.T
+        with pytest.raises(ValidationError, match="smallest symplectic eigenvalue 0.4999"):
+            GaussianState(1, np.zeros(2), cov[small, small])
+        with pytest.raises(ValidationError, match="smallest symplectic eigenvalue 0.4999"):
+            GaussianState(2, np.zeros(4), cov)
+        cov[small, small] = rotation @ np.diag([0.5, 2.0]) @ rotation.T  # nu = 1
+        state = GaussianState(2, np.zeros(4), cov)
+        assert state.spectrum == pytest.approx([1e16, 1.0], rel=1e-12)
+        assert state.spectrum_tol == EIGENVALUE_CLAMP_TOL
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("diagonal, spectrum", [
         ((1e-300, 1e300, 1e-300, 1e300), (1.0, 1.0)),
@@ -376,6 +412,24 @@ def exact_nu_minus(entries) -> float:
         return float(mpmath.sqrt(2 * det / (trace + mpmath.sqrt(trace**2 - 4 * det))))
 
 
+def exact_decision(entries) -> bool:
+    """Whether six standard-form entries, taken as exact, are physical within
+    the shortfall gqi allows: nu_- to 60 digits against the bound of the
+    closed form; in a product state, each mode's nu against its own
+    one-mode bound, max(1e-9, 8 eps max(x, p) (x + p) / (2 nu))."""
+    mpmath = pytest.importorskip("mpmath")
+    ax, ap, bx, bp, cx, cp = entries
+    allowed = standard_form_spectrum(entries).tol
+    if cx or cp:
+        return exact_nu_minus(entries) >= 1.0 - allowed
+    with mpmath.workdps(60):
+        modes = sorted((float(mpmath.sqrt(mpmath.mpf(x) * mpmath.mpf(p))), x, p)
+                       for x, p in ((ax, ap), (bx, bp)))
+    (nu_short, _, _), (nu_long, x, p) = modes
+    return (nu_short >= 1.0 - allowed
+            and nu_long >= 1.0 - _allowed_shortfall(max(x, p), (x + p) / (2.0 * nu_long)))
+
+
 class TestValidationRoute:
     """A standard-form covariance is validated in closed form, any other by eigvals."""
 
@@ -391,7 +445,9 @@ class TestValidationRoute:
         # Each probe, rho_A and rho_B is scaled so that its closed-form nu_-
         # reads 1 - m tol, tol the shortfall it would be allowed there. Where
         # the eigvals path decides otherwise, its spectrum is off by about
-        # tol: the closed-form decision is the one nu_- to 60 digits gives.
+        # tol: the closed-form decision is the one nu_- to 60 digits gives,
+        # or, in a product state such as rho_B, each mode's nu against its
+        # own bound.
         rng = np.random.default_rng(13)
         for _ in range(150):
             n0, n1, n2, nb = 10.0 ** rng.uniform([-3, -3, -3, -3], [4, 8, 8, 9])
@@ -407,9 +463,7 @@ class TestValidationRoute:
                                             scaled)
                     if accepted != self.accepts(lambda v: _require_physical(
                             v, symplectic_eigenvalues(v).min()), scaled):
-                        entries = _standard_entries(scaled)
-                        allowed = standard_form_spectrum(entries).tol
-                        assert accepted == (exact_nu_minus(entries) >= 1.0 - allowed)
+                        assert accepted == exact_decision(_standard_entries(scaled))
 
 
 def standard_entries(cov: np.ndarray) -> np.ndarray:
