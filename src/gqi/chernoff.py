@@ -44,12 +44,13 @@ one. -ln Q is -log1p(Q - 1) above 1/2 and -ln Q below, on every path
 (_exponent). The coherent pair, a displaced and an undisplaced thermal
 state, takes its closed form at s* = 1/2.
 
-One pair (snr, discriminate, chernoff_infimum, q_s) takes the same core
-without arrays of pairs: its entries are analysed as np.longdouble scalars
-(_standard_one) and its search is bookkept on floats (_infimum_one), around
-the same three numpy evaluations of Q_s. Each step is the operation the
-batch applies to the pair's row, so one point gives the bits of its row in
-any batch.
+One pair (snr, discriminate, chernoff_infimum, q_s) takes the same core.
+_standard analyses it with the elementwise operations a batch runs on its
+columns, on the np.longdouble scalars of each state, so one point gives the
+bits of its row in any batch. The search for s* has two routes around the
+same three numpy evaluations of Q_s, each the faster for the input that
+selects it: _infimum keeps a batch's bracket, vertices and pick on arrays,
+and _infimum_one one pair's on floats.
 
 Every built pair goes through one router (_route), shared by q_s,
 chernoff_infimum and discriminate: two-mode pairs in standard form with
@@ -89,8 +90,8 @@ import numpy as np
 
 from .probes import (HypothesisPair, ProbeKind, ProbeSpec, TargetScenario,
                      _absent_entries, _probe_entries, _return_entries)
-from .symplectic import (ValidationError, _require_finite_mean, _standard_entries,
-                         standard_form_spectrum, symplectic_form)
+from .symplectic import (ValidationError, _all, _require_finite_mean, _standard_entries,
+                         _where, standard_form_spectrum, symplectic_form)
 
 LN_HALF = -math.log(2.0)
 
@@ -136,18 +137,6 @@ _FIT = np.stack([_U / (_U @ _U), _U2 / (_U2 @ _U2)], axis=1)
 _SIGN = np.array([1.0, 1.0, -1.0, -1.0])[:, None]
 _OFFSET = np.array([0.0, 0.0, 1.0, 1.0])[:, None]
 
-# Rows of [K; -K_12, -K_21] (K = PX - nu_-^2, entries 11, 12, 21, 22) and of
-# the standard-form entries that make the 2x2 factors of K P, K^T X, L P and
-# L^T X, where L = nu_+^2 - PX = [[K_22, -K_12], [-K_21, K_11]].
-_LEFT = np.array([[[0, 1], [2, 3]], [[0, 2], [1, 3]],
-                  [[3, 4], [5, 0]], [[3, 5], [4, 0]]])
-_RIGHT = np.array([[[1, 5], [5, 3]], [[0, 4], [4, 2]]] * 2)
-# The nu_k of each of those four factors, and the entries 11, 12, 22 of a
-# 2x2 product M and of M^T, whose sum is twice the symmetric part.
-_HI_LO = np.array([0, 0, 1, 1])
-_SYM = np.array([0, 1, 3]), np.array([0, 2, 3])
-
-
 # A symplectic eigenvalue within a tolerance of 1 is a pure mode, where G_p
 # and Lambda_p take their exact limit 1. Lambda_p(1 + e) - 1 grows like e^p,
 # so the rounding left in a pure mode's eigenvalue must not be passed on.
@@ -159,6 +148,7 @@ _SYM = np.array([0, 1, 3]), np.array([0, 2, 3])
 # symplectic S) a pure eigenvalue's rounding stayed below 13 eps (max|V| +
 # 1/det R) in 99% of the draws and below 160 eps (max|V| + 1/det R) in all.
 _PURE_ULPS = 256
+_PURE_EPS = _PURE_ULPS * np.finfo(float).eps
 
 # Both analyses (_standard, _mode_parts) split the modes while nu_+^2 - nu_-^2
 # exceeds this many ulps of nu_+^2 in the dtype they run in: the projectors
@@ -168,11 +158,9 @@ _DEGENERATE_ULPS = 64
 
 _SINGULAR = "V_A(s) + V_B(1-s) is singular"
 
-# The constants of _standard, in the dtypes its batch forms them in.
+# The constants of _standard, in np.longdouble.
 _LN_16 = 4.0 * np.log(np.longdouble(2.0))  # ln 2^n of two modes
 _SPLIT_ULPS = _DEGENERATE_ULPS * np.finfo(np.longdouble).eps
-_PURE_EPS = _PURE_ULPS * np.finfo(float).eps
-_ONE = np.longdouble(1.0)
 
 _EYE2 = np.eye(2)
 
@@ -193,19 +181,27 @@ def _log_ratio(nu: np.ndarray) -> np.ndarray:
         return np.log1p(-2.0 / (nu + 1.0))
 
 
-def _snap(nu: np.ndarray, tol: float) -> np.ndarray:
-    """Clamp rounding below 1 and set pure modes (nu <= 1 + tol) to exactly 1."""
-    return np.where(nu <= 1.0 + tol, 1.0, nu)
+def _pure_tol(max_abs, det_r):
+    """How far above 1 a symplectic eigenvalue of V is still a pure mode,
+    from max|V| and det R (see _PURE_ULPS)."""
+    return _PURE_EPS * (max_abs + 1.0 / det_r)
+
+
+def _snap(nu, tol):
+    """Clamp rounding below 1 and set pure modes (nu <= 1 + tol) to exactly
+    1, in an array or a scalar."""
+    return _where(nu <= 1.0 + tol, 1.0, nu)
 
 
 @dataclass(frozen=True)
 class _StandardPairs:
-    """n standard-form two-mode pairs analysed once, for Q_s at any s.
+    """n standard-form two-mode pairs analysed once (_standard), for Q_s at any s.
 
-    Axis 0 runs over the pairs. The four columns are nu_+ and nu_- of rho_A
-    (power s) and of rho_B (power 1 - s); dual holds, per column, the x and
-    p blocks (entries 11, 12, 22) of its part of Sigma'_s. Q_s comes in the
-    dtype of the arrays.
+    Axis 0 runs over the pairs; one pair is n = 1, with the bits of its row
+    in any batch. The four columns are nu_+ and nu_- of rho_A (power s) and
+    of rho_B (power 1 - s); dual holds, per column, the x and p blocks
+    (entries 11, 12, 22) of its part of Sigma'_s. Q_s comes in the dtype of
+    the arrays.
     """
 
     ln_r: np.ndarray      # (n, 4, 1)
@@ -233,113 +229,80 @@ def _standard(ent_a, ent_b) -> tuple:
     """Validate n standard-form two-mode pairs and analyse them in np.longdouble.
 
     ent_a and ent_b are the (6, n) float64 entries of rho_A and rho_B, or
-    the six floats of one pair, which _standard_one analyses on
-    np.longdouble scalars into the bits of the batch's column. Returns
-    (errors, pairs): errors[i] is why pair i was rejected, or None, and
-    pairs the analysis of all n, one spectrum for the batch. A rejected
-    pair's numbers mean nothing: the caller silences what they raise and
-    drops its Q_s.
+    the six floats of one pair. Returns (errors, pairs): errors[i] is why
+    pair i was rejected, or None, and pairs the analysis of all n. A
+    rejected pair's numbers mean nothing: the caller silences what they
+    raise and drops its Q_s.
 
-    With X and P the x and p blocks of V and M = PX (Williamson V = S D S^T,
-    S = S_x + S_p), V(p)^-1 = X(p)^-1 + P(p)^-1, where
+    A batch takes one standard_form_spectrum call on its (6, 2n) columns;
+    one pair takes one call per state, on six np.longdouble scalars (the
+    path of a flagged batch column). _state_parts runs the same elementwise
+    operations on either, so one pair gets the bits of its row in any batch.
+    """
+    if isinstance(ent_a, np.ndarray):
+        n = ent_a.shape[1]
+        entries = np.concatenate([ent_a, ent_b], axis=1).astype(np.longdouble)
+        spec = standard_form_spectrum(entries)
+        errors = spec.errors
+        parts = np.array(_state_parts(entries, spec, np.abs(entries).max(axis=0)))
+    else:
+        n = 1
+        states = np.array([ent_a, ent_b], dtype=np.longdouble).tolist()
+        specs = [standard_form_spectrum(e) for e in states]
+        errors = specs[0].errors + specs[1].errors
+        parts = np.array([_state_parts(e, spec, max(map(abs, e)))
+                          for e, spec in zip(states, specs)], dtype=np.longdouble).T
+    # Rows: nu_+, nu_-, then dual (hi, lo; x, p; entry); columns: A, then B.
+    nu, dual = parts[:2], parts[2:]
+    ln_nu1 = np.log1p(nu)
+    ln_state = ln_nu1[0] + ln_nu1[1]  # sum over a state's modes
+    ln_a, ln_b = ln_state[:n, None], ln_state[n:, None]
+    return [errors[i] or errors[n + i] for i in range(n)], _StandardPairs(
+        ln_r=_log_ratio(nu).reshape(2, 2, n).transpose(2, 1, 0).reshape(n, 4, 1),
+        dual=dual.reshape(2, 2, 3, 2, n).transpose(4, 1, 2, 3, 0).reshape(n, 6, 4),
+        ln_g=_LN_16 - ln_b,
+        ln_ratio=ln_b - ln_a,
+    )
+
+
+def _state_parts(entries, spec, max_abs) -> list:
+    """nu_+ and nu_- with pure modes snapped, then the parts of Sigma'_s, of
+    standard-form states: scalars of one state or (2n,) columns of many.
+
+    max_abs is max|V|, for _pure_tol. With X and P the x and p blocks of V
+    and M = PX (Williamson V = S D S^T, S = S_x + S_p),
+    V(p)^-1 = X(p)^-1 + P(p)^-1, where
 
         X(p)^-1 = sum_k Pi_k P / (nu_k Lambda_k),
         P(p)^-1 = sum_k Pi_k^T X / (nu_k Lambda_k),
 
-    Pi_k the spectral projectors of M: Pi_+ = (M - nu_-^2) / g and
-    Pi_- = (nu_+^2 - M) / g. Each column of dual is one Pi_k P / nu_k with
-    its Pi_k^T X / nu_k, the six entries (11, 12, 22) of both blocks. At a
-    gap g within rounding of 0, both take half of P / nu_k and X / nu_k.
+    Pi_k the spectral projectors of M: Pi_+ = K / g and Pi_- = L / g, with
+    K = M - nu_-^2 and L = nu_+^2 - M = [[K_22, -K_12], [-K_21, K_11]].
+    The parts are the entries 11, 12, 22 of the symmetric parts of K P,
+    K^T X, L P and L^T X, each over g nu_k. At a gap g within rounding of
+    0, K and L become I and g becomes 2: each part is half of P / nu_k or
+    X / nu_k.
     """
-    if not isinstance(ent_a, np.ndarray):
-        return _standard_one(ent_a, ent_b)
-    n = ent_a.shape[1]
-    entries = np.concatenate([ent_a, ent_b], axis=1).astype(np.longdouble)
-    spec = standard_form_spectrum(entries)
-    errors = [spec.errors[i] or spec.errors[n + i] for i in range(n)]
     ax, ap, bx, bp, cx, cp = entries
-    # K = PX - nu_-^2 = g Pi_+ and L = nu_+^2 - PX = g Pi_-, as 2x2 stacks,
-    # times P and X: K P, K^T X, L P, L^T X.
-    k = np.concatenate([spec.k, -spec.k[1:3]])
-    left = k.take(_LEFT, axis=0).transpose(0, 3, 1, 2)
-    right = entries.take(_RIGHT, axis=0).transpose(0, 3, 1, 2)
-    nu_k = spec.nu.take(_HI_LO, axis=0)
-    scale = spec.gap * nu_k
-    split = spec.gap > _SPLIT_ULPS * spec.nu[0] ** 2
-    if split.all():
-        prod = left @ right
-    else:
-        prod = np.where(split[:, None, None], left @ right, right)
-        scale = np.where(split, scale, 2.0 * nu_k)
-    prod = prod.reshape(4, 2 * n, 4)
-    sym = (prod.take(_SYM[0], axis=2) + prod.take(_SYM[1], axis=2)) * (0.5 / scale)[..., None]
-    # (hi x, hi p, lo x, lo p; A then B; entry) -> (pair; x then p entries;
-    # A hi, A lo, B hi, B lo)
-    dual = sym.reshape(2, 2, 2, n, 3).transpose(3, 1, 4, 2, 0).reshape(n, 6, 4)
-
-    det_r = (spec.nu[0] * spec.nu[1]) ** 2 / (ax * bx * ap * bp)
-    nu = _snap(spec.nu, _PURE_EPS * (np.abs(entries).max(axis=0) + 1.0 / det_r))
-    ln_nu1 = np.log1p(nu).reshape(2, 2, n).sum(axis=0)  # sum over a state's modes
-    return errors, _StandardPairs(
-        ln_r=_log_ratio(nu).reshape(2, 2, n).transpose(2, 1, 0).reshape(n, 4, 1),
-        dual=dual,
-        ln_g=(_LN_16 - ln_nu1[1])[:, None],
-        ln_ratio=(ln_nu1[1] - ln_nu1[0])[:, None],
-    )
-
-
-def _matmul2(a: tuple, b: tuple) -> tuple:
-    """a @ b of 2x2 matrices given as entries (11, 12, 21, 22), summed as
-    numpy's matmul loop for dtypes without BLAS sums: 0 + a_i1 b_1j + a_i2 b_2j."""
-    a11, a12, a21, a22 = a
-    b11, b12, b21, b22 = b
-    return (0.0 + a11 * b11 + a12 * b21, 0.0 + a11 * b12 + a12 * b22,
-            0.0 + a21 * b11 + a22 * b21, 0.0 + a21 * b12 + a22 * b22)
-
-
-def _standard_one(ent_a: tuple, ent_b: tuple) -> tuple:
-    """_standard of one pair, from the six floats of rho_A and of rho_B.
-
-    The entries become np.longdouble scalars, which standard_form_spectrum
-    takes on the path of six floats, as the batch does for a flagged column.
-    K P, K^T X, L P and L^T X are explicit 2x2 products (_matmul2), and the
-    rest repeats the batch's operations in its order.
-    """
-    entries = np.array(ent_a + ent_b, dtype=np.longdouble).tolist()
-    errors, dual, nu = [], [[None] * 4 for _ in range(6)], []
-    for state in (0, 1):
-        ax, ap, bx, bp, cx, cp = state_entries = entries[6 * state:6 * state + 6]
-        spec = standard_form_spectrum(state_entries)
-        errors.append(spec.errors[0])
-        hi, lo = spec.nu
-        k11, k12, k21, k22 = spec.k
-        x, p = (ax, cx, cx, bx), (ap, cp, cp, bp)
-        split = spec.gap > _SPLIT_ULPS * (hi * hi)
-        # (left, right, nu_k, first dual row, dual column) of K P, K^T X, L P, L^T X
-        for left, right, nu_k, row, col in (
-                ((k11, k12, k21, k22), p, hi, 0, 2 * state),
-                ((k11, k21, k12, k22), x, hi, 3, 2 * state),
-                ((k22, -k12, -k21, k11), p, lo, 0, 2 * state + 1),
-                ((k22, -k21, -k12, k11), x, lo, 3, 2 * state + 1)):
-            if split:
-                prod, half = _matmul2(left, right), 0.5 / (spec.gap * nu_k)
-            else:
-                prod, half = right, 0.5 / (2.0 * nu_k)
-            dual[row][col] = (prod[0] + prod[0]) * half
-            dual[row + 1][col] = (prod[1] + prod[2]) * half
-            dual[row + 2][col] = (prod[3] + prod[3]) * half
-        det_r = (hi * lo) * (hi * lo) / (ax * bx * ap * bp)
-        pure_tol = _PURE_EPS * (max(map(abs, state_entries)) + 1.0 / det_r)
-        nu += [_ONE if v <= 1.0 + pure_tol else v for v in (hi, lo)]
-    nu = np.array(nu, dtype=np.longdouble)  # A hi, A lo, B hi, B lo
-    ln_nu1 = np.log1p(nu).tolist()
-    ln_a, ln_b = ln_nu1[0] + ln_nu1[1], ln_nu1[2] + ln_nu1[3]
-    return [errors[0] or errors[1]], _StandardPairs(
-        ln_r=_log_ratio(nu).reshape(1, 4, 1),
-        dual=np.array(dual, dtype=np.longdouble)[None],
-        ln_g=np.array([[_LN_16 - ln_b]]),
-        ln_ratio=np.array([[ln_b - ln_a]]),
-    )
+    (hi, lo), gap, (k11, k12, k21, k22) = spec.nu, spec.gap, spec.k
+    split = gap > _SPLIT_ULPS * (hi * hi)
+    if not _all(split):
+        k11, k12, k21, k22, gap = (_where(split, v, one) for v, one in zip(
+            (k11, k12, k21, k22, gap), (1.0, 0.0, 0.0, 1.0, 2.0)))
+    r = hi * lo  # det V = r^2, det R = det V / (ax bx ap bp)
+    tol = _pure_tol(max_abs, r * r / (ax * bx * ap * bp))
+    out = [_snap(hi, tol), _snap(lo, tol)]
+    half_hi, half_lo, n12, n21 = 0.5 / (gap * hi), 0.5 / (gap * lo), -k12, -k21
+    for a11, a12, a21, a22, b11, b12, b22, half in (
+            (k11, k12, k21, k22, ap, cp, bp, half_hi),  # K P
+            (k11, k21, k12, k22, ax, cx, bx, half_hi),  # K^T X
+            (k22, n12, n21, k11, ap, cp, bp, half_lo),  # L P
+            (k22, n21, n12, k11, ax, cx, bx, half_lo)):  # L^T X
+        # A B for a symmetric B: its entries 11 and 22, and 12 + 21.
+        m11, m22 = a11 * b11 + a12 * b12, a21 * b12 + a22 * b22
+        m12_21 = (a11 * b12 + a12 * b22) + (a21 * b11 + a22 * b12)
+        out += [(m11 + m11) * half, m12_21 * half, (m22 + m22) * half]
+    return out
 
 
 def _discriminate_standard(ent_a, ent_b, ensembles) -> list:
@@ -510,7 +473,7 @@ def _mode_parts(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not det_r > 0.0:
         raise ValidationError("covariance is not positive definite")
     det_v = float(np.prod(scale) ** 2 * det_r)
-    pure_tol = _PURE_EPS * (np.abs(cov).max() + 1.0 / det_r)
+    pure_tol = _pure_tol(np.abs(cov).max(), det_r)
     if n == 1:
         nu = math.sqrt(det_v)
         return _snap(np.array([nu]), pure_tol), (cov / nu)[None]

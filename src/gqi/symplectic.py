@@ -114,22 +114,23 @@ def _eigenvector_bound(cov: np.ndarray) -> tuple[float, float]:
     norm = abs(np.vdot(x, i_omega @ x))
     with np.errstate(all="ignore"):
         nu = np.vdot(x, cov @ x).real / norm
-        tol = _allowed_shortfall(np.abs(cov).max(), np.vdot(x, x).real / norm)
-    # eigvals reads the spectrum of diag(1e-300, 1e300) as 0, and norm with
-    # it: no bound follows.
-    if not tol < math.inf:
-        raise ValidationError(_WIDE_RANGE)
-    return nu, tol
+        condition = np.vdot(x, x).real / norm
+    return nu, _allowed_shortfall(np.abs(cov).max(), condition)
 
 
 def _allowed_shortfall(scale: float, condition: float) -> float:
     """max(EIGENVALUE_CLAMP_TOL, the error of an eigvals spectrum).
 
     scale is max|V|, condition |x|^2 / |x^H i Omega x| for the eigenvector
-    x of the smallest symplectic eigenvalue.
+    x of the smallest symplectic eigenvalue. Where that error is not
+    finite, no bound follows, and the covariance is rejected: eigvals reads
+    the spectrum of diag(1e-300, 1e300) as 0, and the norm with it, and the
+    squares in _shortfall's condition overflow for entries of ~1e154.
     """
-    return max(EIGENVALUE_CLAMP_TOL,
-               _SPECTRUM_ULPS * np.finfo(float).eps * scale * condition)
+    bound = _SPECTRUM_ULPS * np.finfo(float).eps * scale * condition
+    if not bound < math.inf:  # inf or NaN
+        raise ValidationError(_WIDE_RANGE)
+    return max(EIGENVALUE_CLAMP_TOL, bound)
 
 
 _WIDE_RANGE = "covariance entries span too wide a range"
@@ -183,6 +184,12 @@ def _sqrt(x):
 def _where(cond, a, b):
     """np.where on arrays, a conditional expression on floats."""
     return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _all(cond) -> bool:
+    """cond.all() of an array, bool(cond) of a scalar (whose .all() would run a
+    reduction)."""
+    return cond.all() if isinstance(cond, np.ndarray) else bool(cond)
 
 
 def _ratio(num, den):
@@ -240,11 +247,14 @@ def standard_form_spectrum(entries) -> StandardSpectrum:
         if _range_error(nu):
             nu, gap, k = _centred_spectrum(entries)
             error = _range_error(nu)
-    if error:
-        return StandardSpectrum((math.nan,) * 2, math.nan, (math.nan,) * 4,
-                                [error], math.nan)
-    error, tol = _shortfall(entries, nu, k)
-    return StandardSpectrum(nu, gap, k, [error], tol)
+    if not error:
+        try:
+            error, tol = _shortfall(entries, nu, k)
+        except ValidationError as exc:  # no finite bound on the shortfall
+            error = str(exc)
+        else:
+            return StandardSpectrum(nu, gap, k, [error], tol)
+    return StandardSpectrum((math.nan,) * 2, math.nan, (math.nan,) * 4, [error], math.nan)
 
 
 def _spectrum(entries, det_x, det_p) -> tuple:
@@ -320,8 +330,9 @@ def _shortfall(entry, nu, k) -> tuple[str | None, float]:
     """_require_physical for one positive-definite standard-form covariance.
 
     nu is (nu_+, nu_-). Returns why the covariance is not physical (or
-    None) and the shortfall allowed for nu_-. A product state (x1x2 = p1p2 =
-    0) holds each mode to GaussianState(1, ...)'s bound for it, from its own
+    None) and the shortfall allowed for nu_-; raises where no finite bound
+    follows (_allowed_shortfall). A product state (x1x2 = p1p2 = 0) holds
+    each mode to GaussianState(1, ...)'s bound for it, from its own
     entries: the other mode's cannot round into it.
     """
     nu_hi, nu_lo = nu

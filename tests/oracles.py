@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm, schur, sqrtm
 
-from gqi.chernoff import _em, _log_ratio, _mode_parts, _snap
+from gqi.chernoff import _em, _log_ratio, _mode_parts
 from gqi.probes import ProbeKind, ProbeSpec, TargetScenario, _squeezer_gains
 from gqi.symplectic import (EIGENVALUE_CLAMP_TOL, GaussianState, ValidationError,
                             _check_covariance, _require_physical, symplectic_form)
@@ -155,7 +155,7 @@ def _scalar_em(p: float, x: float) -> tuple[float, float]:
         raise ValidationError(f"G_p/Lambda_p need p > 0, got {p}")
     if not x >= 1.0 - EIGENVALUE_CLAMP_TOL:
         raise ValidationError(f"G_p/Lambda_p need x >= 1, got {x}")
-    nu = _snap(np.array([x]), _PURE_TOL)
+    nu = np.array([1.0 if x <= 1.0 + _PURE_TOL else x])
     return float(nu[0]), float(_em(float(p), _log_ratio(nu))[0])
 
 

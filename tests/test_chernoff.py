@@ -720,6 +720,39 @@ def standard_entries_of(probes, scenarios) -> tuple:
                 np.array(_absent_entries(entries, nb)))
 
 
+def assert_dual_is_symmetric_parts(ent_a, ent_b, errors, dual):
+    """Each column of a batch's dual, against np.matmul of the 2x2
+    np.longdouble factors K P, K^T X, L P and L^T X, K from
+    standard_form_spectrum and L = [[K_22, -K_12], [-K_21, K_11]]: the
+    entries 11, 12, 22 of (M + M^T) 0.5 / (g nu_k), or of (P + P) 0.5 /
+    (2 nu_k) and (X + X) 0.5 / (2 nu_k) where the gap does not split.
+    == takes -0 for +0."""
+    n = ent_a.shape[1]
+    entries = np.concatenate([ent_a, ent_b], axis=1).astype(np.longdouble)
+    with np.errstate(all="ignore"):
+        spec = chernoff.standard_form_spectrum(entries)
+    for j in range(2 * n):  # the columns of rho_A, then of rho_B
+        pair, state = j % n, j // n
+        if errors[pair]:
+            continue
+        ax, ap, bx, bp, cx, cp = entries[:, j]
+        x, p = np.array([[ax, cx], [cx, bx]]), np.array([[ap, cp], [cp, bp]])
+        k11, k12, k21, k22 = spec.k[:, j]
+        k, l = np.array([[k11, k12], [k21, k22]]), np.array([[k22, -k12], [-k21, k11]])
+        (hi, lo), g = spec.nu[:, j], spec.gap[j]
+        split = g > chernoff._SPLIT_ULPS * (hi * hi)
+        for mode, (proj, nu_k) in enumerate(((k, hi), (l, lo))):
+            expected = []
+            for right, left in ((p, proj), (x, proj.T)):
+                if split:
+                    m = np.matmul(left, right)
+                    part = (m + m.T) * (0.5 / (g * nu_k))
+                else:
+                    part = (right + right) * (0.5 / (2.0 * nu_k))
+                expected += [part[0, 0], part[0, 1], part[1, 1]]
+            assert (dual[pair, :, 2 * state + mode] == expected).all(), (pair, state, mode)
+
+
 class TestDiscriminateMany:
     # Each point of one batch against the general 4x4 path of gqi.reference
     # on its pair (not the routed chernoff_infimum, which is the batch), with
@@ -856,6 +889,7 @@ class TestDiscriminateMany:
             errors, batch = chernoff._standard(ent_a, ent_b)
             s = np.array([[0.3]], dtype=np.longdouble)
             batch_q = batch.q(np.repeat(s, len(two_mode), axis=0))[:, 0]
+        assert_dual_is_symmetric_parts(ent_a, ent_b, errors, batch.dual)
         for col, i in enumerate(two_mode):
             with np.errstate(all="ignore"):
                 one_errors, one = chernoff._standard(tuple(ent_a[:, col]), tuple(ent_b[:, col]))

@@ -548,6 +548,26 @@ class TestStandardFormSpectrum:
                      standard_form_spectrum(np.array(entries)[:, None])):
             assert spec.errors == ["covariance entries span too wide a range"]
 
+    def test_no_finite_bound_is_rejected(self):
+        # A condition number that is not finite gives no bound on the
+        # shortfall; max(1e-9, nan) would read it as the 1e-9 floor. In rho_A
+        # of this ASTM point (entries up to 5.7e166) the squares of the
+        # float64 condition number overflow, so the state cannot be called
+        # unphysical either.
+        for condition in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="span too wide a range"):
+                _allowed_shortfall(1.0, condition)
+        probe = ProbeSpec(kind=ProbeKind.ASTM, n0=69529.30160268967,
+                          n1=6.389885617073536e162, n2=1.5983444529326842e19)
+        scenario = TargetScenario(0.016081263998902223, 0.7224709050049041, 1e7)
+        with pytest.raises(ValidationError, match="span too wide a range"):
+            make_hypotheses(probe, scenario)
+        entries = _return_entries(_probe_entries(probe.n0, probe.n1, probe.n2),
+                                  scenario.kappa, scenario.nb)
+        for spec in (standard_form_spectrum(entries),
+                     standard_form_spectrum(np.array(entries)[:, None])):
+            assert spec.errors == ["covariance entries span too wide a range"]
+
     def test_rejects_each_bad_covariance_alone(self):
         good = standard_entries(tmsv_state(1.0).cov)[:, 0]
         nan, indefinite = good.copy(), good.copy()
