@@ -59,23 +59,20 @@ form. Q_s of a coherent pair away from s* and any other pair take the
 general path (_PairData), the one- or two-mode analysis below.
 
 General path. With P_k = S_k S_k^T for the two columns of S that belong
-to mode k, V(p) = sum_k Lambda_p(nu_k) P_k, and both nu_k and P_k have
-closed forms. One mode: nu = sqrt(det V) and P = V / nu. Two modes, with
-blocks V = [[A, C], [C^T, B]] (Serafini, Illuminati & De Siena, J. Phys.
-B 37, L21 (2004)):
-
-    nu_+-^2 = (Delta +- sqrt(Delta^2 - 4 det V)) / 2,
-    Delta = det A + det B + 2 det C,
-
-and since (Omega V)^2 = -S^{-T} D^2 S^T, (Omega V)^2 + nu_-+^2 annihilates
-mode -+, which leaves
+to mode k, V(p) = sum_k Lambda_p(nu_k) P_k. nu_k, det V and the halves
+(q -+ x)/2 of q = nu_+^2 - nu_-^2, the diagonal blocks of
+(Omega V)^2 + nu_+^2, come from symplectic._closed_spectrum, the closed
+form (Serafini, Illuminati & De Siena, J. Phys. B 37, L21 (2004)) that
+validates every covariance out of standard form. One mode has P = V / nu;
+for two, (Omega V)^2 = -S^{-T} D^2 S^T, so (Omega V)^2 + nu_-+^2
+annihilates mode -+, which leaves
 
     nu_+- P_+- = -+V ((Omega V)^2 + nu_-+^2) / (nu_+^2 - nu_-^2),
 
 the 2-point Lagrange fit of Lambda_p(nu)/nu against -nu^2 in
-V(p) = c0 V + c1 V (Omega V)^2. Then Sigma'_s = sum_k Omega P_k Omega^T /
-Lambda_k, and one batched determinant (and solve, for displaced pairs)
-gives every Q_s.
+V(p) = c0 V + c1 V (Omega V)^2 (_mode_parts). Then Sigma'_s = sum_k
+Omega P_k Omega^T / Lambda_k, and one batched determinant (and solve, for
+displaced pairs) gives every Q_s.
 
 The SNR map ln P = ln[(1/2) erfc(sqrt(SNR))] and its inverse need numpy
 no more than the rest: math.erfc, the asymptotic series of erfc, and
@@ -90,8 +87,9 @@ import numpy as np
 
 from .probes import (HypothesisPair, ProbeKind, ProbeSpec, TargetScenario,
                      _absent_entries, _probe_entries, _return_entries)
-from .symplectic import (ValidationError, _all, _require_finite_mean, _standard_entries,
-                         _where, standard_form_spectrum, symplectic_form)
+from .symplectic import (ValidationError, _all, _closed_spectrum, _require_finite_mean,
+                         _standard_entries, _where, standard_form_spectrum,
+                         symplectic_form)
 
 LN_HALF = -math.log(2.0)
 
@@ -452,67 +450,35 @@ def _em(p: np.ndarray, ln_r: np.ndarray) -> np.ndarray:
     return -np.expm1(p * ln_r)
 
 
-def _det2(m: np.ndarray) -> float:
-    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-
-
 def _mode_parts(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symplectic spectrum nu (descending) and the P_k of a covariance.
 
-    V(p) = sum_k Lambda_p(nu_k) P_k. The P_k rest on the spectrum as found;
-    a pure mode's nu snaps to 1 (within the covariance's rounding) only for
-    G_p and Lambda_p.
+    V(p) = sum_k Lambda_p(nu_k) P_k. nu, det V and the halves come from
+    symplectic._closed_spectrum, which validates the covariance; the P_k
+    rest on that spectrum. A pure mode's nu snaps to 1 (within the
+    covariance's rounding) only for G_p and Lambda_p.
     """
     cov = np.asarray(cov, dtype=float)
-    n = cov.shape[0] // 2
-    if cov.shape != (2 * n, 2 * n) or n not in (1, 2):
-        raise ValidationError(
-            f"Q_s needs a one- or two-mode covariance, got shape {cov.shape}")
-    scale = np.sqrt(np.diag(cov))
-    det_r = float(np.linalg.det(cov / np.outer(scale, scale)))
-    if not det_r > 0.0:
-        raise ValidationError("covariance is not positive definite")
-    det_v = float(np.prod(scale) ** 2 * det_r)
-    pure_tol = _pure_tol(np.abs(cov).max(), det_r)
-    if n == 1:
-        nu = math.sqrt(det_v)
-        return _snap(np.array([nu]), pure_tol), (cov / nu)[None]
-
-    # As J A J A = -det A and J C J C^T = -det C, (Omega V)^2 has diagonal
-    # blocks -(det A + det C) and -(det B + det C) times I, and an
-    # off-diagonal block N with N N' = det N I. With x = det A - det B and
-    # u = det N, q = nu_+^2 - nu_-^2 = sqrt(x^2 + 4u); the diagonal blocks of
-    # (Omega V)^2 + nu_+^2 are (q - x)/2 and (q + x)/2, and those of
-    # (Omega V)^2 + nu_-^2 are -(q + x)/2 and -(q - x)/2. The product of the
-    # two halves is u, which gives the smaller one without cancellation. u
-    # comes from the entries of N, not from det C (det A + det B) +
-    # tr(A J C J B J C^T J), whose terms cancel to u: nearly product states
-    # lost all of u that way, and with it the smaller half.
-    a, b, c = cov[:2, :2], cov[2:, 2:], cov[:2, 2:]
-    det_a, det_b, det_c = _det2(a), _det2(b), _det2(c)
-    k_hi = symplectic_form(2) @ cov
-    k_hi = k_hi @ k_hi
-    x = det_a - det_b
-    u = _det2(k_hi[:2, 2:])
-    q = math.sqrt(max(x * x + 4.0 * u, 0.0))
-    big = 0.5 * (q + abs(x))
-    small = u / big if big > 0.0 else 0.0
-    q_minus_x, q_plus_x = (small, big) if x >= 0.0 else (big, small)
-
-    hi2 = 0.5 * (det_a + det_b + 2.0 * det_c + q)
-    lo2 = det_v / hi2  # not (Delta - q)/2, which cancels for nu_- << nu_+
-    if q > _DEGENERATE_ULPS * np.finfo(float).eps * hi2:
+    spectrum, det, halves, _ = _closed_spectrum(cov)
+    nu = _snap(np.array(spectrum), _pure_tol(np.abs(cov).max(), det / np.prod(np.diag(cov))))
+    if cov.shape == (2, 2):
+        return nu, (cov / spectrum[0])[None]
+    (nu_hi, nu_lo), (q_minus_x, q_plus_x) = spectrum, halves
+    q = q_minus_x + q_plus_x
+    if q > _DEGENERATE_ULPS * np.finfo(float).eps * nu_hi * nu_hi:
+        # (Omega V)^2 + nu_-+^2 annihilates mode -+; its diagonal blocks are
+        # the halves, its off-diagonal ones those of (Omega V)^2.
+        k_hi = symplectic_form(2) @ cov
+        k_hi = k_hi @ k_hi
         k_lo = k_hi.copy()
-        k_hi[:2, :2] = q_minus_x * _EYE2
-        k_hi[2:, 2:] = q_plus_x * _EYE2
-        k_lo[:2, :2] = -q_plus_x * _EYE2
-        k_lo[2:, 2:] = -q_minus_x * _EYE2
-        p_hi = -cov @ k_lo / (q * math.sqrt(hi2))
-        p_lo = cov @ k_hi / (q * math.sqrt(lo2))
+        k_hi[:2, :2], k_hi[2:, 2:] = q_minus_x * _EYE2, q_plus_x * _EYE2
+        k_lo[:2, :2], k_lo[2:, 2:] = -q_plus_x * _EYE2, -q_minus_x * _EYE2
+        p_hi = -cov @ k_lo / (q * nu_hi)
+        p_lo = cov @ k_hi / (q * nu_lo)
         parts = np.array([p_hi + p_hi.T, p_lo + p_lo.T]) / 2.0
     else:
-        parts = np.array([cov / (2.0 * math.sqrt(hi2)), cov / (2.0 * math.sqrt(lo2))])
-    return _snap(np.sqrt([hi2, lo2]), pure_tol), parts
+        parts = np.array([cov / (2.0 * nu_hi), cov / (2.0 * nu_lo)])
+    return nu, parts
 
 
 class _PairData:

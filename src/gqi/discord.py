@@ -105,7 +105,7 @@ def gaussian_discord(state: GaussianState) -> DiscordResult:
     if entries is not None:
         return _standard_discord(entries, state.spectrum.tolist(), state.spectrum_tol)
     d = block_determinants(state)
-    # The spectrum (eigvals), det V (LU) and the 2x2 determinants lose up
+    # The spectrum (closed form), det V (LU) and the 2x2 determinants lose up
     # to ~eps times the condition number of V: a strongly squeezed mode's.
     lam = np.linalg.eigvalsh(state.cov)
     ulps = _INPUT_ULPS * lam[-1] / lam[0]

@@ -8,7 +8,6 @@ number N has covariance (2N+1) I_2.
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -16,23 +15,19 @@ import numpy as np
 EIGENVALUE_CLAMP_TOL = 1e-9
 SYMMETRY_RTOL = 1e-12
 
-# A covariance whose spectrum reads below 1 - EIGENVALUE_CLAMP_TOL is
-# rejected only if its smallest symplectic eigenvalue falls short of 1 by
-# more than the error of the computed spectrum. eigvals is backward stable:
-# its spectrum is exact for i Omega V + E, |E| ~ eps max|V|, so nu_k is off
-# by up to |E| |x|^2 / |x^H i Omega x| (x its eigenvector, i Omega x the left
-# one): |E| times the condition number of nu_k. That is ~eps max|V|^2 for a
-# strongly squeezed mode (symplectic_eigenvalues reads the pure covariance of
-# tmsv_state(1e4) as 1 - 3.7e-8, and the same state of 5e3 photons through
-# a beam splitter, out of standard form, as 1 - 1.9e-8) and ~eps max|V| for
-# one that is not (diag(2e8, 2e8, 0.9, 0.9) is rejected). On ~9000 sampled
-# pure and nearly pure states (closed-form TMSV and ASTM probes with n0 up
-# to 3e4 and squeezers up to 1e6 photons, the same through random beam
-# splitters and phases, S diag(nu) S^T for random one- and two-mode
-# symplectic S) whose shortfall exceeded 1e-10, it stayed below 1.4 times
-# that bound. A covariance in standard form is held to the same bound in
-# closed form (standard_form_spectrum).
+# A covariance is rejected only if its smallest symplectic eigenvalue falls
+# short of 1 by more than the error of the closed form that computed it
+# (_allowed_shortfall): ~eps max|V| for a thermal mode (diag(2e8, 2e8, 0.9,
+# 0.9) is rejected), ~eps max|V|^2 for a strongly squeezed one. Against 80
+# digits, _two_mode's nu_- stayed within 1.8 eps tr V (k_+ + k_-) of the
+# exact one on 3000 phase-turned and 3000 beam-split lossy ASTM returns,
+# 3000 S diag(nu) S^T and 1616 pure ASTM probes (max|V| <= 1e5) turned and
+# beam-split; within eps max|V| times the condition of nu_- alone it did
+# not (345 times that, as the elimination for det V loses ~eps tr V tr V^-1).
+# standard_form_spectrum holds its covariances to that eigenvector bound.
 _SPECTRUM_ULPS = 8
+_EPS = float(np.finfo(float).eps)  # a float: no numpy warning on overflow
+_TINY = float(np.finfo(float).tiny)
 
 
 class ValidationError(ValueError):
@@ -40,37 +35,28 @@ class ValidationError(ValueError):
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Canonical symplectic form Omega = direct sum of [[0, 1], [-1, 0]]."""
-    if n_modes < 1:
-        raise ValidationError(f"n_modes must be >= 1, got {n_modes}")
-    return _symplectic_form(n_modes)
+    """Canonical symplectic form Omega = direct sum of [[0, 1], [-1, 0]] of one
+    or two modes, read-only, so that every caller may share it."""
+    if n_modes not in (1, 2):
+        raise ValidationError(f"n_modes must be 1 or 2, got {n_modes}")
+    return _OMEGA[n_modes]
 
 
-@lru_cache(maxsize=8)
-def _symplectic_form(n_modes: int) -> np.ndarray:
-    """Read-only, so that every caller may share the cached array."""
-    block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        omega[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = block
-    omega.flags.writeable = False
-    return omega
+_OMEGA = {n: np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]]) + 0.0 for n in (1, 2)}  # no -0.0
+for _omega in _OMEGA.values():
+    _omega.flags.writeable = False
 
 
 def _check_covariance(cov: np.ndarray) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
-    if (cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2
-            or cov.size == 0):
-        raise ValidationError(f"covariance must be 2n x 2n, got shape {cov.shape}")
+    if cov.shape not in ((2, 2), (4, 4)):
+        raise ValidationError(
+            f"covariance must be 2n x 2n with n = 1 or 2 modes, got shape {cov.shape}")
     scale = np.abs(cov).max()  # NaN or inf if any entry is
     if not np.isfinite(scale):
         raise ValidationError("covariance has a non-finite entry")
     if np.abs(cov - cov.T).max() > SYMMETRY_RTOL * max(scale, 1.0):
         raise ValidationError("covariance matrix is not symmetric")
-    try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise ValidationError("covariance matrix is not positive definite") from None
     return cov
 
 
@@ -79,55 +65,105 @@ def _require_finite_mean(mean: np.ndarray) -> None:
         raise ValidationError("mean has a non-finite entry")
 
 
-def _require_physical(cov: np.ndarray, nu_min: float) -> float:
-    """Raise unless cov is physical to within the error of its spectrum.
+def _closed_spectrum(cov: np.ndarray) -> tuple:
+    """(nu descending, det V, halves (_two_mode), bounds) of a one- or two-mode
+    covariance. bounds pairs each value held to a bound with the shortfall
+    below 1 allowed it. Raises ValidationError where the covariance is not
+    positive definite or float64 resolves no spectrum."""
+    v = cov.tolist()
+    if len(v) == 4:
+        return _two_mode(v)
+    (x, c), (c2, p) = v
+    nu, det, tol = _one_mode(x, c, c2, p)
+    return (nu,), det, (), [(nu, tol)]
 
-    nu_min is the computed smallest symplectic eigenvalue. Below the
-    EIGENVALUE_CLAMP_TOL floor, the eigenvector x of that eigenvalue gives
-    nu = x^H V x / |x^H i Omega x|, an upper bound on the exact smallest
-    eigenvalue (Courant-Fischer for the pencil V - nu i Omega) that is
-    accurate to second order in x, and the bound above gives its error.
-    A product of one-mode states (no entries between modes) holds each mode
-    to GaussianState(1, ...)'s bound, from its own entries, as
-    standard_form_spectrum does. Returns the shortfall below 1 that it
-    allowed for the smallest eigenvalue.
+
+def _require_positive(*minors: float) -> None:
+    """Raise unless each leading minor (or ratio of two) is positive and finite.
+    From finite entries, a NaN or inf minor is a product out of range."""
+    for minor in minors:
+        if not 0.0 < minor < math.inf:
+            raise ValidationError("covariance matrix is not positive definite"
+                                  if minor <= 0.0 else _WIDE_RANGE)
+
+
+def _one_mode(x: float, c: float, c2: float, p: float) -> tuple[float, float, float]:
+    """(nu, det V, shortfall allowed nu) of the one-mode covariance [[x, c], [c2, p]].
+
+    det V = x s, with s = p - c c2 / x the second leading minor over the
+    first; nu = sqrt(x) sqrt(s) where det V is out of range. nu is off by
+    ~eps max|V| times its condition (x + p) / (2 nu).
     """
-    if nu_min >= 1.0 - EIGENVALUE_CLAMP_TOL:
-        return EIGENVALUE_CLAMP_TOL
-    n = cov.shape[0] // 2
-    blocks = [cov[2 * k:2 * k + 2, 2 * k:2 * k + 2] for k in range(n)]
-    if n == 1 or np.count_nonzero(cov) > sum(map(np.count_nonzero, blocks)):
-        blocks = [cov]
-    bounds = sorted(map(_eigenvector_bound, blocks))  # smallest nu first
-    for k, (nu, tol) in enumerate(bounds):
-        if nu < 1.0 - tol:
-            raise ValidationError(_unphysical(nu, smallest=k == 0))
-    return bounds[0][1]
+    _require_positive(x)
+    s = p - c * (c2 / x)
+    _require_positive(s)
+    det = x * s
+    nu = math.sqrt(det) if _TINY <= det < math.inf else math.sqrt(x) * math.sqrt(s)
+    return nu, det, _allowed_shortfall(max(x, p, abs(c)), (x + p) / (2.0 * nu))
 
 
-def _eigenvector_bound(cov: np.ndarray) -> tuple[float, float]:
-    """(nu, tol): the smallest symplectic eigenvalue from its eigenvector, as
-    _require_physical says, and the shortfall below 1 allowed it."""
-    i_omega = 1j * symplectic_form(cov.shape[0] // 2)
-    ev, vecs = np.linalg.eig(i_omega @ cov)
-    x = vecs[:, np.argmin(np.abs(ev))]
-    norm = abs(np.vdot(x, i_omega @ x))
-    with np.errstate(all="ignore"):
-        nu = np.vdot(x, cov @ x).real / norm
-        condition = np.vdot(x, x).real / norm
-    return nu, _allowed_shortfall(np.abs(cov).max(), condition)
+def _two_mode(v: list) -> tuple:
+    """_closed_spectrum of V = [[A, C], [C^T, B]] (Serafini, Illuminati & De
+    Siena, J. Phys. B 37, L21 (2004)).
+
+    nu_+^2 = (det A + det B + 2 det C + q) / 2, nu_-^2 = det V / nu_+^2. As
+    (Omega V)^2 has diagonal blocks -(det A + det C) I, -(det B + det C) I
+    and off-diagonal N, N' with N N' = det N I, q = nu_+^2 - nu_-^2 =
+    sqrt(x^2 + 4u), x = det A - det B, u = det N. The halves (q -+ x)/2, the
+    diagonal blocks of (Omega V)^2 + nu_+^2, multiply to u: the smaller is
+    u over the larger. det V = det A det S, S = B - C^T A^-1 C, and the
+    leading minors A_11, det A, S_11 and det S decide definiteness.
+
+    The elimination is exact for V + E, |E| ~ eps |V|, so nu_- is off by
+    ~eps tr V (k_+ + k_-), k_+- the conditions |x|^2 / |x^H i Omega x| of
+    nu_+- (x their eigenvectors), which bound the rounding of nu_+^2 too.
+    With V = S D S^T, k_+ + k_- = (tr V + nu_+ nu_- tr V^-1) / (2 (nu_+ + nu_-)),
+    positive terms that need no eigenvector: no branch where the gap is
+    within rounding. A product state holds each mode to its own bound.
+    """
+    (a, b, c, d), (e, f, g, h), (i, j, k, l), (m, n, o, p) = v
+    det_a, det_b, det_c = a * f - b * e, k * p - l * o, c * h - d * g
+    _require_positive(a, det_a)
+    t00, t01, t10, t11 = f * c - b * g, f * d - b * h, a * g - e * c, a * h - e * d  # adj(A) C
+    s00, s01 = k - (i * t00 + j * t10) / det_a, l - (i * t01 + j * t11) / det_a
+    s10, s11 = o - (m * t00 + n * t10) / det_a, p - (m * t01 + n * t11) / det_a
+    det_s = s00 * s11 - s01 * s10
+    _require_positive(s00, det_s)
+    x = det_a - det_b
+    u = ((e * g - f * c + g * o - h * k) * (b * d - a * h + d * l - c * p)
+         - (e * h - f * d + g * p - h * l) * (b * c - a * g + d * k - c * o))
+    q = math.sqrt(max(x * x + 4.0 * u, 0.0))
+    big = 0.5 * (q + abs(x))
+    small = u / big if big > 0.0 else 0.0
+    det, hi2 = det_a * det_s, 0.5 * (det_a + det_b + 2.0 * det_c + q)
+    _require_positive(det, hi2)
+    _require_positive(det / hi2)
+    nu = sorted((math.sqrt(hi2), math.sqrt(det / hi2)), reverse=True)
+    if c or d or g or h:
+        # tr V^-1 = tr A^-1 + tr S^-1 + tr(S^-1 T^T T) / det A^2, T = adj(A) C;
+        # below 0 it is rounding that has left S no digit.
+        g00, g01, g11 = t00 * t00 + t10 * t10, t00 * t01 + t10 * t11, t01 * t01 + t11 * t11
+        inv_trace = max(0.0, (a + f) / det_a + (s00 + s11) / det_s
+                        + (s11 * g00 + s00 * g11 - (s01 + s10) * g01) / (det_s * det_a**2))
+        trace = a + f + k + p
+        bounds = [(nu[1], _allowed_shortfall(
+            trace, (trace + nu[0] * nu[1] * inv_trace) / (2.0 * (nu[0] + nu[1]))))]
+    else:
+        bounds = [_one_mode(a, b, e, f)[::2], _one_mode(k, l, o, p)[::2]]
+    return tuple(nu), det, (small, big) if x >= 0.0 else (big, small), bounds
 
 
 def _allowed_shortfall(scale: float, condition: float) -> float:
-    """max(EIGENVALUE_CLAMP_TOL, the error of an eigvals spectrum).
+    """max(EIGENVALUE_CLAMP_TOL, _SPECTRUM_ULPS eps scale condition).
 
-    scale is max|V|, condition |x|^2 / |x^H i Omega x| for the eigenvector
-    x of the smallest symplectic eigenvalue. Where that error is not
-    finite, no bound follows, and the covariance is rejected: eigvals reads
-    the spectrum of diag(1e-300, 1e300) as 0, and the norm with it, and the
-    squares in _shortfall's condition overflow for entries of ~1e154.
+    eps scale is the rounding a closed-form spectrum starts from (max|V|,
+    or tr V for two modes, _two_mode) and condition how far the formula
+    carries it into the eigenvalue. Where that bound is not finite, no bound
+    follows, and the covariance is rejected: the condition (x + p) / (2 nu)
+    of diag(1e-300, 1e300) overflows, and so do the squares in _shortfall's
+    condition for entries of ~1e154.
     """
-    bound = _SPECTRUM_ULPS * np.finfo(float).eps * scale * condition
+    bound = _SPECTRUM_ULPS * _EPS * scale * condition
     if not bound < math.inf:  # inf or NaN
         raise ValidationError(_WIDE_RANGE)
     return max(EIGENVALUE_CLAMP_TOL, bound)
@@ -215,11 +251,10 @@ def standard_form_spectrum(entries) -> StandardSpectrum:
     diagonal of PX - nu_-^2 is (g + x)/2 and (g - x)/2, whose product is
     (PX)_12 (PX)_21, so the smaller one comes without cancellation too.
 
-    A covariance that GaussianState would reject gets its reason in errors,
-    with the same bound: the smallest eigenvalue may fall short of 1 by
-    max(EIGENVALUE_CLAMP_TOL, the error of an eigvals spectrum), which is
-    tol. With u the eigenvector of PX for nu_-^2, the eigenvector of
-    i Omega V is (u, -i X u / nu_-), which gives that error in closed form.
+    A covariance that GaussianState would reject gets its reason in errors:
+    the smallest eigenvalue may fall short of 1 by tol, max(1e-9, eps max|V|
+    times its condition). With u the eigenvector of PX for nu_-^2, that of
+    i Omega V is (u, -i X u / nu_-), which gives the condition in closed form.
     A column flagged on the common path (not finite, not positive definite,
     det X det P overflowing, or nu_- below 1 - EIGENVALUE_CLAMP_TOL) takes
     the path of six floats, as numpy scalars of its dtype. Six floats take
@@ -327,7 +362,7 @@ def _definiteness(entry, det_x, det_p) -> str | None:
 
 
 def _shortfall(entry, nu, k) -> tuple[str | None, float]:
-    """_require_physical for one positive-definite standard-form covariance.
+    """The physical-state check of one positive-definite standard-form covariance.
 
     nu is (nu_+, nu_-). Returns why the covariance is not physical (or
     None) and the shortfall allowed for nu_-; raises where no finite bound
@@ -362,37 +397,33 @@ def _shortfall(entry, nu, k) -> tuple[str | None, float]:
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a symmetric positive-definite matrix, descending.
+    """Symplectic spectrum of a one- or two-mode covariance, descending.
 
-    The n values are the moduli of the (pairwise degenerate) eigenvalues of
-    i Omega cov; each is >= 1 for a physical covariance.
+    The moduli of the (pairwise degenerate) eigenvalues of i Omega cov, in
+    closed form (_closed_spectrum): each is >= 1 for a physical covariance,
+    which this does not check. Raises ValidationError for any other mode
+    count and where cov is not symmetric and positive definite.
     """
-    cov = _check_covariance(cov)
-    n = cov.shape[0] // 2
-    ev = np.linalg.eigvals(1j * symplectic_form(n) @ cov)
-    nus = np.sort(np.abs(ev))[::2]
-    return np.sort(nus)[::-1]
+    return np.array(_closed_spectrum(_check_covariance(cov))[0])
 
 
 @dataclass
 class GaussianState:
-    """Gaussian state: quadrature mean vector and covariance over n modes.
+    """Gaussian state of one or two modes: quadrature mean and covariance.
 
     Construction validates the state and keeps the symplectic spectrum of
-    the covariance it was given (descending) as ``spectrum``. A two-mode
-    covariance in standard form (no x-p correlations, as _standard_entries
-    decides: every probe and hypothesis state the package builds) takes the
-    closed form of standard_form_spectrum, with no LAPACK call; any other
-    covariance takes the Cholesky and eigvals of symplectic_eigenvalues.
-    Either way the smallest symplectic eigenvalue may fall below 1 by
-    max(1e-9, the error of an eigvals spectrum). That error follows
-    the conditioning of the eigenvalue, not |V| alone, so a state whose
-    small entries sit below the rounding of its large ones passes:
-    diag(2e8, 1e-9) (nu = 0.45) is within eps * 2e8 = 4.4e-8 of the pure
-    diag(2e8, 5e-9), and its float64 entries cannot tell the two apart.
-    A product state holds each mode to the bound it would have alone.
-    ``spectrum_tol`` is the shortfall below 1 that the smallest eigenvalue
-    was allowed.
+    its covariance (descending) as ``spectrum``, with no LAPACK call. A
+    two-mode covariance in standard form (no x-p correlations, as
+    _standard_entries decides: every probe and hypothesis state the package
+    builds) takes standard_form_spectrum, any other the closed form of
+    symplectic_eigenvalues. The smallest eigenvalue may fall below 1 by
+    max(1e-9, the error of that closed form), ``spectrum_tol`` (out of
+    standard form, whatever the spectrum reads). That error follows the
+    conditioning of the eigenvalues, not |V| alone, so diag(2e8, 1e-9)
+    (nu = 0.45) passes: it is within eps * 2e8 = 4.4e-8 of the pure
+    diag(2e8, 5e-9), and its float64 entries cannot tell the two apart. A
+    product state holds each mode to the bound it would have alone. Three
+    or more modes raise ValidationError.
     """
 
     n_modes: int
@@ -402,8 +433,8 @@ class GaussianState:
     spectrum_tol: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValidationError(f"n_modes must be >= 1, got {self.n_modes}")
+        if self.n_modes not in (1, 2):
+            raise ValidationError(f"n_modes must be 1 or 2, got {self.n_modes}")
         self.mean = np.asarray(self.mean, dtype=float)
         if self.mean.shape != (2 * self.n_modes,):
             raise ValidationError(
@@ -417,9 +448,12 @@ class GaussianState:
             )
         entries = _standard_entries(self.cov) if self.n_modes == 2 else None
         if entries is None:
-            # symplectic_eigenvalues runs the symmetry and positivity checks.
-            self.spectrum = symplectic_eigenvalues(self.cov)
-            self.spectrum_tol = _require_physical(self.cov, self.spectrum.min())
+            nu, _, _, bounds = _closed_spectrum(_check_covariance(self.cov))
+            bounds.sort()  # smallest nu first
+            for rank, (value, tol) in enumerate(bounds):
+                if value < 1.0 - tol:
+                    raise ValidationError(_unphysical(value, smallest=rank == 0))
+            self.spectrum, self.spectrum_tol = np.array(nu), bounds[0][1]
             return
         spec = standard_form_spectrum(entries)
         if spec.errors[0]:
@@ -428,4 +462,3 @@ class GaussianState:
         # round nu_+ an ulp below nu_-.
         self.spectrum = np.array(sorted(spec.nu, reverse=True))
         self.spectrum_tol = spec.tol
-

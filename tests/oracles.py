@@ -7,7 +7,9 @@ these use scipy.linalg.
 Symplectic toolkit: SymplecticMatrix, the Williamson form through the
 symmetric square root of the covariance (e.g. Pirandola & Lloyd, PRA 78,
 012331 (2008)), squeezers and the photon/squeezing conversions, and the
-scalar G_p, Lambda_p and V(p).
+scalar G_p, Lambda_p and V(p). The LAPACK route to the spectrum that gqi's
+closed forms replace: eigvals of i Omega V, and the decision its
+eigenvectors gave (eigvals_spectrum, eigvals_decision).
 
 Fock oracle: independent of the covariance-matrix route. The probe is built
 from the number-basis TMSV amplitudes, squeezers and the target beam
@@ -24,7 +26,8 @@ from scipy.linalg import expm, schur, sqrtm
 from gqi.chernoff import _em, _log_ratio, _mode_parts
 from gqi.probes import ProbeKind, ProbeSpec, TargetScenario, _squeezer_gains
 from gqi.symplectic import (EIGENVALUE_CLAMP_TOL, GaussianState, ValidationError,
-                            _check_covariance, _require_physical, symplectic_form)
+                            _allowed_shortfall, _check_covariance, _unphysical,
+                            symplectic_form)
 
 SYMPLECTIC_RESIDUAL_TOL = 1e-10
 
@@ -75,11 +78,12 @@ def williamson(cov: np.ndarray) -> WilliamsonDecomposition:
 
     Builds W = V^{-1/2} Omega V^{-1/2} (antisymmetric), brings it to real
     canonical form with a Schur decomposition, and assembles the symplectic
-    S = V^{1/2} O D^{-1/2}. Eigenvalues below 1 within the physical-state
-    tolerance of GaussianState are clamped to 1; larger violations raise.
+    S = V^{1/2} O D^{-1/2}. The covariance is validated as a GaussianState;
+    eigenvalues it reads below 1 are then clamped to 1.
     """
     cov = _check_covariance(cov)
     n = cov.shape[0] // 2
+    GaussianState(n, np.zeros(2 * n), cov)
     root = np.real(sqrtm(cov))
     root_inv = np.linalg.inv(root)
     w = root_inv @ symplectic_form(n) @ root_inv
@@ -105,10 +109,54 @@ def williamson(cov: np.ndarray) -> WilliamsonDecomposition:
     o = o[:, col_order]
     nu = nu[order]
 
-    _require_physical(cov, nu.min())
     s = root @ o @ np.diag(np.repeat(1.0 / np.sqrt(nu), 2))
     nu = np.maximum(nu, 1.0)
     return WilliamsonDecomposition(SymplecticMatrix(s), nu)
+
+
+def eigvals_spectrum(cov: np.ndarray) -> np.ndarray:
+    """Symplectic spectrum, descending, as the moduli of the (pairwise
+    degenerate) eigenvalues of i Omega V from LAPACK eigvals."""
+    ev = np.linalg.eigvals(1j * symplectic_form(cov.shape[0] // 2) @ cov)
+    return np.sort(np.sort(np.abs(ev))[::2])[::-1]
+
+
+def eigvals_decision(cov: np.ndarray) -> float:
+    """Validate cov by eigvals; return the shortfall below 1 allowed its
+    smallest symplectic eigenvalue, or raise ValidationError.
+
+    Below the EIGENVALUE_CLAMP_TOL floor the eigenvector x of that eigenvalue
+    gives nu = x^H V x / |x^H i Omega x|, an upper bound on the exact one
+    (Courant-Fischer for the pencil V - nu i Omega) accurate to second order
+    in x. eigvals is backward stable, so nu is off by ~eps max|V| times
+    |x|^2 / |x^H i Omega x|, the condition of the eigenvalue: the bound of
+    _allowed_shortfall. A product state (no entries between modes) holds
+    each mode to its own bound.
+    """
+    if eigvals_spectrum(cov).min() >= 1.0 - EIGENVALUE_CLAMP_TOL:
+        return EIGENVALUE_CLAMP_TOL
+    n = cov.shape[0] // 2
+    blocks = [cov[2 * k:2 * k + 2, 2 * k:2 * k + 2] for k in range(n)]
+    if n == 1 or np.count_nonzero(cov) > sum(map(np.count_nonzero, blocks)):
+        blocks = [cov]
+    bounds = sorted(map(_eigenvector_bound, blocks))  # smallest nu first
+    for k, (nu, tol) in enumerate(bounds):
+        if nu < 1.0 - tol:
+            raise ValidationError(_unphysical(nu, smallest=k == 0))
+    return bounds[0][1]
+
+
+def _eigenvector_bound(cov: np.ndarray) -> tuple[float, float]:
+    """(nu, tol) of the smallest symplectic eigenvalue from its eigvals
+    eigenvector, as eigvals_decision says."""
+    i_omega = 1j * symplectic_form(cov.shape[0] // 2)
+    ev, vecs = np.linalg.eig(i_omega @ cov)
+    x = vecs[:, np.argmin(np.abs(ev))]
+    norm = abs(np.vdot(x, i_omega @ x))
+    with np.errstate(all="ignore"):
+        nu = np.vdot(x, cov @ x).real / norm
+        condition = np.vdot(x, x).real / norm
+    return nu, _allowed_shortfall(np.abs(cov).max(), condition)
 
 
 def apply_symplectic(state: GaussianState, s: SymplecticMatrix) -> GaussianState:

@@ -23,7 +23,7 @@ from gqi import (
 from gqi.discord import gaussian_discord
 from gqi.probes import _squeezer_gains
 from gqi.symplectic import _allowed_shortfall, symplectic_form
-from oracles import apply_symplectic, single_mode_squeezer
+from oracles import apply_symplectic, eigvals_spectrum, single_mode_squeezer
 
 photons = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
 
@@ -290,7 +290,7 @@ class TestClosedFormValidation:
         for state in (astm_state(probe), pair.rho_a, pair.rho_b):
             bound = np.maximum(eigvals_bounds(state.cov), state.spectrum_tol)
             np.testing.assert_array_less(
-                np.abs(state.spectrum - symplectic_eigenvalues(state.cov)), 2.0 * bound)
+                np.abs(state.spectrum - eigvals_spectrum(state.cov)), 2.0 * bound)
 
     def test_pure_spectrum_descends(self):
         # The closed form reads n0 = n1 = 1, n2 = 1e4 as nu_+ = 1 - 4e-16,
@@ -309,20 +309,25 @@ class TestClosedFormValidation:
                 raise AssertionError(f"{name} called")
             return call
 
-        cholesky = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "eigvals", refuse("eigvals"))
-        monkeypatch.setattr(np.linalg, "cholesky", refuse("cholesky"))
+        for name in ("eig", "eigvals", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, refuse(name))
         probe = ProbeSpec(kind=ProbeKind.ASTM, n0=1.0, n1=1.0, n2=1e6)
         astm_state(probe)
         tmsv_state(1e4)
         pair = make_hypotheses(probe, TargetScenario(kappa=0.01, nb=3.8e3))
-        # A phase turn on the signal mode takes the state out of standard form.
+        # Out of standard form, validation takes the closed form of
+        # symplectic_eigenvalues: a phase turn on the signal mode, a rotated
+        # squeezed mode, and a product state with x-p correlations.
         c, s = np.cos(0.3), np.sin(0.3)
         turn = np.eye(4)
         turn[:2, :2] = [[c, -s], [s, c]]
-        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
-        with pytest.raises(AssertionError, match="eigvals called"):
-            GaussianState(2, np.zeros(4), turn @ pair.rho_a.cov @ turn.T)
+        GaussianState(2, np.zeros(4), turn @ pair.rho_a.cov @ turn.T)
+        coherent_state(1.0)
+        squeezed = turn[:2, :2] @ np.diag([1e-3, 1e3]) @ turn[:2, :2].T
+        GaussianState(1, np.zeros(2), squeezed)
+        product = np.zeros((4, 4))
+        product[:2, :2], product[2:, 2:] = squeezed, 3.0 * np.eye(2)
+        assert GaussianState(2, np.zeros(4), product).spectrum == pytest.approx([3.0, 1.0])
 
     # gaussian_discord(astm_state(p)) where it read the eigvals spectrum
     # validation kept, over the discord_map draw domain (n0 in [0.1, 4],

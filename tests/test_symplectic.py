@@ -16,12 +16,13 @@ from gqi.chernoff import discriminate
 from gqi.discord import gaussian_discord
 from gqi.probes import (HypothesisPair, _probe_entries, _return_entries, _two_mode_cov,
                         coherent_state, make_hypotheses, probe_state, tmsv_state)
-from gqi.symplectic import (EIGENVALUE_CLAMP_TOL, _allowed_shortfall, _require_physical,
+from gqi.symplectic import (EIGENVALUE_CLAMP_TOL, _allowed_shortfall, _closed_spectrum,
                             _standard_entries, standard_form_spectrum)
 
 from conftest import random_physical_cov, random_symplectic
-from oracles import (SymplecticMatrix, apply_symplectic, photons_from_squeezing,
-                     single_mode_squeezer, squeezing_from_photons, williamson)
+from oracles import (SymplecticMatrix, apply_symplectic, eigvals_decision, eigvals_spectrum,
+                     photons_from_squeezing, single_mode_squeezer, squeezing_from_photons,
+                     williamson)
 
 photons = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
 
@@ -271,8 +272,8 @@ class TestGaussianStateValidation:
 
     @pytest.mark.parametrize("n0", [3e3, 1e4])
     def test_accepts_strongly_squeezed_tmsv(self, n0):
-        # symplectic_eigenvalues reads the smaller eigenvalue of this
-        # covariance as 1 - 3.7e-8 (n0 = 1e4), rounding of ~0.4 eps max|V|^2
+        # LAPACK eigvals (oracles.eigvals_spectrum) reads the smaller eigenvalue
+        # of this covariance as 1 - 3.7e-8 (n0 = 1e4), rounding of ~0.4 eps max|V|^2
         # that a fixed 1e-9 bound rejected. The state itself is in standard
         # form and takes the closed form, which reads 1.
         state = tmsv_state(n0)
@@ -430,8 +431,124 @@ def exact_decision(entries) -> bool:
             and nu_long >= 1.0 - _allowed_shortfall(max(x, p), (x + p) / (2.0 * nu_long)))
 
 
+def rotation(theta: float) -> np.ndarray:
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+def beam_splitter(theta: float) -> np.ndarray:
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, 0, s, 0], [0, c, 0, s], [-s, 0, c, 0], [0, -s, 0, c]])
+
+
+def exact_spectrum(cov: np.ndarray) -> tuple:
+    """The symplectic spectrum of a one- or two-mode covariance, its float
+    entries taken as exact, to 60 digits (descending)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        m = mpmath.matrix(cov.tolist())
+        if cov.shape == (2, 2):
+            return (float(mpmath.sqrt(mpmath.det(m))),)
+        dets = [mpmath.det(m[r:r + 2, c:c + 2]) for r, c in ((0, 0), (2, 2), (0, 2))]
+        delta, det_v = dets[0] + dets[1] + 2 * dets[2], mpmath.det(m)
+        hi2 = (delta + mpmath.sqrt(delta**2 - 4 * det_v)) / 2
+        return float(mpmath.sqrt(hi2)), float(mpmath.sqrt(det_v / hi2))
+
+
+# ASTM n0 = 37.525347944232216, n1 = 27.707588555939235, n2 = 9402.512698067827,
+# turned by 3.6474979628108573 rad on the signal and 2.4200144827073515 rad on
+# the idler, through the transposed beam_splitter(3.873233370353383) and
+# symmetrised. Its entries are pinned: the matrix products that build it
+# round differently with each BLAS, and its 60-digit spectrum moves with them.
+NEAR_DEGENERATE = np.array([
+    [508369.26496730396, 647827.4990965098, -614090.8475725965, -635045.9520432731],
+    [647827.4990965098, 825544.5103563339, -782552.7492196488, -809254.8037080452],
+    [-614090.8475725965, -782552.7492196488, 741800.6383129568, 767112.336111059],
+    [-635045.9520432731, -809254.8037080452, 767112.336111059, 793289.0498639675]])
+
+
+class TestClosedFormSpectrum:
+    """Covariances out of standard form take the closed form of
+    symplectic_eigenvalues, held to that form's own error."""
+
+    def test_near_degenerate_state_reports_its_error(self):
+        # eigvals read this state as (1.0000932, 0.9999999999) and allowed
+        # it 1e-9: at 60 digits nu_- = 0.99992390, 7.6e-5 below 1. The
+        # condition of nu_- is 1.43e6, so eigvals' own bound was 2.5e-3.
+        state = GaussianState(2, np.zeros(4), NEAR_DEGENERATE)
+        nu_lo = exact_spectrum(NEAR_DEGENERATE)[1]
+        assert 1.0 - nu_lo > 1e-5
+        assert 1.0 - nu_lo <= state.spectrum_tol
+        assert abs(state.spectrum[1] - nu_lo) <= state.spectrum_tol
+
+    def test_one_or_two_modes(self):
+        with pytest.raises(ValidationError, match="n_modes must be 1 or 2"):
+            GaussianState(3, np.zeros(6), np.eye(6))
+        with pytest.raises(ValidationError, match="2n x 2n"):
+            symplectic_eigenvalues(np.eye(6))
+
+    @pytest.mark.parametrize("photons", [1.0, 1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("m", [0.5, 2.0])
+    def test_one_mode_decision_at_the_edge(self, photons, m):
+        # A squeezed mode turned by 0.7 rad (x-p correlated), scaled so that
+        # its closed-form nu reads 1 - m tol: the decision is the one
+        # sqrt(det V) at 60 digits gives against the bound at that nu.
+        g = (np.sqrt(photons + 1.0) + np.sqrt(photons)) ** 2
+        cov = rotation(0.7) @ np.diag([1.0 / g, g]) @ rotation(0.7).T
+        cov = 0.5 * (cov + cov.T)
+        nu = symplectic_eigenvalues(cov)[0]
+        tol = _closed_spectrum(cov * ((1.0 - 2.0 * EIGENVALUE_CLAMP_TOL) / nu))[3][0][1]
+        scaled = cov * ((1.0 - m * tol) / nu)
+        exact = exact_spectrum(scaled)[0]
+        bound = _allowed_shortfall(np.abs(scaled).max(), np.trace(scaled) / (2.0 * exact))
+        assert TestValidationRoute.accepts(
+            lambda v: GaussianState(1, np.zeros(2), v), scaled) == (exact >= 1.0 - bound)
+
+    def test_two_mode_decision_at_the_edge(self):
+        # Pure ASTM probes through a phase and a beam splitter, scaled so that
+        # nu_- reads 1 - m tol: the decision is the one nu_- at 60 digits
+        # gives against the same bound.
+        rng = np.random.default_rng(18)
+        for _ in range(20):
+            n0, n1, n2 = 10.0 ** rng.uniform([-2, -2, -2], [2, 3, 3])
+            turn = np.zeros((4, 4))
+            turn[:2, :2], turn[2:, 2:] = rotation(rng.uniform(0, 7)), rotation(rng.uniform(0, 7))
+            split = beam_splitter(rng.uniform(0, 7)) @ turn
+            cov = split @ probe_state(ProbeSpec(kind=ProbeKind.ASTM, n0=n0, n1=n1,
+                                                n2=n2)).cov @ split.T
+            cov = 0.5 * (cov + cov.T)
+            nu_lo = symplectic_eigenvalues(cov)[1]
+            tol = _closed_spectrum(cov * ((1.0 - 2.0 * EIGENVALUE_CLAMP_TOL) / nu_lo))[3][0][1]
+            for m in (0.5, 2.0):
+                scaled = cov * ((1.0 - m * tol) / nu_lo)
+                accepted = TestValidationRoute.accepts(
+                    lambda v: GaussianState(2, np.zeros(4), v), scaled)
+                assert accepted == (exact_spectrum(scaled)[1] >= 1.0 - tol), (n0, n1, n2, m)
+
+    def test_documented_one_mode_cases(self):
+        # diag(2e8, 1e-9) is within its rounding of a pure mode (docstring).
+        assert GaussianState(1, np.zeros(2), np.diag([2e8, 1e-9])).spectrum[0] < 0.5
+        with pytest.raises(ValidationError, match="smallest symplectic eigenvalue 0.3"):
+            GaussianState(1, np.zeros(2), np.diag([0.3, 0.3]))
+
+    def test_beam_split_thermal_shortfall_is_rejected(self):
+        # nu_- = 0.9 next to a thermal mode of 1e8 photons: both conditions
+        # are ~1, so the bound is ~eps tr V, not ~eps tr V^2.
+        cov = beam_splitter(0.4) @ np.diag([2e8, 2e8, 0.9, 0.9]) @ beam_splitter(0.4).T
+        with pytest.raises(ValidationError, match="smallest symplectic eigenvalue 0.9"):
+            GaussianState(2, np.zeros(4), 0.5 * (cov + cov.T))
+
+    @pytest.mark.parametrize("n_modes", [1, 2])
+    def test_matches_eigvals_spectrum(self, rng, n_modes):
+        for _ in range(50):
+            v = random_physical_cov(n_modes, rng)
+            np.testing.assert_allclose(symplectic_eigenvalues(v), eigvals_spectrum(v),
+                                       rtol=1e-12)
+
+
 class TestValidationRoute:
-    """A standard-form covariance is validated in closed form, any other by eigvals."""
+    """A standard-form covariance is validated by standard_form_spectrum, where
+    the eigvals route (oracles.eigvals_decision) validated it before."""
 
     @staticmethod
     def accepts(validate, cov: np.ndarray) -> bool:
@@ -461,8 +578,7 @@ class TestValidationRoute:
                     scaled = cov * ((1.0 - m * tol) / nu_lo)
                     accepted = self.accepts(lambda v: GaussianState(2, np.zeros(4), v),
                                             scaled)
-                    if accepted != self.accepts(lambda v: _require_physical(
-                            v, symplectic_eigenvalues(v).min()), scaled):
+                    if accepted != self.accepts(eigvals_decision, scaled):
                         assert accepted == exact_decision(_standard_entries(scaled))
 
 
@@ -480,7 +596,7 @@ class TestStandardFormSpectrum:
         cov = _two_mode_cov(*entries)
         spec = standard_form_spectrum(np.array(entries)[:, None])
         assert spec.errors == [None]
-        np.testing.assert_allclose(spec.nu[:, 0], symplectic_eigenvalues(cov),
+        np.testing.assert_allclose(spec.nu[:, 0], eigvals_spectrum(cov),
                                    rtol=1e-12, atol=1e-6 * np.finfo(float).eps
                                    * np.abs(cov).max() ** 2)
 
