@@ -29,7 +29,7 @@ through the whole scan, which averages over rounding at high noise, where
 the values near the minimum differ by a few ulps. Q is evaluated once more
 at the best point and both vertices, and the smallest is kept.
 
-Standard-form core (discriminate_many). Every pair make_hypotheses builds
+Standard-form core (discriminate_columns). Every pair make_hypotheses builds
 has no x-p correlations (Duan, Giedke, Cirac & Zoller, PRL 84, 2722 (2000)):
 V = X (+) P with X and P the 2x2 x and p blocks. Then nu_+-^2 are the
 eigenvalues of PX (symplectic.standard_form_spectrum), Sigma'_s splits into
@@ -670,49 +670,55 @@ def _snr_from_log_p(log_p: float) -> float:
 
 def discriminate_many(probes: Sequence[ProbeSpec],
                       scenarios: Sequence[TargetScenario]) -> list:
-    """Chernoff infimum -> M-copy log P -> SNR for many (probe, scenario) points.
-
-    The points are evaluated as one batch: two-mode probes through the
-    standard-form core, with each scan of the search for s* one (points, 64)
-    array of s, and coherent probes in closed form at s* = 1/2. Returns, per
-    point, its DiscriminationResult or the ValidationError that rejected it;
-    a bad point does not fail the others.
-    """
+    """Chernoff infimum -> M-copy log P -> SNR for many (probe, scenario) points,
+    as one batch (discriminate_columns). Returns, per point, its
+    DiscriminationResult or the ValidationError that rejected it; a bad
+    point does not fail the others."""
     if len(probes) != len(scenarios):
         raise ValidationError(
             f"{len(probes)} probes against {len(scenarios)} scenarios")
-    coherent = [i for i, p in enumerate(probes) if p.kind is ProbeKind.COHERENT]
-    two_mode = [i for i, p in enumerate(probes) if p.kind is not ProbeKind.COHERENT]
-    out: list = [None] * len(probes)
-    if coherent:
-        ns, kappa, nb, ensembles = _columns(probes, scenarios, coherent, ("ns",))
-        for i, result in zip(coherent, _coherent(kappa * ns, nb, ensembles)):
+    return discriminate_columns([p.kind is ProbeKind.COHERENT for p in probes],
+                                *_columns(probes, scenarios))
+
+
+def _columns(probes, scenarios) -> np.ndarray:
+    """Rows n0, n1, n2, ns, kappa, N_B and M, one column per point."""
+    return np.array([(p.n0, p.n1, p.n2, p.ns, s.kappa, s.nb, s.ensembles)
+                     for p, s in zip(probes, scenarios)], dtype=float).reshape(-1, 7).T
+
+
+def discriminate_columns(coherent: list[bool], n0, n1, n2, ns, kappa, nb,
+                         ensembles) -> list:
+    """discriminate_many on float columns of admitted parameters.
+
+    Coherent probes (flagged by coherent) take their closed form at s* = 1/2;
+    the others the standard-form core, each scan of the search for s* one
+    (points, 64) array of s."""
+    out: list = [None] * len(coherent)
+    rows = [i for i, c in enumerate(coherent) if c]
+    if rows:
+        for i, result in zip(rows, _coherent(
+                kappa[rows] * ns[rows], nb[rows], ensembles[rows])):
             out[i] = result
-    if two_mode:
-        n0, n1, n2, kappa, nb, ensembles = _columns(probes, scenarios, two_mode,
-                                                    ("n0", "n1", "n2"))
-        one = len(two_mode) == 1
+    rows = [i for i, c in enumerate(coherent) if not c]
+    if rows:
+        one = len(rows) == 1
         if one:
             # Floats take the same +, * and correctly rounded sqrt as
             # arrays, without ~30 numpy calls on length-1 arrays, and the
             # core takes one pair's entries as floats.
-            n0, n1, n2, kappa, nb = (float(v[0]) for v in (n0, n1, n2, kappa, nb))
+            n0, n1, n2, kappa, nb = (float(v[rows[0]]) for v in (n0, n1, n2, kappa, nb))
+        else:
+            n0, n1, n2, kappa, nb = (v[rows] for v in (n0, n1, n2, kappa, nb))
         with np.errstate(over="ignore", invalid="ignore"):
             entries = _probe_entries(n0, n1, n2)
             ent_a = _return_entries(entries, kappa, nb)
             ent_b = _absent_entries(entries, nb)
         if not one:
             ent_a, ent_b = np.array(ent_a), np.array(ent_b)
-        for i, result in zip(two_mode, _discriminate_standard(ent_a, ent_b, ensembles)):
+        for i, result in zip(rows, _discriminate_standard(ent_a, ent_b, ensembles[rows])):
             out[i] = result
     return out
-
-
-def _columns(probes, scenarios, points: list, names: tuple) -> np.ndarray:
-    """Rows of the named probe parameters, then kappa, N_B and M, over points."""
-    return np.array([[getattr(probes[i], k) for k in names]
-                     + [scenarios[i].kappa, scenarios[i].nb, scenarios[i].ensembles]
-                     for i in points], dtype=float).T
 
 
 def _one(result):

@@ -221,8 +221,12 @@ def remained_discord(probe: ProbeSpec, scenario: TargetScenario) -> DiscordResul
     """Discord left between the return and idler modes after the channel."""
     if probe.kind is ProbeKind.COHERENT:
         raise ValidationError("remained_discord needs an idler mode")
-    entries = _return_entries(_probe_entries(probe.n0, probe.n1, probe.n2),
-                              scenario.kappa, scenario.nb)
+    return _remained(probe.n0, probe.n1, probe.n2, scenario.kappa, scenario.nb)
+
+
+def _remained(n0: float, n1: float, n2: float, kappa: float, nb: float) -> DiscordResult:
+    """remained_discord of a two-mode probe, from admitted parameters."""
+    entries = _return_entries(_probe_entries(n0, n1, n2), kappa, nb)
     spec = standard_form_spectrum(entries)
     if spec.errors[0]:
         raise ValidationError(spec.errors[0])

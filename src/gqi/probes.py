@@ -25,6 +25,23 @@ def _check_finite(name: str, value: float) -> None:
         raise ValidationError(f"{name} must be finite, got {value}")
 
 
+# The values lo <= v < hi that each swept field admits. ProbeSpec and
+# TargetScenario raise outside them; a sweep checks a grid against them.
+_ADMITTED = {**dict.fromkeys(("n0", "n1", "n2", "ns", "nb"), (0.0, math.inf)),
+             "kappa": (0.0, 1.0)}
+
+
+def _admits(name: str, values: np.ndarray) -> np.ndarray:
+    """Where the named field admits values (the classes compare one value inline)."""
+    lo, hi = _ADMITTED[name]
+    return (lo <= values) & (values < hi)
+
+
+def _energy(n0, n):
+    """Photons in one mode of a TMSV of n0 per mode squeezed by n: N0 + 2 N0 N + N."""
+    return n0 + 2.0 * n0 * n + n
+
+
 @dataclass
 class ProbeSpec:
     """Declarative probe description by photon-number parameters.
@@ -50,8 +67,9 @@ class ProbeSpec:
                 f"got {self.kind!r}") from None
         for name in ("n0", "n1", "n2", "ns"):
             value = getattr(self, name)
-            _check_finite(name, value)
-            if value < 0:
+            lo, hi = _ADMITTED[name]
+            if not lo <= value < hi:
+                _check_finite(name, value)
                 raise ValidationError(
                     f"probe parameter {name} must be >= 0, got {value}"
                 )
@@ -63,13 +81,13 @@ class ProbeSpec:
         """Mean photon number sent towards the target."""
         if self.kind is ProbeKind.COHERENT:
             return self.ns
-        return self.n0 + 2.0 * self.n0 * self.n1 + self.n1
+        return _energy(self.n0, self.n1)
 
     @property
     def idler_energy(self) -> float:
         if self.kind is ProbeKind.COHERENT:
             raise ValidationError("coherent probe has no idler mode")
-        return self.n0 + 2.0 * self.n0 * self.n2 + self.n2
+        return _energy(self.n0, self.n2)
 
 
 @dataclass
@@ -83,9 +101,10 @@ class TargetScenario:
     def __post_init__(self):
         for name in ("kappa", "nb", "ensembles"):
             _check_finite(name, getattr(self, name))
-        if not 0.0 <= self.kappa < 1.0:
+        (k_lo, k_hi), (nb_lo, nb_hi) = _ADMITTED["kappa"], _ADMITTED["nb"]
+        if not k_lo <= self.kappa < k_hi:
             raise ValidationError(f"kappa must lie in [0, 1), got {self.kappa}")
-        if self.nb < 0:
+        if not nb_lo <= self.nb < nb_hi:
             raise ValidationError(f"nb must be >= 0, got {self.nb}")
         if self.ensembles <= 0:
             raise ValidationError(f"ensembles must be > 0, got {self.ensembles}")
@@ -156,7 +175,7 @@ def _return_entries(entries: tuple, kappa, nb) -> tuple:
 def _absent_entries(entries: tuple, nb) -> tuple:
     """rho_B's entries: thermal noise N_B on the return mode, the idler untouched."""
     thermal = 2.0 * nb + 1.0
-    zero = np.zeros_like(thermal)
+    zero = np.zeros_like(thermal) if isinstance(thermal, np.ndarray) else 0.0
     return (thermal, thermal, entries[2], entries[3], zero, zero)
 
 

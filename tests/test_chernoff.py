@@ -825,13 +825,15 @@ class TestDiscriminateMany:
     def test_one_point_builds_the_entries_of_a_batch(self, points):
         # One two-mode point is built from floats and handed over as floats,
         # a batch from arrays; the core must receive the same entries from
-        # both, bit for bit.
+        # both, bit for bit. rho_B's cross entries of a lone point were 0-d
+        # arrays.
         seen = []
         core = chernoff._discriminate_standard
 
         def spy(ent_a, ent_b, ensembles):
             if not isinstance(ent_a, np.ndarray):
-                assert not isinstance(ent_b, np.ndarray) and len(ent_a) == len(ent_b) == 6
+                assert len(ent_a) == len(ent_b) == 6
+                assert all(type(v) is float for v in (*ent_a, *ent_b))
             seen.append(np.vstack([np.reshape(np.array(v, dtype=float), (-1, len(ensembles)))
                                    for v in (ent_a, ent_b, ensembles)]))
             return core(ent_a, ent_b, ensembles)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gqi import (
     ProbeKind,
@@ -21,14 +23,38 @@ from gqi import (
 from gqi.sweeps import (
     CSV_COLUMNS,
     FIGURE_IDS,
+    FIT_POINTS_DEFAULT,
+    FIT_TO_DEFAULT,
+    LOW_NOISE,
+    SWEEP_AXES,
     SweepRow,
     SweepTable,
+    _evaluate,
+    _FIGURES,
+    _with_axis,
     reproduce_figure,
     table_from_csv,
     table_to_string,
 )
 
 MICROWAVE = TargetScenario(kappa=0.01, nb=3.8e3, ensembles=1e7)
+
+
+def reference_csv(header, rows) -> str:
+    """The CSV text of csv.writer, with "" for None, text as it is and
+    repr(float(v)) for a number."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header] + [
+        ["" if v is None else v if isinstance(v, str) else repr(float(v)) for v in row]
+        for row in rows])
+    return buf.getvalue()
+
+
+def sweep_alone(spec) -> SweepTable:
+    """A figure's sweep, evaluated by sweep on its own."""
+    return sweep(spec.axis, spec.grid, spec.probe, spec.scenario,
+                 with_discord=spec.with_discord, compare=spec.compare)
+
 
 class TestRunScenario:
     def test_tmsv_row_is_complete(self):
@@ -237,6 +263,125 @@ class TestCsvRoundTrip:
     def test_rejects_wrong_header(self):
         with pytest.raises(ValidationError):
             table_from_csv(io.StringIO("a,b,c\n1,2,3\n"))
+
+
+class TestCsvWriter:
+    def test_matches_csv_writer(self):
+        # Under numpy 2, csv.writer would print a numpy scalar as
+        # np.float64(...); the writer prints every number as a float.
+        probe = ProbeSpec(kind=ProbeKind.ASTM, n0=np.float64(0.5), n1=np.float64(0.25))
+        scenario = TargetScenario(np.float64(0.01), np.float64(30.0), np.float64(1e7))
+        rows = [run_scenario(probe, scenario, with_discord=True,
+                             axis_value=np.float64(0.5)),
+                run_scenario(ProbeSpec(kind=ProbeKind.COHERENT, ns=1.0), MICROWAVE)]
+        rows += sweep("n1", np.linspace(0.0, 1.0, 3), probe, scenario).rows
+        rows += [SweepRow(-0.0, 0.0, -0.0, 0.0, 1.0, 0.01, 30.0, 1.0, "tmsv",
+                          0.5, 1.0, -0.0, math.inf, None),
+                 SweepRow(1e-300, 1.0, 0.0, 0.0, 1.0, 0.01, 30.0, 1.0, "astm",
+                          math.nan, math.nan, -math.inf, math.nan, -0.0)]
+        assert any(isinstance(v, np.float64) for v in vars(rows[0]).values())
+        table = SweepTable("n1", [], rows)
+        expected = reference_csv(CSV_COLUMNS,
+                                 [[getattr(r, c) for c in CSV_COLUMNS] for r in rows])
+        assert table_to_string(table) == expected
+        assert "np.float64" not in expected and expected.endswith("\r\n")
+
+    def test_derived_rows_match_csv_writer(self, tmp_path):
+        from gqi.sweeps import _write_rows
+
+        rows = [(np.float64(0.1), 1.5, None), (0.2, math.inf, -0.0), (0.3, math.nan, 2.0)]
+        path = _write_rows(str(tmp_path), "t.csv", ["ns", "advantage", "discord"], rows)
+        with open(path, newline="") as fh:
+            assert fh.read() == reference_csv(["ns", "advantage", "discord"], rows)
+
+
+# Axis values every rule of ProbeSpec, TargetScenario and
+# solve_n1_for_signal_energy rejects somewhere, and values they admit.
+axis_value = st.one_of(
+    st.sampled_from([-1.0, -0.0, 0.0, math.nan, math.inf, -math.inf, 1e300,
+                     0.2, 0.5, 1.0, 1.5, 3.0]),
+    st.floats(-1.0, 5.0))
+SWEPT_PROBES = {ProbeKind.ASTM: ProbeSpec(kind=ProbeKind.ASTM, n0=0.5, n1=0.3, n2=0.2),
+                ProbeKind.TMSV: ProbeSpec(kind=ProbeKind.TMSV, n0=0.5),
+                ProbeKind.COHERENT: ProbeSpec(kind=ProbeKind.COHERENT, ns=1.0)}
+
+
+class TestBatchInvariant:
+    @pytest.mark.parametrize("figure_id", FIGURE_IDS)
+    def test_figure_batch_is_its_tables_alone(self, figure_id, tmp_path):
+        specs, derived = _FIGURES[figure_id]
+        alone = [sweep_alone(spec) for spec in specs]
+        for table, ref in zip(_evaluate(specs), alone):
+            assert (table.rows, table.errors) == (ref.rows, ref.errors)
+        paths = reproduce_figure(figure_id, str(tmp_path))
+        texts = []
+        for path in paths:
+            with open(path, newline="") as fh:
+                texts.append(fh.read())
+        if derived is None:
+            assert texts == [table_to_string(ref) for ref in alone]
+        elif figure_id == "fig4b":
+            rows = []
+            for n0 in np.linspace(0.05, 1.0, 20):
+                grid = np.linspace(n0, FIT_TO_DEFAULT, FIT_POINTS_DEFAULT)
+                astm = sweep("ns", grid, ProbeSpec(kind=ProbeKind.ASTM, n0=n0), LOW_NOISE,
+                             compare=False)
+                ci = sweep("ns", grid, ProbeSpec(kind=ProbeKind.COHERENT), LOW_NOISE)
+                rows.append((n0, slope_fit(astm), slope_fit(ci)))
+            assert texts == [reference_csv(["n0", "slope_astm", "slope_ci"], rows)]
+        else:
+            grid = np.linspace(0.1, 4.0, 32)
+            astm = sweep("ns", grid, ProbeSpec(kind=ProbeKind.ASTM, n0=0.1), LOW_NOISE,
+                         with_discord=True, compare=False)
+            ci = sweep("ns", grid, ProbeSpec(kind=ProbeKind.COHERENT), LOW_NOISE)
+            assert [r.axis_value for r in astm.rows] == [r.axis_value for r in ci.rows]
+            rows = [(a.axis_value, a.snr / c.snr, a.discord)
+                    for a, c in zip(astm.rows, ci.rows)]
+            assert texts == [reference_csv(["ns", "advantage", "discord"], rows)]
+
+    @given(axis=st.sampled_from(SWEEP_AXES), kind=st.sampled_from(list(ProbeKind)),
+           values=st.lists(axis_value, min_size=1, max_size=5),
+           with_discord=st.booleans(), compare=st.booleans())
+    @example(axis="ns", kind=ProbeKind.ASTM, values=[0.2, math.nan, math.inf, 1.0],
+             with_discord=True, compare=True)
+    @example(axis="n1", kind=ProbeKind.TMSV, values=[0.0, -0.0, 0.5],
+             with_discord=False, compare=False)
+    @example(axis="kappa", kind=ProbeKind.ASTM, values=[1.0, 0.999, -0.0, 1.5],
+             with_discord=True, compare=False)
+    @example(axis="n0", kind=ProbeKind.ASTM, values=[1e300, 0.5], with_discord=True,
+             compare=True)
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_sweep_is_each_point_alone(self, axis, kind, values, with_discord, compare):
+        # Every value is built by _with_axis and evaluated by run_scenario
+        # on its own; sweep checks the values in floats and evaluates them
+        # in one batch, and must give the same rows and errors.
+        probe, scenario = SWEPT_PROBES[kind], TargetScenario(0.05, 10.0, 1e6)
+        rows, errors = [], []
+        for value in values:
+            try:
+                p, s = _with_axis(probe, scenario, axis, value)
+            except ValidationError as exc:
+                errors.append(f"{axis}={value}: {exc}")
+                continue
+            points = [(p, with_discord)]
+            if compare:
+                if not (axis == "ns" and kind is ProbeKind.TMSV):
+                    points.append((ProbeSpec(kind=ProbeKind.TMSV, n0=value), with_discord))
+                points.append((ProbeSpec(kind=ProbeKind.COHERENT, ns=value), False))
+            for q, discord in points:
+                try:
+                    rows.append(run_scenario(q, s, discord, axis_value=value))
+                except ValidationError as exc:
+                    errors.append(f"{axis}={value}: {exc}")
+                    break
+        if not rows:
+            with pytest.raises(ValidationError) as info:
+                sweep(axis, values, probe, scenario, with_discord, compare)
+            assert str(info.value) == "every grid point failed: " + "; ".join(errors)
+            return
+        table = sweep(axis, values, probe, scenario, with_discord, compare)
+        assert table.rows == rows
+        assert table.errors == errors
 
 
 class TestAdvantageThreshold:
