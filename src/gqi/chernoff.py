@@ -50,7 +50,10 @@ columns, on the np.longdouble scalars of each state, so one point gives the
 bits of its row in any batch. The search for s* has two routes around the
 same three numpy evaluations of Q_s, each the faster for the input that
 selects it: _infimum keeps a batch's bracket, vertices and pick on arrays,
-and _infimum_one one pair's on floats.
+and _infimum_one one pair's on floats. snr hands the core a point's seven
+floats (_discriminate_params); the coherent closed form, -ln Q, ln P and the
+results each run one body on a point's floats or a batch's (n,) columns, so
+one point's only arrays are its pair's analysis and its search for s*.
 
 Every built pair goes through one router (_route), shared by q_s,
 chernoff_infimum and discriminate: two-mode pairs in standard form with
@@ -81,14 +84,14 @@ Newton in sqrt(SNR) (_snr_from_log_p).
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .probes import (HypothesisPair, ProbeKind, ProbeSpec, TargetScenario,
                      _absent_entries, _probe_entries, _return_entries)
 from .symplectic import (ValidationError, _all, _closed_spectrum, _require_finite_mean,
-                         _standard_entries, _where, standard_form_spectrum,
+                         _sqrt, _standard_entries, _where, standard_form_spectrum,
                          symplectic_form)
 
 LN_HALF = -math.log(2.0)
@@ -208,8 +211,7 @@ class _StandardPairs:
     ln_ratio: np.ndarray  # (n, 1): sum_B ln(nu + 1) - sum_A ln(nu + 1)
 
     def astype(self, dtype) -> "_StandardPairs":
-        return _StandardPairs(*(getattr(self, f.name).astype(dtype)
-                                for f in fields(self)))
+        return _StandardPairs(*(v.astype(dtype) for v in vars(self).values()))
 
     def q(self, s: np.ndarray) -> np.ndarray:
         """Q_s for an (n, m) array of s in [_S_EDGE, 1 - _S_EDGE]."""
@@ -306,37 +308,40 @@ def _state_parts(entries, spec, max_abs) -> list:
 def _discriminate_standard(ent_a, ent_b, ensembles) -> list:
     """Chernoff infimum, ln P and SNR of n standard-form two-mode pairs, as
     the module docstring says; per pair its result or its ValidationError.
-    The entries are those _standard takes, M an array of n."""
+    The entries are those _standard takes, M a float or an array of n."""
     with np.errstate(all="ignore"):
         errors, pairs = _standard(ent_a, ent_b)
         scan, evaluate = pairs.astype(float).q, lambda s: pairs.q(s.astype(np.longdouble))
-        if len(errors) == 1:
-            s_star, q = (np.array([v]) for v in _infimum_one(scan, evaluate))
-        else:
-            s_star, q = _infimum(scan, evaluate, len(errors))
+        s_star, q = (_infimum_one(scan, evaluate) if len(errors) == 1
+                     else _infimum(scan, evaluate, len(errors)))
         exponent = np.maximum(_exponent(q), 0.0).astype(float)
-        results = _results(s_star, exponent, ensembles)
-    good = np.isfinite(q) & (q > 0.0)
+        results = _results(_column(s_star), exponent, ensembles)
+        good = _column(np.isfinite(q) & (q > 0.0))
     return [result if ok and not error else ValidationError(error or _SINGULAR)
             for error, result, ok in zip(errors, results, good)]
 
 
-def _exponent(q: np.ndarray) -> np.ndarray:
-    """-ln Q: -log1p(Q - 1) above 1/2, keeping the digits of 1 - Q, and -ln Q
-    below, where Q - 1 would lose Q's (Q = 0 warns: callers silence it)."""
-    return np.where(q > 0.5, -np.log1p(q - 1.0), -np.log(q))
+def _column(x) -> list:
+    """The values of an (n,) column, or [float(x)] of one point's scalar."""
+    return x.tolist() if isinstance(x, np.ndarray) else [float(x)]
 
 
-def _results(s_star: np.ndarray, exponent: np.ndarray,
-             ensembles: np.ndarray) -> list[DiscriminationResult]:
-    """Results from s* and -ln Q_min >= 0: ln P = -M (-ln Q_min) + ln(1/2),
-    -inf where M (-ln Q_min) overflows (callers silence the warning)."""
-    log_p = (LN_HALF - ensembles * exponent).tolist()
+def _exponent(q):
+    """-ln Q of a scalar or column: -log1p(Q - 1) above 1/2, keeping the digits
+    of 1 - Q, and -ln Q below, where Q - 1 would lose Q's (Q = 0 warns: callers
+    silence it)."""
+    return _where(q > 0.5, -np.log1p(q - 1.0), -np.log(q))
+
+
+def _results(s_star: list, exponent, ensembles) -> list[DiscriminationResult]:
+    """Results from s* and -ln Q_min >= 0 (with M, scalars or columns): ln P =
+    -M (-ln Q_min) + ln(1/2), -inf where that overflows (callers silence it)."""
+    log_p = _column(LN_HALF - ensembles * exponent)
     return [DiscriminationResult(*row) for row in zip(
-        s_star.tolist(), np.exp(-exponent).tolist(), log_p, map(_snr_from_log_p, log_p))]
+        s_star, _column(np.exp(-exponent)), log_p, map(_snr_from_log_p, log_p))]
 
 
-def _coherent(signal: np.ndarray, nb: np.ndarray, ensembles: np.ndarray) -> list:
+def _coherent(signal, nb, ensembles) -> list:
     """Displaced against undisplaced thermal state, both of N_B photons.
 
     Q_s is smallest at s = 1/2 by symmetry, where
@@ -345,12 +350,12 @@ def _coherent(signal: np.ndarray, nb: np.ndarray, ensembles: np.ndarray) -> list
     (Tan et al., PRL 101, 253601 (2008)), written without cancellation.
     """
     with np.errstate(over="ignore"):
-        exponent = signal / (np.sqrt(nb + 1.0) + np.sqrt(nb)) ** 2
-        thermal = 2.0 * nb + 1.0
-        out = _results(np.full(nb.size, 0.5), exponent, ensembles)
-    for i in np.flatnonzero(~np.isfinite(thermal)):
-        out[i] = ValidationError("covariance has a non-finite entry")
-    return out
+        root = _sqrt(nb + 1.0) + _sqrt(nb)
+        exponent = signal / (root * root)
+        finite = _column(np.isfinite(2.0 * nb + 1.0))  # the thermal covariance
+        results = _results([0.5] * len(finite), exponent, ensembles)
+    return [result if ok else ValidationError("covariance has a non-finite entry")
+            for result, ok in zip(results, finite)]
 
 
 def _infimum(scan, evaluate, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -557,8 +562,7 @@ def _route(pair: HypothesisPair) -> tuple:
     if (a.n_modes == b.n_modes == 1 and np.array_equal(a.cov, b.cov)
             and a.cov[0, 1] == a.cov[1, 0] == 0.0 and a.cov[0, 0] == a.cov[1, 1]):
         d = a.mean - b.mean
-        return _coherent, (np.array([0.25 * (d @ d)]),
-                           np.array([max(0.5 * (a.cov[0, 0] - 1.0), 0.0)]))
+        return _coherent, (0.25 * float(d @ d), max(0.5 * float(a.cov[0, 0] - 1.0), 0.0))
     return None, ()
 
 
@@ -589,7 +593,7 @@ def chernoff_infimum(pair: HypothesisPair) -> tuple[float, float]:
     core, args = _route(pair)
     if core is None:
         return _PairData(pair).infimum()
-    result = _one(core(*args, np.ones(1))[0])
+    result = _one(core(*args, 1.0)[0])
     return result.s_star, result.q_min
 
 
@@ -693,32 +697,32 @@ def discriminate_columns(coherent: list[bool], n0, n1, n2, ns, kappa, nb,
 
     Coherent probes (flagged by coherent) take their closed form at s* = 1/2;
     the others the standard-form core, each scan of the search for s* one
-    (points, 64) array of s."""
+    (points, 64) array of s; a kind's lone point runs on floats, as in snr."""
+    params = n0, n1, n2, ns, kappa, nb, ensembles
     out: list = [None] * len(coherent)
-    rows = [i for i, c in enumerate(coherent) if c]
-    if rows:
-        for i, result in zip(rows, _coherent(
-                kappa[rows] * ns[rows], nb[rows], ensembles[rows])):
-            out[i] = result
-    rows = [i for i, c in enumerate(coherent) if not c]
-    if rows:
-        one = len(rows) == 1
-        if one:
-            # Floats take the same +, * and correctly rounded sqrt as
-            # arrays, without ~30 numpy calls on length-1 arrays, and the
-            # core takes one pair's entries as floats.
-            n0, n1, n2, kappa, nb = (float(v[rows[0]]) for v in (n0, n1, n2, kappa, nb))
-        else:
-            n0, n1, n2, kappa, nb = (v[rows] for v in (n0, n1, n2, kappa, nb))
-        with np.errstate(over="ignore", invalid="ignore"):
-            entries = _probe_entries(n0, n1, n2)
-            ent_a = _return_entries(entries, kappa, nb)
-            ent_b = _absent_entries(entries, nb)
-        if not one:
-            ent_a, ent_b = np.array(ent_a), np.array(ent_b)
-        for i, result in zip(rows, _discriminate_standard(ent_a, ent_b, ensembles[rows])):
-            out[i] = result
+    for kind in (True, False):
+        rows = [i for i, c in enumerate(coherent) if bool(c) is kind]
+        if rows:
+            point = ([float(v[rows[0]]) for v in params] if len(rows) == 1
+                     else [v[rows] for v in params])
+            for i, result in zip(rows, _discriminate_params(kind, *point)):
+                out[i] = result
     return out
+
+
+def _discriminate_params(coherent: bool, n0, n1, n2, ns, kappa, nb, ensembles) -> list:
+    """Per point, its result or ValidationError, from one point's floats or
+    from (n,) columns of one kind. Floats take the +, * and correctly rounded
+    sqrt of arrays, so one point gets the bits of its row."""
+    if coherent:
+        return _coherent(kappa * ns, nb, ensembles)
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = _probe_entries(n0, n1, n2)
+        ent_a = _return_entries(entries, kappa, nb)
+        ent_b = _absent_entries(entries, nb)
+    if isinstance(n0, np.ndarray):
+        ent_a, ent_b = np.array(ent_a), np.array(ent_b)
+    return _discriminate_standard(ent_a, ent_b, ensembles)
 
 
 def _one(result):
@@ -738,7 +742,7 @@ def discriminate(pair: HypothesisPair, ensembles: float) -> DiscriminationResult
     _check_ensembles(ensembles)
     core, args = _route(pair)
     if core is not None:
-        return _one(core(*args, np.array([ensembles], dtype=float))[0])
+        return _one(core(*args, float(ensembles))[0])
     s_star, q_min = _PairData(pair).infimum()
     if q_min == 0.0:
         # The general path forms Q before its log, so -ln Q > 745 is lost.
@@ -748,5 +752,8 @@ def discriminate(pair: HypothesisPair, ensembles: float) -> DiscriminationResult
 
 
 def snr(probe: ProbeSpec, scenario: TargetScenario) -> DiscriminationResult:
-    """Full pipeline for one point: hypotheses -> Chernoff infimum -> log P -> SNR."""
-    return _one(discriminate_many([probe], [scenario])[0])
+    """Full pipeline for one point: hypotheses -> Chernoff infimum -> log P -> SNR,
+    on the point's floats, with the bits of its row in any batch."""
+    p, s = probe, scenario
+    return _one(_discriminate_params(p.kind is ProbeKind.COHERENT, *map(float, (
+        p.n0, p.n1, p.n2, p.ns, s.kappa, s.nb, s.ensembles)))[0])

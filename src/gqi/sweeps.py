@@ -156,6 +156,8 @@ def _evaluate(tables: Sequence[_Table]) -> list[SweepTable]:
     for t in tables:
         if t.axis not in SWEEP_AXES:
             raise ValidationError(f"axis must be one of {SWEEP_AXES}, got {t.axis!r}")
+        if t.compare and t.axis != "ns":
+            raise ValidationError(f"compare needs axis 'ns' (N_S), got {t.axis!r}")
         table = SweepTable(axis=t.axis, grid=[float(v) for v in t.grid])
         if not table.grid:
             raise ValidationError("grid has no points")
@@ -175,7 +177,7 @@ def _evaluate(tables: Sequence[_Table]) -> list[SweepTable]:
         kinds, blocks = [p.kind], [main]
         if t.compare:
             v, zero = values[good], np.zeros(good.size)
-            if not (t.axis == "ns" and p.kind is ProbeKind.TMSV):
+            if p.kind is not ProbeKind.TMSV:  # a TMSV probe's row is the TMSV one
                 kinds.append(ProbeKind.TMSV)
                 blocks.append(np.vstack([v, zero, zero, zero, main[4:]]))
             kinds.append(ProbeKind.COHERENT)
@@ -223,6 +225,7 @@ def sweep(axis: str, grid, probe: ProbeSpec, scenario: TargetScenario,
     (|alpha|^2 = N_S) comparison rows are emitted alongside each ASTM row
     unless compare=False. On a TMSV probe the axis sets N0 = N_S, and that
     row is the TMSV comparison: only the coherent row comes with it.
+    compare=True on another axis raises: comparison rows match N_S.
 
     Each grid value is checked in floats against the rules ProbeSpec,
     TargetScenario and solve_n1_for_signal_energy apply to the parameter it

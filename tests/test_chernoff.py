@@ -824,17 +824,17 @@ class TestDiscriminateMany:
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_one_point_builds_the_entries_of_a_batch(self, points):
         # One two-mode point is built from floats and handed over as floats,
-        # a batch from arrays; the core must receive the same entries from
-        # both, bit for bit. rho_B's cross entries of a lone point were 0-d
-        # arrays.
+        # M included, a batch from arrays; the core must receive the same
+        # entries from both, bit for bit. rho_B's cross entries of a lone
+        # point were 0-d arrays.
         seen = []
         core = chernoff._discriminate_standard
 
         def spy(ent_a, ent_b, ensembles):
             if not isinstance(ent_a, np.ndarray):
                 assert len(ent_a) == len(ent_b) == 6
-                assert all(type(v) is float for v in (*ent_a, *ent_b))
-            seen.append(np.vstack([np.reshape(np.array(v, dtype=float), (-1, len(ensembles)))
+                assert all(type(v) is float for v in (*ent_a, *ent_b, ensembles))
+            seen.append(np.vstack([np.reshape(np.array(v, dtype=float), (-1, np.size(ensembles)))
                                    for v in (ent_a, ent_b, ensembles)]))
             return core(ent_a, ent_b, ensembles)
 
@@ -846,8 +846,10 @@ class TestDiscriminateMany:
             discriminate_many(probes, scenarios)
             for probe, scenario in zip(probes, scenarios):
                 discriminate_many([probe], [scenario])
+                snr(probe, scenario)
         batch, *alone = seen
-        np.testing.assert_array_equal(np.concatenate(alone, axis=1), batch)
+        for lone in (alone[0::2], alone[1::2]):  # discriminate_many, then snr
+            np.testing.assert_array_equal(np.concatenate(lone, axis=1), batch)
 
     @given(points=st.lists(mixed_point, min_size=2, max_size=8))
     @example(points=[
@@ -856,6 +858,21 @@ class TestDiscriminateMany:
         (ProbeKind.ASTM, 1e300, 0.0, 0.0, 0.5, 1.0, 1e6),  # entries overflow
         (ProbeKind.COHERENT, 1.0, 0.0, 0.0, 0.01, 3.8e3, 1e7),
         (ProbeKind.ASTM, 1.0, 1.0, 0.0, 0.01, 3.8e3, 1e7)])
+    # The branches of the tail, each on two points of a kind, which the
+    # batch takes as columns and snr as floats: Q_min <= 1/2 (-ln Q, where
+    # -log1p(Q - 1) reads inf at Q = 1e-20); M (-ln Q) overflowing to
+    # ln P = -inf (the SNR map's _LOG_P_HUGE path); Q_min rounding above 1
+    # at kappa = 0 (-ln Q clamped to 0, where np.longdouble is wider than
+    # float64); a coherent point whose thermal covariance 2 N_B + 1
+    # overflows.
+    @example(points=[(ProbeKind.TMSV, 1e20, 0.0, 0.0, 0.5, 0.0, 1e6),
+                     (ProbeKind.ASTM, 4.0, 4.0, 0.0, 0.9, 0.0, 1e6)])
+    @example(points=[(ProbeKind.TMSV, 10.0, 0.0, 0.0, 0.9, 0.0, 1e308),
+                     (ProbeKind.ASTM, 4.0, 4.0, 0.0, 0.9, 0.0, 1e308)])
+    @example(points=[(ProbeKind.TMSV, 100.0, 0.0, 0.0, 0.0, 0.0, 1e6),
+                     (ProbeKind.ASTM, 100.0, 10.0, 0.0, 0.0, 0.0, 1e6)])
+    @example(points=[(ProbeKind.COHERENT, 1.0, 0.0, 0.0, 0.01, 1e308, 1e7),
+                     (ProbeKind.COHERENT, 2.0, 0.0, 0.0, 0.01, 3.8e3, 1e7)])
     @settings(max_examples=80, deadline=None, derandomize=True)
     def test_one_point_is_its_row_of_a_batch(self, points):
         # snr, discriminate, chernoff_infimum and q_s of one point give the

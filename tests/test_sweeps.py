@@ -350,12 +350,20 @@ class TestBatchInvariant:
              with_discord=True, compare=False)
     @example(axis="n0", kind=ProbeKind.ASTM, values=[1e300, 0.5], with_discord=True,
              compare=True)
+    @example(axis="ns", kind=ProbeKind.ASTM, values=[1e300, 0.5], with_discord=True,
+             compare=True)
     @settings(max_examples=80, deadline=None, derandomize=True)
     def test_sweep_is_each_point_alone(self, axis, kind, values, with_discord, compare):
         # Every value is built by _with_axis and evaluated by run_scenario
         # on its own; sweep checks the values in floats and evaluates them
         # in one batch, and must give the same rows and errors.
         probe, scenario = SWEPT_PROBES[kind], TargetScenario(0.05, 10.0, 1e6)
+        if compare and axis != "ns":
+            # Comparison rows take N0 = N_S and |alpha|^2 = N_S: on another
+            # axis they would compare probes of different energies.
+            with pytest.raises(ValidationError, match="compare needs axis 'ns'"):
+                sweep(axis, values, probe, scenario, with_discord, compare)
+            return
         rows, errors = [], []
         for value in values:
             try:
@@ -365,7 +373,7 @@ class TestBatchInvariant:
                 continue
             points = [(p, with_discord)]
             if compare:
-                if not (axis == "ns" and kind is ProbeKind.TMSV):
+                if kind is not ProbeKind.TMSV:
                     points.append((ProbeSpec(kind=ProbeKind.TMSV, n0=value), with_discord))
                 points.append((ProbeSpec(kind=ProbeKind.COHERENT, ns=value), False))
             for q, discord in points:
