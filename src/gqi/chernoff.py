@@ -660,6 +660,8 @@ def _snr_from_log_p(log_p: float) -> float:
     if log_p <= _LOG_P_HUGE:
         return -log_p
     big = LN_HALF - log_p
+    if big == 0.0:  # the endpoint, where Newton would stop at y ~ 6e-33
+        return 0.0
     t = math.sqrt(-2.0 * log_p)
     c0, c1, d1, d2 = _QUANTILE
     y = (t - (c0 + c1 * t) / (1.0 + (d1 + d2 * t) * t)) * _SQRT_HALF

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: snr, sweep, discord, threshold, reproduce. Probe and scenario
-parameters come from an optional flat key=value config file, overridden by
-flags. Exit codes: 0 success, 2 validation error, 1 internal error.
+Subcommands: snr, sweep, discord, threshold, reproduce. Each registers the
+flags it reads and no other. Probe and scenario parameters come from an
+optional flat key=value config file, overridden by flags. Exit codes: 0
+success, 2 validation error (an unknown flag included), 1 internal error.
 """
 
 import argparse
@@ -11,7 +12,6 @@ import sys
 
 import numpy as np
 
-from .chernoff import snr
 from .discord import gaussian_discord, remained_discord
 from .probes import ProbeKind, ProbeSpec, TargetScenario, astm_state
 from .sweeps import (
@@ -29,16 +29,16 @@ from .sweeps import (
 )
 from .symplectic import ValidationError
 
-CONFIG_KEYS = {
-    "probe.kind": str,
-    "probe.n0": float,
-    "probe.n1": float,
-    "probe.n2": float,
-    "probe.ns": float,
-    "scenario.kappa": float,
-    "scenario.nb": float,
-    "scenario.ensembles": float,
-}
+# Each input a command may read: its config key and the keywords of its flag,
+# --<name> for the key <section>.<name>.
+_INPUTS = {"probe.kind": {"choices": [k.value for k in ProbeKind]}, **{
+    key: {"type": float, "help": text} for key, text in (
+        ("probe.n0", "initial TMSV photons per mode"),
+        ("probe.n1", "signal-mode squeezer photons"),
+        ("probe.n2", "idler-mode squeezer photons"), ("probe.ns", "coherent probe |alpha|^2"),
+        ("scenario.kappa", "target reflectivity"), ("scenario.nb", "receiver noise photons"),
+        ("scenario.ensembles", "number of copies M"))}}
+CONFIG_KEYS = {key: flag.get("type", str) for key, flag in _INPUTS.items()}
 
 
 def load_config(path: str) -> dict:
@@ -64,43 +64,30 @@ def load_config(path: str) -> dict:
     return values
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_inputs(parser: argparse.ArgumentParser, names: str) -> None:
+    """--config and the flags of the named inputs: those the command reads."""
     parser.add_argument("--config", help="flat key = value parameter file")
-    parser.add_argument("--kind", choices=[k.value for k in ProbeKind])
-    parser.add_argument("--n0", type=float, help="initial TMSV photons per mode")
-    parser.add_argument("--n1", type=float, help="signal-mode squeezer photons")
-    parser.add_argument("--n2", type=float, help="idler-mode squeezer photons")
-    parser.add_argument("--ns", type=float, help="coherent probe |alpha|^2")
-    parser.add_argument("--kappa", type=float, help="target reflectivity")
-    parser.add_argument("--nb", type=float, help="receiver noise photons")
-    parser.add_argument("--ensembles", type=float, help="number of copies M")
-    parser.add_argument("--out", help="output path")
-    parser.add_argument("--plot", action="store_true",
-                        help="also write a gnuplot script next to the CSVs")
+    for key, flag in _INPUTS.items():
+        name = key.split(".")[1]
+        if name in names.split():
+            parser.add_argument(f"--{name}", **flag)
 
 
-def build_inputs(args) -> tuple[ProbeSpec, TargetScenario]:
+def build_inputs(args) -> tuple[ProbeSpec | None, TargetScenario]:
+    """The probe and scenario from the inputs the command registered, each
+    from its flag, else the config file, else the default. Config keys of
+    other inputs are not read, and a command without --kind gets no probe."""
     cfg = load_config(args.config) if args.config else {}
-
-    def pick(flag: str, key: str, default):
-        value = getattr(args, flag, None)
+    given = {"probe": {}, "scenario": {"kappa": 0.01, "nb": 0.0}}
+    for key in CONFIG_KEYS:
+        section, name = key.split(".")
+        value = getattr(args, name, None)  # None: not given, or not registered
+        if value is None and hasattr(args, name):
+            value = cfg.get(key)
         if value is not None:
-            return value
-        return cfg.get(key, default)
-
-    probe = ProbeSpec(
-        kind=pick("kind", "probe.kind", "tmsv"),
-        n0=pick("n0", "probe.n0", 0.0),
-        n1=pick("n1", "probe.n1", 0.0),
-        n2=pick("n2", "probe.n2", 0.0),
-        ns=pick("ns", "probe.ns", 0.0),
-    )
-    scenario = TargetScenario(
-        kappa=pick("kappa", "scenario.kappa", 0.01),
-        nb=pick("nb", "scenario.nb", 0.0),
-        ensembles=pick("ensembles", "scenario.ensembles", 1.0),
-    )
-    return probe, scenario
+            given[section][name] = value
+    probe = ProbeSpec(**given["probe"]) if hasattr(args, "kind") else None
+    return probe, TargetScenario(**given["scenario"])
 
 
 def cmd_snr(args) -> int:
@@ -113,8 +100,7 @@ def cmd_snr(args) -> int:
         result += f" discord={row.discord!r}"
     print(result)
     if args.out:
-        table = SweepTable(axis="", grid=[], rows=[row])
-        write_table(table, args.out)
+        write_table(SweepTable(axis="", grid=[], rows=[row]), args.out)
     return 0
 
 
@@ -177,12 +163,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("snr", help="Chernoff-bound SNR for one scenario")
-    _add_common(p)
+    _add_inputs(p, "kind n0 n1 n2 ns kappa nb ensembles")
+    p.add_argument("--out", help="output path")
     p.add_argument("--with-discord", action="store_true")
     p.set_defaults(func=cmd_snr)
 
     p = sub.add_parser("sweep", help="sweep one parameter axis to CSV")
-    _add_common(p)
+    _add_inputs(p, "kind n0 n1 n2 ns kappa nb ensembles")
+    p.add_argument("--out", help="output path")
+    p.add_argument("--plot", action="store_true",
+                   help="also write a gnuplot script next to the CSV")
     p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p.add_argument("--from", dest="from_", type=float, required=True)
     p.add_argument("--to", type=float, required=True)
@@ -191,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("discord", help="Gaussian discord before/after channel")
-    _add_common(p)
+    _add_inputs(p, "kind n0 n1 n2 kappa nb")
     p.set_defaults(func=cmd_discord)
 
     p = sub.add_parser(
@@ -199,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="N0 where the ASTM SNR slope meets the coherent-state Chernoff "
              "benchmark (|alpha|^2 = N_S); on the figure presets the ASTM "
              "slope stays below it, so this reports 'no slope crossing'")
-    _add_common(p)
+    _add_inputs(p, "kappa nb ensembles")
     p.add_argument("--n0-min", type=float, default=0.02)
     p.add_argument("--n0-max", type=float, default=1.0)
     p.add_argument("--fit-from", type=float, default=None)

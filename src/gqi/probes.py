@@ -30,6 +30,14 @@ def _check_finite(name: str, value: float) -> None:
 _ADMITTED = {**dict.fromkeys(("n0", "n1", "n2", "ns", "nb"), (0.0, math.inf)),
              "kappa": (0.0, 1.0)}
 
+# The probe fields, what each is, and the ones each kind reads. ProbeSpec
+# raises on a nonzero field its kind does not read, naming what the field is
+# and the kinds that read it; a sweep over it reports each nonzero value.
+_FIELDS = {"n0": "TMSV photons n0", "n1": "squeezers n1, n2",
+           "n2": "squeezers n1, n2", "ns": "coherent photons ns"}
+_READS = {ProbeKind.TMSV: ("n0",), ProbeKind.ASTM: ("n0", "n1", "n2"),
+          ProbeKind.COHERENT: ("ns",)}
+
 
 def _admits(name: str, values: np.ndarray) -> np.ndarray:
     """Where the named field admits values (the classes compare one value inline)."""
@@ -46,10 +54,11 @@ def _energy(n0, n):
 class ProbeSpec:
     """Declarative probe description by photon-number parameters.
 
-    n0: per-mode photons of the initial two-mode squeezed vacuum.
-    n1, n2: photon numbers of the extra squeezers on signal / idler mode
-    (ASTM only: a TMSV probe has none, and rejects n1 or n2 != 0).
-    ns: |alpha|^2 of the coherent probe (COHERENT only).
+    n0: per-mode photons of the initial two-mode squeezed vacuum (TMSV, ASTM).
+    n1, n2: photon numbers of the extra squeezers on signal / idler mode (ASTM).
+    ns: |alpha|^2 of the coherent probe (COHERENT).
+    Each kind reads only its own fields (_READS) and rejects any other that is
+    not 0: a TMSV probe with n1 = 1 is an ASTM probe under the wrong label.
     """
 
     kind: ProbeKind = ProbeKind.TMSV
@@ -65,7 +74,7 @@ class ProbeSpec:
             raise ValidationError(
                 f"probe kind must be one of {[k.value for k in ProbeKind]}, "
                 f"got {self.kind!r}") from None
-        for name in ("n0", "n1", "n2", "ns"):
+        for name in _FIELDS:
             value = getattr(self, name)
             lo, hi = _ADMITTED[name]
             if not lo <= value < hi:
@@ -73,8 +82,12 @@ class ProbeSpec:
                 raise ValidationError(
                     f"probe parameter {name} must be >= 0, got {value}"
                 )
-        if self.kind is ProbeKind.TMSV and (self.n1 or self.n2):
-            raise ValidationError("a tmsv probe has no squeezers n1, n2: use kind astm")
+        for name in _FIELDS:
+            if getattr(self, name) and name not in _READS[self.kind]:
+                kind = self.kind.value
+                readers = " or ".join(k.value for k in ProbeKind if name in _READS[k])
+                raise ValidationError(f"{'an' if kind == 'astm' else 'a'} {kind} probe "
+                                      f"has no {_FIELDS[name]}: use kind {readers}")
 
     @property
     def signal_energy(self) -> float:

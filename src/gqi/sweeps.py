@@ -13,7 +13,7 @@ import csv
 import math
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -21,7 +21,8 @@ import numpy as np
 
 from .chernoff import DiscriminationResult, discriminate_columns, snr
 from .discord import _remained, remained_discord
-from .probes import ProbeKind, ProbeSpec, TargetScenario, _admits, _energy
+from .probes import (_FIELDS, _READS, ProbeKind, ProbeSpec, TargetScenario, _admits,
+                     _energy)
 from .symplectic import ValidationError
 
 CSV_COLUMNS = [
@@ -89,35 +90,30 @@ def _row(axis_value: float, kind: ProbeKind, params, result: DiscriminationResul
 
 
 def run_scenario(probe: ProbeSpec, scenario: TargetScenario,
-                 with_discord: bool = False,
-                 axis_value: float = float("nan")) -> SweepRow:
-    """Evaluate one probe/scenario pair into a sweep row.
+                 with_discord: bool = False) -> SweepRow:
+    """Evaluate one probe/scenario pair into a sweep row, through snr.
 
-    The discord is that of rho_A, the state remained_discord measures.
+    The row has no sweep axis, so its axis_value is NaN. The discord is
+    that of rho_A, the state remained_discord measures.
     """
     result = snr(probe, scenario)
     discord = (remained_discord(probe, scenario).value
                if with_discord and probe.kind is not ProbeKind.COHERENT else None)
-    return _row(axis_value, probe.kind,
+    return _row(math.nan, probe.kind,
                 (probe.n0, probe.n1, probe.n2, probe.ns, scenario.kappa,
                  scenario.nb, scenario.ensembles), result, discord)
 
 
 def _with_axis(probe: ProbeSpec, scenario: TargetScenario, axis: str,
                value: float) -> tuple[ProbeSpec, TargetScenario]:
-    p = {"kind": probe.kind, "n0": probe.n0, "n1": probe.n1,
-         "n2": probe.n2, "ns": probe.ns}
-    s = {"kappa": scenario.kappa, "nb": scenario.nb,
-         "ensembles": scenario.ensembles}
+    """(probe, scenario) with the axis set to value, the changed one validated."""
     if axis in ("kappa", "nb"):
-        s[axis] = value
-    elif axis == "ns" and probe.kind is ProbeKind.ASTM:
-        p["n1"] = solve_n1_for_signal_energy(value, probe.n0)
-    elif axis == "ns" and probe.kind is ProbeKind.TMSV:
-        p["n0"] = value  # N_S = N0 without squeezers
-    else:
-        p[axis] = value
-    return ProbeSpec(**p), TargetScenario(**s)
+        return probe, replace(scenario, **{axis: value})
+    if axis == "ns" and probe.kind is ProbeKind.ASTM:
+        return replace(probe, n1=solve_n1_for_signal_energy(value, probe.n0)), scenario
+    if axis == "ns" and probe.kind is ProbeKind.TMSV:
+        axis = "n0"  # N_S = N0 without squeezers
+    return replace(probe, **{axis: value}), scenario
 
 
 class _Table(NamedTuple):
@@ -135,15 +131,15 @@ class _Table(NamedTuple):
 def _axis_column(axis: str, probe: ProbeSpec, values: np.ndarray) -> tuple:
     """The parameter a grid sets, as its row in a batch's columns (n0, n1,
     n2, ns, kappa, N_B, M), its column, and where _with_axis would build
-    the point: where the parameter is admitted and a TMSV probe's squeezers
-    stay 0."""
+    the point: where the parameter is admitted and, if the probe's kind does
+    not read it (_READS), 0."""
     if axis == "ns" and probe.kind is ProbeKind.ASTM:
         # solve_n1_for_signal_energy: N1 < 0 exactly where N_S < N0.
         n1 = (values - probe.n0) / (2.0 * probe.n0 + 1.0)
         return 1, n1, _admits("n1", n1)
     name = "n0" if axis == "ns" and probe.kind is ProbeKind.TMSV else axis
     valid = _admits(name, values)
-    if probe.kind is ProbeKind.TMSV and name in ("n1", "n2"):
+    if name in _FIELDS and name not in _READS[probe.kind]:
         valid &= values == 0.0
     return ("n0", "n1", "n2", "ns", "kappa", "nb").index(name), values, valid
 
@@ -273,22 +269,20 @@ def advantage_threshold(scenario: TargetScenario,
                         bracket: tuple[float, float] = (0.02, 1.0),
                         fit_from: float | None = None,
                         fit_to: float = FIT_TO_DEFAULT,
-                        points: int = FIT_POINTS_DEFAULT,
-                        tol: float = 0.005) -> float:
+                        points: int = FIT_POINTS_DEFAULT) -> float:
     """Smallest initial TMSV energy N0 whose fitted SNR slope matches the CI.
 
     The CI benchmark is the coherent probe with |alpha|^2 = N_S run through
     the same Chernoff pipeline, with error exponent per copy
     kappa*N_S*(sqrt(NB+1)-sqrt(NB))^2.  Bisection on
-    slope_ASTM(N0) - slope_CI over the bracket; raises when the bracket shows
-    no sign change rather than guessing.  On the figure presets the ASTM
-    slope stays below this benchmark, so the search raises.
+    slope_ASTM(N0) - slope_CI over the bracket, down to a width of 0.005;
+    raises when the bracket shows no sign change rather than guessing.  On
+    the figure presets the ASTM slope stays below this benchmark, so the
+    search raises.
     """
     lo, hi = bracket
     if not lo < hi:
         raise ValidationError(f"N0 bracket must have lo < hi, got [{lo}, {hi}]")
-    if not 0.0 < tol < math.inf:
-        raise ValidationError(f"tol must be > 0 and finite, got {tol}")
     if points < 2:
         raise ValidationError(f"slope fit needs points >= 2, got {points}")
 
@@ -303,7 +297,7 @@ def advantage_threshold(scenario: TargetScenario,
             f"no slope crossing on N0 bracket [{lo}, {hi}]: "
             f"gap({lo}) = {g_lo:.4g}, gap({hi}) = {g_hi:.4g}"
         )
-    while hi - lo > tol:
+    while hi - lo > 0.005:
         mid = 0.5 * (lo + hi)
         g_mid = gap(mid)
         if g_lo * g_mid <= 0.0:
@@ -333,7 +327,8 @@ def write_table(table: SweepTable, path: str) -> None:
         fh.write(table_to_string(table))
 
 
-def table_from_csv(stream, axis: str = "", grid=None) -> SweepTable:
+def table_from_csv(stream) -> SweepTable:
+    """The rows of a CSV that write_table wrote; a CSV keeps no axis or grid."""
     reader = csv.reader(stream)
     header = next(reader)
     if header != CSV_COLUMNS:
@@ -348,7 +343,7 @@ def table_from_csv(stream, axis: str = "", grid=None) -> SweepTable:
             discord=None if discord == "" else float(discord),
             **{k: float(v) for k, v in values.items()},
         ))
-    return SweepTable(axis=axis, grid=list(grid or []), rows=rows)
+    return SweepTable(axis="", grid=[], rows=rows)
 
 
 def read_table(path: str) -> SweepTable:

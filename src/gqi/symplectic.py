@@ -78,13 +78,14 @@ def _closed_spectrum(cov: np.ndarray) -> tuple:
     return (nu,), det, (), [(nu, tol)]
 
 
-def _require_positive(*minors: float) -> None:
-    """Raise unless each leading minor (or ratio of two) is positive and finite.
-    From finite entries, a NaN or inf minor is a product out of range."""
-    for minor in minors:
-        if not 0.0 < minor < math.inf:
-            raise ValidationError("covariance matrix is not positive definite"
-                                  if minor <= 0.0 else _WIDE_RANGE)
+def _require_positive(minor: float, rounding: float = 0.0) -> None:
+    """Raise unless a leading minor (or ratio of two) is positive and finite.
+    From finite entries, a NaN or inf minor is a product out of range, and
+    so is one <= 0 within rounding, the error it may carry: float64 cannot
+    tell its sign."""
+    if not 0.0 < minor < math.inf:
+        raise ValidationError("covariance matrix is not positive definite"
+                              if minor <= -rounding else _WIDE_RANGE)
 
 
 def _one_mode(x: float, c: float, c2: float, p: float) -> tuple[float, float, float]:
@@ -96,7 +97,7 @@ def _one_mode(x: float, c: float, c2: float, p: float) -> tuple[float, float, fl
     """
     _require_positive(x)
     s = p - c * (c2 / x)
-    _require_positive(s)
+    _require_positive(s, 2.0 * _EPS * (abs(p) + abs(c * (c2 / x))))
     det = x * s
     nu = math.sqrt(det) if _TINY <= det < math.inf else math.sqrt(x) * math.sqrt(s)
     return nu, det, _allowed_shortfall(max(x, p, abs(c)), (x + p) / (2.0 * nu))
@@ -112,7 +113,11 @@ def _two_mode(v: list) -> tuple:
     sqrt(x^2 + 4u), x = det A - det B, u = det N. The halves (q -+ x)/2, the
     diagonal blocks of (Omega V)^2 + nu_+^2, multiply to u: the smaller is
     u over the larger. det V = det A det S, S = B - C^T A^-1 C, and the
-    leading minors A_11, det A, S_11 and det S decide definiteness.
+    leading minors A_11, det A, S_11 and det S decide definiteness. One that
+    fails within the first-order rounding of the products that formed it
+    (S's entries by norms, |C^T A^-1 C| <= |C|_F^2 tr A / det A, with det A's
+    own rounding) has a sign float64 cannot tell, and raises "entries span
+    too wide a range", not "not positive definite".
 
     The elimination is exact for V + E, |E| ~ eps |V|, so nu_- is off by
     ~eps tr V (k_+ + k_-), k_+- the conditions |x|^2 / |x^H i Omega x| of
@@ -123,12 +128,18 @@ def _two_mode(v: list) -> tuple:
     """
     (a, b, c, d), (e, f, g, h), (i, j, k, l), (m, n, o, p) = v
     det_a, det_b, det_c = a * f - b * e, k * p - l * o, c * h - d * g
-    _require_positive(a, det_a)
+    mag_a = abs(a * f) + abs(b * e)
+    _require_positive(a)
+    _require_positive(det_a, 2.0 * _EPS * mag_a)
     t00, t01, t10, t11 = f * c - b * g, f * d - b * h, a * g - e * c, a * h - e * d  # adj(A) C
     s00, s01 = k - (i * t00 + j * t10) / det_a, l - (i * t01 + j * t11) / det_a
     s10, s11 = o - (m * t00 + n * t10) / det_a, p - (m * t01 + n * t11) / det_a
     det_s = s00 * s11 - s01 * s10
-    _require_positive(s00, det_s)
+    err_s = _SPECTRUM_ULPS * _EPS * (max(abs(k), abs(l), abs(o), abs(p)) + (
+        (c * c + d * d + g * g + h * h) * ((a + f) / det_a) * (mag_a / det_a)))
+    _require_positive(s00, err_s)
+    _require_positive(det_s, err_s * (abs(s00) + abs(s01) + abs(s10) + abs(s11) + 2.0 * err_s)
+                      + 2.0 * _EPS * (abs(s00 * s11) + abs(s01 * s10)))
     x = det_a - det_b
     u = ((e * g - f * c + g * o - h * k) * (b * d - a * h + d * l - c * p)
          - (e * h - f * d + g * p - h * l) * (b * c - a * g + d * k - c * o))
@@ -136,8 +147,11 @@ def _two_mode(v: list) -> tuple:
     big = 0.5 * (q + abs(x))
     small = u / big if big > 0.0 else 0.0
     det, hi2 = det_a * det_s, 0.5 * (det_a + det_b + 2.0 * det_c + q)
-    _require_positive(det, hi2)
-    _require_positive(det / hi2)
+    # Past its leading minors, V is positive definite as far as float64 can
+    # tell: what fails now is out of range.
+    _require_positive(det, math.inf)
+    _require_positive(hi2, math.inf)
+    _require_positive(det / hi2, math.inf)
     nu = sorted((math.sqrt(hi2), math.sqrt(det / hi2)), reverse=True)
     if c or d or g or h:
         # tr V^-1 = tr A^-1 + tr S^-1 + tr(S^-1 T^T T) / det A^2, T = adj(A) C;

@@ -423,7 +423,14 @@ class TestChernoffInfimum:
 
 class TestSnrInversion:
     def test_snr_zero_at_half(self):
-        assert snr_from_log_p(math.log(0.5)) == pytest.approx(0.0, abs=1e-12)
+        # Newton stopped at sqrt(SNR) ~ 6e-33: SNR 3.8e-65, not 0.
+        assert snr_from_log_p(math.log(0.5)) == 0.0
+
+    def test_pair_whose_q_min_rounds_to_one(self):
+        # Nothing reaches the receiver at kappa = 0: P = 1/2 and SNR 0.
+        result = snr(ProbeSpec(kind=ProbeKind.ASTM, n0=100.0, n1=10.0),
+                     TargetScenario(kappa=0.0, nb=0.0, ensembles=1e7))
+        assert (result.q_min, result.log_error_prob, result.snr) == (1.0, math.log(0.5), 0.0)
 
     def test_snr_one(self):
         log_p = math.log(0.5 * erfc(1.0))

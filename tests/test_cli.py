@@ -1,8 +1,9 @@
+import argparse
 import os
 
 import pytest
 
-from gqi.cli import load_config, main
+from gqi.cli import build_parser, load_config, main
 from gqi.sweeps import read_table
 from gqi.symplectic import ValidationError
 
@@ -158,7 +159,7 @@ class TestDiscordCommand:
 
     def test_coherent_probe_rejected(self, capsys):
         code, _, err = run(
-            ["discord", "--kind", "coherent", "--ns", "1", "--nb", "2"], capsys
+            ["discord", "--kind", "coherent", "--nb", "2"], capsys
         )
         assert code == 2
 
@@ -192,6 +193,99 @@ class TestThresholdCommand:
         )
         assert code == 0
         assert float(out.split("n0_threshold=")[1]) == pytest.approx(0.15, abs=0.005)
+
+
+class TestThresholdConfig:
+    def test_probe_keys_build_no_probe(self, tmp_path, monkeypatch, capsys):
+        # A shared config file may hold a probe; threshold takes none, so it
+        # neither reads nor validates one (n1 = 1 on kind tmsv would raise).
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("probe.kind = tmsv\nprobe.n1 = 1\nprobe.ns = 9\n"
+                       "scenario.kappa = 0.01\nscenario.nb = 30\n")
+        monkeypatch.setattr("gqi.cli.ProbeSpec", None)  # a probe would be a TypeError
+        monkeypatch.setattr(
+            "gqi.sweeps._astm_ci_slopes",
+            lambda n0, scenario, fit_from, fit_to, points: (1000.0 * n0, 150.0),
+        )
+        code, out, _ = run(["threshold", "--config", str(cfg)], capsys)
+        assert code == 0 and out.startswith("n0_threshold=")
+
+
+# The options of each subcommand: exactly those its command reads.
+OPTIONS = {
+    "snr": {"--config", "--kind", "--n0", "--n1", "--n2", "--ns", "--kappa", "--nb",
+            "--ensembles", "--out", "--with-discord"},
+    "sweep": {"--config", "--kind", "--n0", "--n1", "--n2", "--ns", "--kappa", "--nb",
+              "--ensembles", "--out", "--plot", "--axis", "--from", "--to", "--steps",
+              "--with-discord"},
+    "discord": {"--config", "--kind", "--n0", "--n1", "--n2", "--kappa", "--nb"},
+    "threshold": {"--config", "--kappa", "--nb", "--ensembles", "--n0-min", "--n0-max",
+                  "--fit-from", "--fit-to", "--fit-points"},
+    "reproduce": {"figure", "--out", "--plot"},
+}
+
+
+class ReadLog(argparse.Namespace):
+    """A namespace that logs which of its attributes are read."""
+
+    def __getattribute__(self, name):
+        value = super().__getattribute__(name)
+        if not name.startswith("_") and name not in ("func", "command"):
+            super().__getattribute__("_read").add(name)
+        return value
+
+
+class TestParser:
+    def test_each_command_registers_what_it_reads(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(
+            "gqi.sweeps._astm_ci_slopes",
+            lambda n0, scenario, fit_from, fit_to, points: (1000.0 * n0, 150.0),
+        )
+        commands = {
+            "snr": ["snr", "--kind", "astm", "--n0", "1", "--nb", "30"],
+            "sweep": ["sweep", "--axis", "nb", "--from", "1", "--to", "2", "--steps", "2",
+                      "--kind", "astm", "--n0", "1"],
+            "discord": ["discord", "--kind", "astm", "--n0", "1", "--nb", "30"],
+            "threshold": ["threshold", "--nb", "30"],
+            "reproduce": ["reproduce", "fig2a"],
+        }
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction)).choices
+        assert set(subparsers) == set(OPTIONS)
+        registered = 0
+        for name, sub in subparsers.items():
+            actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+            assert {a.option_strings[0] if a.option_strings else a.dest
+                    for a in actions} == OPTIONS[name]
+            registered += len(actions)
+            args = ReadLog()
+            object.__setattr__(args, "_read", set())
+            parser.parse_args(commands[name], namespace=args)
+            args._read.clear()
+            assert args.func(args) == 0
+            assert args._read == {a.dest for a in actions}, name
+        assert registered == 46
+
+    @pytest.mark.parametrize("command", [
+        "threshold --n0 5 --kappa 0.01 --nb 30 --ensembles 1e7",
+        "discord --kind astm --n0 1 --kappa 0.01 --nb 30 --ensembles 1e7",
+        "snr --plot --kind astm --n0 1 --kappa 0.01 --nb 30",
+        "sweep --axis nb --from 1 --to 2 --steps 2 --kind astm --n0 1 --n0-min 1",
+        "reproduce fig2a --kind astm",
+    ])
+    def test_flag_not_read_exits_2(self, command):
+        with pytest.raises(SystemExit) as err:
+            main(command.split())
+        assert err.value.code == 2
+
+    def test_probe_field_not_read_exits_2(self, capsys):
+        # It printed ns=4.0, the ASTM probe's own energy, and exited 0.
+        code, out, err = run("snr --kind astm --n0 1 --n1 1 --ns 9 --kappa 0.01 "
+                             "--nb 30 --ensembles 1e7".split(), capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: an astm probe has no coherent photons ns: use kind coherent\n"
 
 
 class TestReproduceCommand:

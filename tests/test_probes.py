@@ -380,6 +380,22 @@ class TestProbeSpec:
         with pytest.raises(ValidationError, match="tmsv probe has no squeezers"):
             ProbeSpec(kind="tmsv", n0=1.0, **{squeezer: 0.25})
 
+    @pytest.mark.parametrize("kind, name, message", [
+        ("tmsv", "n1", "a tmsv probe has no squeezers n1, n2: use kind astm"),
+        ("tmsv", "n2", "a tmsv probe has no squeezers n1, n2: use kind astm"),
+        ("tmsv", "ns", "a tmsv probe has no coherent photons ns: use kind coherent"),
+        ("astm", "ns", "an astm probe has no coherent photons ns: use kind coherent"),
+        ("coherent", "n0", "a coherent probe has no TMSV photons n0: use kind tmsv or astm"),
+        ("coherent", "n1", "a coherent probe has no squeezers n1, n2: use kind astm"),
+        ("coherent", "n2", "a coherent probe has no squeezers n1, n2: use kind astm"),
+    ])
+    def test_rejects_a_field_its_kind_does_not_read(self, kind, name, message):
+        # ProbeSpec(kind="astm", ns=9) gave the row of n0 = n1 = 0 and ns = 0.
+        with pytest.raises(ValidationError) as info:
+            ProbeSpec(kind=kind, **{name: 9.0})
+        assert str(info.value) == message
+        ProbeSpec(kind=kind, **{name: 0.0})  # 0, the default, is no input
+
     def test_kind_from_its_value(self):
         assert ProbeSpec(kind="astm").kind is ProbeKind.ASTM
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -151,6 +152,17 @@ class TestSweep:
         assert table.errors == ["n1=1.0: a tmsv probe has no squeezers n1, n2: "
                                 "use kind astm"]
 
+    @pytest.mark.parametrize("axis, kind", [
+        ("n0", ProbeKind.COHERENT), ("n1", ProbeKind.COHERENT),
+        ("n2", ProbeKind.COHERENT), ("n2", ProbeKind.TMSV)])
+    def test_axis_the_kind_does_not_read_is_reported(self, axis, kind):
+        # A coherent probe swept over n0 gave rows that differed only in
+        # their n0 column.
+        table = sweep(axis, [0.0, 1.0, 2.0], SWEPT_PROBES[kind], MICROWAVE)
+        assert [r.axis_value for r in table.rows] == [0.0]
+        assert [e.split(": ")[0] for e in table.errors] == [f"{axis}=1.0", f"{axis}=2.0"]
+        assert all(f"{kind.value} probe has no" in e for e in table.errors)
+
     def test_bad_grid_points_skipped_and_reported(self):
         table = sweep(
             "ns", [0.5, 2.0], ProbeSpec(kind=ProbeKind.ASTM, n0=1.0), MICROWAVE,
@@ -184,7 +196,7 @@ class TestSweep:
         for row in table.rows:
             probe = ProbeSpec(kind=ProbeKind(row.kind), n0=row.n0, n1=row.n1,
                               n2=row.n2, ns=row.ns if row.kind == "coherent" else 0.0)
-            alone = run_scenario(probe, MICROWAVE, axis_value=row.axis_value)
+            alone = run_scenario(probe, MICROWAVE)
             assert row.snr == pytest.approx(alone.snr, rel=1e-12)
             assert row.log_error_prob == pytest.approx(alone.log_error_prob, rel=1e-12)
             assert row.q_min == pytest.approx(alone.q_min, abs=4e-16)
@@ -257,7 +269,7 @@ class TestCsvRoundTrip:
             MICROWAVE, with_discord=True,
         )
         text = table_to_string(table)
-        back = table_from_csv(io.StringIO(text), axis=table.axis, grid=table.grid)
+        back = table_from_csv(io.StringIO(text))
         assert back.rows == table.rows
 
     def test_rejects_wrong_header(self):
@@ -271,8 +283,7 @@ class TestCsvWriter:
         # np.float64(...); the writer prints every number as a float.
         probe = ProbeSpec(kind=ProbeKind.ASTM, n0=np.float64(0.5), n1=np.float64(0.25))
         scenario = TargetScenario(np.float64(0.01), np.float64(30.0), np.float64(1e7))
-        rows = [run_scenario(probe, scenario, with_discord=True,
-                             axis_value=np.float64(0.5)),
+        rows = [run_scenario(probe, scenario, with_discord=True),
                 run_scenario(ProbeSpec(kind=ProbeKind.COHERENT, ns=1.0), MICROWAVE)]
         rows += sweep("n1", np.linspace(0.0, 1.0, 3), probe, scenario).rows
         rows += [SweepRow(-0.0, 0.0, -0.0, 0.0, 1.0, 0.01, 30.0, 1.0, "tmsv",
@@ -346,6 +357,8 @@ class TestBatchInvariant:
              with_discord=True, compare=True)
     @example(axis="n1", kind=ProbeKind.TMSV, values=[0.0, -0.0, 0.5],
              with_discord=False, compare=False)
+    @example(axis="n0", kind=ProbeKind.COHERENT, values=[0.5, -0.0, math.nan],
+             with_discord=True, compare=False)
     @example(axis="kappa", kind=ProbeKind.ASTM, values=[1.0, 0.999, -0.0, 1.5],
              with_discord=True, compare=False)
     @example(axis="n0", kind=ProbeKind.ASTM, values=[1e300, 0.5], with_discord=True,
@@ -378,7 +391,7 @@ class TestBatchInvariant:
                 points.append((ProbeSpec(kind=ProbeKind.COHERENT, ns=value), False))
             for q, discord in points:
                 try:
-                    rows.append(run_scenario(q, s, discord, axis_value=value))
+                    rows.append(replace(run_scenario(q, s, discord), axis_value=value))
                 except ValidationError as exc:
                     errors.append(f"{axis}={value}: {exc}")
                     break
@@ -415,17 +428,16 @@ class TestAdvantageThreshold:
             "gqi.sweeps._astm_ci_slopes",
             lambda n0, scenario, fit_from, fit_to, points: (1000.0 * n0, 150.0),
         )
-        n0_star = advantage_threshold(TargetScenario(0.01, 30.0, 1e7), tol=0.005)
+        n0_star = advantage_threshold(TargetScenario(0.01, 30.0, 1e7))
         assert abs(n0_star - 0.15) <= 0.005
 
+    # The ids are those the cases had after four tol cases, which went with
+    # the parameter, so that each case keeps its name.
     @pytest.mark.parametrize("kwargs, match", [
-        # tol = 0 stalled the bisection on adjacent floats
-        ({"tol": 0.0}, "tol"), ({"tol": -1.0}, "tol"),
-        ({"tol": math.nan}, "tol"), ({"tol": math.inf}, "tol"),
         # a reversed bracket returned 0.51
         ({"bracket": (1.0, 0.02)}, "lo < hi"), ({"bracket": (0.3, 0.3)}, "lo < hi"),
         ({"points": 1}, "points"), ({"points": -1}, "points"),
-    ])
+    ], ids=["kwargs4-lo < hi", "kwargs5-lo < hi", "kwargs6-points", "kwargs7-points"])
     def test_rejects_bad_search_inputs(self, monkeypatch, kwargs, match):
         # gap = 1000*N0 - 300 crosses zero at N0 = 0.3
         monkeypatch.setattr(

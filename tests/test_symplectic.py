@@ -466,6 +466,14 @@ NEAR_DEGENERATE = np.array([
     [-614090.8475725965, -782552.7492196488, 741800.6383129568, 767112.336111059],
     [-635045.9520432731, -809254.8037080452, 767112.336111059, 793289.0498639675]])
 
+# A turned pure probe (test_unresolved_minor_is_a_range_error), entries
+# pinned as NEAR_DEGENERATE's are.
+UNRESOLVED = np.array([
+    [649.9855882234991, 386.47340111705546, -221365.34355893836, -270828.71540434315],
+    [386.47340111705546, 256.07701963080245, -135641.55822835228, -165950.1496310996],
+    [-221365.34355893836, -135641.55822835228, 76009721.43250859, 92993836.6575731],
+    [-270828.71540434315, -165950.1496310996, 92993836.6575731, 113772994.99763557]])
+
 
 class TestClosedFormSpectrum:
     """Covariances out of standard form take the closed form of
@@ -524,6 +532,22 @@ class TestClosedFormSpectrum:
                 accepted = TestValidationRoute.accepts(
                     lambda v: GaussianState(2, np.zeros(4), v), scaled)
                 assert accepted == (exact_spectrum(scaled)[1] >= 1.0 - tol), (n0, n1, n2, m)
+
+    def test_unresolved_minor_is_a_range_error(self):
+        # Pure ASTM n0 = 64.85, n1 = 1.233, n2 = 3.63e5, turned by 5.262 and
+        # 5.598 rad: positive definite at 80 digits (det V = 2.095), but det S
+        # comes out -3.1e-5 in float64, within its rounding.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(80):
+            m = mpmath.matrix(UNRESOLVED.tolist())
+            assert all(mpmath.det(m[:k, :k]) > 0 for k in range(1, 5))
+        with pytest.raises(ValidationError, match="span too wide a range"):
+            GaussianState(2, np.zeros(4), UNRESOLVED)
+        # A minor beyond its rounding is what it says.
+        indefinite = UNRESOLVED.copy()
+        indefinite[3, 3] *= 0.9
+        with pytest.raises(ValidationError, match="not positive definite"):
+            GaussianState(2, np.zeros(4), indefinite)
 
     def test_documented_one_mode_cases(self):
         # diag(2e8, 1e-9) is within its rounding of a pure mode (docstring).
