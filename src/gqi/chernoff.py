@@ -35,22 +35,25 @@ V = X (+) P with X and P the 2x2 x and p blocks. Then nu_+-^2 are the
 eigenvalues of PX (symplectic.standard_form_spectrum), Sigma'_s splits into
 an x and a p block, and det Sigma'_s is a product of two 2x2 determinants,
 so a batch of pairs is elementwise arithmetic over a (points, 64) array of
-s per scan. The pairs are analysed in np.longdouble, the scans run in
-float64, and the last evaluation, at the three candidates for s*, runs in
-np.longdouble, whose -ln Q goes on to ln P: 1 - Q ~ 1e-7 at the figure
-presets, where float64 alone leaves ~eps / (1 - Q) ~ 4e-9 of the SNR. Where
-np.longdouble is float64 (macOS arm64, Windows) that evaluation is a float64
-one. -ln Q is -log1p(Q - 1) above 1/2 and -ln Q below, on every path
-(_exponent). The coherent pair, a displaced and an undisplaced thermal
-state, takes its closed form at s* = 1/2.
+s per scan. rho_B, thermal noise on the return mode times the untouched
+idler, is a product state: each mode has nu_k = sqrt(x_k p_k) and projects
+on its own quadratures, so rho_B needs no spectrum of PX (_product_parts).
+The pairs are analysed in np.longdouble, the scans run in float64, and the
+last evaluation, at the three candidates for s*, runs in np.longdouble,
+whose -ln Q goes on to ln P: 1 - Q ~ 1e-7 at the figure presets, where
+float64 alone leaves ~eps / (1 - Q) ~ 4e-9 of the SNR. Where np.longdouble
+is float64 (macOS arm64, Windows) that evaluation is a float64 one. -ln Q
+is -log1p(Q - 1) above 1/2 and -ln Q below, on every path (_exponent). The
+coherent pair, a displaced and an undisplaced thermal state, takes its
+closed form at s* = 1/2.
 
 One pair (snr, discriminate, chernoff_infimum, q_s) takes the same core.
 _standard analyses it with the elementwise operations a batch runs on its
-columns, on the np.longdouble scalars of each state, so one point gives the
-bits of its row in any batch. The search for s* has two routes around the
-same three numpy evaluations of Q_s, each the faster for the input that
-selects it: _infimum keeps a batch's bracket, vertices and pick on arrays,
-and _infimum_one one pair's on floats. snr hands the core a point's seven
+columns, on np.longdouble scalars, so one point gives the bits of its row
+in any batch. The search for s* has two routes around the same three
+numpy evaluations of Q_s, each the faster for the input that selects it:
+_infimum keeps a batch's bracket, vertices and pick on arrays, and
+_infimum_one one pair's on floats. snr hands the core a point's seven
 floats (_discriminate_params); the coherent closed form, -ln Q, ln P and the
 results each run one body on a point's floats or a batch's (n,) columns, so
 one point's only arrays are its pair's analysis and its search for s*.
@@ -83,8 +86,10 @@ Newton in sqrt(SNR) (_snr_from_log_p).
 """
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,8 +138,8 @@ _U = _STEPS - 0.5
 _U2 = _U * _U - np.mean(_U * _U)
 _FIT = np.stack([_U / (_U @ _U), _U2 / (_U2 @ _U2)], axis=1)
 
-# Power of each column of a standard-form pair (nu_+, nu_- of rho_A, then
-# of rho_B): p = sign s + offset.
+# Power of each column of a standard-form pair (the two modes of rho_A, then
+# the two of rho_B): p = sign s + offset.
 _SIGN = np.array([1.0, 1.0, -1.0, -1.0])[:, None]
 _OFFSET = np.array([0.0, 0.0, 1.0, 1.0])[:, None]
 
@@ -162,6 +167,13 @@ _SINGULAR = "V_A(s) + V_B(1-s) is singular"
 # The constants of _standard, in np.longdouble.
 _LN_16 = 4.0 * np.log(np.longdouble(2.0))  # ln 2^n of two modes
 _SPLIT_ULPS = _DEGENERATE_ULPS * np.finfo(np.longdouble).eps
+_LD_ZERO, _LD_ONE = np.longdouble(0.0), np.longdouble(1.0)
+# Where _standard takes the nu and the dual of a pair from the parts of
+# rho_A and rho_B (14 each): nu of the modes of rho_A, then of rho_B, then
+# dual row-major, the entries 11, 12, 22 of the x and of the p block, each
+# by mode of rho_A, then of rho_B.
+_LAYOUT = operator.itemgetter(0, 1, 14, 15, *(
+    i + 14 * state + 6 * mode for i in range(2, 8) for state in (0, 1) for mode in (0, 1)))
 
 _EYE2 = np.eye(2)
 
@@ -194,15 +206,15 @@ def _snap(nu, tol):
     return _where(nu <= 1.0 + tol, 1.0, nu)
 
 
-@dataclass(frozen=True)
-class _StandardPairs:
+class _StandardPairs(NamedTuple):
     """n standard-form two-mode pairs analysed once (_standard), for Q_s at any s.
 
     Axis 0 runs over the pairs; one pair is n = 1, with the bits of its row
-    in any batch. The four columns are nu_+ and nu_- of rho_A (power s) and
-    of rho_B (power 1 - s); dual holds, per column, the x and p blocks
-    (entries 11, 12, 22) of its part of Sigma'_s. Q_s comes in the dtype of
-    the arrays.
+    in any batch. The four columns are the two modes of rho_A (power s) and
+    of rho_B (power 1 - s): nu_+ and nu_- of a state with cross entries, the
+    return and idler modes of a product state. dual holds, per column, the
+    x and p blocks (entries 11, 12, 22) of its part of Sigma'_s. Q_s comes
+    in the dtype of the arrays.
     """
 
     ln_r: np.ndarray      # (n, 4, 1)
@@ -211,7 +223,7 @@ class _StandardPairs:
     ln_ratio: np.ndarray  # (n, 1): sum_B ln(nu + 1) - sum_A ln(nu + 1)
 
     def astype(self, dtype) -> "_StandardPairs":
-        return _StandardPairs(*(v.astype(dtype) for v in vars(self).values()))
+        return _StandardPairs(*(v.astype(dtype) for v in self))
 
     def q(self, s: np.ndarray) -> np.ndarray:
         """Q_s for an (n, m) array of s in [_S_EDGE, 1 - _S_EDGE]."""
@@ -234,44 +246,105 @@ def _standard(ent_a, ent_b) -> tuple:
     rejected pair's numbers mean nothing: the caller silences what they
     raise and drops its Q_s.
 
-    A batch takes one standard_form_spectrum call on its (6, 2n) columns;
-    one pair takes one call per state, on six np.longdouble scalars (the
-    path of a flagged batch column). _state_parts runs the same elementwise
-    operations on either, so one pair gets the bits of its row in any batch.
+    rho_A is validated by standard_form_spectrum and analysed by _parts. A
+    rho_B without cross entries, as every built pair has, is analysed mode
+    by mode (_product_parts) and not validated: a hand-built one was
+    validated as a GaussianState, and a built one shares rho_A's idler,
+    while its thermal mode 2 N_B + 1 is finite wherever rho_A's noise
+    2 N_B + 1 - kappa is. Any other rho_B takes rho_A's route. One pair runs
+    the operations a batch runs on its columns, on np.longdouble scalars
+    (its six floats converted one by one), and fills the layout of
+    _StandardPairs from one list, so that it gets the bits of its row in
+    any batch.
     """
-    if isinstance(ent_a, np.ndarray):
-        n = ent_a.shape[1]
-        entries = np.concatenate([ent_a, ent_b], axis=1).astype(np.longdouble)
-        spec = standard_form_spectrum(entries)
-        errors = spec.errors
-        parts = np.array(_state_parts(entries, spec, np.abs(entries).max(axis=0)))
+    a = _longdouble(ent_a)
+    spec = standard_form_spectrum(a)
+    errors, parts_a = spec.errors, _parts(a, spec)
+    if _all(ent_b[4] == 0.0) and _all(ent_b[5] == 0.0):
+        parts_b = _product_parts(_longdouble(ent_b[:4]))
     else:
-        n = 1
-        states = np.array([ent_a, ent_b], dtype=np.longdouble).tolist()
-        specs = [standard_form_spectrum(e) for e in states]
-        errors = specs[0].errors + specs[1].errors
-        parts = np.array([_state_parts(e, spec, max(map(abs, e)))
-                          for e, spec in zip(states, specs)], dtype=np.longdouble).T
-    # Rows: nu_+, nu_-, then dual (hi, lo; x, p; entry); columns: A, then B.
-    nu, dual = parts[:2], parts[2:]
-    ln_nu1 = np.log1p(nu)
-    ln_state = ln_nu1[0] + ln_nu1[1]  # sum over a state's modes
-    ln_a, ln_b = ln_state[:n, None], ln_state[n:, None]
-    return [errors[i] or errors[n + i] for i in range(n)], _StandardPairs(
-        ln_r=_log_ratio(nu).reshape(2, 2, n).transpose(2, 1, 0).reshape(n, 4, 1),
-        dual=dual.reshape(2, 2, 3, 2, n).transpose(4, 1, 2, 3, 0).reshape(n, 6, 4),
-        ln_g=_LN_16 - ln_b,
-        ln_ratio=ln_b - ln_a,
-    )
+        b = _longdouble(ent_b)
+        spec = standard_form_spectrum(b)
+        errors = [ea or eb for ea, eb in zip(errors, spec.errors)]
+        parts_b = _parts(b, spec)
+    # One row per pair: -2 / (nu + 1) of the four nu, the nu, then dual.
+    row = _LAYOUT(parts_a + parts_b)
+    flat = np.array([-2.0 / (v + 1.0) for v in row[:4]] + list(row),
+                    dtype=np.longdouble).reshape(32, -1).T
+    logs = np.log1p(flat[:, :8])  # ln((nu - 1) / (nu + 1)), then ln(nu + 1)
+    ln = logs[:, 4::2] + logs[:, 5::2]  # sum over the modes of rho_A, of rho_B
+    ln_a, ln_b = ln[:, :1], ln[:, 1:]
+    return errors, _StandardPairs(ln_r=logs[:, :4, None], dual=flat[:, 8:].reshape(-1, 6, 4),
+                                  ln_g=_LN_16 - ln_b, ln_ratio=ln_b - ln_a)
 
 
-def _state_parts(entries, spec, max_abs) -> list:
+def _longdouble(entries):
+    """np.longdouble entries: of an array, or of floats one by one."""
+    if isinstance(entries, np.ndarray):
+        return entries.astype(np.longdouble)
+    return [_LD_ONE * v for v in entries]
+
+
+def _max_abs(entries):
+    """max|V| of each state, from its (6, n) or six entries."""
+    if isinstance(entries, np.ndarray):
+        return np.abs(entries).max(axis=0)
+    return max(map(abs, entries))
+
+
+def _mode_nu(x, p):
+    """nu of a mode with entries x and p: sqrt(x p), exactly x where x = p;
+    sqrt(x) sqrt(p) where x p overflows, which needs an np.longdouble no
+    wider than float64."""
+    nu = _sqrt(x * p)
+    if _all(nu < math.inf):
+        return nu
+    return _where(nu < math.inf, nu, _sqrt(x) * _sqrt(p))
+
+
+def _parts(entries, spec) -> list:
+    """nu and the parts of Sigma'_s of validated states, state by state:
+    _product_parts where a state has no cross entries (rho_A at n0 = 0 or
+    kappa = 0), else _state_parts. A rho_A equal to its rho_B is then
+    analysed as rho_B is, and Q_s of the pair is 1 to rounding."""
+    product = (entries[4] == 0.0) & (entries[5] == 0.0)
+    if _all(product):
+        return _product_parts(entries[:4])
+    parts = _state_parts(entries, spec)
+    if not _all(~product):
+        parts = [np.where(product, m, t) for m, t in zip(_product_parts(entries[:4]), parts)]
+    return parts
+
+
+def _product_parts(diagonal) -> list:
+    """_state_parts of product states (x1x2 = p1p2 = 0) from their diagonals
+    x1x1, p1p1, x2x2, p2p2 (np.longdouble scalars or columns), mode 1 first
+    whichever nu is larger.
+
+    Mode k projects on its own quadratures: its parts are p_k / nu_k in the
+    x block and x_k / nu_k in the p block, on entry kk. nu_k = sqrt(x_k p_k)
+    (_mode_nu) is exact for a thermal mode, whose parts are then exactly 1,
+    so that Q_s of two equal states rounds to 1. Pure modes snap by the rule
+    of _state_parts, with det R = 1.
+    """
+    x1, p1, x2, p2 = diagonal
+    tol = _pure_tol(_max_abs(diagonal), 1.0)
+    nu1, nu2 = _mode_nu(x1, p1), _mode_nu(x2, p2)
+    zero = np.zeros_like(x1) if isinstance(x1, np.ndarray) else _LD_ZERO
+    return [_snap(nu1, tol), _snap(nu2, tol),
+            p1 / nu1, zero, zero, x1 / nu1, zero, zero,
+            zero, zero, p2 / nu2, zero, zero, x2 / nu2]
+
+
+def _state_parts(entries, spec) -> list:
     """nu_+ and nu_- with pure modes snapped, then the parts of Sigma'_s, of
-    standard-form states: scalars of one state or (2n,) columns of many.
+    standard-form states: scalars of one state or (n,) columns of many.
+    Where a product state splits its modes, its parts are those of
+    _product_parts (mode k in the column of its nu) to a few ulps: K is
+    then diagonal, and the projectors exact.
 
-    max_abs is max|V|, for _pure_tol. With X and P the x and p blocks of V
-    and M = PX (Williamson V = S D S^T, S = S_x + S_p),
-    V(p)^-1 = X(p)^-1 + P(p)^-1, where
+    With X and P the x and p blocks of V and M = PX (Williamson
+    V = S D S^T, S = S_x + S_p), V(p)^-1 = X(p)^-1 + P(p)^-1, where
 
         X(p)^-1 = sum_k Pi_k P / (nu_k Lambda_k),
         P(p)^-1 = sum_k Pi_k^T X / (nu_k Lambda_k),
@@ -290,7 +363,7 @@ def _state_parts(entries, spec, max_abs) -> list:
         k11, k12, k21, k22, gap = (_where(split, v, one) for v, one in zip(
             (k11, k12, k21, k22, gap), (1.0, 0.0, 0.0, 1.0, 2.0)))
     r = hi * lo  # det V = r^2, det R = det V / (ax bx ap bp)
-    tol = _pure_tol(max_abs, r * r / (ax * bx * ap * bp))
+    tol = _pure_tol(_max_abs(entries), r * r / (ax * bx * ap * bp))
     out = [_snap(hi, tol), _snap(lo, tol)]
     half_hi, half_lo, n12, n21 = 0.5 / (gap * hi), 0.5 / (gap * lo), -k12, -k21
     for a11, a12, a21, a22, b11, b12, b22, half in (

@@ -123,6 +123,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_discord(args) -> int:
     probe, scenario = build_inputs(args)
+    if probe.kind is ProbeKind.COHERENT:  # from --config: --kind refuses it
+        raise ValidationError("probe.kind = coherent: discord takes a tmsv or astm probe")
     probe_discord = gaussian_discord(astm_state(probe))
     after = remained_discord(probe, scenario)
     print(f"probe_discord={probe_discord.value!r} "
@@ -181,7 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("discord", help="Gaussian discord before/after channel")
-    _add_inputs(p, "kind n0 n1 n2 kappa nb")
+    _add_inputs(p, "n0 n1 n2 kappa nb")
+    # A coherent probe has one mode and no discord.
+    p.add_argument("--kind", choices=[ProbeKind.TMSV.value, ProbeKind.ASTM.value])
     p.set_defaults(func=cmd_discord)
 
     p = sub.add_parser(

@@ -728,12 +728,14 @@ def standard_entries_of(probes, scenarios) -> tuple:
 
 
 def assert_dual_is_symmetric_parts(ent_a, ent_b, errors, dual):
-    """Each column of a batch's dual, against np.matmul of the 2x2
-    np.longdouble factors K P, K^T X, L P and L^T X, K from
-    standard_form_spectrum and L = [[K_22, -K_12], [-K_21, K_11]]: the
+    """Each column of a batch's dual. A state with cross entries, against
+    np.matmul of the 2x2 np.longdouble factors K P, K^T X, L P and L^T X, K
+    from standard_form_spectrum and L = [[K_22, -K_12], [-K_21, K_11]]: the
     entries 11, 12, 22 of (M + M^T) 0.5 / (g nu_k), or of (P + P) 0.5 /
-    (2 nu_k) and (X + X) 0.5 / (2 nu_k) where the gap does not split.
-    == takes -0 for +0."""
+    (2 nu_k) and (X + X) 0.5 / (2 nu_k) where the gap does not split. A
+    product state (every rho_B; rho_A at n0 = 0 or kappa = 0), mode k in
+    column k: p_k / nu_k and x_k / nu_k on the entries kk of the x and p
+    blocks, nu_k = sqrt(x_k p_k) in np.longdouble. == takes -0 for +0."""
     n = ent_a.shape[1]
     entries = np.concatenate([ent_a, ent_b], axis=1).astype(np.longdouble)
     with np.errstate(all="ignore"):
@@ -743,6 +745,13 @@ def assert_dual_is_symmetric_parts(ent_a, ent_b, errors, dual):
         if errors[pair]:
             continue
         ax, ap, bx, bp, cx, cp = entries[:, j]
+        if not (cx or cp):
+            for mode, (x_k, p_k) in enumerate(((ax, ap), (bx, bp))):
+                nu_k = np.sqrt(x_k * p_k)
+                expected = np.zeros(6, dtype=np.longdouble)
+                expected[2 * mode], expected[3 + 2 * mode] = p_k / nu_k, x_k / nu_k
+                assert (dual[pair, :, 2 * state + mode] == expected).all(), (pair, state, mode)
+            continue
         x, p = np.array([[ax, cx], [cx, bx]]), np.array([[ap, cp], [cp, bp]])
         k11, k12, k21, k22 = spec.k[:, j]
         k, l = np.array([[k11, k12], [k21, k22]]), np.array([[k22, -k12], [-k21, k11]])
@@ -758,6 +767,73 @@ def assert_dual_is_symmetric_parts(ent_a, ent_b, errors, dual):
                     part = (right + right) * (0.5 / (2.0 * nu_k))
                 expected += [part[0, 0], part[0, 1], part[1, 1]]
             assert (dual[pair, :, 2 * state + mode] == expected).all(), (pair, state, mode)
+
+
+# rho_B of a built pair, thermal noise N_B times the idler of a probe of n0
+# photons squeezed by n2 (n1 does not reach it), and whether N_B = n0, where
+# its return and idler modes have the same nu.
+absent_state = st.tuples(
+    st.one_of(st.just(0.0), st.floats(0.0, 1e8)),
+    st.one_of(st.just(0.0), st.floats(0.0, 1e4)),
+    st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+    st.booleans())
+
+
+class TestProductParts:
+    # Mode by mode against the two-mode analysis of the same np.longdouble
+    # entries. Where the latter splits the modes, its projectors are exact
+    # (K is diagonal), and nu and every part agree to PART_ULPS ulps of
+    # np.longdouble; mode k is the column whose part sits on entry kk.
+    # Where it does not split (nu_1^2 and nu_2^2 within 64 ulps), it gives
+    # each column half of P / nu and X / nu, so only the sums over the two
+    # columns compare: to half the nu gap it ignores, 16 ulps, plus
+    # rounding.
+    PART_ULPS = 4
+    UNSPLIT_ULPS = 24
+
+    @given(state=absent_state)
+    @example(state=(0.0, 0.0, 0.0, False))  # vacuum times vacuum: both modes pure
+    @example(state=(1.0, 1.0, 0.0, False))  # nu = 3 on both modes, no gap
+    @example(state=(1.0, 1.0, 3.0, False))  # nu = 3 but for the idler squeezer's rounding
+    @example(state=(1e8, 1e4, 1e6, False))
+    @example(state=(30.0, 0.0, 1e6, False))  # n0 = 0: the idler is pure
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_the_two_mode_analysis(self, state):
+        nb, n0, n2, equal = state
+        entries = [np.longdouble(v) for v in _absent_entries(
+            _probe_entries(n0, 0.0, n2), n0 if equal else nb)]
+        spec = chernoff.standard_form_spectrum(entries)
+        assert spec.errors == [None]
+        two = chernoff._state_parts(entries, spec)
+        modes = chernoff._product_parts(entries[:4])
+        eps = np.finfo(np.longdouble).eps
+
+        def close(a, b, ulps):
+            return abs(a - b) <= ulps * eps * abs(b)
+
+        # Pure modes snap alike.
+        assert sorted([two[0] == 1.0, two[1] == 1.0]) == sorted([modes[0] == 1.0, modes[1] == 1.0])
+        (hi, _), gap = spec.nu, spec.gap
+        if gap > chernoff._SPLIT_ULPS * (hi * hi):
+            order = (0, 1) if two[2] else (1, 0)  # the mode of rho_B's nu_+, then nu_-
+            for column, mode in enumerate(order):
+                assert close(two[column], modes[mode], self.PART_ULPS), (column, mode)
+                for i in range(6):
+                    assert close(two[2 + 6 * column + i], modes[2 + 6 * mode + i],
+                                 self.PART_ULPS), (column, mode, i)
+        else:
+            for nu in modes[:2]:
+                assert close(nu, two[0], self.UNSPLIT_ULPS) and close(nu, two[1], self.UNSPLIT_ULPS)
+            for i in range(6):
+                assert close(two[2 + i] + two[8 + i], modes[2 + i] + modes[8 + i],
+                             self.UNSPLIT_ULPS), i
+
+    def test_mode_order(self):
+        # Return mode first, idler second, whichever nu is larger.
+        x1, p1, x2, p2 = (np.longdouble(v) for v in (3.0, 3.0, 2.0, 8.0))
+        nu1, nu2, *parts = chernoff._product_parts([x1, p1, x2, p2])
+        assert (nu1, nu2) == (3.0, 4.0)
+        assert parts == [1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.5]
 
 
 class TestDiscriminateMany:
@@ -823,7 +899,7 @@ class TestDiscriminateMany:
                   ProbeSpec(kind=ProbeKind.TMSV, n0=2.0)]
         scenarios = [MICROWAVE, MICROWAVE, TargetScenario(0.01, 1e308)]
         results = discriminate_many(probes, scenarios)
-        assert calls == [(6, 6)]
+        assert calls == [(6, 3)]  # rho_A's columns: each rho_B is a product
         assert [isinstance(r, ValidationError) for r in results] == [False, True, True]
         assert results[0] == snr(probes[0], scenarios[0])
 
@@ -880,6 +956,20 @@ class TestDiscriminateMany:
                      (ProbeKind.ASTM, 100.0, 10.0, 0.0, 0.0, 0.0, 1e6)])
     @example(points=[(ProbeKind.COHERENT, 1.0, 0.0, 0.0, 0.01, 1e308, 1e7),
                      (ProbeKind.COHERENT, 2.0, 0.0, 0.0, 0.01, 3.8e3, 1e7)])
+    # rho_B mode by mode: N_B = n0, where its return and idler modes have the
+    # same nu (exactly at n2 = 0, within the squeezer's rounding at n2 = 3);
+    # N_B = 0, a pure return mode; n0 = 0 at n2 = 1e6, a pure idler with
+    # max|V| ~ 4e6 (rho_A at n0 = 0 is a product too).
+    @example(points=[(ProbeKind.ASTM, 1.0, 1.0, 0.0, 0.01, 1.0, 1e7),
+                     (ProbeKind.ASTM, 2.5, 0.5, 3.0, 0.1, 2.5, 1e6)])
+    @example(points=[(ProbeKind.TMSV, 1.0, 0.0, 0.0, 0.1, 0.0, 1e7),
+                     (ProbeKind.ASTM, 3.0, 0.2, 3e3, 0.006, 0.0, 2e5)])
+    @example(points=[(ProbeKind.ASTM, 0.0, 1.0, 1e6, 0.01, 30.0, 1e7),
+                     (ProbeKind.ASTM, 0.0, 0.0, 1e6, 0.1, 3.8e3, 1e6)])
+    # rho_A of a TMSV probe at N_B = n0 (1 - kappa) has no gap to split its
+    # modes.
+    @example(points=[(ProbeKind.TMSV, 1.0, 0.0, 0.0, 0.5, 0.5, 1e6),
+                     (ProbeKind.TMSV, 2.0, 0.0, 0.0, 0.25, 1.5, 1e6)])
     @settings(max_examples=80, deadline=None, derandomize=True)
     def test_one_point_is_its_row_of_a_batch(self, points):
         # snr, discriminate, chernoff_infimum and q_s of one point give the

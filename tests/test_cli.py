@@ -157,11 +157,20 @@ class TestDiscordCommand:
         assert code == 0
         assert "probe_discord=" in out and "remained_discord=" in out
 
-    def test_coherent_probe_rejected(self, capsys):
-        code, _, err = run(
-            ["discord", "--kind", "coherent", "--nb", "2"], capsys
-        )
-        assert code == 2
+    def test_coherent_probe_rejected(self, tmp_path, capsys):
+        # It exited 2 naming astm_state, an internal function.
+        with pytest.raises(SystemExit) as exc:
+            main(["discord", "--kind", "coherent", "--nb", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        # Python versions quote the choices differently.
+        assert "argument --kind: invalid choice: 'coherent' (choose from " in err
+        assert err.split("(choose from ")[1].replace("'", "") == "tmsv, astm)\n"
+        cfg = tmp_path / "coherent.cfg"
+        cfg.write_text("probe.kind = coherent\n")
+        code, out, err = run(["discord", "--config", str(cfg), "--nb", "2"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: probe.kind = coherent: discord takes a tmsv or astm probe\n"
 
 
 class TestThresholdCommand:
