@@ -27,58 +27,42 @@ three values around the best point, which removes the grid's error where
 float64 resolves their curvature, and that of a least-squares parabola
 through the whole scan, which averages over rounding at high noise, where
 the values near the minimum differ by a few ulps. Q is evaluated once more
-at the best point and both vertices, and the smallest is kept.
+at the best point and both vertices, and the smallest is kept. A batch
+keeps that bookkeeping on arrays (_infimum), one pair on floats
+(_infimum_one), with the bits of its row.
 
-Standard-form core (discriminate_columns). Every pair make_hypotheses builds
-has no x-p correlations (Duan, Giedke, Cirac & Zoller, PRL 84, 2722 (2000)):
-V = X (+) P with X and P the 2x2 x and p blocks. Then nu_+-^2 are the
-eigenvalues of PX (symplectic.standard_form_spectrum), Sigma'_s splits into
-an x and a p block, and det Sigma'_s is a product of two 2x2 determinants,
-so a batch of pairs is elementwise arithmetic over a (points, 64) array of
-s per scan. rho_B, thermal noise on the return mode times the untouched
-idler, is a product state: each mode has nu_k = sqrt(x_k p_k) and projects
-on its own quadratures, so rho_B needs no spectrum of PX (_product_parts).
-The pairs are analysed in np.longdouble, the scans run in float64, and the
-last evaluation, at the three candidates for s*, runs in np.longdouble,
-whose -ln Q goes on to ln P: 1 - Q ~ 1e-7 at the figure presets, where
-float64 alone leaves ~eps / (1 - Q) ~ 4e-9 of the SNR. Where np.longdouble
-is float64 (macOS arm64, Windows) that evaluation is a float64 one. -ln Q
-is -log1p(Q - 1) above 1/2 and -ln Q below, on every path (_exponent). The
-coherent pair, a displaced and an undisplaced thermal state, takes its
-closed form at s* = 1/2.
+One pipeline (_discriminate) serves every pair that is not coherent. A
+pair is analysed once, into Q_s over an (n, m) array of s: a float64 copy
+of the analysis (astype) runs the scans, and the analysis itself, in its
+own dtype, the last evaluation, at the three candidates for s*. -ln Q_min
+is -log1p(Q - 1) above 1/2 and -ln Q below (_exponent), and goes on to
+ln P and the SNR (_results). The coherent pair, a displaced and an
+undisplaced thermal state, takes its closed form at s* = 1/2 instead.
+_route picks the analysis, and q_s, chernoff_infimum and discriminate
+each run one path after it.
 
-One pair (snr, discriminate, chernoff_infimum, q_s) takes the same core.
-_standard analyses it with the elementwise operations a batch runs on its
-columns, on np.longdouble scalars, so one point gives the bits of its row
-in any batch. The search for s* has two routes around the same three
-numpy evaluations of Q_s, each the faster for the input that selects it:
-_infimum keeps a batch's bracket, vertices and pick on arrays, and
-_infimum_one one pair's on floats. snr hands the core a point's seven
-floats (_discriminate_params); the coherent closed form, -ln Q, ln P and the
-results each run one body on a point's floats or a batch's (n,) columns, so
-one point's only arrays are its pair's analysis and its search for s*.
+The analyses. Every pair make_hypotheses builds has no x-p correlations
+(Duan, Giedke, Cirac & Zoller, PRL 84, 2722 (2000)): V = X (+) P with X
+and P the 2x2 x and p blocks, nu_+-^2 are the eigenvalues of PX
+(symplectic.standard_form_spectrum), Sigma'_s splits into an x and a p
+block, and det Sigma'_s is a product of two 2x2 determinants. _standard
+analyses n such pairs in np.longdouble, elementwise on (n,) columns or on
+one pair's scalars, so that one point gets the bits of its row in any
+batch. rho_B, thermal noise on the return mode times the untouched idler,
+is a product state: each mode has nu_k = sqrt(x_k p_k) and projects on its
+own quadratures (_product_parts). The last evaluation in np.longdouble
+keeps the digits of 1 - Q ~ 1e-7 at the figure presets, where float64
+alone leaves ~eps / (1 - Q) ~ 4e-9 of the SNR; where np.longdouble is
+float64 (macOS arm64, Windows) it is a float64 one. Any other pair (one
+mode, x-p correlations, unequal means) takes _PairData, in float64: the
+parts of each covariance (_mode_parts) and one batched determinant (and
+solve, for displaced pairs) per array of s. Both weigh their parts by the
+same 1/Lambda_k and prod_k (2 - em_k) (_weights).
 
-Every built pair goes through one router (_route), shared by q_s,
-chernoff_infimum and discriminate: two-mode pairs in standard form with
-equal means take the standard-form core, and coherent pairs the closed
-form. Q_s of a coherent pair away from s* and any other pair take the
-general path (_PairData), the one- or two-mode analysis below.
-
-General path. With P_k = S_k S_k^T for the two columns of S that belong
-to mode k, V(p) = sum_k Lambda_p(nu_k) P_k. nu_k, det V and the halves
-(q -+ x)/2 of q = nu_+^2 - nu_-^2, the diagonal blocks of
-(Omega V)^2 + nu_+^2, come from symplectic._closed_spectrum, the closed
-form (Serafini, Illuminati & De Siena, J. Phys. B 37, L21 (2004)) that
-validates every covariance out of standard form. One mode has P = V / nu;
-for two, (Omega V)^2 = -S^{-T} D^2 S^T, so (Omega V)^2 + nu_-+^2
-annihilates mode -+, which leaves
-
-    nu_+- P_+- = -+V ((Omega V)^2 + nu_-+^2) / (nu_+^2 - nu_-^2),
-
-the 2-point Lagrange fit of Lambda_p(nu)/nu against -nu^2 in
-V(p) = c0 V + c1 V (Omega V)^2 (_mode_parts). Then Sigma'_s = sum_k
-Omega P_k Omega^T / Lambda_k, and one batched determinant (and solve, for
-displaced pairs) gives every Q_s.
+Q_s that underflows to 0 is a value (q_s returns 0.0), but Q_min that does
+has lost -ln Q, and with it ln P and the SNR: the pipeline rejects it,
+naming s*, in either analysis. Q that is not a positive number means a
+singular V_A(s) + V_B(1-s).
 
 The SNR map ln P = ln[(1/2) erfc(sqrt(SNR))] and its inverse need numpy
 no more than the rest: math.erfc, the asymptotic series of erfc, and
@@ -188,12 +172,6 @@ class DiscriminationResult:
     snr: float
 
 
-def _log_ratio(nu: np.ndarray) -> np.ndarray:
-    """ln((nu-1)/(nu+1)), -inf at a pure mode."""
-    with np.errstate(divide="ignore"):
-        return np.log1p(-2.0 / (nu + 1.0))
-
-
 def _pure_tol(max_abs, det_r):
     """How far above 1 a symplectic eigenvalue of V is still a pure mode,
     from max|V| and det R (see _PURE_ULPS)."""
@@ -202,8 +180,22 @@ def _pure_tol(max_abs, det_r):
 
 def _snap(nu, tol):
     """Clamp rounding below 1 and set pure modes (nu <= 1 + tol) to exactly
-    1, in an array or a scalar."""
-    return _where(nu <= 1.0 + tol, 1.0, nu)
+    1, in an array or a scalar, keeping its type: nu ** 0 is 1 in it."""
+    return _where(nu <= 1.0 + tol, nu ** 0, nu)
+
+
+def _weights(p, ln_r) -> tuple:
+    """1/Lambda_k and prod_k (2 - em_k) at the powers p, (n, k, m), of k
+    columns whose ln((nu-1)/(nu+1)) is ln_r.
+
+    em = 1 - ((nu-1)/(nu+1))^p, cancellation-free: G_p = (2/(nu+1))^p / em
+    and Lambda_p = (2 - em) / em stay accurate for nu >> 1 and for p -> 0,
+    and a pure mode gives em = 1, so G_p = Lambda_p = 1. k is even, so the
+    product of the k negated factors is theirs.
+    """
+    e = np.expm1(np.multiply(p, ln_r, out=p), out=p)  # -em
+    d = -2.0 - e  # -(2 - em)
+    return e / d, np.multiply.reduce(d, axis=1)
 
 
 class _StandardPairs(NamedTuple):
@@ -214,7 +206,7 @@ class _StandardPairs(NamedTuple):
     of rho_B (power 1 - s): nu_+ and nu_- of a state with cross entries, the
     return and idler modes of a product state. dual holds, per column, the
     x and p blocks (entries 11, 12, 22) of its part of Sigma'_s. Q_s comes
-    in the dtype of the arrays.
+    in the dtype of the arrays (dtype).
     """
 
     ln_r: np.ndarray      # (n, 4, 1)
@@ -222,19 +214,21 @@ class _StandardPairs(NamedTuple):
     ln_g: np.ndarray      # (n, 1): ln 2^n + sum_B ln(2 / (nu + 1))
     ln_ratio: np.ndarray  # (n, 1): sum_B ln(nu + 1) - sum_A ln(nu + 1)
 
+    @property
+    def dtype(self):
+        return self.ln_r.dtype
+
     def astype(self, dtype) -> "_StandardPairs":
         return _StandardPairs(*(v.astype(dtype) for v in self))
 
     def q(self, s: np.ndarray) -> np.ndarray:
         """Q_s for an (n, m) array of s in [_S_EDGE, 1 - _S_EDGE]."""
         n, m = s.shape
-        p = s[:, None, :] * _SIGN + _OFFSET  # s for rho_A, 1 - s for rho_B
-        e = np.expm1(np.multiply(p, self.ln_r, out=p), out=p)  # -em
-        d = -2.0 - e  # -(2 - em), so prod(d) = prod(2 - em)
-        sigma = (self.dual @ (e / d)).reshape(n, 2, 3, m)
+        # s for rho_A, 1 - s for rho_B
+        inv_lam, prod = _weights(s[:, None, :] * _SIGN + _OFFSET, self.ln_r)
+        sigma = (self.dual @ inv_lam).reshape(n, 2, 3, m)
         det = sigma[:, :, 0] * sigma[:, :, 2] - sigma[:, :, 1] ** 2
-        return np.exp(self.ln_g + s * self.ln_ratio) / (
-            np.multiply.reduce(d, axis=1) * np.sqrt(det[:, 0] * det[:, 1]))
+        return np.exp(self.ln_g + s * self.ln_ratio) / (prod * np.sqrt(det[:, 0] * det[:, 1]))
 
 
 def _standard(ent_a, ent_b) -> tuple:
@@ -378,20 +372,29 @@ def _state_parts(entries, spec) -> list:
     return out
 
 
-def _discriminate_standard(ent_a, ent_b, ensembles) -> list:
-    """Chernoff infimum, ln P and SNR of n standard-form two-mode pairs, as
-    the module docstring says; per pair its result or its ValidationError.
-    The entries are those _standard takes, M a float or an array of n."""
-    with np.errstate(all="ignore"):
-        errors, pairs = _standard(ent_a, ent_b)
-        scan, evaluate = pairs.astype(float).q, lambda s: pairs.q(s.astype(np.longdouble))
-        s_star, q = (_infimum_one(scan, evaluate) if len(errors) == 1
-                     else _infimum(scan, evaluate, len(errors)))
-        exponent = np.maximum(_exponent(q), 0.0).astype(float)
-        results = _results(_column(s_star), exponent, ensembles)
-        good = _column(np.isfinite(q) & (q > 0.0))
-    return [result if ok and not error else ValidationError(error or _SINGULAR)
-            for error, result, ok in zip(errors, results, good)]
+def _discriminate(errors, pairs, ensembles) -> list:
+    """Chernoff infimum, ln P and SNR of n analysed pairs (_standard's, or a
+    _PairData with n = 1), as the module docstring says; per pair its
+    result or its ValidationError (_outcome). errors[i] is why pair i was
+    rejected, or None, and M a float or an array of n. Callers silence
+    numpy's floating-point warnings."""
+    scan, evaluate = pairs.astype(float).q, lambda s: pairs.q(s.astype(pairs.dtype))
+    s_star, q = (_infimum_one(scan, evaluate) if len(errors) == 1
+                 else _infimum(scan, evaluate, len(errors)))
+    s_star = _column(s_star)
+    results = _results(s_star, np.maximum(_exponent(q), 0.0).astype(float), ensembles)
+    return [_outcome(*row) for row in zip(errors, results, s_star, np.atleast_1d(q))]
+
+
+def _outcome(error, result, s_star, q):
+    """The result, or the ValidationError that stands in for it: the pair's
+    error; Q_min = 0, which underflowed in the dtype of its evaluation and
+    took -ln Q, ln P and the SNR with it; or Q_min that is not a positive
+    number, where V_A(s) + V_B(1-s) is singular."""
+    if not error and 0.0 < q < math.inf:
+        return result
+    return ValidationError(error or (
+        f"Q_min underflows to 0 at s* = {s_star:.6g}" if q == 0.0 else _SINGULAR))
 
 
 def _column(x) -> list:
@@ -421,12 +424,12 @@ def _coherent(signal, nb, ensembles) -> list:
     -ln Q = |d|^2/4 (sqrt(N_B + 1) - sqrt(N_B))^2 with |d|^2/4 = signal, the
     classical-illumination exponent kappa N_S (sqrt(N_B + 1) - sqrt(N_B))^2
     (Tan et al., PRL 101, 253601 (2008)), written without cancellation.
+    Callers silence numpy's floating-point warnings.
     """
-    with np.errstate(over="ignore"):
-        root = _sqrt(nb + 1.0) + _sqrt(nb)
-        exponent = signal / (root * root)
-        finite = _column(np.isfinite(2.0 * nb + 1.0))  # the thermal covariance
-        results = _results([0.5] * len(finite), exponent, ensembles)
+    root = _sqrt(nb + 1.0) + _sqrt(nb)
+    exponent = signal / (root * root)
+    finite = _column(np.isfinite(2.0 * nb + 1.0))  # the thermal covariance
+    results = _results([0.5] * len(finite), exponent, ensembles)
     return [result if ok else ValidationError("covariance has a non-finite entry")
             for result, ok in zip(results, finite)]
 
@@ -519,21 +522,22 @@ def _infimum_one(scan, evaluate) -> tuple:
     return s[best], value[best]
 
 
-def _em(p: np.ndarray, ln_r: np.ndarray) -> np.ndarray:
-    """em = 1 - ((nu-1)/(nu+1))^p for p > 0, computed cancellation-free.
-
-    G_p = (2/(nu+1))^p / em and Lambda_p = (2 - em) / em stay accurate for
-    nu >> 1 and for p -> 0; a pure mode gives em = 1, so G_p = Lambda_p = 1.
-    """
-    return -np.expm1(p * ln_r)
-
-
 def _mode_parts(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symplectic spectrum nu (descending) and the P_k of a covariance.
 
-    V(p) = sum_k Lambda_p(nu_k) P_k. nu, det V and the halves come from
-    symplectic._closed_spectrum, which validates the covariance; the P_k
-    rest on that spectrum. A pure mode's nu snaps to 1 (within the
+    With P_k = S_k S_k^T for the two columns of the Williamson S that belong
+    to mode k, V(p) = sum_k Lambda_p(nu_k) P_k. nu, det V and the halves
+    (q -+ x)/2 of q = nu_+^2 - nu_-^2, the diagonal blocks of
+    (Omega V)^2 + nu_+^2, come from symplectic._closed_spectrum, which
+    validates the covariance (Serafini, Illuminati & De Siena, J. Phys. B
+    37, L21 (2004)). One mode has P = V / nu; for two,
+    (Omega V)^2 = -S^{-T} D^2 S^T, so (Omega V)^2 + nu_-+^2 annihilates
+    mode -+, which leaves
+
+        nu_+- P_+- = -+V ((Omega V)^2 + nu_-+^2) / (nu_+^2 - nu_-^2),
+
+    the 2-point Lagrange fit of Lambda_p(nu)/nu against -nu^2 in
+    V(p) = c0 V + c1 V (Omega V)^2. A pure mode's nu snaps to 1 (within the
     covariance's rounding) only for G_p and Lambda_p.
     """
     cov = np.asarray(cov, dtype=float)
@@ -560,17 +564,21 @@ def _mode_parts(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _PairData:
-    """A hypothesis pair analysed once, for Q_s at any number of s.
+    """One hypothesis pair of one or two modes analysed once in float64, for
+    Q_s at any array of s, with the interface of _StandardPairs.
 
     Each column k is one symplectic eigenvalue, of rho_A (power p = s) or
-    of rho_B (power p = 1 - s): p = sign * s + offset. The dual parts
-    Omega P_k Omega^T are stored scaled to the unit diagonal of
-    V_A^-1 + V_B^-1, without which the determinant loses several ulps of Q
-    near 1. The factors (2/(nu_k+1))^p_k multiply to g_b * ratio^s with
-    g_b = prod_B 2/(nu+1) and ratio = prod_B (nu+1) / prod_A (nu+1), which
-    is close to 1 when the hypotheses are; exponentiating each
-    ln(2/(nu+1)) ~ -9 separately would lose several ulps of Q.
+    of rho_B (power p = 1 - s), as in _StandardPairs. The dual parts
+    Omega P_k Omega^T, Sigma'_s = sum_k Omega P_k Omega^T / Lambda_k, are
+    stored scaled to the unit diagonal of V_A^-1 + V_B^-1, without which
+    the determinant loses several ulps of Q near 1. The factors
+    (2/(nu_k+1))^p_k multiply to g_b * ratio^s with g_b = prod_B 2/(nu+1)
+    and ratio = prod_B (nu+1) / prod_A (nu+1), which is close to 1 when the
+    hypotheses are; exponentiating each ln(2/(nu+1)) ~ -9 separately would
+    lose several ulps of Q. Callers silence numpy's floating-point warnings.
     """
+
+    dtype = np.dtype(float)
 
     def __init__(self, pair: HypothesisPair):
         if pair.rho_a.n_modes != pair.rho_b.n_modes:
@@ -578,14 +586,13 @@ class _PairData:
         nu_a, parts_a = _mode_parts(pair.rho_a.cov)
         nu_b, parts_b = _mode_parts(pair.rho_b.cov)
         nu = np.concatenate([nu_a, nu_b])
-        self.n_modes, self.split = pair.rho_a.n_modes, nu_a.size  # [:split]: rho_A
-        omega = symplectic_form(self.n_modes)
+        self.n_modes = k = pair.rho_a.n_modes  # [:k]: rho_A
+        omega = symplectic_form(k)
         dual = omega @ np.concatenate([parts_a, parts_b]) @ omega.T
         # diag of V_A^-1 + V_B^-1, the size of Sigma' away from s = 0 and 1.
         scale = np.sqrt((np.diagonal(dual, axis1=1, axis2=2) / nu[:, None]).sum(axis=0))
-        on_b = np.arange(nu.size) >= nu_a.size
-        self.sign, self.offset = np.where(on_b, -1.0, 1.0), on_b.astype(float)
-        self.ln_r = _log_ratio(nu)
+        self.sign, self.offset = _SIGN[2 - k:2 + k], _OFFSET[2 - k:2 + k]
+        self.ln_r = np.log1p(-2.0 / (nu + 1.0))[:, None]  # -inf at a pure mode
         self.g_b = float(np.prod(2.0 / (nu_b + 1.0)))
         self.ratio = float(np.prod(nu_b + 1.0) / np.prod(nu_a + 1.0))
         self.dual = (dual / np.outer(scale, scale)).reshape(nu.size, -1)
@@ -593,80 +600,72 @@ class _PairData:
         d = pair.rho_a.mean - pair.rho_b.mean
         self.dual_d = (dual @ d) / scale if np.any(d) else None
 
+    def astype(self, dtype) -> "_PairData":
+        """The analysis itself: it is float64 already."""
+        return self
+
     def q(self, s: np.ndarray) -> np.ndarray:
-        """Q_s for an array of s in [_S_EDGE, 1 - _S_EDGE]."""
-        em = _em(s[:, None] * self.sign + self.offset, self.ln_r)
-        inv_lam = em / (2.0 - em)
+        """Q_s for an (n, m) array of s in [_S_EDGE, 1 - _S_EDGE]."""
+        inv_lam, prod = _weights(s[:, None, :] * self.sign + self.offset, self.ln_r)
+        inv_lam = inv_lam.transpose(0, 2, 1)  # (n, m, k)
         dim = 2 * self.n_modes
-        sigma = (inv_lam @ self.dual).reshape(s.size, dim, dim)
+        sigma = (inv_lam @ self.dual).reshape(*s.shape, dim, dim)
         det = np.linalg.det(sigma) * self.det_scale
         if not np.all(det > 0.0):
             raise ValidationError(_SINGULAR)
-        g_over_lam = self.g_b * self.ratio**s / np.prod(2.0 - em, axis=1)
-        value = 2.0 ** self.n_modes * g_over_lam / np.sqrt(det)
+        value = 2.0 ** self.n_modes * (self.g_b * self.ratio**s / prod) / np.sqrt(det)
         if self.dual_d is not None:
             # d^T Sigma^-1 d = (V_A(s)^-1 d)^T Sigma'^-1 (V_B(1-s)^-1 d)
-            k = self.split
-            u_a = inv_lam[:, :k] @ self.dual_d[:k]
-            u_b = inv_lam[:, k:] @ self.dual_d[k:]
+            k = self.n_modes
+            u_a = inv_lam[..., :k] @ self.dual_d[:k]
+            u_b = inv_lam[..., k:] @ self.dual_d[k:]
             sol = np.linalg.solve(sigma, u_b[..., None])[..., 0]
-            value = value * np.exp(-0.5 * np.sum(u_a * sol, axis=1))
+            value = value * np.exp(-0.5 * np.sum(u_a * sol, axis=-1))
         return value
 
-    def infimum(self) -> tuple[float, float]:
-        """(s_star, q_min) by the search of _infimum, in float64."""
-        q = lambda s: self.q(s[0])[None]  # noqa: E731
-        s_star, q_min = _infimum_one(q, q)
-        return s_star, min(float(q_min), 1.0)
 
-
-def _route(pair: HypothesisPair) -> tuple:
-    """(core, args) for the form of a built pair (see the module docstring):
-    _discriminate_standard on the six float entries of each state of a
-    standard-form pair, _coherent on |d|^2/4 and N_B, or None for the
-    general path (_PairData)."""
+def _route(pair: HypothesisPair, closed_form: bool = True) -> tuple:
+    """(core, args) of a built pair, for core(*args, M) (see the module
+    docstring): _coherent on |d|^2/4 and N_B of a coherent pair where
+    closed_form, else _discriminate on the errors and analysis of the pair:
+    _standard's of a two-mode pair in standard form with equal means, a
+    _PairData of any other. Callers silence numpy's floating-point
+    warnings."""
     a, b = pair.rho_a, pair.rho_b
     _require_finite_mean(a.mean)
     _require_finite_mean(b.mean)
-    if a.n_modes == b.n_modes == 2 and np.array_equal(a.mean, b.mean):
-        ent_a, ent_b = _standard_entries(a.cov), _standard_entries(b.cov)
-        if ent_a is not None and ent_b is not None:
-            return _discriminate_standard, (ent_a, ent_b)
-    if (a.n_modes == b.n_modes == 1 and np.array_equal(a.cov, b.cov)
+    if (closed_form and a.n_modes == b.n_modes == 1 and np.array_equal(a.cov, b.cov)
             and a.cov[0, 1] == a.cov[1, 0] == 0.0 and a.cov[0, 0] == a.cov[1, 1]):
         d = a.mean - b.mean
         return _coherent, (0.25 * float(d @ d), max(0.5 * float(a.cov[0, 0] - 1.0), 0.0))
-    return None, ()
+    if a.n_modes == b.n_modes == 2 and np.array_equal(a.mean, b.mean):
+        ent_a, ent_b = _standard_entries(a.cov), _standard_entries(b.cov)
+        if ent_a is not None and ent_b is not None:
+            return _discriminate, _standard(ent_a, ent_b)
+    return _discriminate, ([None], _PairData(pair))
 
 
 def q_s(pair: HypothesisPair, s: float) -> float:
-    """Tr(rho_A^s rho_B^{1-s}) for a Gaussian hypothesis pair."""
+    """Tr(rho_A^s rho_B^{1-s}) for a Gaussian hypothesis pair, 0.0 where it
+    underflows, from the analysis of discriminate (a coherent pair's general
+    one) in its dtype."""
     if not 0.0 <= s <= 1.0:
         raise ValidationError(f"s must lie in [0, 1], got {s}")
     s = min(max(s, _S_EDGE), 1.0 - _S_EDGE)
-    core, args = _route(pair)
-    if core is not _discriminate_standard:
-        return float(_PairData(pair).q(np.array([s]))[0])
     with np.errstate(all="ignore"):
-        errors, pairs = _standard(*args)
-        q = pairs.q(np.array([[s]], dtype=np.longdouble))[0, 0]
+        _, (errors, pairs) = _route(pair, closed_form=False)
+        q = pairs.q(np.full((1, 1), s, dtype=pairs.dtype))[0, 0]
     if errors[0]:
         raise ValidationError(errors[0])
-    if not (np.isfinite(q) and q > 0.0):
+    if not 0.0 <= q < math.inf:
         raise ValidationError(_SINGULAR)
     return float(q)
 
 
 def chernoff_infimum(pair: HypothesisPair) -> tuple[float, float]:
-    """Minimize Q_s over s in [0, 1] by two scans; returns (s_star, q_min).
-
-    A pair in standard form or a coherent pair gives the s* and Q_min of
-    discriminate; any other pair is minimized through its general analysis.
-    """
-    core, args = _route(pair)
-    if core is None:
-        return _PairData(pair).infimum()
-    result = _one(core(*args, 1.0)[0])
+    """Minimize Q_s over s in [0, 1] by two scans; returns (s_star, q_min),
+    those of discriminate."""
+    result = discriminate(pair, 1.0)
     return result.s_star, result.q_min
 
 
@@ -789,15 +788,15 @@ def _discriminate_params(coherent: bool, n0, n1, n2, ns, kappa, nb, ensembles) -
     """Per point, its result or ValidationError, from one point's floats or
     from (n,) columns of one kind. Floats take the +, * and correctly rounded
     sqrt of arrays, so one point gets the bits of its row."""
-    if coherent:
-        return _coherent(kappa * ns, nb, ensembles)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        if coherent:
+            return _coherent(kappa * ns, nb, ensembles)
         entries = _probe_entries(n0, n1, n2)
         ent_a = _return_entries(entries, kappa, nb)
         ent_b = _absent_entries(entries, nb)
-    if isinstance(n0, np.ndarray):
-        ent_a, ent_b = np.array(ent_a), np.array(ent_b)
-    return _discriminate_standard(ent_a, ent_b, ensembles)
+        if isinstance(n0, np.ndarray):
+            ent_a, ent_b = np.array(ent_a), np.array(ent_b)
+        return _discriminate(*_standard(ent_a, ent_b), ensembles)
 
 
 def _one(result):
@@ -810,20 +809,14 @@ def _one(result):
 def discriminate(pair: HypothesisPair, ensembles: float) -> DiscriminationResult:
     """Chernoff infimum -> M-copy log P -> SNR for a built hypothesis pair.
 
-    Pairs in standard form and coherent pairs take the batched core of
-    discriminate_many, so that discriminate(make_hypotheses(p, sc), M)
-    equals snr(p, sc); any other pair its general analysis.
+    A pair in standard form takes the analysis of a batch row, so that
+    discriminate(make_hypotheses(p, sc), M) equals snr(p, sc); a coherent
+    pair its closed form, and any other pair its general analysis.
     """
     _check_ensembles(ensembles)
-    core, args = _route(pair)
-    if core is not None:
+    with np.errstate(all="ignore"):
+        core, args = _route(pair)
         return _one(core(*args, float(ensembles))[0])
-    s_star, q_min = _PairData(pair).infimum()
-    if q_min == 0.0:
-        # The general path forms Q before its log, so -ln Q > 745 is lost.
-        raise ValidationError(f"Q_min underflows to 0 at s* = {s_star:.6g}")
-    log_p = log_error_prob(q_min, ensembles)
-    return DiscriminationResult(s_star, q_min, log_p, snr_from_log_p(log_p))
 
 
 def snr(probe: ProbeSpec, scenario: TargetScenario) -> DiscriminationResult:

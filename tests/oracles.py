@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm, schur, sqrtm
 
-from gqi.chernoff import _em, _log_ratio, _mode_parts
+from gqi.chernoff import _mode_parts
 from gqi.probes import ProbeKind, ProbeSpec, TargetScenario, _squeezer_gains
 from gqi.symplectic import (EIGENVALUE_CLAMP_TOL, GaussianState, ValidationError,
                             _allowed_shortfall, _check_covariance, _unphysical,
@@ -198,13 +198,19 @@ def squeezing_from_photons(n_mean: float) -> float:
 
 
 def _scalar_em(p: float, x: float) -> tuple[float, float]:
-    """(nu, em) for one eigenvalue x, with a pure mode snapped to nu = 1."""
+    """(nu, em) for one eigenvalue x, with a pure mode snapped to nu = 1.
+
+    em = 1 - ((nu-1)/(nu+1))^p = -expm1(p ln((nu-1)/(nu+1))), free of
+    cancellation for nu >> 1 and for p -> 0; a pure mode gives em = 1.
+    """
     if not p > 0.0:
         raise ValidationError(f"G_p/Lambda_p need p > 0, got {p}")
     if not x >= 1.0 - EIGENVALUE_CLAMP_TOL:
         raise ValidationError(f"G_p/Lambda_p need x >= 1, got {x}")
     nu = np.array([1.0 if x <= 1.0 + _PURE_TOL else x])
-    return float(nu[0]), float(_em(float(p), _log_ratio(nu))[0])
+    with np.errstate(divide="ignore"):
+        ln_ratio = np.log1p(-2.0 / (nu + 1.0))  # -inf at a pure mode
+    return float(nu[0]), float(-np.expm1(float(p) * ln_ratio)[0])
 
 
 def g_func(p: float, x: float) -> float:

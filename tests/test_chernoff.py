@@ -37,6 +37,14 @@ from oracles import (SymplecticMatrix, apply_symplectic, g_func, lambda_func, v_
 EPS = np.finfo(float).eps
 
 
+def general_infimum(pair: HypothesisPair) -> tuple[float, float]:
+    """(s*, Q_min) of the pair's general analysis (_PairData), whatever its
+    form, through the search and tail that every analysis shares."""
+    with np.errstate(all="ignore"):
+        result = chernoff._one(chernoff._discriminate([None], _PairData(pair), 1.0)[0])
+    return result.s_star, result.q_min
+
+
 def pure_tol(cov: np.ndarray) -> float:
     """The bound within which gqi takes a symplectic eigenvalue as exactly 1."""
     scale = np.sqrt(np.diag(cov))
@@ -391,7 +399,7 @@ class TestChernoffInfimum:
         # standard-form core's.
         pair = _small_pair()
         scan = dense_scan(pair)
-        assert _PairData(pair).infimum()[1] <= scan + 1e-15
+        assert general_infimum(pair)[1] <= scan + 1e-15
         assert chernoff_infimum(pair)[1] <= scan + 1e-15
 
     @pytest.mark.parametrize("scenario", [MICROWAVE, LOW_NOISE])
@@ -836,6 +844,31 @@ class TestProductParts:
         assert parts == [1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.5]
 
 
+def turned(pair: HypothesisPair, angle: float) -> HypothesisPair:
+    """pair with mode 1 of both states turned by angle in phase space: the
+    same Q_s, with x-p correlations, so through the general analysis."""
+    c, s = math.cos(angle), math.sin(angle)
+    rot = np.eye(4)
+    rot[:2, :2] = [[c, -s], [s, c]]
+    return HypothesisPair(*(GaussianState(2, rot @ v.mean, rot @ v.cov @ rot.T)
+                            for v in (pair.rho_a, pair.rho_b)))
+
+
+def assert_one_tail(pair: HypothesisPair, ensembles: float):
+    """chernoff_infimum and discriminate of a pair give one s* and Q_min,
+    and ln P and the SNR follow from Q_min as log_error_prob and
+    snr_from_log_p say. ln P comes from -ln Q_min before Q_min is formed as
+    exp(-(-ln Q_min)), which rounds it by up to (|ln Q_min| + 1) eps.
+    Returns the result."""
+    result = discriminate(pair, ensembles)
+    assert chernoff_infimum(pair) == (result.s_star, result.q_min)
+    expected = log_error_prob(result.q_min, ensembles)
+    bound = 2.0 * EPS * (ensembles * (abs(math.log(result.q_min)) + 1.0) + abs(expected))
+    assert abs(result.log_error_prob - expected) <= bound
+    assert result.snr == snr_from_log_p(result.log_error_prob)
+    return result
+
+
 class TestDiscriminateMany:
     # Each point of one batch against the general 4x4 path of gqi.reference
     # on its pair (not the routed chernoff_infimum, which is the batch), with
@@ -852,7 +885,7 @@ class TestDiscriminateMany:
         for probe, scenario, result in zip(
                 probes, scenarios, discriminate_many(probes, scenarios)):
             pair = make_hypotheses(probe, scenario)
-            _, expected = _PairData(pair).infimum()
+            _, expected = general_infimum(pair)
             covs = (pair.rho_a.cov, pair.rho_b.cov)
             rel = 1e-9
             if scenario.nb > 0.0:
@@ -907,25 +940,33 @@ class TestDiscriminateMany:
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_one_point_builds_the_entries_of_a_batch(self, points):
         # One two-mode point is built from floats and handed over as floats,
-        # M included, a batch from arrays; the core must receive the same
-        # entries from both, bit for bit. rho_B's cross entries of a lone
-        # point were 0-d arrays.
+        # M included, a batch from arrays; the analysis (_standard) must
+        # receive the same entries from both, and the tail the same M, bit
+        # for bit. rho_B's cross entries of a lone point were 0-d arrays.
         seen = []
-        core = chernoff._discriminate_standard
+        standard, tail = chernoff._standard, chernoff._discriminate
 
-        def spy(ent_a, ent_b, ensembles):
+        def spy_standard(ent_a, ent_b):
             if not isinstance(ent_a, np.ndarray):
                 assert len(ent_a) == len(ent_b) == 6
-                assert all(type(v) is float for v in (*ent_a, *ent_b, ensembles))
+                assert all(type(v) is float for v in (*ent_a, *ent_b))
+            seen.append((ent_a, ent_b))
+            return standard(ent_a, ent_b)
+
+        def spy_tail(errors, pairs, ensembles):
+            ent_a, ent_b = seen.pop()
+            if not isinstance(ent_a, np.ndarray):
+                assert type(ensembles) is float
             seen.append(np.vstack([np.reshape(np.array(v, dtype=float), (-1, np.size(ensembles)))
                                    for v in (ent_a, ent_b, ensembles)]))
-            return core(ent_a, ent_b, ensembles)
+            return tail(errors, pairs, ensembles)
 
         probes = [ProbeSpec(kind=ProbeKind.ASTM, n0=n0, n1=n1, n2=n2)
                   for n0, n1, n2, *_ in points]
         scenarios = [TargetScenario(kappa, nb, 1e6) for *_, kappa, nb, _ in points]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(chernoff, "_discriminate_standard", spy)
+            mp.setattr(chernoff, "_standard", spy_standard)
+            mp.setattr(chernoff, "_discriminate", spy_tail)
             discriminate_many(probes, scenarios)
             for probe, scenario in zip(probes, scenarios):
                 discriminate_many([probe], [scenario])
@@ -1056,15 +1097,32 @@ class TestDiscriminateMany:
         assert result.snr == pytest.approx(expected.snr, rel=1e-14)
 
     def test_other_pairs_take_the_general_path(self, rng):
+        # The general analysis goes through the search and tail of the
+        # standard-form core, displaced or not.
         for n_modes in (1, 2):
-            pair = HypothesisPair(
-                GaussianState(n_modes, np.zeros(2 * n_modes),
-                              random_physical_cov(n_modes, rng)),
-                GaussianState(n_modes, np.zeros(2 * n_modes),
-                              random_physical_cov(n_modes, rng)))
-            s_star, q_min = chernoff_infimum(pair)
-            result = discriminate(pair, 10.0)
-            assert (result.s_star, result.q_min) == (s_star, q_min)
+            for shift in (0.0, 0.3, 2.0) * 40:
+                pair = HypothesisPair(
+                    GaussianState(n_modes, shift * rng.normal(size=2 * n_modes),
+                                  random_physical_cov(n_modes, rng)),
+                    GaussianState(n_modes, np.zeros(2 * n_modes),
+                                  random_physical_cov(n_modes, rng)))
+                assert_one_tail(pair, 10.0)
+
+    @pytest.mark.parametrize("angle", [0.3, 2.0, 5.0])
+    @pytest.mark.parametrize("probe, scenario", [
+        (ProbeSpec(kind=ProbeKind.ASTM, n0=0.1, n1=0.5), TargetScenario(0.3, 0.4, 1e3)),
+        (ProbeSpec(kind=ProbeKind.TMSV, n0=2.0), TargetScenario(0.5, 0.0, 1e2)),
+        (ProbeSpec(kind=ProbeKind.ASTM, n0=1.0, n1=1.0, n2=2.0), TargetScenario(0.01, 30.0, 1e7)),
+        (ProbeSpec(kind=ProbeKind.ASTM, n0=1.0, n1=1.0), MICROWAVE),
+    ])
+    def test_turned_pairs_take_the_general_path(self, probe, scenario, angle):
+        # The turned pair's float64 Q_s is ~32 ulps from the untouched
+        # pair's np.longdouble one (TestAgainstWilliamsonForm), which moves
+        # the SNR by ~32 eps / (1 - Q_min) of itself.
+        result = assert_one_tail(turned(make_hypotheses(probe, scenario), angle),
+                                 scenario.ensembles)
+        expected = snr(probe, scenario)
+        assert result.snr == pytest.approx(expected.snr, rel=32 * EPS / (1.0 - expected.q_min))
 
     def test_nearly_product_pair_on_the_general_path(self):
         # rho_A of TMSV n0 = 1e-9 at kappa = 0.5, N_B = 0 is nearly a product
@@ -1074,19 +1132,24 @@ class TestDiscriminateMany:
         # 5.43035402e-10 at s = 0.47.
         pair = make_hypotheses(ProbeSpec(kind=ProbeKind.TMSV, n0=1e-9),
                                TargetScenario(0.5, 0.0, 1e6))
-        one_minus_q = 1.0 - _PairData(pair).q(np.array([1e-12, 0.47]))
+        with np.errstate(all="ignore"):
+            one_minus_q = 1.0 - _PairData(pair).q(np.array([[1e-12, 0.47]]))[0]
         np.testing.assert_allclose(one_minus_q, [5.0e-10, 5.43035402045e-10], rtol=1e-6)
 
     def test_underflow_on_the_general_path_is_named(self):
-        # -ln Q ~ 2500: Q_min is 0.0 in float64, which log_error_prob
-        # rejected as "q_min must lie in (0, 1], got 0.0".
+        # -ln Q ~ 2500: Q_min is 0.0 in float64, and -ln Q, ln P and the
+        # SNR are lost, so chernoff_infimum and discriminate both reject it,
+        # naming the s* of the search, where Q_s is 0.0.
         pair = HypothesisPair(
             GaussianState(1, np.array([100.0, 0.0]), np.diag([2.0, 0.6])),
             GaussianState(1, np.zeros(2), np.diag([1.5, 1.0])))
-        s_star, _ = chernoff_infimum(pair)
-        with pytest.raises(ValidationError,
-                           match=f"underflows to 0 at s\\* = {s_star:.6g}$"):
-            discriminate(pair, 10.0)
+        with np.errstate(all="ignore"):
+            data = _PairData(pair)
+            s_star, _ = chernoff._infimum_one(data.q, data.q)
+        text = f"Q_min underflows to 0 at s* = {s_star:.6g}"
+        assert outcome(discriminate, pair, 10.0) == ("error", text)
+        assert outcome(chernoff_infimum, pair) == ("error", text)
+        assert q_s(pair, s_star) == 0.0
 
     def test_microwave_table_against_mpmath(self):
         # The fig2b_n1_0 table (TMSV, N0 = 0.1..2 at MICROWAVE), each SNR
@@ -1098,3 +1161,15 @@ class TestDiscriminateMany:
         worst = max(abs(row.snr / mp_tmsv_snr(row.n0, MICROWAVE, dps=50) - 1.0)
                     for row in table.rows)
         assert worst <= 2e-11
+
+
+class TestSnap:
+    def test_keeps_the_type_of_its_input(self):
+        # A pure mode snapped to the Python float 1.0, which handed one
+        # pair's np.array a mix of floats and np.longdouble scalars.
+        tol = np.longdouble(1e-13)
+        one = chernoff._snap(np.longdouble(1.0) + np.longdouble(1e-15), tol)
+        assert type(one) is np.longdouble and one == 1.0
+        assert type(chernoff._snap(np.longdouble(3.0), tol)) is np.longdouble
+        nu = chernoff._snap(np.array([1.0 + 1e-15, 3.0]), 1e-13)
+        assert nu.dtype == np.float64 and nu.tolist() == [1.0, 3.0]
