@@ -79,9 +79,8 @@ import numpy as np
 
 from .probes import (HypothesisPair, ProbeKind, ProbeSpec, TargetScenario,
                      _absent_entries, _probe_entries, _return_entries)
-from .symplectic import (ValidationError, _all, _closed_spectrum, _require_finite_mean,
-                         _sqrt, _standard_entries, _where, standard_form_spectrum,
-                         symplectic_form)
+from .symplectic import (ValidationError, _all, _closed_spectrum, _sqrt, _where,
+                         standard_form_spectrum, symplectic_form)
 
 LN_HALF = -math.log(2.0)
 
@@ -123,9 +122,10 @@ _U2 = _U * _U - np.mean(_U * _U)
 _FIT = np.stack([_U / (_U @ _U), _U2 / (_U2 @ _U2)], axis=1)
 
 # Power of each column of a standard-form pair (the two modes of rho_A, then
-# the two of rho_B): p = sign s + offset.
+# the two of rho_B): p = sign s + offset, at _GUARD the same for every pair.
 _SIGN = np.array([1.0, 1.0, -1.0, -1.0])[:, None]
 _OFFSET = np.array([0.0, 0.0, 1.0, 1.0])[:, None]
+_GUARD_POWERS = _GUARD[None, None, :] * _SIGN + _OFFSET
 
 # A symplectic eigenvalue within a tolerance of 1 is a pure mode, where G_p
 # and Lambda_p take their exact limit 1. Lambda_p(1 + e) - 1 grows like e^p,
@@ -185,17 +185,18 @@ def _snap(nu, tol):
 
 
 def _weights(p, ln_r) -> tuple:
-    """1/Lambda_k and prod_k (2 - em_k) at the powers p, (n, k, m), of k
-    columns whose ln((nu-1)/(nu+1)) is ln_r.
+    """1/Lambda_k and prod_k (2 - em_k) at the powers p, (n or 1, k, m), of
+    k columns whose ln((nu-1)/(nu+1)) is ln_r.
 
     em = 1 - ((nu-1)/(nu+1))^p, cancellation-free: G_p = (2/(nu+1))^p / em
     and Lambda_p = (2 - em) / em stay accurate for nu >> 1 and for p -> 0,
     and a pure mode gives em = 1, so G_p = Lambda_p = 1. k is even, so the
     product of the k negated factors is theirs.
     """
-    e = np.expm1(np.multiply(p, ln_r, out=p), out=p)  # -em
+    e = p * ln_r  # a new array: p may be _GUARD_POWERS, which every pair shares
+    np.expm1(e, out=e)  # -em
     d = -2.0 - e  # -(2 - em)
-    return e / d, np.multiply.reduce(d, axis=1)
+    return np.divide(e, d, out=e), np.multiply.reduce(d, axis=1)
 
 
 class _StandardPairs(NamedTuple):
@@ -221,12 +222,11 @@ class _StandardPairs(NamedTuple):
     def astype(self, dtype) -> "_StandardPairs":
         return _StandardPairs(*(v.astype(dtype) for v in self))
 
-    def q(self, s: np.ndarray) -> np.ndarray:
-        """Q_s for an (n, m) array of s in [_S_EDGE, 1 - _S_EDGE]."""
-        n, m = s.shape
-        # s for rho_A, 1 - s for rho_B
-        inv_lam, prod = _weights(s[:, None, :] * _SIGN + _OFFSET, self.ln_r)
-        sigma = (self.dual @ inv_lam).reshape(n, 2, 3, m)
+    def q(self, s: np.ndarray, p=None) -> np.ndarray:
+        """Q_s for an (n, m) array of s in [_S_EDGE, 1 - _S_EDGE], or a (1, m)
+        one for every pair; p holds the powers at s, computed where None."""
+        inv_lam, prod = _weights(s[:, None, :] * _SIGN + _OFFSET if p is None else p, self.ln_r)
+        sigma = (self.dual @ inv_lam).reshape(len(self.dual), 2, 3, s.shape[1])
         det = sigma[:, :, 0] * sigma[:, :, 2] - sigma[:, :, 1] ** 2
         return np.exp(self.ln_g + s * self.ln_ratio) / (prod * np.sqrt(det[:, 0] * det[:, 1]))
 
@@ -379,11 +379,14 @@ def _discriminate(errors, pairs, ensembles) -> list:
     rejected, or None, and M a float or an array of n. Callers silence
     numpy's floating-point warnings."""
     scan, evaluate = pairs.astype(float).q, lambda s: pairs.q(s.astype(pairs.dtype))
-    s_star, q = (_infimum_one(scan, evaluate) if len(errors) == 1
-                 else _infimum(scan, evaluate, len(errors)))
-    s_star = _column(s_star)
-    results = _results(s_star, np.maximum(_exponent(q), 0.0).astype(float), ensembles)
-    return [_outcome(*row) for row in zip(errors, results, s_star, np.atleast_1d(q))]
+    if len(errors) == 1:  # -ln Q in Q's dtype, rounded once to a float
+        s_star, q = _infimum_one(scan, evaluate)
+        s_star, q, exponent = [s_star], [q], float(max(_exponent(q), 0.0))
+    else:
+        s_star, q = _infimum(scan, evaluate, len(errors))
+        s_star, exponent = s_star.tolist(), np.maximum(_exponent(q), 0.0).astype(float)
+    results = _results(s_star, exponent, ensembles)
+    return [_outcome(*row) for row in zip(errors, results, s_star, q)]
 
 
 def _outcome(error, result, s_star, q):
@@ -405,8 +408,10 @@ def _column(x) -> list:
 def _exponent(q):
     """-ln Q of a scalar or column: -log1p(Q - 1) above 1/2, keeping the digits
     of 1 - Q, and -ln Q below, where Q - 1 would lose Q's (Q = 0 warns: callers
-    silence it)."""
-    return _where(q > 0.5, -np.log1p(q - 1.0), -np.log(q))
+    silence it). A scalar evaluates the branch it takes only."""
+    if isinstance(q, np.ndarray):
+        return np.where(q > 0.5, -np.log1p(q - 1.0), -np.log(q))
+    return -np.log1p(q - 1.0) if q > 0.5 else -np.log(q)
 
 
 def _results(s_star: list, exponent, ensembles) -> list[DiscriminationResult]:
@@ -458,7 +463,7 @@ def _infimum(scan, evaluate, n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     last = _SCAN_POINTS - 1
     rows = np.arange(n)
-    i = scan(_GUARD * np.ones((n, 1))).argmin(axis=1)[:, None]
+    i = scan(_GUARD[None], _GUARD_POWERS).argmin(axis=1)[:, None]
     lo = _GUARD.take(np.maximum(i - 1, 0))
     width = _GUARD.take(np.minimum(i + 1, last)) - lo
     values = scan(lo + width * _STEPS)
@@ -502,7 +507,7 @@ def _infimum_one(scan, evaluate) -> tuple:
     of _infimum's row.
     """
     last = _SCAN_POINTS - 1
-    i = int(scan(_GUARD[None]).argmin())
+    i = int(scan(_GUARD[None], _GUARD_POWERS).argmin())
     lo = _GUARD_LIST[max(i - 1, 0)]
     width = _GUARD_LIST[min(i + 1, last)] - lo
     values = scan((lo + width * _STEPS)[None])
@@ -591,7 +596,7 @@ class _PairData:
         dual = omega @ np.concatenate([parts_a, parts_b]) @ omega.T
         # diag of V_A^-1 + V_B^-1, the size of Sigma' away from s = 0 and 1.
         scale = np.sqrt((np.diagonal(dual, axis1=1, axis2=2) / nu[:, None]).sum(axis=0))
-        self.sign, self.offset = _SIGN[2 - k:2 + k], _OFFSET[2 - k:2 + k]
+        self.columns = slice(2 - k, 2 + k)  # of the powers of _StandardPairs.q
         self.ln_r = np.log1p(-2.0 / (nu + 1.0))[:, None]  # -inf at a pure mode
         self.g_b = float(np.prod(2.0 / (nu_b + 1.0)))
         self.ratio = float(np.prod(nu_b + 1.0) / np.prod(nu_a + 1.0))
@@ -604,9 +609,10 @@ class _PairData:
         """The analysis itself: it is float64 already."""
         return self
 
-    def q(self, s: np.ndarray) -> np.ndarray:
-        """Q_s for an (n, m) array of s in [_S_EDGE, 1 - _S_EDGE]."""
-        inv_lam, prod = _weights(s[:, None, :] * self.sign + self.offset, self.ln_r)
+    def q(self, s: np.ndarray, p=None) -> np.ndarray:
+        """Q_s for an (n, m) array of s, p as in _StandardPairs.q."""
+        p = s[:, None, :] * _SIGN + _OFFSET if p is None else p
+        inv_lam, prod = _weights(p[:, self.columns], self.ln_r)
         inv_lam = inv_lam.transpose(0, 2, 1)  # (n, m, k)
         dim = 2 * self.n_modes
         sigma = (inv_lam @ self.dual).reshape(*s.shape, dim, dim)
@@ -628,20 +634,16 @@ def _route(pair: HypothesisPair, closed_form: bool = True) -> tuple:
     """(core, args) of a built pair, for core(*args, M) (see the module
     docstring): _coherent on |d|^2/4 and N_B of a coherent pair where
     closed_form, else _discriminate on the errors and analysis of the pair:
-    _standard's of a two-mode pair in standard form with equal means, a
-    _PairData of any other. Callers silence numpy's floating-point
+    _standard's on the entries of two states in standard form with equal
+    means, a _PairData of any other. Callers silence numpy's floating-point
     warnings."""
     a, b = pair.rho_a, pair.rho_b
-    _require_finite_mean(a.mean)
-    _require_finite_mean(b.mean)
     if (closed_form and a.n_modes == b.n_modes == 1 and np.array_equal(a.cov, b.cov)
             and a.cov[0, 1] == a.cov[1, 0] == 0.0 and a.cov[0, 0] == a.cov[1, 1]):
         d = a.mean - b.mean
         return _coherent, (0.25 * float(d @ d), max(0.5 * float(a.cov[0, 0] - 1.0), 0.0))
-    if a.n_modes == b.n_modes == 2 and np.array_equal(a.mean, b.mean):
-        ent_a, ent_b = _standard_entries(a.cov), _standard_entries(b.cov)
-        if ent_a is not None and ent_b is not None:
-            return _discriminate, _standard(ent_a, ent_b)
+    if a.entries is not None and b.entries is not None and np.array_equal(a.mean, b.mean):
+        return _discriminate, _standard(a.entries, b.entries)
     return _discriminate, ([None], _PairData(pair))
 
 

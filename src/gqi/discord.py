@@ -2,9 +2,9 @@
 
 The measured party is mode 2 (the idler in the return-idler ordering), and
 all entropies are in nats. The discord is the closed form of Adesso &
-Datta, PRL 105, 030501 (2010), evaluated on floats. A state in standard
-form (every two-mode probe and rho_A the package builds) takes its block
-determinants from its six covariance entries with no LAPACK call, any other
+Datta, PRL 105, 030501 (2010), in one pass over floats. A state in
+standard form (every two-mode probe and rho_A the package builds) takes its
+block determinants from the six entries it was validated with, any other
 two-mode state its 2x2 ones in closed form and det V from LAPACK; both take
 the spectrum the state was validated with. remained_discord builds no
 state: its spectrum comes from symplectic.standard_form_spectrum.
@@ -23,8 +23,7 @@ from .probes import (
     _probe_entries,
     _return_entries,
 )
-from .symplectic import (GaussianState, ValidationError, _standard_entries,
-                         standard_form_spectrum)
+from .symplectic import GaussianState, ValidationError, standard_form_spectrum
 
 _ZERO_CLAMP = 1e-10
 _EPS = sys.float_info.epsilon
@@ -67,25 +66,18 @@ def entropy_f(x: float) -> float:
     return math.log(0.5 * (x + 1.0)) + dn * math.log1p(1.0 / dn)
 
 
-def _standard_determinants(entries) -> BlockDeterminants:
-    ax, ap, bx, bp, cx, cp = entries
-    return BlockDeterminants(ax * ap, bx * bp, cx * cp,
-                             (ax * bx - cx * cx) * (ap * bp - cp * cp))
-
-
 def block_determinants(state: GaussianState) -> BlockDeterminants:
     """alpha = det A, beta = det B, gamma = det C and delta = det V.
 
-    In standard form all four come from the six covariance entries; else
-    the 2x2 ones in closed form and det V from LAPACK.
+    In standard form all four come from the six covariance entries the
+    state keeps; else the 2x2 ones in closed form and det V from LAPACK.
     """
     if state.n_modes != 2:
-        raise ValidationError(
-            f"block_determinants needs a 2-mode state, got {state.n_modes}"
-        )
-    entries = _standard_entries(state.cov)
-    if entries is not None:
-        return _standard_determinants(entries)
+        raise ValidationError(f"block_determinants needs a 2-mode state, got {state.n_modes}")
+    if state.entries is not None:
+        ax, ap, bx, bp, cx, cp = state.entries
+        return BlockDeterminants(ax * ap, bx * bp, cx * cp,
+                                 (ax * bx - cx * cx) * (ap * bp - cp * cp))
     (a, b, c, d), (e, f, g, h), (i, j, k, l), (m, n, o, p) = state.cov.tolist()
     return BlockDeterminants(a * f - b * e, k * p - l * o, c * h - d * g,
                              float(np.linalg.det(state.cov)))
@@ -94,48 +86,48 @@ def block_determinants(state: GaussianState) -> BlockDeterminants:
 def gaussian_discord(state: GaussianState) -> DiscordResult:
     """Gaussian discord with the measurement on mode 2.
 
-    A state in standard form takes the closed-form path of remained_discord,
-    so gaussian_discord(make_hypotheses(p, sc).rho_a) equals
-    remained_discord(p, sc); any other state its block determinants. Both
-    take the spectrum the state was validated with (state.spectrum and
+    A state in standard form takes the closed-form path of remained_discord
+    on the entries it keeps, so gaussian_discord(make_hypotheses(p, sc).rho_a)
+    equals remained_discord(p, sc); any other state its block determinants.
+    Both take the spectrum the state was validated with (state.spectrum and
     state.spectrum_tol), and raise ValidationError where float64 cannot
     resolve the discord to _DISCORD_RTOL (see _discord).
     """
-    entries = _standard_entries(state.cov) if state.n_modes == 2 else None
-    if entries is not None:
-        return _standard_discord(entries, state.spectrum.tolist(), state.spectrum_tol)
+    if state.entries is not None:
+        return _standard_discord(state.entries, state.spectrum.tolist(), state.spectrum_tol)
     d = block_determinants(state)
     # The spectrum (closed form), det V (LU) and the 2x2 determinants lose up
     # to ~eps times the condition number of V: a strongly squeezed mode's.
     lam = np.linalg.eigvalsh(state.cov)
     ulps = _INPUT_ULPS * lam[-1] / lam[0]
-    return _discord(d, state.spectrum.tolist(), state.spectrum_tol,
-                    not state.cov[:2, 2:].any(), ulps, ulps)
+    return _discord(d.alpha, d.beta, d.gamma, d.delta, state.spectrum.tolist(),
+                    state.spectrum_tol, not state.cov[:2, 2:].any(), ulps, ulps)
 
 
 def _standard_discord(entries, nu, tol: float) -> DiscordResult:
     """_discord of a validated standard-form state: entries, nu_+- and tol."""
     ax, ap, bx, bp, cx, cp = entries
     product = not (cx or cp)
+    det_x, det_p = ax * bx - cx * cx, ap * bp - cp * cp
     # alpha, beta and gamma are products of two entries. det X det P, and
     # with it delta and nu_+-^2, cancels for a strongly correlated state.
     # A product state has no discord to round, and its det X may underflow.
     det_ulps = 0.0 if product else _INPUT_ULPS * (
-        1.0 + (ax * bx + cx * cx) / (ax * bx - cx * cx)
-        + (ap * bp + cp * cp) / (ap * bp - cp * cp))
-    return _discord(_standard_determinants(entries), nu, tol,
+        1.0 + (ax * bx + cx * cx) / det_x + (ap * bp + cp * cp) / det_p)
+    return _discord(ax * ap, bx * bp, cx * cp, det_x * det_p, nu, tol,
                     product, _INPUT_ULPS, det_ulps)
 
 
-def _discord(d: BlockDeterminants, nu, tol: float, product: bool,
-             ulps: float, det_ulps: float) -> DiscordResult:
+def _discord(alpha: float, beta: float, gamma: float, delta: float, nu, tol: float,
+             product: bool, ulps: float, det_ulps: float) -> DiscordResult:
     """D = f(sqrt(beta)) - f(nu_+) - f(nu_-) + f(sqrt(eps)).
 
-    nu_+- are the symplectic eigenvalues of the covariance, and eps follows
-    the closed-form branch on the block determinants. A spectrum value
-    within tol (the shortfall below 1 the covariance was allowed) of 1 is a
-    pure mode, and is taken as exactly 1. A product state (zero cross
-    block) has no discord.
+    alpha, beta, gamma and delta are the block determinants (floats), nu_+-
+    the symplectic eigenvalues of the covariance, and eps follows the
+    closed-form branch on the block determinants. A spectrum value within
+    tol (the shortfall below 1 the covariance was allowed) of 1 is a pure
+    mode, and is taken as exactly 1. A product state (zero cross block) has
+    no discord.
 
     The four terms nearly cancel for a weakly correlated state (high noise,
     or little squeezing), where D is small against them. D raises
@@ -145,8 +137,8 @@ def _discord(d: BlockDeterminants, nu, tol: float, product: bool,
     through the slopes of the entropies, plus the entropy a mode taken as
     pure may have had.
     """
-    alpha, beta, gamma, delta = d.alpha, d.beta, d.gamma, d.delta
-    nu_hi, nu_lo = (1.0 if abs(v - 1.0) <= tol else v for v in nu)
+    d_hi, d_lo = abs(nu[0] - 1.0), abs(nu[1] - 1.0)
+    nu_hi, nu_lo = (1.0 if d_hi <= tol else nu[0]), (1.0 if d_lo <= tol else nu[1])
     if product:
         return DiscordResult(0.0, "product", (nu_hi, nu_lo))
 
@@ -182,27 +174,30 @@ def _discord(d: BlockDeterminants, nu, tol: float, product: bool,
         # alpha d inner / d alpha = beta d inner / d beta = -2 ab (delta - ab + gamma^2)
         dq = 0.5 / q if q > 0.0 else math.inf
         g_ab = ab * (1.0 + 2.0 * (delta - ab + gamma**2) * dq)
-        g_eps = (g_ab, g_ab - 2.0 * beta * eps,
-                 -2.0 * gamma**2 * (1.0 + 2.0 * (gamma**2 - delta - ab) * dq),
-                 delta * (1.0 - 2.0 * (delta - ab - gamma**2) * dq))
-        grad = tuple(g / (2.0 * beta) / (2.0 * math.sqrt(eps)) if eps > 1.0 else 0.0
-                     for g in g_eps)
+        g_1, g_2, g_3, g_4 = (g_ab, g_ab - 2.0 * beta * eps,
+                              -2.0 * gamma**2 * (1.0 + 2.0 * (gamma**2 - delta - ab) * dq),
+                              delta * (1.0 - 2.0 * (delta - ab - gamma**2) * dq))
+        grad = (0.0,) * 4
+        if eps > 1.0:  # each over 2 beta, then times d sqrt(eps) / d eps
+            b2, r2 = 2.0 * beta, 2.0 * math.sqrt(eps)
+            grad = (g_1 / b2 / r2, g_2 / b2 / r2, g_3 / b2 / r2, g_4 / b2 / r2)
 
     eps = max(eps, 1.0)
-    terms = (entropy_f(math.sqrt(beta)), entropy_f(nu_hi), entropy_f(nu_lo),
-             entropy_f(math.sqrt(eps)))
+    root_beta, root_eps = math.sqrt(beta), math.sqrt(eps)
+    terms = (entropy_f(root_beta), entropy_f(nu_hi), entropy_f(nu_lo), entropy_f(root_eps))
     value = terms[0] - terms[1] - terms[2] + terms[3]
     if value < -_ZERO_CLAMP:
         raise ValidationError(f"discord evaluated to {value}; non-physical input?")
     # x f'(x) for each entropy's argument x, and sqrt(eps)'s through grad.
-    slope = _entropy_slope(math.sqrt(eps)) if eps > 1.0 else 0.0
+    slope = _entropy_slope(root_eps) if eps > 1.0 else 0.0
     g_alpha, g_beta, g_gamma, g_delta = grad
-    from_products = (0.5 * math.sqrt(beta) * _entropy_slope(math.sqrt(beta))
+    from_products = (0.5 * root_beta * _entropy_slope(root_beta)
                      + slope * (abs(g_alpha) + abs(g_beta) + abs(g_gamma)))
     from_dets = (nu_hi * _entropy_slope(nu_hi) + nu_lo * _entropy_slope(nu_lo)
                  + slope * abs(g_delta))
     # A mode taken as pure has an entropy of up to f(1 + |nu - 1|).
-    snapped = sum(entropy_f(1.0 + abs(v - 1.0)) for v in nu if 0.0 < abs(v - 1.0) <= tol)
+    snapped = ((entropy_f(1.0 + d_hi) if 0.0 < d_hi <= tol else 0.0)
+               + (entropy_f(1.0 + d_lo) if 0.0 < d_lo <= tol else 0.0))
     rounding = (_EPS * (sum(terms) + ulps * from_products + det_ulps * from_dets)
                 + snapped)
     if not rounding <= _DISCORD_RTOL * value:

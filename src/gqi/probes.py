@@ -251,7 +251,7 @@ def make_hypotheses(probe: ProbeSpec, scenario: TargetScenario) -> HypothesisPai
         rho_a = GaussianState(
             1, np.array([2.0 * np.sqrt(kappa * probe.ns), 0.0]), cov
         )
-        rho_b = GaussianState(1, np.zeros(2), cov.copy())
+        rho_b = GaussianState(1, np.zeros(2), cov)
         return HypothesisPair(rho_a, rho_b)
 
     entries = _probe_entries(probe.n0, probe.n1, probe.n2)

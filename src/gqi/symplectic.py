@@ -7,7 +7,7 @@ number N has covariance (2N+1) I_2.
 """
 
 import math
-from dataclasses import dataclass, field
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -58,11 +58,6 @@ def _check_covariance(cov: np.ndarray) -> np.ndarray:
     if np.abs(cov - cov.T).max() > SYMMETRY_RTOL * max(scale, 1.0):
         raise ValidationError("covariance matrix is not symmetric")
     return cov
-
-
-def _require_finite_mean(mean: np.ndarray) -> None:
-    if not np.isfinite(mean).all():
-        raise ValidationError("mean has a non-finite entry")
 
 
 def _closed_spectrum(cov: np.ndarray) -> tuple:
@@ -212,18 +207,17 @@ class StandardSpectrum(NamedTuple):
 # Standard-form positions in a flattened 4x4 covariance: the six entries
 # standard_form_spectrum takes, the x-p correlations such a covariance
 # lacks, and the transposes of its two cross entries.
-_ENTRY_FLAT = (0, 5, 10, 15, 2, 7)
-_XP_FLAT = (1, 3, 4, 6, 9, 11, 12, 14)
+_ENTRY_FLAT = operator.itemgetter(0, 5, 10, 15, 2, 7)
+_XP_FLAT = operator.itemgetter(1, 3, 4, 6, 9, 11, 12, 14)
 
 
 def _standard_entries(cov: np.ndarray) -> tuple | None:
     """(x1x1, p1p1, x2x2, p2p2, x1x2, p1p2) of a two-mode covariance in
     standard form, exactly symmetric and without x-p correlations; else None."""
     v = cov.ravel().tolist()
-    if (len(v) != 16 or any(v[i] for i in _XP_FLAT)
-            or v[2] != v[8] or v[7] != v[13]):
+    if len(v) != 16 or any(_XP_FLAT(v)) or v[2] != v[8] or v[7] != v[13]:
         return None
-    return tuple(v[i] for i in _ENTRY_FLAT)
+    return _ENTRY_FLAT(v)
 
 
 def _sqrt(x):
@@ -421,7 +415,6 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     return np.array(_closed_spectrum(_check_covariance(cov))[0])
 
 
-@dataclass
 class GaussianState:
     """Gaussian state of one or two modes: quadrature mean and covariance.
 
@@ -438,41 +431,51 @@ class GaussianState:
     diag(2e8, 5e-9), and its float64 entries cannot tell the two apart. A
     product state holds each mode to the bound it would have alone. Three
     or more modes raise ValidationError.
+
+    A state in standard form keeps the entries it was validated with,
+    (x1x1, p1p1, x2x2, p2p2, x1x2, p1p2), as ``entries`` (else None). A state
+    cannot be changed, so what was validated stays true: its properties cannot
+    be rebound, and mean, cov and spectrum are read-only copies.
     """
 
-    n_modes: int
-    mean: np.ndarray
-    cov: np.ndarray
-    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
-    spectrum_tol: float = field(init=False, repr=False, compare=False)
+    __slots__ = ("_n_modes", "_mean", "_cov", "_spectrum", "_spectrum_tol", "_entries")
+    n_modes, mean, cov, spectrum, spectrum_tol, entries = map(
+        property, map(operator.attrgetter, __slots__))
 
-    def __post_init__(self):
-        if self.n_modes not in (1, 2):
-            raise ValidationError(f"n_modes must be 1 or 2, got {self.n_modes}")
-        self.mean = np.asarray(self.mean, dtype=float)
-        if self.mean.shape != (2 * self.n_modes,):
-            raise ValidationError(
-                f"mean must have length {2 * self.n_modes}, got shape {self.mean.shape}"
-            )
-        _require_finite_mean(self.mean)
-        self.cov = np.asarray(self.cov, dtype=float)
-        if self.cov.shape != (2 * self.n_modes, 2 * self.n_modes):
-            raise ValidationError(
-                f"cov must be {2 * self.n_modes} x {2 * self.n_modes}, got {self.cov.shape}"
-            )
-        entries = _standard_entries(self.cov) if self.n_modes == 2 else None
+    def __init__(self, n_modes: int, mean, cov):
+        if n_modes not in (1, 2):
+            raise ValidationError(f"n_modes must be 1 or 2, got {n_modes}")
+        dim, mean = 2 * n_modes, np.array(mean, dtype=float)
+        if mean.shape != (dim,):
+            raise ValidationError(f"mean must have length {dim}, got shape {mean.shape}")
+        if not all(map(math.isfinite, mean.tolist())):
+            raise ValidationError("mean has a non-finite entry")
+        cov = np.array(cov, dtype=float)
+        if cov.shape != (dim, dim):
+            raise ValidationError(f"cov must be {dim} x {dim}, got {cov.shape}")
+        entries = _standard_entries(cov) if n_modes == 2 else None
         if entries is None:
-            nu, _, _, bounds = _closed_spectrum(_check_covariance(self.cov))
+            nu, _, _, bounds = _closed_spectrum(_check_covariance(cov))
             bounds.sort()  # smallest nu first
             for rank, (value, tol) in enumerate(bounds):
                 if value < 1.0 - tol:
                     raise ValidationError(_unphysical(value, smallest=rank == 0))
-            self.spectrum, self.spectrum_tol = np.array(nu), bounds[0][1]
-            return
-        spec = standard_form_spectrum(entries)
-        if spec.errors[0]:
-            raise ValidationError(spec.errors[0])
-        # Where nu_+ and nu_- are both ~1 (a pure probe), the closed form may
-        # round nu_+ an ulp below nu_-.
-        self.spectrum = np.array(sorted(spec.nu, reverse=True))
-        self.spectrum_tol = spec.tol
+            tol = bounds[0][1]
+        else:
+            spec = standard_form_spectrum(entries)
+            if spec.errors[0]:
+                raise ValidationError(spec.errors[0])
+            # Where nu_+ and nu_- are both ~1 (a pure probe), the closed form may
+            # round nu_+ an ulp below nu_-.
+            nu, tol = sorted(spec.nu, reverse=True), spec.tol
+        spectrum = np.array(nu)
+        for array in (mean, cov, spectrum):
+            array.setflags(write=False)
+        self._n_modes, self._mean, self._cov = n_modes, mean, cov
+        self._spectrum, self._spectrum_tol, self._entries = spectrum, tol, entries
+
+    def __reduce__(self):  # a copy or an unpickled state is validated again
+        return GaussianState, (self._n_modes, self._mean, self._cov)
+
+    def __repr__(self) -> str:
+        return f"GaussianState({self._n_modes}, {self._mean!r}, {self._cov!r})"

@@ -18,16 +18,19 @@ thermal source enters as a Fock-diagonal mixture. Intended for small photon
 numbers where a modest cutoff captures the populations.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm, schur, sqrtm
 
 from gqi.chernoff import _mode_parts
+from gqi.discord import (_DISCORD_RTOL, _EPS, _INPUT_ULPS, _ZERO_CLAMP, BlockDeterminants,
+                         DiscordResult, _entropy_slope, block_determinants, entropy_f)
 from gqi.probes import ProbeKind, ProbeSpec, TargetScenario, _squeezer_gains
 from gqi.symplectic import (EIGENVALUE_CLAMP_TOL, GaussianState, ValidationError,
-                            _allowed_shortfall, _check_covariance, _unphysical,
-                            symplectic_form)
+                            _allowed_shortfall, _check_covariance, _standard_entries,
+                            _unphysical, symplectic_form)
 
 SYMPLECTIC_RESIDUAL_TOL = 1e-10
 
@@ -338,3 +341,138 @@ def fock_oracle_q_s(probe: ProbeSpec, scenario: TargetScenario, s: float,
     """Brute-force Q_s; refuses when the cutoff visibly truncates the states."""
     rho_a, rho_b = fock_hypotheses(probe, scenario, cutoff)
     return q_s_from_density_matrices(rho_a, rho_b, s)
+
+
+# ---------------------------------------------------------------------------
+# The Gaussian discord as gqi.discord computed it before it took floats:
+# _discord on a BlockDeterminants, its standard-form caller, and
+# gaussian_discord, which parsed the covariance of every state again. Kept
+# verbatim as the reference the float path must match bit for bit.
+
+
+def _standard_determinants(entries) -> BlockDeterminants:
+    ax, ap, bx, bp, cx, cp = entries
+    return BlockDeterminants(ax * ap, bx * bp, cx * cp,
+                             (ax * bx - cx * cx) * (ap * bp - cp * cp))
+
+
+def gaussian_discord(state: GaussianState) -> DiscordResult:
+    """Gaussian discord with the measurement on mode 2.
+
+    A state in standard form takes the closed-form path of remained_discord,
+    so gaussian_discord(make_hypotheses(p, sc).rho_a) equals
+    remained_discord(p, sc); any other state its block determinants. Both
+    take the spectrum the state was validated with (state.spectrum and
+    state.spectrum_tol), and raise ValidationError where float64 cannot
+    resolve the discord to _DISCORD_RTOL (see _discord).
+    """
+    entries = _standard_entries(state.cov) if state.n_modes == 2 else None
+    if entries is not None:
+        return _standard_discord(entries, state.spectrum.tolist(), state.spectrum_tol)
+    d = block_determinants(state)
+    # The spectrum (closed form), det V (LU) and the 2x2 determinants lose up
+    # to ~eps times the condition number of V: a strongly squeezed mode's.
+    lam = np.linalg.eigvalsh(state.cov)
+    ulps = _INPUT_ULPS * lam[-1] / lam[0]
+    return _discord(d, state.spectrum.tolist(), state.spectrum_tol,
+                    not state.cov[:2, 2:].any(), ulps, ulps)
+
+
+def _standard_discord(entries, nu, tol: float) -> DiscordResult:
+    """_discord of a validated standard-form state: entries, nu_+- and tol."""
+    ax, ap, bx, bp, cx, cp = entries
+    product = not (cx or cp)
+    # alpha, beta and gamma are products of two entries. det X det P, and
+    # with it delta and nu_+-^2, cancels for a strongly correlated state.
+    # A product state has no discord to round, and its det X may underflow.
+    det_ulps = 0.0 if product else _INPUT_ULPS * (
+        1.0 + (ax * bx + cx * cx) / (ax * bx - cx * cx)
+        + (ap * bp + cp * cp) / (ap * bp - cp * cp))
+    return _discord(_standard_determinants(entries), nu, tol,
+                    product, _INPUT_ULPS, det_ulps)
+
+
+def _discord(d: BlockDeterminants, nu, tol: float, product: bool,
+             ulps: float, det_ulps: float) -> DiscordResult:
+    """D = f(sqrt(beta)) - f(nu_+) - f(nu_-) + f(sqrt(eps)).
+
+    nu_+- are the symplectic eigenvalues of the covariance, and eps follows
+    the closed-form branch on the block determinants. A spectrum value
+    within tol (the shortfall below 1 the covariance was allowed) of 1 is a
+    pure mode, and is taken as exactly 1. A product state (zero cross
+    block) has no discord.
+
+    The four terms nearly cancel for a weakly correlated state (high noise,
+    or little squeezing), where D is small against them. D raises
+    ValidationError unless its first-order rounding estimate is within
+    _DISCORD_RTOL of it: the terms' own rounding, plus alpha, beta and
+    gamma off by ulps ulps and delta and nu_+- off by det_ulps ulps,
+    through the slopes of the entropies, plus the entropy a mode taken as
+    pure may have had.
+    """
+    alpha, beta, gamma, delta = d.alpha, d.beta, d.gamma, d.delta
+    nu_hi, nu_lo = (1.0 if abs(v - 1.0) <= tol else v for v in nu)
+    if product:
+        return DiscordResult(0.0, "product", (nu_hi, nu_lo))
+
+    # grad: alpha, beta, gamma, delta times d sqrt(eps) / d each of them.
+    if nu_hi == 1.0:
+        # Pure state: eps -> 1 and both entropy terms vanish, leaving the
+        # marginal entropy. The closed forms below lose ~1e-7 to cancellation
+        # exactly on this boundary, so take the limit directly.
+        branch, eps, grad = "pure", 1.0, (0.0,) * 4
+    elif (delta - alpha * beta) ** 2 <= (beta + 1.0) * gamma**2 * (alpha + delta):
+        branch = "measurement-aligned"
+        inner = max(gamma**2 + (beta - 1.0) * (delta - alpha), 0.0)
+        if beta > 1.0 + _ZERO_CLAMP:
+            # sqrt(eps) = (|gamma| + sqrt(inner)) / (beta - 1)
+            s = math.sqrt(inner)
+            eps = (2.0 * gamma**2 + (beta - 1.0) * (delta - alpha)
+                   + 2.0 * abs(gamma) * s) / (beta - 1.0) ** 2
+            root = (abs(gamma) + s) / (beta - 1.0)
+            ds = 0.5 / s if s > 0.0 else math.inf
+            grad = (alpha * ds, beta * ((delta - alpha) * ds - root) / (beta - 1.0),
+                    (abs(gamma) + gamma**2 * ds * 2.0) / (beta - 1.0), delta * ds)
+        else:
+            # A pure mode 2 (beta -> 1) only occurs in a product state, where
+            # measuring it leaves mode 1 as it was: the limit is eps -> alpha.
+            eps = alpha
+            grad = (0.5 * math.sqrt(alpha), 0.0, 0.0, 0.0)
+    else:
+        branch = "generic"
+        ab = alpha * beta
+        inner = max(gamma**4 + (delta - ab) ** 2 - 2.0 * gamma**2 * (delta + ab), 0.0)
+        q = math.sqrt(inner)
+        eps = (ab - gamma**2 + delta - q) / (2.0 * beta)
+        # alpha d inner / d alpha = beta d inner / d beta = -2 ab (delta - ab + gamma^2)
+        dq = 0.5 / q if q > 0.0 else math.inf
+        g_ab = ab * (1.0 + 2.0 * (delta - ab + gamma**2) * dq)
+        g_eps = (g_ab, g_ab - 2.0 * beta * eps,
+                 -2.0 * gamma**2 * (1.0 + 2.0 * (gamma**2 - delta - ab) * dq),
+                 delta * (1.0 - 2.0 * (delta - ab - gamma**2) * dq))
+        grad = tuple(g / (2.0 * beta) / (2.0 * math.sqrt(eps)) if eps > 1.0 else 0.0
+                     for g in g_eps)
+
+    eps = max(eps, 1.0)
+    terms = (entropy_f(math.sqrt(beta)), entropy_f(nu_hi), entropy_f(nu_lo),
+             entropy_f(math.sqrt(eps)))
+    value = terms[0] - terms[1] - terms[2] + terms[3]
+    if value < -_ZERO_CLAMP:
+        raise ValidationError(f"discord evaluated to {value}; non-physical input?")
+    # x f'(x) for each entropy's argument x, and sqrt(eps)'s through grad.
+    slope = _entropy_slope(math.sqrt(eps)) if eps > 1.0 else 0.0
+    g_alpha, g_beta, g_gamma, g_delta = grad
+    from_products = (0.5 * math.sqrt(beta) * _entropy_slope(math.sqrt(beta))
+                     + slope * (abs(g_alpha) + abs(g_beta) + abs(g_gamma)))
+    from_dets = (nu_hi * _entropy_slope(nu_hi) + nu_lo * _entropy_slope(nu_lo)
+                 + slope * abs(g_delta))
+    # A mode taken as pure has an entropy of up to f(1 + |nu - 1|).
+    snapped = sum(entropy_f(1.0 + abs(v - 1.0)) for v in nu if 0.0 < abs(v - 1.0) <= tol)
+    rounding = (_EPS * (sum(terms) + ulps * from_products + det_ulps * from_dets)
+                + snapped)
+    if not rounding <= _DISCORD_RTOL * value:
+        raise ValidationError(
+            f"discord {value:.3g} may be off by ~{rounding:.2g}, more than "
+            f"{_DISCORD_RTOL:g} of it: the state is too weakly correlated")
+    return DiscordResult(value, branch, (nu_hi, nu_lo))
+

@@ -23,6 +23,10 @@ from gqi import (
     tmsv_state,
 )
 from gqi import discord
+from gqi.probes import _probe_entries, _return_entries, _two_mode_cov
+from gqi.symplectic import standard_form_spectrum
+
+import oracles
 
 photons = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
 
@@ -331,7 +335,7 @@ class TestClosedFormDiscord:
 
         for name in ("det", "eig", "eigvals", "eigvalsh", "cholesky"):
             monkeypatch.setattr(np.linalg, name, refuse)
-        monkeypatch.setattr(GaussianState, "__post_init__", refuse)
+        monkeypatch.setattr(GaussianState, "__init__", refuse)
         assert remained_discord(probe, LOW_NOISE) == expected
         assert gaussian_discord(state).branch == "pure"
 
@@ -386,3 +390,68 @@ class TestClosedFormDiscord:
             remained_discord(probe, LOW_NOISE)
         with pytest.raises(ValidationError):
             run_scenario(probe, LOW_NOISE, with_discord=True)
+
+
+def _outcome(call):
+    """A discord's value, branch and nu_pair as reprs, which tell -0.0 from
+    0.0 and a numpy scalar from a float; or the ValidationError's text."""
+    try:
+        result = call()
+    except ValidationError as exc:
+        return "raises", str(exc)
+    return repr(result.value), result.branch, tuple(map(repr, result.nu_pair))
+
+
+class TestFloatPathKeepsEveryBit:
+    """_discord on floats, and gaussian_discord on the entries a state keeps,
+    against the code they replaced (oracles): the same value, branch and
+    nu_pair, bit for bit, or the same ValidationError text."""
+
+    DRAWS = 500
+
+    def test_against_the_block_determinant_path(self):
+        rng = np.random.default_rng(24)
+        seen, compared = set(), 0
+
+        def check(new, old, nu=None, tol=None):
+            nonlocal compared
+            got, expected = _outcome(new), _outcome(old)
+            assert got == expected
+            compared += 1
+            seen.add(expected[1][:13])
+            if nu is not None and any(0.0 < abs(v - 1.0) <= tol for v in nu):
+                seen.add("snapped")
+
+        for _ in range(self.DRAWS):
+            n0 = 0.0 if rng.random() < 0.05 else 10.0 ** rng.uniform(-3, 2)
+            n1, n2 = (0.0 if rng.random() < 0.25 else 10.0 ** rng.uniform(-3, e)
+                      for e in (3, 4))
+            kappa = 0.0 if rng.random() < 0.03 else 10.0 ** rng.uniform(-4, -0.01)
+            nb = 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-6, 9)
+            entries = _return_entries(_probe_entries(n0, n1, n2), kappa, nb)
+            spec = standard_form_spectrum(entries)
+            if spec.errors[0]:
+                continue
+            # remained_discord's path, and a state built from the same entries
+            check(lambda: discord._remained(n0, n1, n2, kappa, nb),
+                  lambda: oracles._standard_discord(entries, spec.nu, spec.tol),
+                  spec.nu, spec.tol)
+            state = GaussianState(2, np.zeros(4), _two_mode_cov(*entries))
+            check(lambda: gaussian_discord(state), lambda: oracles.gaussian_discord(state),
+                  state.spectrum.tolist(), state.spectrum_tol)
+            # The probe itself (pure), and the state out of standard form.
+            probe = astm_state(ProbeSpec(kind=ProbeKind.ASTM, n0=n0, n1=n1, n2=n2))
+            check(lambda: gaussian_discord(probe), lambda: oracles.gaussian_discord(probe),
+                  probe.spectrum.tolist(), probe.spectrum_tol)
+            turned = rotated(state, *rng.uniform(0.0, 2.0 * math.pi, 2))
+            check(lambda: gaussian_discord(turned), lambda: oracles.gaussian_discord(turned))
+            # A spectrum the entries do not have: nu_+ too large makes the
+            # discord negative, nu_- below 1 leaves entropy_f no value.
+            bad = (spec.nu[0] * rng.uniform(1.0, 3.0), spec.nu[1] * rng.uniform(0.5, 1.0))
+            check(lambda: discord._standard_discord(entries, bad, spec.tol),
+                  lambda: oracles._standard_discord(entries, bad, spec.tol))
+        assert compared >= 2000
+        assert seen >= {"product", "pure", "measurement-a", "generic", "snapped",
+                        "discord evalu", "entropy_f nee"}
+        # "discord 3.86e-11 may be off by ...": the estimate's raise
+        assert any(kind.startswith("discord ") and kind != "discord evalu" for kind in seen)

@@ -87,12 +87,13 @@ class TestSymplecticEigenvalues:
             np.testing.assert_allclose(after, before, rtol=1e-9, atol=1e-9)
 
 
-def _displaced_pair(x: float) -> HypothesisPair:
-    """A coherent hypothesis pair whose mean was set to x after validation."""
+def _discriminate_displaced(x: float):
+    """Set the mean of a validated state of a coherent pair to x, then
+    discriminate the pair."""
     pair = make_hypotheses(ProbeSpec(kind=ProbeKind.COHERENT, ns=1.0),
                            TargetScenario(0.01, 1.0))
     pair.rho_a.mean = np.array([x, 0.0])
-    return pair
+    return discriminate(pair, 1e6)
 
 
 class TestCovarianceCheck:
@@ -113,14 +114,16 @@ class TestCovarianceCheck:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("call", [
-        lambda x: GaussianState(1, np.array([x, 0.0]), np.eye(2)),
-        coherent_state,
-        lambda x: discriminate(_displaced_pair(x), 1e6),
+    @pytest.mark.parametrize("call, error", [
+        (lambda x: GaussianState(1, np.array([x, 0.0]), np.eye(2)), ValidationError),
+        (coherent_state, ValidationError),
+        (_discriminate_displaced, AttributeError),
     ], ids=["GaussianState", "coherent_state", "discriminate"])
-    def test_rejects_non_finite_mean(self, call, bad):
-        # discriminate gave DiscriminationResult(0.5, nan, nan, nan).
-        with pytest.raises(ValidationError, match="finite"):
+    def test_rejects_non_finite_mean(self, call, error, bad):
+        # discriminate gave DiscriminationResult(0.5, nan, nan, nan) on a
+        # pair whose mean was set to bad after validation: a validated state
+        # now refuses the assignment.
+        with pytest.raises(error, match="finite" if error is ValidationError else None):
             call(bad)
 
     @pytest.mark.parametrize("call", [symplectic_eigenvalues, williamson],
@@ -128,6 +131,59 @@ class TestCovarianceCheck:
     def test_rejects_empty_covariance(self, call):
         with pytest.raises(ValidationError, match="2n x 2n"):
             call(np.zeros((0, 0)))
+
+
+class TestImmutableState:
+    """A validated state cannot be changed, so what it was validated with,
+    and the spectrum and entries it keeps, stay true."""
+
+    @pytest.mark.parametrize("name", ["n_modes", "mean", "cov", "spectrum",
+                                      "spectrum_tol", "entries"])
+    def test_attributes_cannot_be_rebound(self, name):
+        state = tmsv_state(1.0)
+        with pytest.raises(AttributeError):
+            setattr(state, name, getattr(state, name))
+        with pytest.raises(AttributeError):
+            delattr(state, name)
+        with pytest.raises(AttributeError):
+            state.extra = 1.0
+
+    def test_arrays_are_read_only_copies(self):
+        mean, cov = np.zeros(4), np.diag([3.0, 3.0, 5.0, 5.0])
+        state = GaussianState(2, mean, cov)
+        for array in (state.mean, state.cov, state.spectrum):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7.0
+        # The caller's arrays stay its own, and writeable.
+        mean[0], cov[0, 0] = 1.0, 9.0
+        assert state.mean[0] == 0.0 and state.cov[0, 0] == 3.0
+        assert state.entries == (3.0, 3.0, 5.0, 5.0, 0.0, 0.0)
+        assert state.spectrum.tolist() == [5.0, 3.0]
+
+    def test_unphysical_replacement_is_refused(self):
+        # A cov replaced after validation by diag(0.5, 0.5), nu = 0.5 < 1,
+        # got discriminate Q_min = 0.913 and SNR 0.351 against diag(2, 0.6).
+        pair = HypothesisPair(GaussianState(1, np.zeros(2), np.diag([1.5, 1.0])),
+                              GaussianState(1, np.zeros(2), np.diag([2.0, 0.6])))
+        expected = discriminate(pair, 1.0)
+        with pytest.raises(AttributeError):
+            pair.rho_a.cov = np.diag([0.5, 0.5])
+        with pytest.raises(ValueError, match="read-only"):
+            pair.rho_a.cov[:] = np.diag([0.5, 0.5])
+        with pytest.raises(ValidationError, match="physical-state"):
+            GaussianState(1, np.zeros(2), np.diag([0.5, 0.5]))
+        assert discriminate(pair, 1.0) == expected
+
+    def test_copies_validate_again(self):
+        import copy
+        import pickle
+        state = tmsv_state(1.0)
+        for twin in (copy.copy(state), copy.deepcopy(state),
+                     pickle.loads(pickle.dumps(state))):
+            assert twin.entries == state.entries and twin.spectrum_tol == state.spectrum_tol
+            np.testing.assert_array_equal(twin.cov, state.cov)
+            assert not twin.cov.flags.writeable
+        assert repr(state).startswith("GaussianState(2, array([0., 0., 0., 0.]), array([[")
 
 
 class TestWilliamson:
