@@ -21,15 +21,8 @@ diverges as p -> 0. A pair is analysed once, so that Sigma'_s for a whole
 array of s is one matrix product of the weights with fixed parts.
 
 The infimum over s (Q_s is convex in s) takes two 64-point float64 scans
-(_infimum): one of [0, 1], then one of the bracket around its best point.
-Two parabolic vertices refine the second scan's best point: that of its
-three values around the best point, which removes the grid's error where
-float64 resolves their curvature, and that of a least-squares parabola
-through the whole scan, which averages over rounding at high noise, where
-the values near the minimum differ by a few ulps. Q is evaluated once more
-at the best point and both vertices, and the smallest is kept. A batch
-keeps that bookkeeping on arrays (_infimum), one pair on floats
-(_infimum_one), with the bits of its row.
+and two parabolic vertices (_infimum): a batch keeps that bookkeeping on
+arrays, one pair on floats (_infimum_one), with the bits of its row.
 
 One pipeline (_discriminate) serves every pair that is not coherent. A
 pair is analysed once, into Q_s over an (n, m) array of s: a float64 copy
@@ -57,7 +50,8 @@ float64 (macOS arm64, Windows) it is a float64 one. Any other pair (one
 mode, x-p correlations, unequal means) takes _PairData, in float64: the
 parts of each covariance (_mode_parts) and one batched determinant (and
 solve, for displaced pairs) per array of s. Both weigh their parts by the
-same 1/Lambda_k and prod_k (2 - em_k) (_weights).
+same 1/Lambda_k and prod_k (2 - em_k) (_weights), and both snap a nu to a
+pure mode within the rounding symplectic reports for it (_snap).
 
 Q_s that underflows to 0 is a value (q_s returns 0.0), but Q_min that does
 has lost -ln Q, and with it ln P and the SNR: the pipeline rejects it,
@@ -79,8 +73,8 @@ import numpy as np
 
 from .probes import (HypothesisPair, ProbeKind, ProbeSpec, TargetScenario,
                      _absent_entries, _probe_entries, _return_entries)
-from .symplectic import (ValidationError, _all, _closed_spectrum, _sqrt, _where,
-                         standard_form_spectrum, symplectic_form)
+from .symplectic import (_MODE_ROUNDING, ValidationError, _all, _closed_spectrum, _sqrt,
+                         _where, standard_form_spectrum, symplectic_form)
 
 LN_HALF = -math.log(2.0)
 
@@ -127,19 +121,6 @@ _SIGN = np.array([1.0, 1.0, -1.0, -1.0])[:, None]
 _OFFSET = np.array([0.0, 0.0, 1.0, 1.0])[:, None]
 _GUARD_POWERS = _GUARD[None, None, :] * _SIGN + _OFFSET
 
-# A symplectic eigenvalue within a tolerance of 1 is a pure mode, where G_p
-# and Lambda_p take their exact limit 1. Lambda_p(1 + e) - 1 grows like e^p,
-# so the rounding left in a pure mode's eigenvalue must not be passed on.
-# Inside Q_s the tolerance is _PURE_ULPS eps (max|V| + 1/det R), R being V
-# scaled to unit diagonal: the entries of V carry ~eps max|V| (from the
-# squeezers that built it), and the closed-form spectrum loses ~eps / det R
-# to cancellation. On random pure-mode covariances (squeezed ASTM channel
-# outputs with N_B = 0, two-mode squeezed vacuum modes, S D S^T with random
-# symplectic S) a pure eigenvalue's rounding stayed below 13 eps (max|V| +
-# 1/det R) in 99% of the draws and below 160 eps (max|V| + 1/det R) in all.
-_PURE_ULPS = 256
-_PURE_EPS = _PURE_ULPS * np.finfo(float).eps
-
 # Both analyses (_standard, _mode_parts) split the modes while nu_+^2 - nu_-^2
 # exceeds this many ulps of nu_+^2 in the dtype they run in: the projectors
 # then lose ~eps / gap of their size, which enters Sigma'_s with a weight
@@ -172,15 +153,12 @@ class DiscriminationResult:
     snr: float
 
 
-def _pure_tol(max_abs, det_r):
-    """How far above 1 a symplectic eigenvalue of V is still a pure mode,
-    from max|V| and det R (see _PURE_ULPS)."""
-    return _PURE_EPS * (max_abs + 1.0 / det_r)
-
-
 def _snap(nu, tol):
     """Clamp rounding below 1 and set pure modes (nu <= 1 + tol) to exactly
-    1, in an array or a scalar, keeping its type: nu ** 0 is 1 in it."""
+    1, in an array or a scalar, keeping its type: nu ** 0 is 1 in it. tol is
+    the rounding symplectic reports for nu, unfloored: Lambda_p(1 + e) - 1
+    grows like e^p, so a pure mode's rounding must not reach G_p and
+    Lambda_p, and a mixed mode's nu - 1 must."""
     return _where(nu <= 1.0 + tol, nu ** 0, nu)
 
 
@@ -279,13 +257,6 @@ def _longdouble(entries):
     return [_LD_ONE * v for v in entries]
 
 
-def _max_abs(entries):
-    """max|V| of each state, from its (6, n) or six entries."""
-    if isinstance(entries, np.ndarray):
-        return np.abs(entries).max(axis=0)
-    return max(map(abs, entries))
-
-
 def _mode_nu(x, p):
     """nu of a mode with entries x and p: sqrt(x p), exactly x where x = p;
     sqrt(x) sqrt(p) where x p overflows, which needs an np.longdouble no
@@ -318,22 +289,22 @@ def _product_parts(diagonal) -> list:
     Mode k projects on its own quadratures: its parts are p_k / nu_k in the
     x block and x_k / nu_k in the p block, on entry kk. nu_k = sqrt(x_k p_k)
     (_mode_nu) is exact for a thermal mode, whose parts are then exactly 1,
-    so that Q_s of two equal states rounds to 1. Pure modes snap by the rule
-    of _state_parts, with det R = 1.
+    so that Q_s of two equal states rounds to 1. A mode is pure within the
+    rounding symplectic reports for a product mode (_MODE_ROUNDING).
     """
     x1, p1, x2, p2 = diagonal
-    tol = _pure_tol(_max_abs(diagonal), 1.0)
     nu1, nu2 = _mode_nu(x1, p1), _mode_nu(x2, p2)
     zero = np.zeros_like(x1) if isinstance(x1, np.ndarray) else _LD_ZERO
-    return [_snap(nu1, tol), _snap(nu2, tol),
+    return [_snap(nu1, _MODE_ROUNDING), _snap(nu2, _MODE_ROUNDING),
             p1 / nu1, zero, zero, x1 / nu1, zero, zero,
             zero, zero, p2 / nu2, zero, zero, x2 / nu2]
 
 
 def _state_parts(entries, spec) -> list:
     """nu_+ and nu_- with pure modes snapped, then the parts of Sigma'_s, of
-    standard-form states: scalars of one state or (n,) columns of many.
-    Where a product state splits its modes, its parts are those of
+    standard-form states (scalars of one or (n,) columns of many) from
+    their standard_form_spectrum, whose rounding decides which modes are
+    pure. Where a product state splits its modes, its parts are those of
     _product_parts (mode k in the column of its nu) to a few ulps: K is
     then diagonal, and the projectors exact.
 
@@ -356,9 +327,7 @@ def _state_parts(entries, spec) -> list:
     if not _all(split):
         k11, k12, k21, k22, gap = (_where(split, v, one) for v, one in zip(
             (k11, k12, k21, k22, gap), (1.0, 0.0, 0.0, 1.0, 2.0)))
-    r = hi * lo  # det V = r^2, det R = det V / (ax bx ap bp)
-    tol = _pure_tol(_max_abs(entries), r * r / (ax * bx * ap * bp))
-    out = [_snap(hi, tol), _snap(lo, tol)]
+    out = [_snap(hi, spec.rounding), _snap(lo, spec.rounding)]
     half_hi, half_lo, n12, n21 = 0.5 / (gap * hi), 0.5 / (gap * lo), -k12, -k21
     for a11, a12, a21, a22, b11, b12, b22, half in (
             (k11, k12, k21, k22, ap, cp, bp, half_hi),  # K P
@@ -542,12 +511,13 @@ def _mode_parts(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nu_+- P_+- = -+V ((Omega V)^2 + nu_-+^2) / (nu_+^2 - nu_-^2),
 
     the 2-point Lagrange fit of Lambda_p(nu)/nu against -nu^2 in
-    V(p) = c0 V + c1 V (Omega V)^2. A pure mode's nu snaps to 1 (within the
-    covariance's rounding) only for G_p and Lambda_p.
+    V(p) = c0 V + c1 V (Omega V)^2. A pure mode's nu snaps to 1, within the
+    unfloored bound _closed_spectrum reports (the smallest nu's for both of
+    correlated modes), only for G_p and Lambda_p.
     """
     cov = np.asarray(cov, dtype=float)
-    spectrum, det, halves, _ = _closed_spectrum(cov)
-    nu = _snap(np.array(spectrum), _pure_tol(np.abs(cov).max(), det / np.prod(np.diag(cov))))
+    spectrum, halves, bounds = _closed_spectrum(cov)
+    nu = _snap(np.array(spectrum), np.array(sorted(bounds, reverse=True))[:, 1])
     if cov.shape == (2, 2):
         return nu, (cov / spectrum[0])[None]
     (nu_hi, nu_lo), (q_minus_x, q_plus_x) = spectrum, halves

@@ -23,7 +23,7 @@ from .probes import (
     _probe_entries,
     _return_entries,
 )
-from .symplectic import GaussianState, ValidationError, standard_form_spectrum
+from .symplectic import GaussianState, ValidationError, _cancellation, standard_form_spectrum
 
 _ZERO_CLAMP = 1e-10
 _EPS = sys.float_info.epsilon
@@ -112,8 +112,7 @@ def _standard_discord(entries, nu, tol: float) -> DiscordResult:
     # alpha, beta and gamma are products of two entries. det X det P, and
     # with it delta and nu_+-^2, cancels for a strongly correlated state.
     # A product state has no discord to round, and its det X may underflow.
-    det_ulps = 0.0 if product else _INPUT_ULPS * (
-        1.0 + (ax * bx + cx * cx) / det_x + (ap * bp + cp * cp) / det_p)
+    det_ulps = 0.0 if product else _INPUT_ULPS * _cancellation(entries, det_x, det_p)
     return _discord(ax * ap, bx * bp, cx * cp, det_x * det_p, nu, tol,
                     product, _INPUT_ULPS, det_ulps)
 

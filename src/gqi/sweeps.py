@@ -328,21 +328,26 @@ def write_table(table: SweepTable, path: str) -> None:
 
 
 def table_from_csv(stream) -> SweepTable:
-    """The rows of a CSV that write_table wrote; a CSV keeps no axis or grid."""
+    """The rows of a CSV that write_table wrote; a CSV keeps no axis or grid.
+    Any other input raises ValidationError, naming the row and the field."""
     reader = csv.reader(stream)
-    header = next(reader)
+    header = next(reader, None)
     if header != CSV_COLUMNS:
-        raise ValidationError(f"unexpected CSV header: {header}")
+        raise ValidationError("CSV row 1: no header" if header is None
+                              else f"CSV row 1: unexpected header {header}")
     rows = []
     for rec in reader:
-        values = dict(zip(CSV_COLUMNS, rec))
-        kind = values.pop("kind")
-        discord = values.pop("discord")
-        rows.append(SweepRow(
-            kind=kind,
-            discord=None if discord == "" else float(discord),
-            **{k: float(v) for k, v in values.items()},
-        ))
+        where = f"CSV row {reader.line_num}"
+        if len(rec) != len(CSV_COLUMNS):
+            raise ValidationError(f"{where}: {len(rec)} fields, expected {len(CSV_COLUMNS)}")
+        row = {}
+        for name, cell in zip(CSV_COLUMNS, rec):
+            try:
+                row[name] = (cell if name == "kind" else
+                             None if name == "discord" and cell == "" else float(cell))
+            except ValueError:
+                raise ValidationError(f"{where}, field {name}: {cell!r} is not a number") from None
+        rows.append(SweepRow(**row))
     return SweepTable(axis="", grid=[], rows=rows)
 
 

@@ -4,6 +4,10 @@ Convention (single source of truth for the whole package):
     x = a + a†,  p = -i(a - a†),  ordering (x1, p1, x2, p2, ...).
 The vacuum covariance is the identity and a thermal state with mean photon
 number N has covariance (2N+1) I_2.
+
+Each spectrum routine reports the rounding of the nu it returns. Validation
+floors it at EIGENVALUE_CLAMP_TOL; the Chernoff core takes a nu within it of
+1, unfloored, as a pure mode.
 """
 
 import math
@@ -17,7 +21,7 @@ SYMMETRY_RTOL = 1e-12
 
 # A covariance is rejected only if its smallest symplectic eigenvalue falls
 # short of 1 by more than the error of the closed form that computed it
-# (_allowed_shortfall): ~eps max|V| for a thermal mode (diag(2e8, 2e8, 0.9,
+# (_spectrum_error): ~eps max|V| for a thermal mode (diag(2e8, 2e8, 0.9,
 # 0.9) is rejected), ~eps max|V|^2 for a strongly squeezed one. Against 80
 # digits, _two_mode's nu_- stayed within 1.8 eps tr V (k_+ + k_-) of the
 # exact one on 3000 phase-turned and 3000 beam-split lossy ASTM returns,
@@ -28,6 +32,17 @@ SYMMETRY_RTOL = 1e-12
 _SPECTRUM_ULPS = 8
 _EPS = float(np.finfo(float).eps)  # a float: no numpy warning on overflow
 _TINY = float(np.finfo(float).tiny)
+
+# nu_+- from six standard-form entries are off by ~eps _cancellation
+# relative: the entries' own rounding, carried through det X det P, which a
+# local squeezer scales alike in each ratio's terms. On 20000 log-uniform
+# draws of rho_A and pure probes (n0, n1, n2 in [1e-6, 1e8], kappa in
+# [1e-4, 0.99], N_B in [1e-12, 1e8], N_B = 0 or n0 = 0 in 25%), the 17909
+# correlated states kept nu_- within 1.05 eps _cancellation of 200 digits,
+# in float64 and np.longdouble: a margin of ~245. A product mode, sqrt(x p),
+# has 1 + 1 + 1, and a pure one stayed within 1.0 eps of 1.
+_ROUNDING_ULPS = 256
+_MODE_ROUNDING = _ROUNDING_ULPS * _EPS * 3.0
 
 
 class ValidationError(ValueError):
@@ -61,16 +76,17 @@ def _check_covariance(cov: np.ndarray) -> np.ndarray:
 
 
 def _closed_spectrum(cov: np.ndarray) -> tuple:
-    """(nu descending, det V, halves (_two_mode), bounds) of a one- or two-mode
-    covariance. bounds pairs each value held to a bound with the shortfall
-    below 1 allowed it. Raises ValidationError where the covariance is not
-    positive definite or float64 resolves no spectrum."""
+    """(nu descending, halves (_two_mode), bounds) of a one- or two-mode
+    covariance. bounds pairs each value held to a bound (the smallest of
+    correlated modes, else each mode) with its _spectrum_error. Raises
+    ValidationError where it is not positive definite or float64 resolves
+    no spectrum."""
     v = cov.tolist()
     if len(v) == 4:
         return _two_mode(v)
     (x, c), (c2, p) = v
-    nu, det, tol = _one_mode(x, c, c2, p)
-    return (nu,), det, (), [(nu, tol)]
+    bound = _one_mode(x, c, c2, p)
+    return (bound[0],), (), [bound]
 
 
 def _require_positive(minor: float, rounding: float = 0.0) -> None:
@@ -83,8 +99,8 @@ def _require_positive(minor: float, rounding: float = 0.0) -> None:
                               if minor <= -rounding else _WIDE_RANGE)
 
 
-def _one_mode(x: float, c: float, c2: float, p: float) -> tuple[float, float, float]:
-    """(nu, det V, shortfall allowed nu) of the one-mode covariance [[x, c], [c2, p]].
+def _one_mode(x: float, c: float, c2: float, p: float) -> tuple[float, float]:
+    """(nu, the error bound of nu) of the one-mode covariance [[x, c], [c2, p]].
 
     det V = x s, with s = p - c c2 / x the second leading minor over the
     first; nu = sqrt(x) sqrt(s) where det V is out of range. nu is off by
@@ -95,7 +111,7 @@ def _one_mode(x: float, c: float, c2: float, p: float) -> tuple[float, float, fl
     _require_positive(s, 2.0 * _EPS * (abs(p) + abs(c * (c2 / x))))
     det = x * s
     nu = math.sqrt(det) if _TINY <= det < math.inf else math.sqrt(x) * math.sqrt(s)
-    return nu, det, _allowed_shortfall(max(x, p, abs(c)), (x + p) / (2.0 * nu))
+    return nu, _spectrum_error(max(x, p, abs(c)), (x + p) / (2.0 * nu))
 
 
 def _two_mode(v: list) -> tuple:
@@ -155,15 +171,15 @@ def _two_mode(v: list) -> tuple:
         inv_trace = max(0.0, (a + f) / det_a + (s00 + s11) / det_s
                         + (s11 * g00 + s00 * g11 - (s01 + s10) * g01) / (det_s * det_a**2))
         trace = a + f + k + p
-        bounds = [(nu[1], _allowed_shortfall(
+        bounds = [(nu[1], _spectrum_error(
             trace, (trace + nu[0] * nu[1] * inv_trace) / (2.0 * (nu[0] + nu[1]))))]
     else:
-        bounds = [_one_mode(a, b, e, f)[::2], _one_mode(k, l, o, p)[::2]]
-    return tuple(nu), det, (small, big) if x >= 0.0 else (big, small), bounds
+        bounds = [_one_mode(a, b, e, f), _one_mode(k, l, o, p)]
+    return tuple(nu), (small, big) if x >= 0.0 else (big, small), bounds
 
 
-def _allowed_shortfall(scale: float, condition: float) -> float:
-    """max(EIGENVALUE_CLAMP_TOL, _SPECTRUM_ULPS eps scale condition).
+def _spectrum_error(scale: float, condition: float) -> float:
+    """_SPECTRUM_ULPS eps scale condition, the error of a closed-form nu.
 
     eps scale is the rounding a closed-form spectrum starts from (max|V|,
     or tr V for two modes, _two_mode) and condition how far the formula
@@ -175,7 +191,12 @@ def _allowed_shortfall(scale: float, condition: float) -> float:
     bound = _SPECTRUM_ULPS * _EPS * scale * condition
     if not bound < math.inf:  # inf or NaN
         raise ValidationError(_WIDE_RANGE)
-    return max(EIGENVALUE_CLAMP_TOL, bound)
+    return bound
+
+
+def _allowed_shortfall(scale: float, condition: float) -> float:
+    """The shortfall below 1 validation allows: _spectrum_error, >= 1e-9."""
+    return max(EIGENVALUE_CLAMP_TOL, _spectrum_error(scale, condition))
 
 
 _WIDE_RANGE = "covariance entries span too wide a range"
@@ -197,11 +218,12 @@ class StandardSpectrum(NamedTuple):
     With X and P the 2x2 x and p blocks, nu_+-^2 are the eigenvalues of PX.
     """
 
-    nu: np.ndarray   # (2, n): nu_+ and nu_-
-    gap: np.ndarray  # nu_+^2 - nu_-^2
-    k: np.ndarray    # (4, n): PX - nu_-^2, entries 11, 12, 21, 22
-    errors: list     # None, or why the covariance is not a physical state
-    tol: np.ndarray  # the shortfall below 1 that nu_- was allowed
+    nu: np.ndarray        # (2, n): nu_+ and nu_-
+    gap: np.ndarray       # nu_+^2 - nu_-^2
+    k: np.ndarray         # (4, n): PX - nu_-^2, entries 11, 12, 21, 22
+    errors: list          # None, or why the covariance is not a physical state
+    tol: np.ndarray       # the shortfall below 1 that validation allowed nu_-, >= 1e-9
+    rounding: np.ndarray  # of nu_+-, relative, unfloored: what the Chernoff core snaps by
 
 
 # Standard-form positions in a flattened 4x4 covariance: the six entries
@@ -279,10 +301,11 @@ def standard_form_spectrum(entries) -> StandardSpectrum:
             bad = ~((np.minimum(np.minimum(ax, ap), np.minimum(det_x, det_p)) > 0.0)
                     & (nu[1] >= 1.0 - EIGENVALUE_CLAMP_TOL) & np.isfinite(det_x * det_p))
             errors, tol = [None] * nu.shape[1], np.full(nu.shape[1], EIGENVALUE_CLAMP_TOL)
+            rounding = _ROUNDING_ULPS * _EPS * _cancellation(entries, det_x, det_p)
             for i in np.flatnonzero(bad):
-                nu[:, i], gap[i], k[:, i], (errors[i],), tol[i] = standard_form_spectrum(
-                    tuple(entries[:, i]))
-        return StandardSpectrum(nu, gap, k, errors, tol)
+                nu[:, i], gap[i], k[:, i], (errors[i],), tol[i], rounding[i] = (
+                    standard_form_spectrum(tuple(entries[:, i])))
+        return StandardSpectrum(nu, gap, k, errors, tol, rounding)
     det_x, det_p = ax * bx - cx * cx, ap * bp - cp * cp
     error = _definiteness(entries, det_x, det_p)
     if not error:
@@ -296,8 +319,17 @@ def standard_form_spectrum(entries) -> StandardSpectrum:
         except ValidationError as exc:  # no finite bound on the shortfall
             error = str(exc)
         else:
-            return StandardSpectrum(nu, gap, k, [error], tol)
-    return StandardSpectrum((math.nan,) * 2, math.nan, (math.nan,) * 4, [error], math.nan)
+            rounding = _MODE_ROUNDING if not (cx or cp) else (  # det X may underflow
+                _ROUNDING_ULPS * _EPS * _cancellation(entries, det_x, det_p))
+            return StandardSpectrum(nu, gap, k, [error], tol, rounding)
+    return StandardSpectrum((math.nan,) * 2, math.nan, (math.nan,) * 4, [error], math.nan, math.nan)
+
+
+def _cancellation(entries, det_x, det_p):
+    """1 + (x1x1 x2x2 + x1x2^2) / det X + (p1p1 p2p2 + p1p2^2) / det P, the
+    growth of the entries' rounding in det X det P (see _ROUNDING_ULPS)."""
+    ax, ap, bx, bp, cx, cp = entries
+    return 1.0 + (ax * bx + cx * cx) / det_x + (ap * bp + cp * cp) / det_p
 
 
 def _spectrum(entries, det_x, det_p) -> tuple:
@@ -455,12 +487,12 @@ class GaussianState:
             raise ValidationError(f"cov must be {dim} x {dim}, got {cov.shape}")
         entries = _standard_entries(cov) if n_modes == 2 else None
         if entries is None:
-            nu, _, _, bounds = _closed_spectrum(_check_covariance(cov))
+            nu, _, bounds = _closed_spectrum(_check_covariance(cov))
             bounds.sort()  # smallest nu first
-            for rank, (value, tol) in enumerate(bounds):
-                if value < 1.0 - tol:
+            for rank, (value, bound) in enumerate(bounds):
+                if value < 1.0 - max(EIGENVALUE_CLAMP_TOL, bound):
                     raise ValidationError(_unphysical(value, smallest=rank == 0))
-            tol = bounds[0][1]
+            tol = max(EIGENVALUE_CLAMP_TOL, bounds[0][1])
         else:
             spec = standard_form_spectrum(entries)
             if spec.errors[0]:

@@ -30,6 +30,7 @@ from gqi.chernoff import discriminate, discriminate_many
 from gqi.probes import (HypothesisPair, _absent_entries, _probe_entries, _return_entries,
                         tmsv_state)
 from gqi.chernoff import _PairData
+from gqi.symplectic import _MODE_ROUNDING, _ROUNDING_ULPS
 from oracles import (SymplecticMatrix, apply_symplectic, g_func, lambda_func, v_of_p,
                      williamson)
 
@@ -45,18 +46,23 @@ def general_infimum(pair: HypothesisPair) -> tuple[float, float]:
     return result.s_star, result.q_min
 
 
-def pure_tol(cov: np.ndarray) -> float:
-    """The bound within which gqi takes a symplectic eigenvalue as exactly 1."""
-    scale = np.sqrt(np.diag(cov))
-    det_r = np.linalg.det(cov / np.outer(scale, scale))
-    return 256 * EPS * (np.abs(cov).max() + 1.0 / det_r)
+def pure_modes(n0: float, n1: float, nb: float) -> tuple[int, int]:
+    """How many modes of rho_A and of rho_B of a built ASTM pair its
+    parameters make pure. rho_A is pure in its smaller mode exactly where
+    D = (nu_+^2 - 1)(nu_-^2 - 1) = 16 N_B n0 (n0 + 1) (N_B + 1 - kappa) is
+    0, and in its return mode too where n0 = N_B = n1 = 0 (vacuum in,
+    vacuum out); rho_B's return mode is pure at N_B = 0, its idler at n0 = 0."""
+    return (int(nb == 0.0 or n0 == 0.0) + int(n0 == nb == n1 == 0.0),
+            int(nb == 0.0) + int(n0 == 0.0))
 
 
-def williamson_q_s(pair: HypothesisPair, s: float, snap: bool = True) -> float:
+def williamson_q_s(pair: HypothesisPair, s: float, pure: tuple = (0, 0)) -> float:
     """Q_s from the Williamson form of both covariances at one s (oracle).
 
-    With snap, eigenvalues within pure_tol of 1 are set to 1 as in gqi;
-    without it only g_func/lambda_func's own 1e-14 applies. Sigma_s is
+    The pure[k] smallest eigenvalues of state k (rho_A, rho_B) are set to
+    exactly 1: the modes the parameters make pure (pure_modes), whatever
+    their rounding. The others keep their nu - 1, however small, but for
+    g_func/lambda_func's own 1e-14. Sigma_s is
     factored as V_A(s) (V_A(s)^-1 + V_B(1-s)^-1) V_B(1-s), with
     V(p)^-1 = (Omega S) Lambda_p^-1 (Omega S)^T: at the ends of [0, 1] a
     Lambda_p ~ 1e12 next to a pure mode's 1 costs the sum V_A + V_B
@@ -65,11 +71,10 @@ def williamson_q_s(pair: HypothesisPair, s: float, snap: bool = True) -> float:
     s = min(max(s, 1e-12), 1.0 - 1e-12)
     value, dual, inverses = 2.0 ** pair.n_modes, 0.0, []
     omega = symplectic_form(pair.n_modes)
-    for state, p in ((pair.rho_a, s), (pair.rho_b, 1.0 - s)):
+    for state, p, k in ((pair.rho_a, s, pure[0]), (pair.rho_b, 1.0 - s, pure[1])):
         dec = williamson(state.cov)
-        nu = dec.spectrum
-        if snap:
-            nu = np.where(nu <= 1.0 + pure_tol(state.cov), 1.0, nu)
+        nu = dec.spectrum.copy()  # descending
+        nu[nu.size - k:] = 1.0
         lam = np.array([lambda_func(p, x) for x in nu])
         value *= np.prod([g_func(p, x) for x in nu] / lam)
         w = omega @ dec.s_matrix.entries
@@ -269,7 +274,7 @@ class TestAgainstWilliamsonForm:
         nb = n0 if noise == "degenerate" else noise
         pair = make_hypotheses(ProbeSpec(kind=ProbeKind.ASTM, n0=n0, n1=n1, n2=n2),
                                TargetScenario(kappa, nb))
-        expected = williamson_q_s(pair, s)
+        expected = williamson_q_s(pair, s, pure_modes(n0, n1, nb))
         if 1.0 - expected > 1e-6:
             covs = (pair.rho_a.cov, pair.rho_b.cov)
             rel = 1e-9
@@ -289,7 +294,7 @@ class TestAgainstWilliamsonForm:
         pair = make_hypotheses(probe, TargetScenario(0.03, nb))
         pure = make_hypotheses(probe, TargetScenario(0.03, 0.0))
         for s in (0.2, 0.8):
-            expected = williamson_q_s(pair, s, snap=False)
+            expected = williamson_q_s(pair, s)
             bound = 1e-4 * (1.0 - expected)
             assert abs(q_s(pair, s) - expected) <= bound
             assert abs(q_s(pure, s) - expected) > 10 * bound
@@ -659,14 +664,11 @@ class TestSnrPipeline:
         ]
         assert values[1] == pytest.approx(values[0], rel=1e-9)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "_standard snaps a mode to pure within 256 eps (max|V| + 1/det R); a "
-        "1e6-photon idler squeezer makes max|V| ~ 1e7 and snaps the mixed "
-        "return mode (ROADMAP item 7)"))
     def test_strong_idler_squeezing_at_low_noise(self):
         # The 50-digit reference (perfbench/reference.py) gives
-        # 282.344474187836 here, as does n2 = 0; the core returns 284.926
-        # with s* = 0.967, 0.9% off and with no error.
+        # 282.344474187836 here, as does n2 = 0. A pure-mode tolerance that
+        # grew with max|V| ~ 1e7 snapped the mixed return mode and read
+        # 284.926 at s* = 0.967, 0.9% off and with no error.
         result = snr(ProbeSpec(kind=ProbeKind.ASTM, n0=1.0, n1=1.0, n2=1e6),
                      TargetScenario(0.1, 1e-7, 1e3))
         assert result.snr == pytest.approx(282.344474187836, rel=1e-9)
@@ -875,6 +877,7 @@ class TestDiscriminateMany:
     # the bound of TestAgainstWilliamsonForm: the batched Q_min is
     # evaluated in np.longdouble, so the general path's own rounding sets it.
     @given(points=st.lists(point, min_size=1, max_size=8))
+    @example(points=[(0.0, 1e-12, 6.0, 0.5, 0.0, False)])  # a nearly pure return mode
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_matches_general_path(self, points):
         probes, scenarios = [], []
@@ -895,6 +898,28 @@ class TestDiscriminateMany:
             assert result.log_error_prob <= math.log(0.5)
             assert log_p_from_snr(result.snr) == pytest.approx(
                 result.log_error_prob, rel=1e-9, abs=1e-12)
+
+    def test_nearly_pure_return_mode_against_mpmath(self):
+        # n0 = 0, n1 = 1e-12, N_B = 0: rho_A's return mode is mixed, with
+        # nu - 1 = 5.0e-13, and rho_B's is the vacuum; the idler is pure and
+        # the same in both, so Q_s = 2 G_s(nu) / sqrt(det(Lambda_s V / nu + I))
+        # of the return mode V alone, whose float64 entries are taken as
+        # exact. 1 - Q = 3.75e-13 at s = 1 - 1e-12. A tolerance that took the
+        # mode as pure read 1.25e-13 at s = 1e-12 on both analyses.
+        mpmath = pytest.importorskip("mpmath")
+        probe = ProbeSpec(kind=ProbeKind.ASTM, n0=0.0, n1=1e-12, n2=6.0)
+        scenario = TargetScenario(0.5, 0.0, 1e6)
+        result = snr(probe, scenario)
+        with mpmath.workdps(60):
+            x, p = map(mpmath.mpf, _return_entries(_probe_entries(0.0, 1e-12, 6.0), 0.5, 0.0)[:2])
+            nu, s = mpmath.sqrt(x * p), mpmath.mpf(result.s_star)
+            up, down = (nu + 1) ** s, (nu - 1) ** s
+            lam = (up + down) / (up - down)
+            expected = float(2 * 2**s / (up - down)
+                             / mpmath.sqrt((lam * x / nu + 1) * (lam * p / nu + 1)))
+        assert result.s_star == 1.0 - 1e-12
+        for q_min in (result.q_min, general_infimum(make_hypotheses(probe, scenario))[1]):
+            assert abs(q_min - expected) <= 1e-9 * (1.0 - expected) + 32 * EPS
 
     def test_bad_point_does_not_fail_the_batch(self):
         probes = [ProbeSpec(kind=ProbeKind.ASTM, n0=1.0, n1=0.5),
@@ -1173,3 +1198,61 @@ class TestSnap:
         assert type(chernoff._snap(np.longdouble(3.0), tol)) is np.longdouble
         nu = chernoff._snap(np.array([1.0 + 1e-15, 3.0]), 1e-13)
         assert nu.dtype == np.float64 and nu.tolist() == [1.0, 3.0]
+
+    def test_agrees_with_the_parameters_about_purity(self):
+        # rho_A of a built pair is pure in its smaller mode exactly where
+        # D = (nu_+^2 - 1)(nu_-^2 - 1) = 16 N_B n0 (n0 + 1)(N_B + 1 - kappa)
+        # is 0 (N_B = 0 or n0 = 0), rho_B's return mode where N_B = 0 and
+        # its idler where n0 = 0. Every such mode snaps to exactly 1, and no
+        # mode snaps whose nu - 1, to 60 digits from the parameters (nu_-^2
+        # - 1 the smaller root of t^2 - (Delta - 2) t + D), exceeds the
+        # tolerance it was snapped by. A correlated rho_A's nu_- is off by
+        # at most 2 eps times the cancellation model, and is snapped within
+        # _ROUNDING_ULPS eps times it: the model from the parameters, in
+        # which the idler squeezer cancels, however large max|V| grows.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(25)
+        n = 2000
+        n0, n1, n2 = 10.0 ** rng.uniform(-6.0, 8.0, (3, n))
+        kappa = 10.0 ** rng.uniform(-4.0, math.log10(0.99), n)
+        nb = 10.0 ** rng.uniform(-12.0, 8.0, n)
+        n0[rng.uniform(size=n) < 0.1] = 0.0
+        n1[rng.uniform(size=n) < 0.05] = 0.0
+        nb[rng.uniform(size=n) < 0.15] = 0.0
+        probe = _probe_entries(n0, n1, n2)
+        ent_a = chernoff._longdouble(np.array(_return_entries(probe, kappa, nb)))
+        spec = chernoff.standard_form_spectrum(ent_a)
+        nu_lo = np.minimum(*chernoff._parts(ent_a, spec)[:2])
+        product = (ent_a[4] == 0.0) & (ent_a[5] == 0.0)
+        tol_a = np.where(product, _MODE_ROUNDING, spec.rounding).astype(float)
+        ent_b = chernoff._longdouble(np.array(_absent_entries(probe, nb)[:4]))
+        nu_b = chernoff._product_parts(ent_b)[:2]
+        accepted = [i for i, error in enumerate(spec.errors) if not error]
+        assert len(accepted) > 0.9 * n
+        with mpmath.workdps(60):
+            for i in accepted:
+                n0_, n1_, kappa_, nb_ = (mpmath.mpf(v[i]) for v in (n0, n1, kappa, nb))
+                a, c2 = 2 * n0_ + 1, 4 * kappa_ * n0_ * (n0_ + 1)  # c2: kappa c^2
+                gain = (mpmath.sqrt(n1_ + 1) + mpmath.sqrt(n1_)) ** 2
+                noise = 2 * nb_ + 1 - kappa_
+                ax, ap = kappa_ * a / gain + noise, kappa_ * a * gain + noise
+                # det A + det B + 2 det C, and det X, det P without the idler
+                # squeezer, which scales them and their terms alike
+                t = ax * ap + a * a - 2 * c2 - 2
+                d = 16 * nb_ * n0_ * (n0_ + 1) * (nb_ + 1 - kappa_)
+                lo2 = 2 * d / (t + mpmath.sqrt(max(t * t - 4 * d, 0))) if d else 0  # nu_-^2 - 1
+                excess = mpmath.sqrt(1 + lo2) - 1
+                for pure, nu, tol, exact in ((d == 0, nu_lo[i], tol_a[i], excess),
+                                             (nb[i] == 0.0, nu_b[0][i], _MODE_ROUNDING, 2 * nb_),
+                                             (n0[i] == 0.0, nu_b[1][i], _MODE_ROUNDING, 2 * n0_)):
+                    if pure:
+                        assert nu == 1.0, (i, n0[i], n1[i], n2[i], kappa[i], nb[i])
+                    if nu == 1.0:
+                        assert exact <= tol, (i, n0[i], n1[i], n2[i], kappa[i], nb[i])
+                if not product[i]:
+                    x, p = ax * a, ap * a
+                    model = (1 + (x + c2 / gain) / (x - c2 / gain)
+                             + (p + c2 * gain) / (p - c2 * gain))
+                    raw = mpmath.mpf(np.format_float_scientific(spec.nu[1, i], unique=True))
+                    assert abs(raw - 1 - excess) <= 2 * EPS * model * (1 + excess), i
+                    assert tol_a[i] <= _ROUNDING_ULPS * EPS * model * (1 + 8 * EPS * model), i

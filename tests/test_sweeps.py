@@ -276,6 +276,27 @@ class TestCsvRoundTrip:
         with pytest.raises(ValidationError):
             table_from_csv(io.StringIO("a,b,c\n1,2,3\n"))
 
+    def test_rejects_empty_stream(self):
+        # An empty stream raised StopIteration.
+        with pytest.raises(ValidationError, match="CSV row 1: no header"):
+            table_from_csv(io.StringIO(""))
+
+    def test_rejects_short_row(self):
+        # A row with too few cells raised KeyError: 'kind'.
+        text = ",".join(CSV_COLUMNS) + "\n1,2,3\n"
+        with pytest.raises(ValidationError, match="CSV row 2: 3 fields, expected 14"):
+            table_from_csv(io.StringIO(text))
+
+    def test_rejects_non_numeric_cell(self):
+        # A cell that is not a number raised ValueError.
+        table = sweep("ns", [1.0, 2.0], ProbeSpec(kind=ProbeKind.ASTM, n0=1.0), MICROWAVE)
+        lines = table_to_string(table).splitlines()
+        cells = lines[2].split(",")
+        cells[CSV_COLUMNS.index("q_min")] = "abc"
+        lines[2] = ",".join(cells)
+        with pytest.raises(ValidationError, match="CSV row 3, field q_min: 'abc' is not a number"):
+            table_from_csv(io.StringIO("\n".join(lines) + "\n"))
+
 
 class TestCsvWriter:
     def test_matches_csv_writer(self):

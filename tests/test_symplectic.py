@@ -561,7 +561,8 @@ class TestClosedFormSpectrum:
         cov = rotation(0.7) @ np.diag([1.0 / g, g]) @ rotation(0.7).T
         cov = 0.5 * (cov + cov.T)
         nu = symplectic_eigenvalues(cov)[0]
-        tol = _closed_spectrum(cov * ((1.0 - 2.0 * EIGENVALUE_CLAMP_TOL) / nu))[3][0][1]
+        tol = max(EIGENVALUE_CLAMP_TOL, _closed_spectrum(
+            cov * ((1.0 - 2.0 * EIGENVALUE_CLAMP_TOL) / nu))[2][0][1])
         scaled = cov * ((1.0 - m * tol) / nu)
         exact = exact_spectrum(scaled)[0]
         bound = _allowed_shortfall(np.abs(scaled).max(), np.trace(scaled) / (2.0 * exact))
@@ -582,7 +583,8 @@ class TestClosedFormSpectrum:
                                                 n2=n2)).cov @ split.T
             cov = 0.5 * (cov + cov.T)
             nu_lo = symplectic_eigenvalues(cov)[1]
-            tol = _closed_spectrum(cov * ((1.0 - 2.0 * EIGENVALUE_CLAMP_TOL) / nu_lo))[3][0][1]
+            tol = max(EIGENVALUE_CLAMP_TOL, _closed_spectrum(
+                cov * ((1.0 - 2.0 * EIGENVALUE_CLAMP_TOL) / nu_lo))[2][0][1])
             for m in (0.5, 2.0):
                 scaled = cov * ((1.0 - m * tol) / nu_lo)
                 accepted = TestValidationRoute.accepts(
