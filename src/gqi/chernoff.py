@@ -72,7 +72,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .probes import (HypothesisPair, ProbeKind, ProbeSpec, TargetScenario,
-                     _absent_entries, _probe_entries, _return_entries)
+                     _absent_entries, _admit, _probe_entries, _return_entries)
 from .symplectic import (_MODE_ROUNDING, ValidationError, _all, _closed_spectrum, _sqrt,
                          _where, standard_form_spectrum, symplectic_form)
 
@@ -556,8 +556,6 @@ class _PairData:
     dtype = np.dtype(float)
 
     def __init__(self, pair: HypothesisPair):
-        if pair.rho_a.n_modes != pair.rho_b.n_modes:
-            raise ValidationError("hypothesis pair has mismatched mode counts")
         nu_a, parts_a = _mode_parts(pair.rho_a.cov)
         nu_b, parts_b = _mode_parts(pair.rho_b.cov)
         nu = np.concatenate([nu_a, nu_b])
@@ -608,7 +606,7 @@ def _route(pair: HypothesisPair, closed_form: bool = True) -> tuple:
     means, a _PairData of any other. Callers silence numpy's floating-point
     warnings."""
     a, b = pair.rho_a, pair.rho_b
-    if (closed_form and a.n_modes == b.n_modes == 1 and np.array_equal(a.cov, b.cov)
+    if (closed_form and a.n_modes == 1 and np.array_equal(a.cov, b.cov)
             and a.cov[0, 1] == a.cov[1, 0] == 0.0 and a.cov[0, 0] == a.cov[1, 1]):
         d = a.mean - b.mean
         return _coherent, (0.25 * float(d @ d), max(0.5 * float(a.cov[0, 0] - 1.0), 0.0))
@@ -641,17 +639,11 @@ def chernoff_infimum(pair: HypothesisPair) -> tuple[float, float]:
     return result.s_star, result.q_min
 
 
-def _check_ensembles(ensembles: float) -> None:
-    if not 0.0 < ensembles < math.inf:
-        raise ValidationError(f"ensembles must be > 0 and finite, got {ensembles}")
-
-
 def log_error_prob(q_min: float, ensembles: float) -> float:
     """ln of the M-copy Chernoff bound, (1/2) q_min^M, computed stably."""
     if not 0.0 < q_min <= 1.0:
         raise ValidationError(f"q_min must lie in (0, 1], got {q_min}")
-    _check_ensembles(ensembles)
-    return LN_HALF - ensembles * float(_exponent(np.float64(q_min)))
+    return LN_HALF - _admit("ensembles", ensembles) * float(_exponent(np.float64(q_min)))
 
 
 def snr_from_log_p(log_p: float) -> float:
@@ -785,15 +777,15 @@ def discriminate(pair: HypothesisPair, ensembles: float) -> DiscriminationResult
     discriminate(make_hypotheses(p, sc), M) equals snr(p, sc); a coherent
     pair its closed form, and any other pair its general analysis.
     """
-    _check_ensembles(ensembles)
+    ensembles = _admit("ensembles", ensembles)
     with np.errstate(all="ignore"):
         core, args = _route(pair)
-        return _one(core(*args, float(ensembles))[0])
+        return _one(core(*args, ensembles)[0])
 
 
 def snr(probe: ProbeSpec, scenario: TargetScenario) -> DiscriminationResult:
     """Full pipeline for one point: hypotheses -> Chernoff infimum -> log P -> SNR,
     on the point's floats, with the bits of its row in any batch."""
     p, s = probe, scenario
-    return _one(_discriminate_params(p.kind is ProbeKind.COHERENT, *map(float, (
-        p.n0, p.n1, p.n2, p.ns, s.kappa, s.nb, s.ensembles)))[0])
+    return _one(_discriminate_params(p.kind is ProbeKind.COHERENT, p.n0, p.n1, p.n2,
+                                     p.ns, s.kappa, s.nb, s.ensembles)[0])

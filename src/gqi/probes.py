@@ -6,6 +6,7 @@ receiver sees noise energy N_B regardless of kappa.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,16 +21,6 @@ class ProbeKind(str, Enum):
     COHERENT = "coherent"
 
 
-def _check_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value}")
-
-
-# The values lo <= v < hi that each swept field admits. ProbeSpec and
-# TargetScenario raise outside them; a sweep checks a grid against them.
-_ADMITTED = {**dict.fromkeys(("n0", "n1", "n2", "ns", "nb"), (0.0, math.inf)),
-             "kappa": (0.0, 1.0)}
-
 # The probe fields, what each is, and the ones each kind reads. ProbeSpec
 # raises on a nonzero field its kind does not read, naming what the field is
 # and the kinds that read it; a sweep over it reports each nonzero value.
@@ -37,12 +28,33 @@ _FIELDS = {"n0": "TMSV photons n0", "n1": "squeezers n1, n2",
            "n2": "squeezers n1, n2", "ns": "coherent photons ns"}
 _READS = {ProbeKind.TMSV: ("n0",), ProbeKind.ASTM: ("n0", "n1", "n2"),
           ProbeKind.COHERENT: ("ns",)}
+_KINDS = {k.value: k for k in ProbeKind}
+
+# The values lo <= v < hi that each parameter admits, and the rule's text.
+# The classes, and each function that takes M alone, admit a value by it
+# (_admit); a sweep checks a grid against it.
+_ADMITTED = {**{n: (0.0, math.inf, f"probe parameter {n} must be >= 0") for n in _FIELDS},
+             "kappa": (0.0, 1.0, "kappa must lie in [0, 1)"),
+             "nb": (0.0, math.inf, "nb must be >= 0"),
+             # M > 0: the least float above 0 is the least M admitted.
+             "ensembles": (math.ulp(0.0), math.inf, "ensembles must be > 0")}
 
 
-def _admits(name: str, values: np.ndarray) -> np.ndarray:
-    """Where the named field admits values (the classes compare one value inline)."""
-    lo, hi = _ADMITTED[name]
-    return (lo <= values) & (values < hi)
+def _admit(name: str, value) -> float:
+    """value as a Python float, if it is a real number the named parameter
+    admits; else ValidationError. An admitted float passes with one comparison."""
+    if value.__class__ is not float:
+        if not isinstance(value, numbers.Real):
+            raise ValidationError(f"{name} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond float range
+            value = math.inf if value > 0 else -math.inf
+    lo, hi, rule = _ADMITTED[name]
+    if lo <= value < hi:
+        return value
+    raise ValidationError(f"{rule}, got {value}" if math.isfinite(value)
+                          else f"{name} must be finite, got {value}")
 
 
 def _energy(n0, n):
@@ -50,7 +62,12 @@ def _energy(n0, n):
     return n0 + 2.0 * n0 * n + n
 
 
-@dataclass
+# ProbeSpec, TargetScenario and HypothesisPair are checked once and frozen,
+# and the numbers of the first two are Python floats, so nothing inward
+# checks them again.
+# Both write their __init__, since a frozen dataclass's would double their
+# cost; TargetScenario's three checks are written out, since a loop adds half.
+@dataclass(frozen=True, init=False)
 class ProbeSpec:
     """Declarative probe description by photon-number parameters.
 
@@ -61,32 +78,24 @@ class ProbeSpec:
     not 0: a TMSV probe with n1 = 1 is an ASTM probe under the wrong label.
     """
 
-    kind: ProbeKind = ProbeKind.TMSV
-    n0: float = 0.0
-    n1: float = 0.0
-    n2: float = 0.0
-    ns: float = 0.0
+    kind: ProbeKind
+    n0: float
+    n1: float
+    n2: float
+    ns: float
 
-    def __post_init__(self):
-        try:
-            self.kind = ProbeKind(self.kind)
-        except ValueError:
-            raise ValidationError(
-                f"probe kind must be one of {[k.value for k in ProbeKind]}, "
-                f"got {self.kind!r}") from None
-        for name in _FIELDS:
-            value = getattr(self, name)
-            lo, hi = _ADMITTED[name]
-            if not lo <= value < hi:
-                _check_finite(name, value)
-                raise ValidationError(
-                    f"probe parameter {name} must be >= 0, got {value}"
-                )
-        for name in _FIELDS:
-            if getattr(self, name) and name not in _READS[self.kind]:
-                kind = self.kind.value
+    def __init__(self, kind=ProbeKind.TMSV, n0=0.0, n1=0.0, n2=0.0, ns=0.0):
+        if kind.__class__ is not ProbeKind:
+            if not isinstance(kind, str) or kind not in _KINDS:
+                raise ValidationError(f"probe kind must be one of {list(_KINDS)}, got {kind!r}")
+            kind = _KINDS[kind]
+        fields = self.__dict__
+        fields["kind"] = kind
+        for name, value in zip(_FIELDS, (n0, n1, n2, ns)):
+            fields[name] = value = _admit(name, value)
+            if value and name not in _READS[kind]:
                 readers = " or ".join(k.value for k in ProbeKind if name in _READS[k])
-                raise ValidationError(f"{'an' if kind == 'astm' else 'a'} {kind} probe "
+                raise ValidationError(f"{'an' if kind == 'astm' else 'a'} {kind.value} probe "
                                       f"has no {_FIELDS[name]}: use kind {readers}")
 
     @property
@@ -103,32 +112,33 @@ class ProbeSpec:
         return _energy(self.n0, self.n2)
 
 
-@dataclass
+@dataclass(frozen=True, init=False)
 class TargetScenario:
     """Target reflectivity, receiver noise energy, and copy count."""
 
     kappa: float
     nb: float
-    ensembles: float = 1.0
+    ensembles: float
 
-    def __post_init__(self):
-        for name in ("kappa", "nb", "ensembles"):
-            _check_finite(name, getattr(self, name))
-        (k_lo, k_hi), (nb_lo, nb_hi) = _ADMITTED["kappa"], _ADMITTED["nb"]
-        if not k_lo <= self.kappa < k_hi:
-            raise ValidationError(f"kappa must lie in [0, 1), got {self.kappa}")
-        if not nb_lo <= self.nb < nb_hi:
-            raise ValidationError(f"nb must be >= 0, got {self.nb}")
-        if self.ensembles <= 0:
-            raise ValidationError(f"ensembles must be > 0, got {self.ensembles}")
+    def __init__(self, kappa, nb, ensembles=1.0):
+        fields = self.__dict__
+        fields["kappa"] = _admit("kappa", kappa)
+        fields["nb"] = _admit("nb", nb)
+        fields["ensembles"] = _admit("ensembles", ensembles)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HypothesisPair:
     """Target-present (rho_a) and target-absent (rho_b) states."""
 
     rho_a: GaussianState
     rho_b: GaussianState
+
+    def __post_init__(self):
+        a, b = self.rho_a, self.rho_b
+        if not (isinstance(a, GaussianState) and isinstance(b, GaussianState)
+                and a.n_modes == b.n_modes):
+            raise ValidationError("a hypothesis pair is two GaussianStates of one mode count")
 
     @property
     def n_modes(self) -> int:
@@ -207,15 +217,12 @@ def astm_state(spec: ProbeSpec) -> GaussianState:
 
 def coherent_state(ns: float) -> GaussianState:
     """Coherent probe with |alpha|^2 = ns; phase fixed to 0."""
-    _check_finite("ns", ns)
-    if ns < 0:
-        raise ValidationError(f"ns must be >= 0, got {ns}")
-    return GaussianState(1, np.array([2.0 * np.sqrt(ns), 0.0]), np.eye(2))
+    return probe_state(ProbeSpec(kind=ProbeKind.COHERENT, ns=ns))
 
 
 def probe_state(spec: ProbeSpec) -> GaussianState:
     if spec.kind is ProbeKind.COHERENT:
-        return coherent_state(spec.ns)
+        return GaussianState(1, np.array([2.0 * np.sqrt(spec.ns), 0.0]), np.eye(2))
     return astm_state(spec)
 
 

@@ -1,7 +1,7 @@
 """Parameter sweeps, slope analysis, advantage threshold, figure presets, CSV.
 
-A sweep varies one parameter of a validated probe and scenario, so each
-grid value is checked in floats against the ranges the two classes admit
+A sweep varies one parameter of a frozen probe and scenario, so each grid
+value is checked in floats against the table the two classes admit by
 (_axis_column); only a value that fails is built as objects, for its error.
 The valid points of every sweep in a batch go to one discriminate_columns
 call (_evaluate): a figure is one batch, and sweep the one-table case. A
@@ -21,7 +21,7 @@ import numpy as np
 
 from .chernoff import DiscriminationResult, discriminate_columns, snr
 from .discord import _remained, remained_discord
-from .probes import (_FIELDS, _READS, ProbeKind, ProbeSpec, TargetScenario, _admits,
+from .probes import (_ADMITTED, _FIELDS, _READS, ProbeKind, ProbeSpec, TargetScenario,
                      _energy)
 from .symplectic import ValidationError
 
@@ -133,12 +133,12 @@ def _axis_column(axis: str, probe: ProbeSpec, values: np.ndarray) -> tuple:
     n2, ns, kappa, N_B, M), its column, and where _with_axis would build
     the point: where the parameter is admitted and, if the probe's kind does
     not read it (_READS), 0."""
+    name = "n0" if axis == "ns" and probe.kind is ProbeKind.TMSV else axis
     if axis == "ns" and probe.kind is ProbeKind.ASTM:
         # solve_n1_for_signal_energy: N1 < 0 exactly where N_S < N0.
-        n1 = (values - probe.n0) / (2.0 * probe.n0 + 1.0)
-        return 1, n1, _admits("n1", n1)
-    name = "n0" if axis == "ns" and probe.kind is ProbeKind.TMSV else axis
-    valid = _admits(name, values)
+        name, values = "n1", (values - probe.n0) / (2.0 * probe.n0 + 1.0)
+    lo, hi, _ = _ADMITTED[name]
+    valid = (lo <= values) & (values < hi)
     if name in _FIELDS and name not in _READS[probe.kind]:
         valid &= values == 0.0
     return ("n0", "n1", "n2", "ns", "kappa", "nb").index(name), values, valid

@@ -1,4 +1,7 @@
+import dataclasses
 import itertools
+import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,7 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gqi import (
+    LOW_NOISE,
+    MICROWAVE,
     GaussianState,
+    HypothesisPair,
     ProbeKind,
     ProbeSpec,
     TargetScenario,
@@ -16,6 +22,8 @@ from gqi import (
     cross_correlation,
     make_hypotheses,
     mean_photon,
+    remained_discord,
+    run_scenario,
     symplectic_eigenvalues,
     snr,
     tmsv_state,
@@ -418,3 +426,107 @@ class TestNonFiniteInput:
         fields = {"kappa": 0.01, "nb": 30.0, "ensembles": 1e7, name: value}
         with pytest.raises(ValidationError, match=name):
             TargetScenario(**fields)
+
+
+class TestTrustBoundary:
+    """A ProbeSpec, TargetScenario or HypothesisPair is checked once, holds
+    Python floats and stays frozen, so nothing inward checks it again."""
+
+    @pytest.mark.parametrize("spec, name, value", [
+        (ProbeSpec(kind=ProbeKind.ASTM, n0=1.0), name, value)
+        for name, value in [("kind", ProbeKind.TMSV), ("n0", 2.0), ("n1", 5.0),
+                            ("n2", 1.0), ("ns", 1.0)]
+    ] + [
+        (scenario, name, value) for scenario in (TargetScenario(0.01, 30.0, 1e7),
+                                                 MICROWAVE, LOW_NOISE)
+        for name, value in [("kappa", 1.5), ("nb", 1.0), ("ensembles", -5.0)]
+    ] + [
+        (make_hypotheses(ProbeSpec(n0=1.0), MICROWAVE), name, tmsv_state(1.0))
+        for name in ("rho_a", "rho_b")
+    ])
+    def test_rebinding_a_field_raises(self, spec, name, value):
+        # With kappa = 1.5 rebound, snr returned an SNR of 481888; with
+        # ensembles = -5, 2.5e-7; a tmsv probe given n1 = 5, an ASTM result.
+        before = getattr(spec, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, name, value)
+        assert getattr(spec, name) is before
+
+    def test_replace_validates_the_changed_field(self):
+        assert dataclasses.replace(MICROWAVE, nb=30.0) == LOW_NOISE
+        with pytest.raises(ValidationError, match="kappa must lie in"):
+            dataclasses.replace(MICROWAVE, kappa=1.5)
+        with pytest.raises(ValidationError, match="tmsv probe has no squeezers"):
+            dataclasses.replace(ProbeSpec(n0=1.0), n1=5.0)
+
+    def test_pickle_round_trip(self):
+        spec = ProbeSpec(kind=ProbeKind.ASTM, n0=1.0, n1=0.5)
+        assert pickle.loads(pickle.dumps(spec)) == spec
+        assert pickle.loads(pickle.dumps(MICROWAVE)) == MICROWAVE
+
+    # n0, n1, n2, kappa, N_B and M that every cast below holds (M < 65504,
+    # the largest float16), read as the cast's value.
+    _POINT = dict(n0=1.0, n1=2.0, n2=4.0, kappa=0.01, nb=30.0, ensembles=1e3)
+
+    @pytest.mark.parametrize("cast", [np.float16, np.float32, np.float64,
+                                      np.longdouble, int],
+                             ids=lambda c: c.__name__)
+    def test_numbers_of_any_type_give_the_results_of_floats(self, cast):
+        # A np.float32 field ran the discord in float32: remained_discord
+        # returned np.float32(6.008e-5) where floats give 6.028e-5.
+        given = {k: cast(v) if cast is not int or v.is_integer() else v
+                 for k, v in self._POINT.items()}
+        floats = {k: float(v) for k, v in given.items()}
+
+        def build(values):
+            probe = ProbeSpec(ProbeKind.ASTM, values["n0"], values["n1"], values["n2"])
+            coherent = ProbeSpec(ProbeKind.COHERENT, ns=values["n1"])
+            return probe, coherent, TargetScenario(values["kappa"], values["nb"],
+                                                   values["ensembles"])
+
+        def outcomes(values):
+            probe, coherent, scenario = build(values)
+            row = run_scenario(probe, scenario, with_discord=True)
+            return [*dataclasses.astuple(snr(probe, scenario)),
+                    *dataclasses.astuple(snr(coherent, scenario)),
+                    remained_discord(probe, scenario).value,
+                    *remained_discord(probe, scenario).nu_pair,
+                    gaussian_discord(astm_state(probe)).value,
+                    *astm_state(probe).spectrum.tolist(),
+                    *(getattr(row, c) for c in ("n0", "n1", "n2", "ns", "kappa", "nb",
+                                                "ensembles", "s_star", "q_min",
+                                                "log_error_prob", "snr", "discord"))]
+
+        got, expected = outcomes(given), outcomes(floats)
+        assert list(map(repr, got)) == list(map(repr, expected))
+        assert all(type(v) is float for v in got)
+        probe, coherent, scenario = build(given)
+        for value in (*dataclasses.astuple(probe)[1:], *dataclasses.astuple(coherent)[1:],
+                      *dataclasses.astuple(scenario)):
+            assert type(value) is float
+
+    @pytest.mark.parametrize("build", [
+        lambda: ProbeSpec(n0="1"),
+        lambda: ProbeSpec(n0=None),
+        lambda: ProbeSpec(n0=np.array([1.0, 2.0])),
+        lambda: ProbeSpec(kind="astm", n1=1j),
+        lambda: TargetScenario(0.01, None),
+        lambda: TargetScenario("0.01", 30.0),
+        lambda: TargetScenario(0.01, 30.0, [1e7]),
+    ], ids=["n0-str", "n0-None", "n0-array", "n1-complex", "nb-None", "kappa-str",
+            "ensembles-list"])
+    def test_non_numbers_raise_validation_error(self, build):
+        # They raised TypeError or ValueError, which the CLI reports as an
+        # internal error.
+        with pytest.raises(ValidationError, match="must be a real number"):
+            build()
+
+    def test_an_integer_beyond_float_range_is_infinite(self):
+        with pytest.raises(ValidationError, match="n0 must be finite, got inf"):
+            ProbeSpec(n0=10**400)
+
+    def test_pair_modes_are_checked_at_construction(self):
+        one, two = coherent_state(1.0), tmsv_state(1.0)
+        for rho_a, rho_b in ((one, two), (two, one), (two, two.cov), (None, two)):
+            with pytest.raises(ValidationError, match="two GaussianStates of one mode"):
+                HypothesisPair(rho_a, rho_b)

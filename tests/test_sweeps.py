@@ -302,16 +302,21 @@ class TestCsvWriter:
     def test_matches_csv_writer(self):
         # Under numpy 2, csv.writer would print a numpy scalar as
         # np.float64(...); the writer prints every number as a float.
-        probe = ProbeSpec(kind=ProbeKind.ASTM, n0=np.float64(0.5), n1=np.float64(0.25))
-        scenario = TargetScenario(np.float64(0.01), np.float64(30.0), np.float64(1e7))
+        probe = ProbeSpec(kind=ProbeKind.ASTM, n0=0.5, n1=0.25)
+        scenario = TargetScenario(0.01, 30.0, 1e7)
         rows = [run_scenario(probe, scenario, with_discord=True),
                 run_scenario(ProbeSpec(kind=ProbeKind.COHERENT, ns=1.0), MICROWAVE)]
         rows += sweep("n1", np.linspace(0.0, 1.0, 3), probe, scenario).rows
-        rows += [SweepRow(-0.0, 0.0, -0.0, 0.0, 1.0, 0.01, 30.0, 1.0, "tmsv",
+        # A row's fields are Python floats, so numpy scalars go in by hand.
+        numpy_row = SweepRow(**{name: np.float64(v) if isinstance(v, float) else v
+                                for name, v in vars(rows[0]).items()})
+        rows += [numpy_row,
+                 SweepRow(-0.0, 0.0, -0.0, 0.0, 1.0, 0.01, 30.0, 1.0, "tmsv",
                           0.5, 1.0, -0.0, math.inf, None),
                  SweepRow(1e-300, 1.0, 0.0, 0.0, 1.0, 0.01, 30.0, 1.0, "astm",
                           math.nan, math.nan, -math.inf, math.nan, -0.0)]
-        assert any(isinstance(v, np.float64) for v in vars(rows[0]).values())
+        assert all(isinstance(v, np.float64) for v in vars(numpy_row).values()
+                   if v is not numpy_row.kind)
         table = SweepTable("n1", [], rows)
         expected = reference_csv(CSV_COLUMNS,
                                  [[getattr(r, c) for c in CSV_COLUMNS] for r in rows])
