@@ -57,6 +57,14 @@ def _admit(name: str, value) -> float:
                           else f"{name} must be finite, got {value}")
 
 
+def _unread(kind: ProbeKind, name: str) -> ValidationError:
+    """The error of a nonzero field the kind does not read, naming what the
+    field is and the kinds that read it."""
+    readers = " or ".join(k.value for k in ProbeKind if name in _READS[k])
+    return ValidationError(f"{'an' if kind == 'astm' else 'a'} {kind.value} probe "
+                           f"has no {_FIELDS[name]}: use kind {readers}")
+
+
 def _energy(n0, n):
     """Photons in one mode of a TMSV of n0 per mode squeezed by n: N0 + 2 N0 N + N."""
     return n0 + 2.0 * n0 * n + n
@@ -94,9 +102,7 @@ class ProbeSpec:
         for name, value in zip(_FIELDS, (n0, n1, n2, ns)):
             fields[name] = value = _admit(name, value)
             if value and name not in _READS[kind]:
-                readers = " or ".join(k.value for k in ProbeKind if name in _READS[k])
-                raise ValidationError(f"{'an' if kind == 'astm' else 'a'} {kind.value} probe "
-                                      f"has no {_FIELDS[name]}: use kind {readers}")
+                raise _unread(kind, name)
 
     @property
     def signal_energy(self) -> float:
@@ -110,6 +116,16 @@ class ProbeSpec:
         if self.kind is ProbeKind.COHERENT:
             raise ValidationError("coherent probe has no idler mode")
         return _energy(self.n0, self.n2)
+
+
+def _carrier(kind: ProbeKind, ns, n0=0.0) -> tuple:
+    """The field that carries signal energy ns in a probe of this kind, and
+    the value that gives it there, signal_energy inverted: n0 = N_S for a
+    TMSV, n1 from N_S = N0 + 2 N0 N1 + N1 at n0 for an ASTM probe, and
+    ns = |alpha|^2 for a coherent one. ns may be an array."""
+    if kind is ProbeKind.ASTM:
+        return "n1", (ns - n0) / (2.0 * n0 + 1.0)
+    return ("n0" if kind is ProbeKind.TMSV else "ns"), ns
 
 
 @dataclass(frozen=True, init=False)

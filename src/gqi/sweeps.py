@@ -1,19 +1,24 @@
 """Parameter sweeps, slope analysis, advantage threshold, figure presets, CSV.
 
-A sweep varies one parameter of a frozen probe and scenario, so each grid
-value is checked in floats against the table the two classes admit by
-(_axis_column); only a value that fails is built as objects, for its error.
-The valid points of every sweep in a batch go to one discriminate_columns
-call (_evaluate): a figure is one batch, and sweep the one-table case. A
-figure preset is data, one _Table per sweep. Tables are written column by
-column, byte for byte what csv.writer wrote (_csv_text).
+A table (_Table) is one probe on one axis: one parameter of a frozen probe
+and scenario varies along its grid. Each grid value is checked in floats
+against the rules the two classes admit by (_axis_column), and a value that
+fails is explained by the rule that rejected it, with no object built. On
+the N_S axis the probe's kind names the field that carries N_S
+(probes._carrier). The admitted points of every table in a batch go to one
+discriminate_columns call (_evaluate), which gives each grid value its row
+or its error. Probes compared at equal N_S are matched tables on one grid
+(_ns_tables): sweep(compare=True) interleaves their rows per grid value. A
+figure preset is data, one _Table per sweep, and is one batch. Tables are
+written column by column, byte for byte what csv.writer wrote (_csv_text).
 """
 
 import csv
 import math
+import numbers
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -22,7 +27,7 @@ import numpy as np
 from .chernoff import DiscriminationResult, discriminate_columns, snr
 from .discord import _remained, remained_discord
 from .probes import (_ADMITTED, _FIELDS, _READS, ProbeKind, ProbeSpec, TargetScenario,
-                     _energy)
+                     _admit, _carrier, _energy, _unread)
 from .symplectic import ValidationError
 
 CSV_COLUMNS = [
@@ -71,12 +76,14 @@ class SweepTable:
 
 
 def solve_n1_for_signal_energy(ns: float, n0: float) -> float:
-    """Invert N_S = N0 + 2 N0 N1 + N1 for the signal squeezer N1."""
-    if ns < n0:
-        raise ValidationError(
-            f"target signal energy {ns} is below the probe floor N0 = {n0}"
-        )
-    return (ns - n0) / (2.0 * n0 + 1.0)
+    """Invert N_S = N0 + 2 N0 N1 + N1 for the signal squeezer N1. n0 and ns
+    are admitted as a probe's are, and ns must reach the floor N0."""
+    n0 = _admit("n0", n0)
+    # A real ns below the floor, -inf included, gets the floor's text;
+    # _admit then rejects NaN, inf and what is not a real number.
+    if isinstance(ns, numbers.Real) and ns < n0:
+        raise ValidationError(f"target signal energy {ns} is below the probe floor N0 = {n0}")
+    return _carrier(ProbeKind.ASTM, _admit("ns", ns), n0)[1]
 
 
 def _row(axis_value: float, kind: ProbeKind, params, result: DiscriminationResult,
@@ -104,112 +111,108 @@ def run_scenario(probe: ProbeSpec, scenario: TargetScenario,
                  scenario.nb, scenario.ensembles), result, discord)
 
 
-def _with_axis(probe: ProbeSpec, scenario: TargetScenario, axis: str,
-               value: float) -> tuple[ProbeSpec, TargetScenario]:
-    """(probe, scenario) with the axis set to value, the changed one validated."""
-    if axis in ("kappa", "nb"):
-        return probe, replace(scenario, **{axis: value})
-    if axis == "ns" and probe.kind is ProbeKind.ASTM:
-        return replace(probe, n1=solve_n1_for_signal_energy(value, probe.n0)), scenario
-    if axis == "ns" and probe.kind is ProbeKind.TMSV:
-        axis = "n0"  # N_S = N0 without squeezers
-    return replace(probe, **{axis: value}), scenario
-
-
 class _Table(NamedTuple):
-    """One sweep as data; name is the CSV a figure writes it to, or None."""
+    """One probe swept along one axis; name is the CSV a figure writes it
+    to, or None."""
 
     name: str | None
     axis: str
-    grid: Sequence[float]
+    grid: list[float]
     probe: ProbeSpec
     scenario: TargetScenario
     with_discord: bool = False
-    compare: bool = False
 
 
-def _axis_column(axis: str, probe: ProbeSpec, values: np.ndarray) -> tuple:
+def _ns_tables(probes: Sequence[ProbeSpec], grid: list[float], scenario: TargetScenario,
+               with_discord: bool = False, figure: str | None = None) -> tuple:
+    """The probes at equal signal energy N_S, one table each on the grid of
+    N_S; a figure's are named <figure>_<kind>.csv."""
+    return tuple(_Table(figure and f"{figure}_{p.kind.value}.csv", "ns", grid, p,
+                        scenario, with_discord) for p in probes)
+
+
+# The probes an N_S comparison matches: TMSV (N0 = N_S) and coherent
+# (|alpha|^2 = N_S).
+_TMSV, _COHERENT = ProbeSpec(kind=ProbeKind.TMSV), ProbeSpec(kind=ProbeKind.COHERENT)
+
+
+def _axis_column(axis: str, probe: ProbeSpec, grid: list[float]) -> tuple:
     """The parameter a grid sets, as its row in a batch's columns (n0, n1,
-    n2, ns, kappa, N_B, M), its column, and where _with_axis would build
-    the point: where the parameter is admitted and, if the probe's kind does
-    not read it (_READS), 0."""
-    name = "n0" if axis == "ns" and probe.kind is ProbeKind.TMSV else axis
-    if axis == "ns" and probe.kind is ProbeKind.ASTM:
-        # solve_n1_for_signal_energy: N1 < 0 exactly where N_S < N0.
-        name, values = "n1", (values - probe.n0) / (2.0 * probe.n0 + 1.0)
+    n2, ns, kappa, N_B, M), its column, and per grid value the error of
+    ProbeSpec, TargetScenario or solve_n1_for_signal_energy, or None where
+    they admit it. The grid is checked in floats, and only a rejected value
+    is explained, by the rule that rejected it: _admit's or the kind's read
+    rule (_unread)."""
+    name, values = axis, np.array(grid)
+    if axis == "ns":
+        name, values = _carrier(probe.kind, values, probe.n0)
     lo, hi, _ = _ADMITTED[name]
     valid = (lo <= values) & (values < hi)
     if name in _FIELDS and name not in _READS[probe.kind]:
         valid &= values == 0.0
-    return ("n0", "n1", "n2", "ns", "kappa", "nb").index(name), values, valid
+    errors = [None] * len(grid)
+    for j in np.flatnonzero(~valid).tolist():
+        try:
+            if axis == "ns" and probe.kind is ProbeKind.ASTM:
+                solve_n1_for_signal_energy(grid[j], probe.n0)
+            _admit(name, values[j])
+            errors[j] = _unread(probe.kind, name)
+        except ValidationError as exc:
+            errors[j] = exc
+    return ("n0", "n1", "n2", "ns", "kappa", "nb").index(name), values, errors
 
 
-def _evaluate(tables: Sequence[_Table]) -> list[SweepTable]:
-    """Each table's rows and errors, as sweep documents, from one
-    discriminate_columns batch. Only a grid value that fails _axis_column is
-    built by _with_axis, for its error; no row depends on its batch."""
-    plans, coherent, columns = [], [], []
+def _evaluate(tables: Sequence[_Table]) -> list[list]:
+    """Each table's outcome per grid value, its SweepRow or the
+    ValidationError that rejected it, from one discriminate_columns batch of
+    the values _axis_column admits. No outcome depends on its batch."""
+    outcomes, points, columns = [], [], []
     for t in tables:
-        if t.axis not in SWEEP_AXES:
-            raise ValidationError(f"axis must be one of {SWEEP_AXES}, got {t.axis!r}")
-        if t.compare and t.axis != "ns":
-            raise ValidationError(f"compare needs axis 'ns' (N_S), got {t.axis!r}")
-        table = SweepTable(axis=t.axis, grid=[float(v) for v in t.grid])
-        if not table.grid:
-            raise ValidationError("grid has no points")
-        values = np.array(table.grid)
-        row, column, valid = _axis_column(t.axis, t.probe, values)
-        failed = {}
-        for j in np.flatnonzero(~valid).tolist():
-            try:
-                _with_axis(t.probe, t.scenario, t.axis, table.grid[j])
-            except ValidationError as exc:
-                failed[j] = exc
-        good = np.flatnonzero(valid)
+        row, column, outcome = _axis_column(t.axis, t.probe, t.grid)
+        good = [j for j, error in enumerate(outcome) if error is None]
         p, s = t.probe, t.scenario
-        main = np.array([p.n0, p.n1, p.n2, p.ns, s.kappa, s.nb, s.ensembles],
-                        dtype=float)[:, None].repeat(good.size, axis=1)
-        main[row] = column[good]
-        kinds, blocks = [p.kind], [main]
-        if t.compare:
-            v, zero = values[good], np.zeros(good.size)
-            if p.kind is not ProbeKind.TMSV:  # a TMSV probe's row is the TMSV one
-                kinds.append(ProbeKind.TMSV)
-                blocks.append(np.vstack([v, zero, zero, zero, main[4:]]))
-            kinds.append(ProbeKind.COHERENT)
-            blocks.append(np.vstack([zero, zero, zero, v, main[4:]]))
-        # A grid value's rows follow one another, in the order of kinds.
-        columns.append(np.stack(blocks, axis=2).reshape(len(main), -1))
-        coherent += [k is ProbeKind.COHERENT for k in kinds] * good.size
-        plans.append((t, table, failed, np.repeat(good, len(kinds)).tolist(),
-                      kinds * good.size))
+        block = np.array([p.n0, p.n1, p.n2, p.ns, s.kappa, s.nb, s.ensembles],
+                         dtype=float)[:, None].repeat(len(good), axis=1)
+        block[row] = column[good]
+        columns.append(block)
+        outcomes.append(outcome)
+        points += [(t, outcome, j) for j in good]
     batch = np.concatenate(columns, axis=1)
-    results = discriminate_columns(coherent, *batch)
-    out, end = [], 0
-    for t, table, failed, index, kinds in plans:
-        start, end = end, end + len(index)
-        # A grid value's rows stop at its first error, which is reported.
-        for j, kind, params, result in zip(index, kinds, batch[:, start:end].T.tolist(),
-                                           results[start:end]):
-            if j in failed:
-                continue
-            if isinstance(result, ValidationError):
-                failed[j] = result
-                continue
+    results = discriminate_columns([t.probe.kind is ProbeKind.COHERENT for t, _, _ in points],
+                                   *batch)
+    for (t, outcome, j), params, result in zip(points, batch.T.tolist(), results):
+        if not isinstance(result, ValidationError):
             try:
                 discord = (_remained(*params[:3], *params[4:6]).value
-                           if t.with_discord and kind is not ProbeKind.COHERENT
+                           if t.with_discord and t.probe.kind is not ProbeKind.COHERENT
                            else None)
+                result = _row(t.grid[j], t.probe.kind, params, result, discord)
             except ValidationError as exc:
-                failed[j] = exc
-                continue
-            table.rows.append(_row(table.grid[j], kind, params, result, discord))
-        messages = [f"{t.axis}={table.grid[j]}: {failed[j]}" for j in sorted(failed)]
-        if messages and not table.rows:
-            raise ValidationError("every grid point failed: " + "; ".join(messages))
-        table.errors.extend(messages)
-        out.append(table)
-    return out
+                result = exc
+        outcome[j] = result
+    return outcomes
+
+
+def _document(axis: str, grid: list[float], outcomes) -> SweepTable:
+    """A sweep document from each grid value's outcomes, one per table in
+    order: a value's rows stop at its first error, which is reported. If
+    every value fails, it raises."""
+    table = SweepTable(axis=axis, grid=list(grid))
+    for value, results in zip(grid, outcomes):
+        for result in results:
+            if isinstance(result, ValidationError):
+                table.errors.append(f"{axis}={value}: {result}")
+                break
+            table.rows.append(result)
+    if table.errors and not table.rows:
+        raise ValidationError("every grid point failed: " + "; ".join(table.errors))
+    return table
+
+
+def _documents(tables: Sequence[_Table]) -> list[SweepTable]:
+    """Each table's sweep document, from one batch."""
+    return [_document(t.axis, t.grid, zip(outcomes))
+            for t, outcomes in zip(tables, _evaluate(tables))]
 
 
 def sweep(axis: str, grid, probe: ProbeSpec, scenario: TargetScenario,
@@ -219,9 +222,10 @@ def sweep(axis: str, grid, probe: ProbeSpec, scenario: TargetScenario,
     For axis="ns" on an ASTM probe, N1 is solved from the signal-energy
     closed form at fixed N0, and matched TMSV (N0 = N_S) and coherent
     (|alpha|^2 = N_S) comparison rows are emitted alongside each ASTM row
-    unless compare=False. On a TMSV probe the axis sets N0 = N_S, and that
-    row is the TMSV comparison: only the coherent row comes with it.
-    compare=True on another axis raises: comparison rows match N_S.
+    unless compare=False: the rows of matched tables on the same grid. On
+    a TMSV probe the axis sets N0 = N_S, and that row is the TMSV
+    comparison: only the coherent row comes with it. compare=True on
+    another axis raises: comparison rows match N_S.
 
     Each grid value is checked in floats against the rules ProbeSpec,
     TargetScenario and solve_n1_for_signal_energy apply to the parameter it
@@ -229,10 +233,20 @@ def sweep(axis: str, grid, probe: ProbeSpec, scenario: TargetScenario,
     skipped and reported in errors. The rest are one batch, as a figure's
     tables are (reproduce_figure). If every value fails, it raises.
     """
+    if axis not in SWEEP_AXES:
+        raise ValidationError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     if compare is None:
         compare = axis == "ns" and probe.kind is not ProbeKind.COHERENT
-    return _evaluate([_Table(None, axis, grid, probe, scenario, with_discord,
-                             compare)])[0]
+    if compare and axis != "ns":
+        raise ValidationError(f"compare needs axis 'ns' (N_S), got {axis!r}")
+    grid = [float(v) for v in grid]
+    if not grid:
+        raise ValidationError("grid has no points")
+    tables = [_Table(None, axis, grid, probe, scenario, with_discord)]
+    if compare:  # a TMSV probe's own rows are the TMSV ones
+        tables += _ns_tables((_COHERENT,) if probe.kind is ProbeKind.TMSV
+                             else (_TMSV, _COHERENT), grid, scenario, with_discord)
+    return _document(axis, grid, zip(*_evaluate(tables)))
 
 
 def slope_fit(table: SweepTable, kind: str | None = None) -> float:
@@ -248,9 +262,8 @@ def _slope_tables(n0: float, scenario: TargetScenario, fit_from: float | None,
                   fit_to: float, points: int) -> tuple[_Table, _Table]:
     """The ASTM sweep at fixed N0 and the CI sweep that _astm_ci_slopes fits."""
     lo = n0 if fit_from is None else max(fit_from, n0)
-    grid = np.linspace(lo, fit_to, points)
-    return (_Table(None, "ns", grid, ProbeSpec(kind=ProbeKind.ASTM, n0=n0), scenario),
-            _Table(None, "ns", grid, ProbeSpec(kind=ProbeKind.COHERENT), scenario))
+    return _ns_tables((ProbeSpec(kind=ProbeKind.ASTM, n0=n0), _COHERENT),
+                      np.linspace(lo, fit_to, points).tolist(), scenario)
 
 
 def _astm_ci_slopes(n0: float, scenario: TargetScenario, fit_from: float | None,
@@ -261,7 +274,7 @@ def _astm_ci_slopes(n0: float, scenario: TargetScenario, fit_from: float | None,
     |alpha|^2 = N_S run through the same Chernoff pipeline; its error
     exponent per copy is kappa*N_S*(sqrt(NB+1)-sqrt(NB))^2.
     """
-    astm, ci = _evaluate(_slope_tables(n0, scenario, fit_from, fit_to, points))
+    astm, ci = _documents(_slope_tables(n0, scenario, fit_from, fit_to, points))
     return slope_fit(astm), slope_fit(ci)
 
 
@@ -376,12 +389,8 @@ def _write_rows(out_dir: str, name: str, header: list[str], rows) -> str:
 
 def _ns_comparison(figure_id: str, n0: float, scenario: TargetScenario):
     """ASTM at fixed N0 against TMSV (N0 = N_S) and coherent (|alpha|^2 = N_S)."""
-    grid = np.linspace(n0, 4.0, 32)
-    return tuple(
-        _Table(f"{figure_id}_{p.kind.value}.csv", axis, grid, p, scenario)
-        for axis, p in (("ns", ProbeSpec(kind=ProbeKind.ASTM, n0=n0)),
-                        ("n0", ProbeSpec(kind=ProbeKind.TMSV)),
-                        ("ns", ProbeSpec(kind=ProbeKind.COHERENT))))
+    return _ns_tables((ProbeSpec(kind=ProbeKind.ASTM, n0=n0), _TMSV, _COHERENT),
+                      np.linspace(n0, 4.0, 32).tolist(), scenario, figure=figure_id)
 
 
 def _slope_rows(tables: list[SweepTable]) -> list[tuple]:
@@ -399,7 +408,7 @@ def _advantage_rows(tables: list[SweepTable]) -> list[tuple]:
 _ASTM_NS2 = ProbeSpec(kind=ProbeKind.ASTM, n0=1.0,
                       n1=solve_n1_for_signal_energy(2.0, 1.0))  # N_S = 2
 _FIG4B_N0 = [float(n0) for n0 in np.linspace(0.05, 1.0, 20)]
-_FIG5_NS = np.linspace(0.1, 4.0, 32)
+_FIG5_NS = np.linspace(0.1, 4.0, 32).tolist()
 
 # Figure id -> (its sweeps, in the order reproduce_figure writes them, and
 # the CSV derived from their tables as (name, header, rows function), or
@@ -407,16 +416,16 @@ _FIG5_NS = np.linspace(0.1, 4.0, 32)
 _FIGURES = {
     # SNR vs idler squeezing at fixed signal energy; flat curves.
     "fig2a": (tuple(
-        _Table(f"fig2a_{tag}.csv", "n2", np.linspace(0.0, 4.0, 17), probe, MICROWAVE)
+        _Table(f"fig2a_{tag}.csv", "n2", np.linspace(0.0, 4.0, 17).tolist(), probe, MICROWAVE)
         for tag, probe in (("ns1", ProbeSpec(kind=ProbeKind.ASTM, n0=1.0)),
                            ("ns2", _ASTM_NS2))), None),
     "fig2b": (tuple(
-        _Table(f"fig2b_n1_{n1:g}.csv", "n0", np.linspace(0.1, 2.0, 20),
+        _Table(f"fig2b_n1_{n1:g}.csv", "n0", np.linspace(0.1, 2.0, 20).tolist(),
                ProbeSpec(kind=ProbeKind.ASTM, n1=n1), MICROWAVE)
         for n1 in (0.0, 1.0, 2.0, 3.0)), None),
     "fig3a": (_ns_comparison("fig3a", 1.0, MICROWAVE), None),
     "fig3b": (tuple(
-        _Table(f"fig3b_{p.kind.value}.csv", "kappa", np.linspace(0.005, 0.1, 20),
+        _Table(f"fig3b_{p.kind.value}.csv", "kappa", np.linspace(0.005, 0.1, 20).tolist(),
                p, MICROWAVE)
         for p in (_ASTM_NS2, ProbeSpec(kind=ProbeKind.TMSV, n0=2.0),
                   ProbeSpec(kind=ProbeKind.COHERENT, ns=2.0))), None),
@@ -424,9 +433,8 @@ _FIGURES = {
     "fig4b": (sum((_slope_tables(n0, LOW_NOISE, None, FIT_TO_DEFAULT, FIT_POINTS_DEFAULT)
                    for n0 in _FIG4B_N0), ()),
               ("fig4b_slopes.csv", ["n0", "slope_astm", "slope_ci"], _slope_rows)),
-    "fig5": ((_Table(None, "ns", _FIG5_NS, ProbeSpec(kind=ProbeKind.ASTM, n0=0.1),
-                     LOW_NOISE, with_discord=True),
-              _Table(None, "ns", _FIG5_NS, ProbeSpec(kind=ProbeKind.COHERENT), LOW_NOISE)),
+    "fig5": (_ns_tables((ProbeSpec(kind=ProbeKind.ASTM, n0=0.1), _COHERENT), _FIG5_NS,
+                        LOW_NOISE, with_discord=True),
              ("fig5_advantage_discord.csv", ["ns", "advantage", "discord"],
               _advantage_rows)),
 }
@@ -446,7 +454,7 @@ def reproduce_figure(figure_id: str, out_dir: str) -> list[str]:
     if figure_id not in _FIGURES:
         raise ValidationError(f"unknown figure id {figure_id!r}")
     specs, derived = _FIGURES[figure_id]
-    tables = _evaluate(specs)
+    tables = _documents(specs)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for spec, table in zip(specs, tables):
@@ -460,18 +468,25 @@ def reproduce_figure(figure_id: str, out_dir: str) -> list[str]:
 
 
 def gnuplot_script(csv_paths: list[str], out_path: str) -> str:
-    """Convenience gnuplot script plotting SNR against the sweep axis."""
+    """Convenience gnuplot script plotting each CSV's y columns against its
+    first, found by its header: the SNR of a sweep table, and every column
+    after the first of a derived one (fig4b's slopes, fig5's advantage and
+    discord)."""
     lines = [
         "set datafile separator ','",
         "set key autotitle columnhead",
         "set xlabel 'axis value'",
         "set ylabel 'SNR'",
     ]
-    plots = ", ".join(
-        f"'{os.path.basename(p)}' using 1:13 with lines title '{os.path.basename(p)}'"
-        for p in csv_paths
-    )
-    lines.append(f"plot {plots}")
+    plots = []
+    for path in csv_paths:
+        name = os.path.basename(path)
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh))
+        for y in ["snr"] if header == CSV_COLUMNS else header[1:]:
+            title = name if header == CSV_COLUMNS else y
+            plots.append(f"'{name}' using 1:{header.index(y) + 1} with lines title '{title}'")
+    lines.append(f"plot {', '.join(plots)}")
     script = "\n".join(lines) + "\n"
     with open(out_path, "w") as fh:
         fh.write(script)

@@ -28,7 +28,7 @@ from gqi import (
 from gqi import chernoff
 from gqi.chernoff import discriminate, discriminate_many
 from gqi.probes import (HypothesisPair, _absent_entries, _probe_entries, _return_entries,
-                        tmsv_state)
+                        _two_mode_cov, tmsv_state)
 from gqi.chernoff import _PairData
 from gqi.symplectic import _MODE_ROUNDING, _ROUNDING_ULPS
 from oracles import (SymplecticMatrix, apply_symplectic, g_func, lambda_func, v_of_p,
@@ -228,6 +228,41 @@ class TestQs:
     def test_rejects_s_out_of_range(self):
         with pytest.raises(ValidationError):
             q_s(_small_pair(), 1.2)
+
+    # Where the analysis cannot give Q_s as a finite positive number, q_s
+    # raises rather than return it: here at s = 1 - 1e-12, against a nearly
+    # pure return mode.
+    def test_singular_sum_raises_on_the_standard_analysis(self):
+        pair = make_hypotheses(ProbeSpec(kind=ProbeKind.ASTM, n0=2e9, n1=0.05, n2=0.002),
+                               TargetScenario(0.6, 6e-8))
+        with pytest.raises(ValidationError, match="V_A\\(s\\) \\+ V_B\\(1-s\\) is singular"):
+            q_s(pair, 1.0 - 1e-12)
+
+    def test_singular_sum_raises_on_the_general_analysis(self):
+        # The pair turned out of standard form takes the general analysis,
+        # whose sum has a determinant <= 0 at this s; the standard analysis
+        # of the untouched pair evaluates it.
+        c, s = math.cos(0.3), math.sin(0.3)
+        turn = np.eye(4)
+        turn[:2, :2] = [[c, -s], [s, c]]
+        pair = make_hypotheses(ProbeSpec(kind=ProbeKind.ASTM, n0=7e4, n1=1e4, n2=0.002),
+                               TargetScenario(0.4, 2e-7))
+        turned = HypothesisPair(*(GaussianState(2, turn @ v.mean, turn @ v.cov @ turn.T)
+                                  for v in (pair.rho_a, pair.rho_b)))
+        with pytest.raises(ValidationError, match="is singular"):
+            q_s(turned, 1.0 - 1e-12)
+
+    def test_state_the_analysis_rejects_raises(self):
+        # GaussianState reads this two-mode squeezed state's spectrum as
+        # (1, 1) in float64 and accepts it; the np.longdouble analysis reads
+        # its smaller symplectic eigenvalue as 1 - 1.17e-9, past the 1e-9
+        # bound, and q_s raises the reason.
+        a, b, c = 197.71215608717205, 197.7121560859988, 197.70962714144065
+        rho = GaussianState(2, np.zeros(4), _two_mode_cov(a, a, b, b, c, -c))
+        thermal = GaussianState(2, np.zeros(4), np.diag([3.0, 3.0, 2.0, 2.0]))
+        for pair in (HypothesisPair(rho, thermal), HypothesisPair(thermal, rho)):
+            with pytest.raises(ValidationError, match="physical-state condition"):
+                q_s(pair, 0.5)
 
     @pytest.mark.parametrize("nb", [1e-3, 0.1, 1.0])
     def test_strongly_correlated_pair_near_the_ends_against_mpmath(self, nb):
@@ -938,6 +973,11 @@ class TestDiscriminateMany:
 
     def test_empty_batch(self):
         assert discriminate_many([], []) == []
+
+    def test_rejects_unmatched_lengths(self):
+        probe = ProbeSpec(kind=ProbeKind.TMSV, n0=1.0)
+        with pytest.raises(ValidationError, match="2 probes against 1 scenarios"):
+            discriminate_many([probe, probe], [MICROWAVE])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_one_spectrum_per_batch(self, monkeypatch):

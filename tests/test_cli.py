@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from gqi import ProbeSpec, TargetScenario, remained_discord
 from gqi.cli import build_parser, load_config, main
 from gqi.sweeps import read_table
 from gqi.symplectic import ValidationError
@@ -42,6 +43,13 @@ class TestConfig:
         with pytest.raises(ValidationError):
             load_config(str(cfg))
 
+    def test_line_without_equals_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("probe.n0 1.0\n")
+        code, _, err = run(["snr", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err == f"error: {cfg}:1: expected key = value\n"
+
     def test_bad_value_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("probe.n0 = two\n")
@@ -58,6 +66,17 @@ class TestSnrCommand:
         )
         assert code == 0
         assert "snr=" in out and "q_min=" in out
+
+    def test_with_discord_prints_the_remained_discord(self, capsys):
+        code, out, _ = run(
+            ["snr", "--kind", "astm", "--n0", "0.1", "--n1", "0.5", "--kappa", "0.01",
+             "--nb", "30", "--ensembles", "1e7", "--with-discord"],
+            capsys,
+        )
+        discord = remained_discord(ProbeSpec(kind="astm", n0=0.1, n1=0.5),
+                                   TargetScenario(0.01, 30.0, 1e7)).value
+        assert code == 0
+        assert out.endswith(f" discord={discord!r}\n")
 
     def test_writes_csv(self, tmp_path, capsys):
         out_path = tmp_path / "row.csv"
@@ -105,6 +124,19 @@ class TestSweepCommand:
         assert code == 0
         table = read_table(str(out_path))
         assert [r.axis_value for r in table.rows] == [0.0, 1.0, 2.0]
+
+    def test_skipped_values_reported_on_stderr(self, tmp_path, capsys):
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run(
+            ["sweep", "--axis", "ns", "--from", "0.2", "--to", "2", "--steps", "3",
+             "--kind", "astm", "--n0", "0.5", "--kappa", "0.01", "--nb", "30",
+             "--ensembles", "1e7", "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 0
+        assert err == ("skipped ns=0.2: target signal energy 0.2 is below the "
+                       "probe floor N0 = 0.5\n")
+        assert out == f"wrote {out_path} (6 rows)\n"
 
     def test_plot_script_emitted(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"

@@ -119,6 +119,12 @@ class TestAstmState:
 
 
 class TestCoherentState:
+    def test_signal_energy_is_ns_and_there_is_no_idler(self):
+        probe = ProbeSpec(kind=ProbeKind.COHERENT, ns=2.5)
+        assert probe.signal_energy == 2.5
+        with pytest.raises(ValidationError, match="coherent probe has no idler mode"):
+            probe.idler_energy
+
     def test_vacuum(self):
         state = coherent_state(0.0)
         np.testing.assert_array_equal(state.cov, np.eye(2))
@@ -138,6 +144,11 @@ class TestCoherentState:
 class TestMeanPhoton:
     def test_vacuum_is_zero(self):
         assert mean_photon(tmsv_state(0.0), 0) == 0.0
+
+    @pytest.mark.parametrize("mode", [-1, 2])
+    def test_rejects_mode_out_of_range(self, mode):
+        with pytest.raises(ValidationError, match=f"mode {mode} out of range for 2 modes"):
+            mean_photon(tmsv_state(1.0), mode)
 
     def test_thermal_convention(self):
         from gqi import GaussianState

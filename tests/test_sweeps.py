@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +33,7 @@ from gqi.sweeps import (
     SweepTable,
     _evaluate,
     _FIGURES,
-    _with_axis,
+    gnuplot_script,
     reproduce_figure,
     table_from_csv,
     table_to_string,
@@ -54,7 +55,21 @@ def reference_csv(header, rows) -> str:
 def sweep_alone(spec) -> SweepTable:
     """A figure's sweep, evaluated by sweep on its own."""
     return sweep(spec.axis, spec.grid, spec.probe, spec.scenario,
-                 with_discord=spec.with_discord, compare=spec.compare)
+                 with_discord=spec.with_discord, compare=False)
+
+
+def with_axis(probe: ProbeSpec, scenario: TargetScenario, axis: str,
+              value: float) -> tuple[ProbeSpec, TargetScenario]:
+    """(probe, scenario) with the axis set to value, built as objects, so
+    that the classes and solve_n1_for_signal_energy validate it: the
+    reference a sweep's check in floats must agree with."""
+    if axis in ("kappa", "nb"):
+        return probe, replace(scenario, **{axis: value})
+    if axis == "ns" and probe.kind is ProbeKind.ASTM:
+        return replace(probe, n1=solve_n1_for_signal_energy(value, probe.n0)), scenario
+    if axis == "ns" and probe.kind is ProbeKind.TMSV:
+        axis = "n0"  # N_S = N0 without squeezers
+    return replace(probe, **{axis: value}), scenario
 
 
 class TestRunScenario:
@@ -110,8 +125,23 @@ class TestSolveN1:
         )
 
     def test_rejects_energy_below_floor(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as info:
             solve_n1_for_signal_energy(0.5, 1.0)
+        assert str(info.value) == "target signal energy 0.5 is below the probe floor N0 = 1.0"
+
+    # (nan, 1.0) returned nan, (inf, 1.0) inf and (5.0, -3.0) -1.6.
+    @pytest.mark.parametrize("ns, n0, message", [
+        (math.nan, 1.0, "ns must be finite, got nan"),
+        (math.inf, 1.0, "ns must be finite, got inf"),
+        (-math.inf, 1.0, "target signal energy -inf is below the probe floor N0 = 1.0"),
+        (5.0, -3.0, "probe parameter n0 must be >= 0, got -3.0"),
+        (5.0, math.nan, "n0 must be finite, got nan"),
+        ("5", 1.0, "ns must be a real number, got '5'"),
+    ])
+    def test_admits_its_arguments(self, ns, n0, message):
+        with pytest.raises(ValidationError) as info:
+            solve_n1_for_signal_energy(ns, n0)
+        assert str(info.value) == message
 
 
 class TestSweep:
@@ -162,6 +192,20 @@ class TestSweep:
         assert [r.axis_value for r in table.rows] == [0.0]
         assert [e.split(": ")[0] for e in table.errors] == [f"{axis}=1.0", f"{axis}=2.0"]
         assert all(f"{kind.value} probe has no" in e for e in table.errors)
+
+    def test_ns_axis_of_a_tmsv_probe_reports_n0s_rule(self):
+        table = sweep("ns", [-1.0, 1.0], ProbeSpec(kind=ProbeKind.TMSV, n0=0.5), MICROWAVE)
+        assert [r.kind for r in table.rows] == ["tmsv", "coherent"]
+        assert table.errors == ["ns=-1.0: probe parameter n0 must be >= 0, got -1.0"]
+
+    def test_discord_that_raises_is_reported(self):
+        # The Chernoff step passes at every N_B; the discord of the weakly
+        # correlated return state does not, beyond N_B = 30.
+        table = sweep("nb", [30.0, 1e6, 1e8], ProbeSpec(kind=ProbeKind.TMSV, n0=1.0),
+                      TargetScenario(0.01, 0.0, 1e7), with_discord=True)
+        assert [r.axis_value for r in table.rows] == [30.0]
+        assert [e.split(": ")[0] for e in table.errors] == ["nb=1000000.0", "nb=100000000.0"]
+        assert all("may be off by" in e for e in table.errors)
 
     def test_bad_grid_points_skipped_and_reported(self):
         table = sweep(
@@ -348,8 +392,9 @@ class TestBatchInvariant:
     def test_figure_batch_is_its_tables_alone(self, figure_id, tmp_path):
         specs, derived = _FIGURES[figure_id]
         alone = [sweep_alone(spec) for spec in specs]
-        for table, ref in zip(_evaluate(specs), alone):
-            assert (table.rows, table.errors) == (ref.rows, ref.errors)
+        for outcomes, ref in zip(_evaluate(specs), alone):
+            # No figure has a grid value that fails: each outcome is its row.
+            assert (outcomes, ref.errors) == (ref.rows, [])
         paths = reproduce_figure(figure_id, str(tmp_path))
         texts = []
         for path in paths:
@@ -393,7 +438,7 @@ class TestBatchInvariant:
              compare=True)
     @settings(max_examples=80, deadline=None, derandomize=True)
     def test_sweep_is_each_point_alone(self, axis, kind, values, with_discord, compare):
-        # Every value is built by _with_axis and evaluated by run_scenario
+        # Every value is built by with_axis and evaluated by run_scenario
         # on its own; sweep checks the values in floats and evaluates them
         # in one batch, and must give the same rows and errors.
         probe, scenario = SWEPT_PROBES[kind], TargetScenario(0.05, 10.0, 1e6)
@@ -406,7 +451,7 @@ class TestBatchInvariant:
         rows, errors = [], []
         for value in values:
             try:
-                p, s = _with_axis(probe, scenario, axis, value)
+                p, s = with_axis(probe, scenario, axis, value)
             except ValidationError as exc:
                 errors.append(f"{axis}={value}: {exc}")
                 continue
@@ -511,3 +556,18 @@ class TestReproduceFigure:
     def test_unknown_figure(self, tmp_path):
         with pytest.raises(ValidationError, match="unknown figure id"):
             reproduce_figure("fig9", str(tmp_path))
+
+    @pytest.mark.parametrize("figure_id", FIGURE_IDS)
+    def test_gnuplot_plots_columns_that_exist(self, figure_id, tmp_path):
+        # Every script plotted column 13, which fig4b's and fig5's
+        # three-column tables do not have.
+        paths = reproduce_figure(figure_id, str(tmp_path))
+        script = gnuplot_script(paths, str(tmp_path / f"{figure_id}.gp"))
+        plotted = []
+        for name, k in re.findall(r"'([^']+)' using 1:(\d+) ", script):
+            with open(tmp_path / name, newline="") as fh:
+                header = next(csv.reader(fh))
+            assert 2 <= int(k) <= len(header)
+            plotted.append((name, header[int(k) - 1]))
+        assert plotted == [(name, y) for name, header, _ in FIGURE_TABLES[figure_id]
+                           for y in (["snr"] if header == SWEEP_HEADER else header[1:])]

@@ -317,6 +317,14 @@ class TestSingleModeSqueezer:
 
 
 class TestGaussianStateValidation:
+    @pytest.mark.parametrize("n_modes, cov, shape", [
+        (2, np.eye(2), "(2, 2)"), (1, np.eye(4), "(4, 4)"), (2, np.ones(16), "(16,)")])
+    def test_rejects_covariance_of_the_wrong_shape(self, n_modes, cov, shape):
+        dim = 2 * n_modes
+        with pytest.raises(ValidationError) as info:
+            GaussianState(n_modes, np.zeros(dim), cov)
+        assert str(info.value) == f"cov must be {dim} x {dim}, got {shape}"
+
     def test_rejects_unphysical_covariance(self):
         with pytest.raises(ValidationError):
             GaussianState(1, np.zeros(2), 0.5 * np.eye(2))
