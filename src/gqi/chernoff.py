@@ -17,22 +17,26 @@ form (det V(p) = prod_k Lambda_k^2)
     Sigma'_s = V_A(s)^-1 + V_B(1-s)^-1,
 
 whose weights 1/Lambda_k all lie in (0, 1], whereas Lambda_p of a mixed mode
-diverges as p -> 0. A pair is analysed once, so that Sigma'_s for a whole
-array of s is one matrix product of the weights with fixed parts.
+diverges as p -> 0. A pair is analysed once, so that Sigma'_s at any s is
+a sum of the weights times fixed parts.
 
-The infimum over s (Q_s is convex in s) takes two 64-point float64 scans
-and two parabolic vertices (_infimum): a batch keeps that bookkeeping on
-arrays, one pair on floats (_infimum_one), with the bits of its row.
+The infimum over s: ln Q_s is convex in s (Audenaert et al., PRL 98,
+160501 (2007)), so s* is the root of g = d ln Q_s/ds, or an edge where g
+keeps its sign. Each analysis gives g and g' in closed form (slope), in
+float64, and one safeguarded Newton search (_s_star) finds the root from
+s = 1/2: on a pair's floats, or on (n,) columns with each row frozen where
+it stops, by the same operations, so that one pair gets the bits of its
+row in any batch. It takes 1 to 2 evaluations for most pairs, and fixes s*
+to ~eps / g' where two 64-point float64 scans of Q_s fixed it to
+~sqrt(eps / g'').
 
-One pipeline (_discriminate) serves every pair that is not coherent. A
-pair is analysed once, into Q_s over an (n, m) array of s: a float64 copy
-of the analysis (astype) runs the scans, and the analysis itself, in its
-own dtype, the last evaluation, at the three candidates for s*. -ln Q_min
-is -log1p(Q - 1) above 1/2 and -ln Q below (_exponent), and goes on to
-ln P and the SNR (_results). The coherent pair, a displaced and an
-undisplaced thermal state, takes its closed form at s* = 1/2 instead.
-_route picks the analysis, and q_s, chernoff_infimum and discriminate
-each run one path after it.
+One pipeline (_discriminate) serves every pair that is not coherent: s*,
+then Q_min = Q_{s*} in the analysis' own dtype. -ln Q_min is
+-log1p(Q - 1) above 1/2 and -ln Q below (_exponent), and goes on to ln P
+and the SNR (_results). The coherent pair, a displaced and an undisplaced
+thermal state, takes its closed form at s* = 1/2 instead. _route picks the
+analysis, and q_s, chernoff_infimum and discriminate each run one path
+after it.
 
 The analyses. Every pair make_hypotheses builds has no x-p correlations
 (Duan, Giedke, Cirac & Zoller, PRL 84, 2722 (2000)): V = X (+) P with X
@@ -48,10 +52,10 @@ keeps the digits of 1 - Q ~ 1e-7 at the figure presets, where float64
 alone leaves ~eps / (1 - Q) ~ 4e-9 of the SNR; where np.longdouble is
 float64 (macOS arm64, Windows) it is a float64 one. Any other pair (one
 mode, x-p correlations, unequal means) takes _PairData, in float64: the
-parts of each covariance (_mode_parts) and one batched determinant (and
-solve, for displaced pairs) per array of s. Both weigh their parts by the
-same 1/Lambda_k and prod_k (2 - em_k) (_weights), and both snap a nu to a
-pure mode within the rounding symplectic reports for it (_snap).
+parts of each covariance (_mode_parts), a determinant (and a solve, for
+displaced pairs) per s. Both weigh their parts by the same 1/Lambda_k and
+prod_k (2 - em_k), and both snap a nu to a pure mode within the rounding
+symplectic reports for it (_snap).
 
 Q_s that underflows to 0 is a value (q_s returns 0.0), but Q_min that does
 has lost -ln Q, and with it ln P and the SNR: the pipeline rejects it,
@@ -82,6 +86,7 @@ LN_HALF = -math.log(2.0)
 # but Q_s is smooth there, so evaluating a hair inside the interval is exact
 # to ~1e-12 for full-rank hypotheses.
 _S_EDGE = 1e-12
+_S_TOP = 1.0 - _S_EDGE
 
 # The SNR map (_snr_from_log_p). math.erfc is within ~1.5 ulp below
 # _ERFC_TAIL, where erfc(26) = 5.7e-296; beyond it erfc nears the subnormal
@@ -102,24 +107,17 @@ _HALF_SQRT_PI = 0.5 * _SQRT_PI
 _LN_SQRT_PI = math.log(_SQRT_PI)
 _SQRT_HALF = math.sqrt(0.5)
 
-# Points of each of the two scans of the search for s*.
-_SCAN_POINTS = 64
-_STEPS = np.linspace(0.0, 1.0, _SCAN_POINTS)
-_GUARD = _S_EDGE + (1.0 - 2.0 * _S_EDGE) * _STEPS
-_THREE = np.array([-1, 0, 1])
-_STEPS_LIST, _GUARD_LIST = _STEPS.tolist(), _GUARD.tolist()
-# Least-squares fit of a u^2 + b u + c to a scan, u = step - 1/2: the
-# columns weigh the values into b and a (1, u and u^2 - mean u^2 are
-# orthogonal over the symmetric steps).
-_U = _STEPS - 0.5
-_U2 = _U * _U - np.mean(_U * _U)
-_FIT = np.stack([_U / (_U @ _U), _U2 / (_U2 @ _U2)], axis=1)
+# The search for s* (_s_star). A last Newton step below _S_RESOLVED s (1 - s)
+# leaves ~step^2 / (s (1 - s)) of s*; g within _G_ULPS ulps of the size of its
+# terms has no sign to follow. _SEARCH_STEPS caps the evaluations of g.
+_S_RESOLVED = 4e-5
+_G_ULPS = 64
+_G_NOISE = _G_ULPS * float(np.finfo(float).eps)
+_SEARCH_STEPS = 12
 
 # Power of each column of a standard-form pair (the two modes of rho_A, then
-# the two of rho_B): p = sign s + offset, at _GUARD the same for every pair.
-_SIGN = np.array([1.0, 1.0, -1.0, -1.0])[:, None]
-_OFFSET = np.array([0.0, 0.0, 1.0, 1.0])[:, None]
-_GUARD_POWERS = _GUARD[None, None, :] * _SIGN + _OFFSET
+# the two of rho_B): p = sign s + offset.
+_SIGN, _OFFSET = np.array([1.0, 1.0, -1.0, -1.0]), np.array([0.0, 0.0, 1.0, 1.0])
 
 # Both analyses (_standard, _mode_parts) split the modes while nu_+^2 - nu_-^2
 # exceeds this many ulps of nu_+^2 in the dtype they run in: the projectors
@@ -162,51 +160,86 @@ def _snap(nu, tol):
     return _where(nu <= 1.0 + tol, nu ** 0, nu)
 
 
-def _weights(p, ln_r) -> tuple:
-    """1/Lambda_k and prod_k (2 - em_k) at the powers p, (n or 1, k, m), of
-    k columns whose ln((nu-1)/(nu+1)) is ln_r.
-
-    em = 1 - ((nu-1)/(nu+1))^p, cancellation-free: G_p = (2/(nu+1))^p / em
-    and Lambda_p = (2 - em) / em stay accurate for nu >> 1 and for p -> 0,
-    and a pure mode gives em = 1, so G_p = Lambda_p = 1. k is even, so the
-    product of the k negated factors is theirs.
-    """
-    e = p * ln_r  # a new array: p may be _GUARD_POWERS, which every pair shares
-    np.expm1(e, out=e)  # -em
-    d = -2.0 - e  # -(2 - em)
-    return np.divide(e, d, out=e), np.multiply.reduce(d, axis=1)
-
-
 class _StandardPairs(NamedTuple):
     """n standard-form two-mode pairs analysed once (_standard), for Q_s at any s.
 
-    Axis 0 runs over the pairs; one pair is n = 1, with the bits of its row
-    in any batch. The four columns are the two modes of rho_A (power s) and
-    of rho_B (power 1 - s): nu_+ and nu_- of a state with cross entries, the
-    return and idler modes of a product state. dual holds, per column, the
-    x and p blocks (entries 11, 12, 22) of its part of Sigma'_s. Q_s comes
-    in the dtype of the arrays (dtype).
+    Row i of flat is pair i: ln_r = ln((nu-1)/(nu+1)) (-inf at a pure mode)
+    of its four columns, dual, ln_g = ln 2^n + sum_B ln(2 / (nu + 1)) and
+    ln_ratio = sum_B ln(nu + 1) - sum_A ln(nu + 1). The columns are the two
+    modes of rho_A (power p = s) and of rho_B (power p = 1 - s): nu_+ and
+    nu_- of a state with cross entries, the return and idler modes of a
+    product state. dual holds, row-major, the x and p blocks (entries 11,
+    12, 22) of Sigma'_s (6) by column (4), which weighs column k by
+    1/Lambda_k = -e_k / (2 + e_k), e_k = expm1(p_k ln_r_k) = -em_k: em = 1 -
+    ((nu-1)/(nu+1))^p is cancellation-free, and a pure mode gives em = 1,
+    so G_p = Lambda_p = 1. q and slope take one pair's scalars at a float
+    s, or (n,) columns at an (n,) column of s, through the same operations,
+    so that one pair gets the bits of its row in any batch.
     """
 
-    ln_r: np.ndarray      # (n, 4, 1)
-    dual: np.ndarray      # (n, 6, 4)
-    ln_g: np.ndarray      # (n, 1): ln 2^n + sum_B ln(2 / (nu + 1))
-    ln_ratio: np.ndarray  # (n, 1): sum_B ln(nu + 1) - sum_A ln(nu + 1)
+    flat: np.ndarray  # (n, 32): ln_r (4), ln_g, ln_ratio, unused (2), dual (24)
+    floats: tuple     # _cols of flat in float64, and a, for slope
 
-    @property
-    def dtype(self):
-        return self.ln_r.dtype
+    def q(self, s):
+        """Q_s at s in [_S_EDGE, 1 - _S_EDGE], in np.longdouble:
+        2^n prod_k G_k / Lambda_k / sqrt(det Sigma'_x det Sigma'_p)."""
+        (ln_r, dual, ln_g, ln_ratio), s = _cols(self.flat), _LD_ONE * s
+        e = _expm1(s, ln_r)
+        d = [-2.0 - v for v in e]  # -(2 - em)
+        w0, w1, w2, w3 = (v / dv for v, dv in zip(e, d))  # 1/Lambda, then Sigma' = dual @ it
+        x11, x12, x22, p11, p12, p22 = (((r0 * w0 + r1 * w1) + r2 * w2) + r3 * w3
+                                        for r0, r1, r2, r3 in dual)
+        det = (x11 * x22 - x12 * x12) * (p11 * p22 - p12 * p12)
+        return np.exp(ln_g + s * ln_ratio) / (((d[0] * d[1]) * d[2]) * d[3] * np.sqrt(det))
 
-    def astype(self, dtype) -> "_StandardPairs":
-        return _StandardPairs(*(v.astype(dtype) for v in self))
+    def slope(self, s) -> tuple:
+        """(g, g', size): g = d ln Q_s/ds, its derivative and the size of its
+        terms, in float64, at a float s of one pair or an (n,) column.
 
-    def q(self, s: np.ndarray, p=None) -> np.ndarray:
-        """Q_s for an (n, m) array of s in [_S_EDGE, 1 - _S_EDGE], or a (1, m)
-        one for every pair; p holds the powers at s, computed where None."""
-        inv_lam, prod = _weights(s[:, None, :] * _SIGN + _OFFSET if p is None else p, self.ln_r)
-        sigma = (self.dual @ inv_lam).reshape(len(self.dual), 2, 3, s.shape[1])
-        det = sigma[:, :, 0] * sigma[:, :, 2] - sigma[:, :, 1] ** 2
-        return np.exp(self.ln_g + s * self.ln_ratio) / (prod * np.sqrt(det[:, 0] * det[:, 1]))
+        ln Q_s = ln_g + s ln_ratio - sum_k ln(2 + e_k) - 1/2 ln det Sigma'_x
+        - 1/2 ln det Sigma'_p, with de_k/ds = a_k (1 + e_k), a_k = sign_k
+        ln_r_k (0 at a pure column, whose e_k is -1 at every s). With d = 2 + e
+        and c = a (1 + e) / d, d ln(2 + e)/ds = c, its derivative is a c / d,
+        and 1/Lambda = -e/d has the derivatives -2 c / d and 2 (a c / d) e / d;
+        Sigma' = dual @ (1/Lambda), whose six entries m holds with their two
+        derivatives. g is not a number where Sigma' has a zero determinant;
+        callers silence numpy's floating-point warnings.
+        """
+        ln_r, dual, _, ln_ratio, a = self.floats
+        terms = []  # per column: 1/Lambda and its two derivatives, c, a c / d
+        for a_k, e in zip(a, _expm1(s, ln_r)):
+            d = 2.0 + e
+            c = a_k * (1.0 + e) / d
+            c1 = a_k * c / d
+            terms.append((-e / d, -2.0 * c / d, 2.0 * c1 * e / d, c, c1))
+        (w0, w1, w2, w3), (v0, v1, v2, v3), (u0, u1, u2, u3), c, c1 = zip(*terms)
+        m = [(((r0 * w0 + r1 * w1) + r2 * w2) + r3 * w3, ((r0 * v0 + r1 * v1) + r2 * v2) + r3 * v3,
+              ((r0 * u0 + r1 * u1) + r2 * u2) + r3 * u3) for r0, r1, r2, r3 in dual]
+        r1, r2 = [], []  # d ln det / ds and its derivative, of Sigma'_x then Sigma'_p
+        for (a11, b11, c11), (a12, b12, c12), (a22, b22, c22) in (m[:3], m[3:]):
+            det = a11 * a22 - a12 * a12
+            det = _where(det != 0.0, det, math.nan)
+            r1.append(((b11 * a22 + a11 * b22) - 2.0 * (a12 * b12)) / det)
+            det2 = ((c11 * a22 + 2.0 * (b11 * b22)) + a11 * c22) - 2.0 * (b12 * b12 + a12 * c12)
+            r2.append(det2 / det - r1[-1] * r1[-1])
+        lo, hi = c[0] + c[1], c[2] + c[3]
+        return ((ln_ratio - (lo + hi)) - 0.5 * (r1[0] + r1[1]),
+                -((c1[0] + c1[1]) + (c1[2] + c1[3])) - 0.5 * (r2[0] + r2[1]),
+                (abs(ln_ratio) + (hi - lo)) + 0.5 * (abs(r1[0]) + abs(r1[1])))
+
+
+def _cols(flat) -> tuple:
+    """ln_r, the six rows of dual, ln_g and ln_ratio of _StandardPairs.flat:
+    one pair's scalars (floats from float64), or (n,) columns."""
+    v = flat[0].tolist() if len(flat) == 1 else list(flat.T)
+    return v[:4], [v[j:j + 4] for j in range(8, 32, 4)], v[4], v[5]
+
+
+def _expm1(s, ln_r) -> list:
+    """e_k = expm1(p_k ln_r_k) of the four columns at s, in one numpy call."""
+    u = 1.0 - s
+    e = np.expm1([s * ln_r[0], s * ln_r[1], u * ln_r[2], u * ln_r[3]])
+    return e.tolist() if e.ndim == 1 else list(e)
 
 
 def _standard(ent_a, ent_b) -> tuple:
@@ -243,11 +276,12 @@ def _standard(ent_a, ent_b) -> tuple:
     row = _LAYOUT(parts_a + parts_b)
     flat = np.array([-2.0 / (v + 1.0) for v in row[:4]] + list(row),
                     dtype=np.longdouble).reshape(32, -1).T
-    logs = np.log1p(flat[:, :8])  # ln((nu - 1) / (nu + 1)), then ln(nu + 1)
-    ln = logs[:, 4::2] + logs[:, 5::2]  # sum over the modes of rho_A, of rho_B
-    ln_a, ln_b = ln[:, :1], ln[:, 1:]
-    return errors, _StandardPairs(ln_r=logs[:, :4, None], dual=flat[:, 8:].reshape(-1, 6, 4),
-                                  ln_g=_LN_16 - ln_b, ln_ratio=ln_b - ln_a)
+    flat[:, :8] = np.log1p(flat[:, :8])  # ln((nu - 1) / (nu + 1)), then ln(nu + 1)
+    ln_a, ln_b = flat[:, 4] + flat[:, 5], flat[:, 6] + flat[:, 7]  # over the modes of each
+    flat[:, 4], flat[:, 5] = _LN_16 - ln_b, ln_b - ln_a
+    cols = _cols(flat.astype(float))  # and a_k = sign_k ln_r_k, 0 at a pure column
+    a = [sign * _where(v == -math.inf, 0.0, v) for sign, v in zip(_SIGN.tolist(), cols[0])]
+    return errors, _StandardPairs(flat, (*cols, a))
 
 
 def _longdouble(entries):
@@ -347,12 +381,11 @@ def _discriminate(errors, pairs, ensembles) -> list:
     result or its ValidationError (_outcome). errors[i] is why pair i was
     rejected, or None, and M a float or an array of n. Callers silence
     numpy's floating-point warnings."""
-    scan, evaluate = pairs.astype(float).q, lambda s: pairs.q(s.astype(pairs.dtype))
-    if len(errors) == 1:  # -ln Q in Q's dtype, rounded once to a float
-        s_star, q = _infimum_one(scan, evaluate)
+    s_star, _ = _s_star(errors, pairs)
+    q = pairs.q(s_star)  # -ln Q in Q's dtype, rounded once to a float
+    if len(errors) == 1:
         s_star, q, exponent = [s_star], [q], float(max(_exponent(q), 0.0))
     else:
-        s_star, q = _infimum(scan, evaluate, len(errors))
         s_star, exponent = s_star.tolist(), np.maximum(_exponent(q), 0.0).astype(float)
     results = _results(s_star, exponent, ensembles)
     return [_outcome(*row) for row in zip(errors, results, s_star, q)]
@@ -408,92 +441,39 @@ def _coherent(signal, nb, ensembles) -> list:
             for result, ok in zip(results, finite)]
 
 
-def _infimum(scan, evaluate, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize n convex functions of s over [0, 1]; returns (s_star, minimum).
+def _s_star(errors, pairs) -> tuple:
+    """s* of n analysed pairs and how many times each evaluated g: floats of
+    one pair, or (n,) columns, each row frozen where it stops.
 
-    scan maps an (n, m) float64 array of s to the values there, and
-    evaluate does so in the precision of the result. A 64-point scan of
-    [0, 1] brackets each row's minimum between the neighbours of its best
-    grid point, and a 64-point scan of that bracket finds the best point
-    again. Two vertices refine it: that of the parabola through the three
-    values around the best point, clipped to one grid step of it, which
-    removes the grid's error where rounding leaves those values their
-    curvature; and that of the least-squares parabola through the whole
-    second scan, clipped to the bracket, which averages over the rounding
-    where the values near the minimum differ by a few ulps only. evaluate
-    takes the values at the best point and at both vertices, and each row
-    keeps the smallest (the best point's on ties and where another is not a
-    number).
-
-    Each row's fit is its own (1, 64) @ (64, 2) product: an (n, 64) product
-    sums a row in an order that depends on n and on the row's place, which
-    moves s* of ~1.5% of points by an ulp from batch to batch. _infimum_one
-    searches one row with the bits of its row here, its bookkeeping on floats.
+    g = d ln Q_s/ds (pairs.slope) rises through one root, or keeps one sign
+    on [_S_EDGE, 1 - _S_EDGE]. Newton runs on h = g s (1 - s), which has g's
+    root but not its poles: where Sigma'_s nears singular at an end, ln Q_s
+    goes as ln s or ln(1 - s), and a Newton step on g from near that end
+    crawls (n1 = 1e124 puts s* at 0.996). It starts from s = 1/2 and keeps
+    the bracket [lo, hi] that g's signs have shown, whose ends stay 0 and 1
+    until g is evaluated beyond them. A step past an edge goes to the edge,
+    which is evaluated only then, and a step out of the bracket goes to its
+    middle. A row stops at s where g is within its rounding (_G_NOISE of its
+    size) or not a number, or keeps its sign at an edge; it takes one last
+    step of at most _S_RESOLVED s (1 - s), or the step it has after
+    _SEARCH_STEPS. A rejected pair (errors) is not searched.
     """
-    last = _SCAN_POINTS - 1
-    rows = np.arange(n)
-    i = scan(_GUARD[None], _GUARD_POWERS).argmin(axis=1)[:, None]
-    lo = _GUARD.take(np.maximum(i - 1, 0))
-    width = _GUARD.take(np.minimum(i + 1, last)) - lo
-    values = scan(lo + width * _STEPS)
-    j = values.argmin(axis=1)[:, None]
-    c = np.minimum(np.maximum(j, 1), last - 1)  # middle of the three values
-    f0, f1, f2 = values[rows[:, None], c + _THREE].T[:, :, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        at = c + 0.5 * (f0 - f2) / (f0 - 2.0 * f1 + f2)  # as a grid index
-        fit = ((values - f1)[:, None, :] @ _FIT)[:, 0]
-        mid = 0.5 - 0.5 * fit[:, :1] / fit[:, 1:]  # as a fraction of the bracket
-    # A flat stencil's 0/0 becomes the neighbour below, and the fit's the
-    # bracket's lower end.
-    at = np.fmin(np.fmax(at, np.maximum(j - 1, 0)), np.minimum(j + 1, last))
-    mid = np.fmin(np.fmax(mid, 0.0), 1.0)
-    s = lo + width * np.concatenate([_STEPS.take(j), at * (1.0 / last), mid], axis=1)
-    value = evaluate(s)
-    pick = rows, np.fmin(value, value[:, :1]).argmin(axis=1)
-    return s[pick], value[pick]
-
-
-def _quotient(num: float, den: float) -> float:
-    """num / den, or numpy's inf or nan where den is 0 (a flat stencil or fit)."""
-    if den:
-        return num / den
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float(np.float64(num) / den)
-
-
-def _clip(x: float, lo, hi) -> float:
-    """np.fmin(np.fmax(x, lo), hi) of a float: lo where x is not a number."""
-    return lo if x != x else min(max(x, lo), hi)
-
-
-def _infimum_one(scan, evaluate) -> tuple:
-    """_infimum of one function, its bookkeeping on floats; returns (s_star,
-    minimum), the minimum a scalar of evaluate's dtype.
-
-    The scans, the fit and the last evaluation are _infimum's numpy calls on
-    a (1, m) array; the bracket, the stencil's vertex, the clipping and the
-    pick are the same operations on floats, so that the result has the bits
-    of _infimum's row.
-    """
-    last = _SCAN_POINTS - 1
-    i = int(scan(_GUARD[None], _GUARD_POWERS).argmin())
-    lo = _GUARD_LIST[max(i - 1, 0)]
-    width = _GUARD_LIST[min(i + 1, last)] - lo
-    values = scan((lo + width * _STEPS)[None])
-    j = int(values.argmin())
-    c = min(max(j, 1), last - 1)
-    f0, f1, f2 = values[0, c - 1:c + 2].tolist()
-    fit_u, fit_u2 = ((values - f1) @ _FIT)[0].tolist()
-    at = _clip(c + _quotient(0.5 * (f0 - f2), f0 - 2.0 * f1 + f2),
-               max(j - 1, 0), min(j + 1, last))
-    mid = _clip(0.5 - _quotient(0.5 * fit_u, fit_u2), 0.0, 1.0)
-    s = [lo + width * u for u in (_STEPS_LIST[j], at * (1.0 / last), mid)]
-    value = evaluate(np.array([s]))[0]
-    best = 0
-    for k in (1, 2):
-        if value[k] < value[best]:
-            best = k
-    return s[best], value[best]
+    s, lo, hi, steps = 0.5 if len(errors) == 1 else np.full(len(errors), 0.5), 0.0, 1.0, 0
+    done = bool(errors[0]) if len(errors) == 1 else np.array([bool(e) for e in errors])
+    for _ in range(_SEARCH_STEPS):
+        if _all(done):
+            break
+        g, g1, size = pairs.slope(s)
+        w, steps = s * (1.0 - s), _where(done, steps, steps + 1)
+        lo, hi, h1 = _where(g < 0.0, s, lo), _where(g > 0.0, s, hi), g1 * w + g * (1.0 - 2.0 * s)
+        step = -g * w / _where(h1 > 0.0, h1, math.nan)  # Newton on h = g w, of slope h1
+        t = _where(s + step < _S_EDGE, _S_EDGE, _where(s + step > _S_TOP, _S_TOP, s + step))
+        t = _where((lo < t) & (t < hi), t, 0.5 * (lo + hi))
+        edge = ((s == _S_EDGE) & (g >= 0.0)) | ((s == _S_TOP) & (g <= 0.0))
+        hold = _where(abs(g) > _G_NOISE * size, edge, True)  # True where g is no number
+        s = _where(done | hold, s, t)
+        done = done | hold | (abs(step) <= _S_RESOLVED * w)
+    return s, steps
 
 
 def _mode_parts(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -540,7 +520,7 @@ def _mode_parts(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class _PairData:
     """One hypothesis pair of one or two modes analysed once in float64, for
-    Q_s at any array of s, with the interface of _StandardPairs.
+    Q_s at any s, with the interface of _StandardPairs.
 
     Each column k is one symplectic eigenvalue, of rho_A (power p = s) or
     of rho_B (power p = 1 - s), as in _StandardPairs. The dual parts
@@ -550,10 +530,10 @@ class _PairData:
     (2/(nu_k+1))^p_k multiply to g_b * ratio^s with g_b = prod_B 2/(nu+1)
     and ratio = prod_B (nu+1) / prod_A (nu+1), which is close to 1 when the
     hypotheses are; exponentiating each ln(2/(nu+1)) ~ -9 separately would
-    lose several ulps of Q. Callers silence numpy's floating-point warnings.
+    lose several ulps of Q. At the ends of s, Sigma' is ~V_B^-1 or ~V_A^-1,
+    positive definite: an analysis that finds it singular there has lost the
+    pair, and raises. Callers silence numpy's floating-point warnings.
     """
-
-    dtype = np.dtype(float)
 
     def __init__(self, pair: HypothesisPair):
         nu_a, parts_a = _mode_parts(pair.rho_a.cov)
@@ -564,38 +544,58 @@ class _PairData:
         dual = omega @ np.concatenate([parts_a, parts_b]) @ omega.T
         # diag of V_A^-1 + V_B^-1, the size of Sigma' away from s = 0 and 1.
         scale = np.sqrt((np.diagonal(dual, axis1=1, axis2=2) / nu[:, None]).sum(axis=0))
-        self.columns = slice(2 - k, 2 + k)  # of the powers of _StandardPairs.q
-        self.ln_r = np.log1p(-2.0 / (nu + 1.0))[:, None]  # -inf at a pure mode
+        self.sign, self.offset = _SIGN[2 - k:2 + k], _OFFSET[2 - k:2 + k]
+        self.ln_r = np.log1p(-2.0 / (nu + 1.0))  # -inf at a pure mode
+        self.a = self.sign * np.where(self.ln_r == -np.inf, 0.0, self.ln_r)
         self.g_b = float(np.prod(2.0 / (nu_b + 1.0)))
         self.ratio = float(np.prod(nu_b + 1.0) / np.prod(nu_a + 1.0))
         self.dual = (dual / np.outer(scale, scale)).reshape(nu.size, -1)
         self.det_scale = float(np.prod(scale) ** 2)
         d = pair.rho_a.mean - pair.rho_b.mean
         self.dual_d = (dual @ d) / scale if np.any(d) else None
+        self.q(_S_EDGE), self.q(_S_TOP)  # Sigma' ~ V_B^-1, V_A^-1: raises if singular
 
-    def astype(self, dtype) -> "_PairData":
-        """The analysis itself: it is float64 already."""
-        return self
-
-    def q(self, s: np.ndarray, p=None) -> np.ndarray:
-        """Q_s for an (n, m) array of s, p as in _StandardPairs.q."""
-        p = s[:, None, :] * _SIGN + _OFFSET if p is None else p
-        inv_lam, prod = _weights(p[:, self.columns], self.ln_r)
-        inv_lam = inv_lam.transpose(0, 2, 1)  # (n, m, k)
-        dim = 2 * self.n_modes
-        sigma = (inv_lam @ self.dual).reshape(*s.shape, dim, dim)
+    def q(self, s: float):
+        """Q_s at a float s, as _StandardPairs.q, times exp(-1/2 d^T Sigma_s^-1 d)
+        = exp(-1/2 (V_A(s)^-1 d)^T Sigma'^-1 (V_B(1-s)^-1 d)) where displaced."""
+        k, e = self.n_modes, np.expm1((s * self.sign + self.offset) * self.ln_r)
+        w = -e / (2.0 + e)
+        sigma = (w @ self.dual).reshape(2 * k, 2 * k)
         det = np.linalg.det(sigma) * self.det_scale
-        if not np.all(det > 0.0):
+        if not det > 0.0:
             raise ValidationError(_SINGULAR)
-        value = 2.0 ** self.n_modes * (self.g_b * self.ratio**s / prod) / np.sqrt(det)
+        value = 2.0 ** k * (self.g_b * self.ratio**s / np.prod(2.0 + e)) / np.sqrt(det)
         if self.dual_d is not None:
-            # d^T Sigma^-1 d = (V_A(s)^-1 d)^T Sigma'^-1 (V_B(1-s)^-1 d)
-            k = self.n_modes
-            u_a = inv_lam[..., :k] @ self.dual_d[:k]
-            u_b = inv_lam[..., k:] @ self.dual_d[k:]
-            sol = np.linalg.solve(sigma, u_b[..., None])[..., 0]
-            value = value * np.exp(-0.5 * np.sum(u_a * sol, axis=-1))
+            u_b = np.linalg.solve(sigma, w[k:] @ self.dual_d[k:])
+            value *= np.exp(-0.5 * ((w[:k] @ self.dual_d[:k]) @ u_b))
         return value
+
+    def slope(self, s: float) -> tuple:
+        """g, g' and the size of g's terms at s, as _StandardPairs.slope, with
+        d ln det Sigma' = tr(Sigma'^-1 dSigma') and its derivative
+        tr(Sigma'^-1 d^2Sigma') - tr((Sigma'^-1 dSigma')^2). A displaced pair
+        adds those of its quadratic term u_a^T Sigma'^-1 u_b, u_a = dual_d @ w
+        over rho_A's columns and u_b over rho_B's. NaNs where det Sigma' is
+        not positive."""
+        k, a, e = self.n_modes, self.a, np.expm1((s * self.sign + self.offset) * self.ln_r)
+        t, d = 1.0 + e, 2.0 + e
+        w = np.array([-e / d, -2.0 * a * t / (d * d), 2.0 * a * a * t * e / d**3])  # w, w', w''
+        sig, sig1, sig2 = (w @ self.dual).reshape(3, 2 * k, 2 * k)
+        if not np.linalg.det(sig) > 0.0:
+            return math.nan, math.nan, math.nan
+        inv = np.linalg.inv(sig)
+        m1, ln_ratio = inv @ sig1, float(np.log(self.ratio))
+        g = ln_ratio - np.sum(a * t / d) - 0.5 * np.trace(m1)
+        g1 = -np.sum(a * a * t / (d * d)) - 0.5 * (np.trace(inv @ sig2) - np.sum(m1 * m1.T))
+        size = abs(ln_ratio) + np.sum(abs(a * t / d)) + 0.5 * abs(np.trace(m1))
+        if self.dual_d is not None:
+            u_a, u_b = w[:, :k] @ self.dual_d[:k], w[:, k:] @ self.dual_d[k:]  # u, u', u''
+            y_a, y_b = inv @ u_a[0], inv @ u_b[0]
+            q1 = u_a[1] @ y_b + y_a @ u_b[1] - y_a @ sig1 @ y_b
+            q2 = (u_a[2] @ y_b + y_a @ u_b[2] - y_a @ sig2 @ y_b
+                  + 2.0 * (u_a[1] - sig1 @ y_a) @ inv @ (u_b[1] - sig1 @ y_b))
+            g, g1, size = g - 0.5 * q1, g1 - 0.5 * q2, size + 0.5 * abs(q1)
+        return float(g), float(g1), float(size)
 
 
 def _route(pair: HypothesisPair, closed_form: bool = True) -> tuple:
@@ -621,10 +621,10 @@ def q_s(pair: HypothesisPair, s: float) -> float:
     one) in its dtype."""
     if not 0.0 <= s <= 1.0:
         raise ValidationError(f"s must lie in [0, 1], got {s}")
-    s = min(max(s, _S_EDGE), 1.0 - _S_EDGE)
+    s = min(max(s, _S_EDGE), _S_TOP)
     with np.errstate(all="ignore"):
         _, (errors, pairs) = _route(pair, closed_form=False)
-        q = pairs.q(np.full((1, 1), s, dtype=pairs.dtype))[0, 0]
+        q = pairs.q(s)
     if errors[0]:
         raise ValidationError(errors[0])
     if not 0.0 <= q < math.inf:

@@ -23,7 +23,8 @@ from .probes import (
     _probe_entries,
     _return_entries,
 )
-from .symplectic import GaussianState, ValidationError, _cancellation, standard_form_spectrum
+from .symplectic import (_WIDE_RANGE, GaussianState, ValidationError, _cancellation,
+                         standard_form_spectrum)
 
 _ZERO_CLAMP = 1e-10
 _EPS = sys.float_info.epsilon
@@ -141,45 +142,49 @@ def _discord(alpha: float, beta: float, gamma: float, delta: float, nu, tol: flo
     if product:
         return DiscordResult(0.0, "product", (nu_hi, nu_lo))
 
-    # grad: alpha, beta, gamma, delta times d sqrt(eps) / d each of them.
-    if nu_hi == 1.0:
-        # Pure state: eps -> 1 and both entropy terms vanish, leaving the
-        # marginal entropy. The closed forms below lose ~1e-7 to cancellation
-        # exactly on this boundary, so take the limit directly.
-        branch, eps, grad = "pure", 1.0, (0.0,) * 4
-    elif (delta - alpha * beta) ** 2 <= (beta + 1.0) * gamma**2 * (alpha + delta):
-        branch = "measurement-aligned"
-        inner = max(gamma**2 + (beta - 1.0) * (delta - alpha), 0.0)
-        if beta > 1.0 + _ZERO_CLAMP:
-            # sqrt(eps) = (|gamma| + sqrt(inner)) / (beta - 1)
-            s = math.sqrt(inner)
-            eps = (2.0 * gamma**2 + (beta - 1.0) * (delta - alpha)
-                   + 2.0 * abs(gamma) * s) / (beta - 1.0) ** 2
-            root = (abs(gamma) + s) / (beta - 1.0)
-            ds = 0.5 / s if s > 0.0 else math.inf
-            grad = (alpha * ds, beta * ((delta - alpha) * ds - root) / (beta - 1.0),
-                    (abs(gamma) + gamma**2 * ds * 2.0) / (beta - 1.0), delta * ds)
+    # grad: alpha, beta, gamma, delta times d sqrt(eps) / d each of them. A
+    # float ** raises OverflowError where a square leaves float64.
+    try:
+        if nu_hi == 1.0:
+            # Pure state: eps -> 1 and both entropy terms vanish, leaving the
+            # marginal entropy. The closed forms below lose ~1e-7 to cancellation
+            # exactly on this boundary, so take the limit directly.
+            branch, eps, grad = "pure", 1.0, (0.0,) * 4
+        elif (delta - alpha * beta) ** 2 <= (beta + 1.0) * gamma**2 * (alpha + delta):
+            branch = "measurement-aligned"
+            inner = max(gamma**2 + (beta - 1.0) * (delta - alpha), 0.0)
+            if beta > 1.0 + _ZERO_CLAMP:
+                # sqrt(eps) = (|gamma| + sqrt(inner)) / (beta - 1)
+                s = math.sqrt(inner)
+                eps = (2.0 * gamma**2 + (beta - 1.0) * (delta - alpha)
+                       + 2.0 * abs(gamma) * s) / (beta - 1.0) ** 2
+                root = (abs(gamma) + s) / (beta - 1.0)
+                ds = 0.5 / s if s > 0.0 else math.inf
+                grad = (alpha * ds, beta * ((delta - alpha) * ds - root) / (beta - 1.0),
+                        (abs(gamma) + gamma**2 * ds * 2.0) / (beta - 1.0), delta * ds)
+            else:
+                # A pure mode 2 (beta -> 1) only occurs in a product state, where
+                # measuring it leaves mode 1 as it was: the limit is eps -> alpha.
+                eps = alpha
+                grad = (0.5 * math.sqrt(alpha), 0.0, 0.0, 0.0)
         else:
-            # A pure mode 2 (beta -> 1) only occurs in a product state, where
-            # measuring it leaves mode 1 as it was: the limit is eps -> alpha.
-            eps = alpha
-            grad = (0.5 * math.sqrt(alpha), 0.0, 0.0, 0.0)
-    else:
-        branch = "generic"
-        ab = alpha * beta
-        inner = max(gamma**4 + (delta - ab) ** 2 - 2.0 * gamma**2 * (delta + ab), 0.0)
-        q = math.sqrt(inner)
-        eps = (ab - gamma**2 + delta - q) / (2.0 * beta)
-        # alpha d inner / d alpha = beta d inner / d beta = -2 ab (delta - ab + gamma^2)
-        dq = 0.5 / q if q > 0.0 else math.inf
-        g_ab = ab * (1.0 + 2.0 * (delta - ab + gamma**2) * dq)
-        g_1, g_2, g_3, g_4 = (g_ab, g_ab - 2.0 * beta * eps,
-                              -2.0 * gamma**2 * (1.0 + 2.0 * (gamma**2 - delta - ab) * dq),
-                              delta * (1.0 - 2.0 * (delta - ab - gamma**2) * dq))
-        grad = (0.0,) * 4
-        if eps > 1.0:  # each over 2 beta, then times d sqrt(eps) / d eps
-            b2, r2 = 2.0 * beta, 2.0 * math.sqrt(eps)
-            grad = (g_1 / b2 / r2, g_2 / b2 / r2, g_3 / b2 / r2, g_4 / b2 / r2)
+            branch = "generic"
+            ab = alpha * beta
+            inner = max(gamma**4 + (delta - ab) ** 2 - 2.0 * gamma**2 * (delta + ab), 0.0)
+            q = math.sqrt(inner)
+            eps = (ab - gamma**2 + delta - q) / (2.0 * beta)
+            # alpha d inner / d alpha = beta d inner / d beta = -2 ab (delta - ab + gamma^2)
+            dq = 0.5 / q if q > 0.0 else math.inf
+            g_ab = ab * (1.0 + 2.0 * (delta - ab + gamma**2) * dq)
+            g_1, g_2, g_3, g_4 = (g_ab, g_ab - 2.0 * beta * eps,
+                                  -2.0 * gamma**2 * (1.0 + 2.0 * (gamma**2 - delta - ab) * dq),
+                                  delta * (1.0 - 2.0 * (delta - ab - gamma**2) * dq))
+            grad = (0.0,) * 4
+            if eps > 1.0:  # each over 2 beta, then times d sqrt(eps) / d eps
+                b2, r2 = 2.0 * beta, 2.0 * math.sqrt(eps)
+                grad = (g_1 / b2 / r2, g_2 / b2 / r2, g_3 / b2 / r2, g_4 / b2 / r2)
+    except OverflowError:
+        raise ValidationError(_WIDE_RANGE) from None
 
     eps = max(eps, 1.0)
     root_beta, root_eps = math.sqrt(beta), math.sqrt(eps)

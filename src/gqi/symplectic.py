@@ -286,7 +286,7 @@ def standard_form_spectrum(entries) -> StandardSpectrum:
     times its condition). With u the eigenvector of PX for nu_-^2, that of
     i Omega V is (u, -i X u / nu_-), which gives the condition in closed form.
     A column flagged on the common path (not finite, not positive definite,
-    det X det P overflowing, or nu_- below 1 - EIGENVALUE_CLAMP_TOL) takes
+    det X det P overflowing, or nu_- below 1 - EIGENVALUE_CLAMP_TOL or infinite) takes
     the path of six floats, as numpy scalars of its dtype. Six floats take
     no numpy call, and their fields are nan when errors holds a reason
     other than the shortfall.
@@ -299,7 +299,8 @@ def standard_form_spectrum(entries) -> StandardSpectrum:
             nu, k = np.array(nu), np.array(k)
             # det_x det_p is not finite where an entry is not, or it overflows.
             bad = ~((np.minimum(np.minimum(ax, ap), np.minimum(det_x, det_p)) > 0.0)
-                    & (nu[1] >= 1.0 - EIGENVALUE_CLAMP_TOL) & np.isfinite(det_x * det_p))
+                    & (nu[1] >= 1.0 - EIGENVALUE_CLAMP_TOL) & np.isfinite(det_x * det_p)
+                    & (nu[1] < np.inf))  # inf where tr PX cancels to 0
             errors, tol = [None] * nu.shape[1], np.full(nu.shape[1], EIGENVALUE_CLAMP_TOL)
             rounding = _ROUNDING_ULPS * _EPS * _cancellation(entries, det_x, det_p)
             for i in np.flatnonzero(bad):
@@ -309,10 +310,13 @@ def standard_form_spectrum(entries) -> StandardSpectrum:
     det_x, det_p = ax * bx - cx * cx, ap * bp - cp * cp
     error = _definiteness(entries, det_x, det_p)
     if not error:
-        nu, gap, k = _spectrum(entries, det_x, det_p)
-        if _range_error(nu):
-            nu, gap, k = _centred_spectrum(entries)
-            error = _range_error(nu)
+        try:
+            nu, gap, k = _spectrum(entries, det_x, det_p)
+            if _range_error(nu):
+                nu, gap, k = _centred_spectrum(entries)
+                error = _range_error(nu)
+        except (ZeroDivisionError, ValueError):  # floats whose tr PX cancels to 0 or below
+            error = _WIDE_RANGE
     if not error:
         try:
             error, tol = _shortfall(entries, nu, k)
@@ -350,7 +354,7 @@ def _spectrum(entries, det_x, det_p) -> tuple:
 
 def _range_error(nu) -> str | None:
     """Why a computed nu_+, nu_- is not a spectrum (0, inf or NaN), or None."""
-    if 0.0 < nu[1] and nu[0] < math.inf:
+    if 0.0 < nu[1] < math.inf and nu[0] < math.inf:
         return None
     return _WIDE_RANGE
 

@@ -20,6 +20,7 @@ from gqi import (
     log_p_from_snr,
     make_hypotheses,
     q_s,
+    reproduce_figure,
     snr,
     snr_from_log_p,
     sweep,
@@ -251,6 +252,19 @@ class TestQs:
                                   for v in (pair.rho_a, pair.rho_b)))
         with pytest.raises(ValidationError, match="is singular"):
             q_s(turned, 1.0 - 1e-12)
+
+    def test_general_analysis_that_lost_the_pair_raises(self):
+        # The same turned pair: its general analysis is singular near s = 1
+        # and off by up to 5e4x elsewhere (Q_s 0.9999 at s = 1e-12, where the
+        # standard analysis reads 1.94e-5). The two-scan search raised when a
+        # scan point met the singular end; a search that never goes there
+        # returned Q_min = 1.55e-4 at s* = 0.384, against 1.94e-5 at s* =
+        # 1e-12. The analysis now checks both ends of s and raises.
+        pair = make_hypotheses(ProbeSpec(kind=ProbeKind.ASTM, n0=7e4, n1=1e4, n2=0.002),
+                               TargetScenario(0.4, 2e-7, 1e6))
+        for call in (lambda p: discriminate(p, 1e6), chernoff_infimum, lambda p: q_s(p, 0.3)):
+            with pytest.raises(ValidationError, match="is singular"):
+                call(turned(pair, 0.3))
 
     def test_state_the_analysis_rejects_raises(self):
         # GaussianState reads this two-mode squeezed state's spectrum as
@@ -1109,19 +1123,17 @@ class TestDiscriminateMany:
             [probes[i] for i in two_mode], [scenarios[i] for i in two_mode])
         with np.errstate(all="ignore"):
             errors, batch = chernoff._standard(ent_a, ent_b)
-            s = np.array([[0.3]], dtype=np.longdouble)
-            batch_q = batch.q(np.repeat(s, len(two_mode), axis=0))[:, 0]
-        assert_dual_is_symmetric_parts(ent_a, ent_b, errors, batch.dual)
+            batch_q = batch.q(np.full(len(two_mode), 0.3))
+        assert_dual_is_symmetric_parts(ent_a, ent_b, errors, batch.flat[:, 8:].reshape(-1, 6, 4))
         for col, i in enumerate(two_mode):
             with np.errstate(all="ignore"):
                 one_errors, one = chernoff._standard(tuple(ent_a[:, col]), tuple(ent_b[:, col]))
             assert one_errors == [errors[col]]
             if errors[col]:
                 continue
-            for name in ("ln_r", "dual", "ln_g", "ln_ratio"):
-                a, b = getattr(one, name)[0], getattr(batch, name)[col]
-                assert np.array_equal(a, b, equal_nan=True), name
-                assert np.array_equal(np.signbit(a), np.signbit(b)), name
+            a, b = one.flat[0], batch.flat[col]
+            assert np.array_equal(a, b, equal_nan=True)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
             try:
                 pair = make_hypotheses(probes[i], scenarios[i])
             except ValidationError:
@@ -1198,7 +1210,7 @@ class TestDiscriminateMany:
         pair = make_hypotheses(ProbeSpec(kind=ProbeKind.TMSV, n0=1e-9),
                                TargetScenario(0.5, 0.0, 1e6))
         with np.errstate(all="ignore"):
-            one_minus_q = 1.0 - _PairData(pair).q(np.array([[1e-12, 0.47]]))[0]
+            one_minus_q = [1.0 - _PairData(pair).q(s) for s in (1e-12, 0.47)]
         np.testing.assert_allclose(one_minus_q, [5.0e-10, 5.43035402045e-10], rtol=1e-6)
 
     def test_underflow_on_the_general_path_is_named(self):
@@ -1209,8 +1221,7 @@ class TestDiscriminateMany:
             GaussianState(1, np.array([100.0, 0.0]), np.diag([2.0, 0.6])),
             GaussianState(1, np.zeros(2), np.diag([1.5, 1.0])))
         with np.errstate(all="ignore"):
-            data = _PairData(pair)
-            s_star, _ = chernoff._infimum_one(data.q, data.q)
+            s_star, _ = chernoff._s_star([None], _PairData(pair))
         text = f"Q_min underflows to 0 at s* = {s_star:.6g}"
         assert outcome(discriminate, pair, 10.0) == ("error", text)
         assert outcome(chernoff_infimum, pair) == ("error", text)
@@ -1226,6 +1237,188 @@ class TestDiscriminateMany:
         worst = max(abs(row.snr / mp_tmsv_snr(row.n0, MICROWAVE, dps=50) - 1.0)
                     for row in table.rows)
         assert worst <= 2e-11
+
+
+def mp_standard_q(n0: float, n1: float, n2: float, scenario: TargetScenario):
+    """ln Q_s of a built ASTM (or TMSV, n1 = n2 = 0) pair, as a function of an
+    mpmath s, from the parameters at the working precision (oracle).
+
+    Both covariances are X (+) P, with 2x2 blocks on (x1, x2) and (p1, p2).
+    nu_+-^2 are the eigenvalues of PX, and V(p) = S Lambda_p(D) S^T is
+    X f(PX) (+) P f(XP), f(nu^2) = Lambda_p(nu) / nu fitted through nu_+-^2
+    (the Lagrange form of perfbench/reference.py). Then
+    Q_s = 4 prod G_s(alpha_k) G_{1-s}(beta_k) / sqrt(det Sigma_x det Sigma_p).
+    """
+    mpmath = pytest.importorskip("mpmath")
+    n0, n1, n2, kappa, nb = (mpmath.mpf(v) for v in (n0, n1, n2, scenario.kappa, scenario.nb))
+    a, c = 2 * n0 + 1, 2 * mpmath.sqrt(n0 * (n0 + 1))
+    g1, g2 = (mpmath.sqrt(n + 1) + mpmath.sqrt(n) for n in (n1, n2))  # squeezer gains
+    k, noise, thermal = mpmath.sqrt(kappa), 2 * nb + 1 - kappa, 2 * nb + 1
+    cross_x, cross_p = k * c / (g1 * g2), -k * c * g1 * g2
+    rho_a = (mpmath.matrix([[kappa * a / g1**2 + noise, cross_x], [cross_x, a / g2**2]]),
+             mpmath.matrix([[kappa * a * g1**2 + noise, cross_p], [cross_p, a * g2**2]]))
+    rho_b = (mpmath.diag([thermal, a / g2**2]), mpmath.diag([thermal, a * g2**2]))
+
+    def power(state, t):
+        """X(t), P(t) and prod_k G_t(nu_k) of a state."""
+        x, p = state
+        m = p * x
+        root = mpmath.sqrt(max((m[0, 0] - m[1, 1]) ** 2 + 4 * m[0, 1] * m[1, 0], 0))
+        hi = (m[0, 0] + m[1, 1] + root) / 2
+        nu = [mpmath.sqrt(hi), mpmath.sqrt(max(mpmath.det(m) / hi, 1))]  # no cancellation
+        up, down = [(v + 1) ** t for v in nu], [(v - 1) ** t for v in nu]
+        f = [(u + d) / (u - d) / v for u, d, v in zip(up, down, nu)]
+        c1 = (f[0] - f[1]) / (nu[0] ** 2 - nu[1] ** 2) if root else 0
+        c0, eye = f[0] - c1 * nu[0] ** 2, mpmath.eye(2)
+        g = 4**t / ((up[0] - down[0]) * (up[1] - down[1]))
+        return x * (c0 * eye + c1 * p * x), p * (c0 * eye + c1 * x * p), g
+
+    def ln_q(s):
+        (xa, pa, ga), (xb, pb, gb) = power(rho_a, s), power(rho_b, 1 - s)
+        return mpmath.log(4 * ga * gb / mpmath.sqrt(mpmath.det(xa + xb) * mpmath.det(pa + pb)))
+
+    return ln_q
+
+
+def mp_argmin(ln_q, tol: float = 1e-13) -> float:
+    """The s in [1e-12, 1 - 1e-12] that minimizes the convex ln_q: an edge where
+    its slope keeps one sign, else the bisection of the slope's sign, the
+    slope a central difference at the working precision."""
+    mpmath = pytest.importorskip("mpmath")
+    h = mpmath.mpf(10) ** (-mpmath.mp.dps // 2)
+
+    def rising(s):
+        return ln_q(s + h) > ln_q(s - h)
+
+    lo, hi = mpmath.mpf("1e-12"), 1 - mpmath.mpf("1e-12")
+    if rising(lo):
+        return float(lo)
+    if not rising(hi):
+        return float(hi)
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if rising(mid) else (mid, hi)
+    return float((lo + hi) / 2)
+
+
+# Edge probes of perfbench's point_mix (two-mode, valid), then the three
+# points CI pins to 80 digits, as (probe, scenario).
+EDGE_POINTS = [
+    (ProbeSpec(kind=ProbeKind.ASTM, n0=1.0, n1=1.0, n2=1e6), TargetScenario(0.01, 3.8e3, 1e7)),
+    (ProbeSpec(kind=ProbeKind.ASTM, n0=0.0, n1=1.0), TargetScenario(0.01, 30.0, 1e7)),
+    (ProbeSpec(kind=ProbeKind.ASTM, n0=1.0, n1=1.0), TargetScenario(0.01, 3.8e3, 1e7)),
+    (ProbeSpec(kind=ProbeKind.TMSV, n0=1.0), TargetScenario(0.01, 1e8, 1e12)),
+    (ProbeSpec(kind=ProbeKind.TMSV, n0=1.0), TargetScenario(0.01, 0.0, 1e7)),
+    (ProbeSpec(kind=ProbeKind.TMSV, n0=1.0), TargetScenario(0.1, 0.0, 1e7)),
+    (ProbeSpec(kind=ProbeKind.ASTM, n0=3.0, n1=0.2, n2=3e3), TargetScenario(0.006, 0.0, 2e5)),
+]
+PINNED_POINTS = [
+    (ProbeSpec(kind=ProbeKind.TMSV, n0=1e6), TargetScenario(0.5, 0.03, 1.0)),
+    (ProbeSpec(kind=ProbeKind.ASTM, n0=1.0, n1=1e124), TargetScenario(0.01, 30.0, 1.0)),
+    (ProbeSpec(kind=ProbeKind.ASTM, n0=1.0, n1=1.0, n2=1e6), TargetScenario(0.1, 1e-7, 1e3)),
+]
+
+
+def analysis(probe: ProbeSpec, scenario: TargetScenario) -> tuple:
+    """(errors, _StandardPairs) of one built pair, from its floats."""
+    entries = _probe_entries(probe.n0, probe.n1, probe.n2)
+    with np.errstate(all="ignore"):
+        return chernoff._standard(_return_entries(entries, scenario.kappa, scenario.nb),
+                                  _absent_entries(entries, scenario.nb))
+
+
+class TestSearch:
+    # s* is the root of g = d ln Q_s/ds, found by a safeguarded Newton
+    # iteration on g s (1 - s) (chernoff._s_star).
+    H = 1e-4
+
+    def central(self, ln_q, s):
+        """First and second central differences of ln_q at s."""
+        h = self.H
+        lo, mid, hi = (ln_q(v) for v in (s - h, s, s + h))
+        return (hi - lo) / (2 * h), (hi - 2 * mid + lo) / (h * h)
+
+    @pytest.mark.parametrize("probe, scenario", [
+        (ProbeSpec(kind=ProbeKind.ASTM, n0=1.0, n1=1.0), LOW_NOISE),
+        (ProbeSpec(kind=ProbeKind.ASTM, n0=3.0, n1=2.0, n2=1.0), TargetScenario(0.3, 0.5)),
+        (ProbeSpec(kind=ProbeKind.TMSV, n0=1.0), TargetScenario(0.1, 0.0)),  # pure columns
+        (ProbeSpec(kind=ProbeKind.TMSV, n0=0.5), TargetScenario(0.5, 0.5)),  # no gap to split
+        (ProbeSpec(kind=ProbeKind.ASTM, n0=1.0, n1=1.0, n2=1e6), TargetScenario(0.1, 1e-7)),
+    ])
+    def test_standard_slope_against_central_differences(self, probe, scenario):
+        # g and g' against differences of the analysis' own np.longdouble
+        # ln Q_s, whose h^2 terms stay below 5e-7 of g's size and of g'; a
+        # batch's columns give one pair's floats, bit for bit.
+        _, pairs = analysis(probe, scenario)
+        with np.errstate(all="ignore"):
+            _, batch = chernoff._standard(*(np.repeat(v, 3, axis=1)
+                                            for v in standard_entries_of([probe], [scenario])))
+            for s in (0.1, 0.5, 0.9):
+                g, g1, size = pairs.slope(s)
+                fd, fd1 = self.central(lambda v: np.log(pairs.q(v)), s)
+                assert abs(g - fd) <= 1e-6 * size and abs(g1 - fd1) <= 2e-6 * abs(g1), s
+                columns = batch.slope(np.array([0.3, s, 0.7]))
+                assert [float(v[1]) for v in columns] == [g, g1, size]
+
+    @pytest.mark.parametrize("n_modes", [1, 2])
+    @pytest.mark.parametrize("shift", [0.0, 0.5])
+    def test_general_slope_against_central_differences(self, n_modes, shift, rng):
+        # The general analysis, displaced or not: g, g' and the quadratic
+        # term's derivatives against differences of its float64 ln Q_s.
+        for _ in range(4):
+            pair = HypothesisPair(
+                GaussianState(n_modes, shift * rng.normal(size=2 * n_modes),
+                              random_physical_cov(n_modes, rng)),
+                GaussianState(n_modes, np.zeros(2 * n_modes), random_physical_cov(n_modes, rng)))
+            data = _PairData(pair)
+            for s in (0.2, 0.5, 0.8):
+                g, g1, size = data.slope(s)
+                fd, fd1 = self.central(lambda v: math.log(data.q(v)), s)
+                assert abs(g - fd) <= 1e-6 * size and abs(g1 - fd1) <= 1e-6 * abs(g1), s
+
+    @pytest.mark.parametrize("probe, scenario", [
+        (ProbeSpec(kind=ProbeKind.ASTM, n0=1.0, n1=1.0), MICROWAVE),
+        (ProbeSpec(kind=ProbeKind.TMSV, n0=0.3), MICROWAVE),
+        (ProbeSpec(kind=ProbeKind.ASTM, n0=1.0, n1=1.0), LOW_NOISE),
+        (ProbeSpec(kind=ProbeKind.TMSV, n0=0.3), LOW_NOISE),
+        *PINNED_POINTS,
+    ])
+    def test_s_star_against_the_argmin(self, probe, scenario):
+        # s* within 1e-8 of the 50-digit argmin (200 digits for the entries
+        # of n1 = 1e124), where 1 - Q >= 3.6e-7. The two-scan search was off
+        # by 5e-8 (ASTM at MICROWAVE) to 2.2e-5 (n1 = 1e124, whose -ln Q_min
+        # fell 6.7e-8 short).
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(200 if probe.n1 > 1e100 else 50):
+            expected = mp_argmin(mp_standard_q(probe.n0, probe.n1, probe.n2, scenario))
+        assert abs(snr(probe, scenario).s_star - expected) <= 1e-8
+
+    def test_search_steps_are_capped(self, tmp_path):
+        # Evaluations of g per pair: at most 2 on every row of the seven
+        # figure batches (1.54 on average), 2 on perfbench's edge probes
+        # and 6 on CI's pinned points, against 64 + 64 + 3 values of Q_s
+        # of the two-scan search. A boundary s* lands on the edge exactly.
+        seen = []
+        search = chernoff._s_star
+
+        def spy(errors, pairs):
+            s, steps = search(errors, pairs)
+            seen.extend(np.atleast_1d(steps)[[not e for e in errors]].tolist())
+            return s, steps
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chernoff, "_s_star", spy)
+            for figure in ("fig2a", "fig2b", "fig3a", "fig3b", "fig4a", "fig4b", "fig5"):
+                reproduce_figure(figure, str(tmp_path))
+        assert len(seen) == 954 and max(seen) <= 2 and sum(seen) <= 1.6 * len(seen)
+        for points, cap in ((EDGE_POINTS, 2), (PINNED_POINTS, 6)):
+            for probe, scenario in points:
+                errors, pairs = analysis(probe, scenario)
+                with np.errstate(all="ignore"):
+                    s_star, steps = chernoff._s_star(errors, pairs)
+                assert errors == [None] and 1 <= steps <= cap
+                if scenario.nb == 0.0:
+                    assert s_star == chernoff._S_EDGE
 
 
 class TestSnap:

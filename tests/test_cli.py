@@ -189,6 +189,12 @@ class TestDiscordCommand:
         assert code == 0
         assert "probe_discord=" in out and "remained_discord=" in out
 
+    def test_discord_beyond_float64_exits_2(self, capsys):
+        # (delta - alpha beta)^2 overflowed: "internal error" and exit 1.
+        code, _, err = run(["discord", "--kind", "astm", "--n0", "1", "--n1", "1e300",
+                            "--kappa", "0.05", "--nb", "10"], capsys)
+        assert (code, err) == (2, "error: covariance entries span too wide a range\n")
+
     def test_coherent_probe_rejected(self, tmp_path, capsys):
         # It exited 2 naming astm_state, an internal function.
         with pytest.raises(SystemExit) as exc:

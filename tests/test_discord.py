@@ -183,6 +183,16 @@ class TestRemainedDiscord:
                 ProbeSpec(kind=ProbeKind.COHERENT, ns=1.0), TargetScenario(0.1, 1.0)
             )
 
+    def test_block_determinants_whose_squares_overflow_are_rejected(self):
+        # At n1 = 1e300, alpha and delta are ~1.3e301: (delta - alpha beta)^2
+        # raised OverflowError, which the CLI reported as an internal error.
+        probe = ProbeSpec(kind=ProbeKind.ASTM, n0=1.0, n1=1e300)
+        scenario = TargetScenario(0.05, 10.0)
+        with pytest.raises(ValidationError, match="^covariance entries span too wide a range$"):
+            remained_discord(probe, scenario)
+        with pytest.raises(ValidationError, match="^covariance entries span too wide a range$"):
+            gaussian_discord(make_hypotheses(probe, scenario).rho_a)
+
     def test_dip_then_rise_in_signal_energy(self):
         # the post-channel discord is non-monotonic in N_S
         n0 = 0.1

@@ -207,6 +207,13 @@ class TestSweep:
         assert [e.split(": ")[0] for e in table.errors] == ["nb=1000000.0", "nb=100000000.0"]
         assert all("may be off by" in e for e in table.errors)
 
+    def test_discord_beyond_float64_is_reported(self):
+        # n1 = 1e300 raised OverflowError out of the sweep.
+        table = sweep("n1", [2.5, 1e300], ProbeSpec(kind=ProbeKind.ASTM, n0=1.0),
+                      TargetScenario(0.05, 10.0, 1e6), with_discord=True)
+        assert [r.axis_value for r in table.rows] == [2.5]
+        assert table.errors == ["n1=1e+300: covariance entries span too wide a range"]
+
     def test_bad_grid_points_skipped_and_reported(self):
         table = sweep(
             "ns", [0.5, 2.0], ProbeSpec(kind=ProbeKind.ASTM, n0=1.0), MICROWAVE,

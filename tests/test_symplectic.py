@@ -774,6 +774,20 @@ class TestStandardFormSpectrum:
                      standard_form_spectrum(np.array(entries)[:, None])):
             assert spec.errors == ["covariance entries span too wide a range"]
 
+    def test_trace_that_cancels_to_zero_is_rejected(self):
+        # A two-mode squeezed state near r = 14.5: tr PX = x1x1 p1p1 + x2x2
+        # p2p2 + 2 x1x2 p1p2 cancels to exactly 0 in float64, and nu_-^2 =
+        # det X det P / nu_+^2 raised ZeroDivisionError; a column read nu as
+        # (0, inf) and took no error.
+        a, b, c = 12785151984251.197, 12785151984240.285, 12785151984245.74
+        with pytest.raises(ValidationError, match="^covariance entries span too wide a range$"):
+            GaussianState(2, np.zeros(4), _two_mode_cov(a, a, b, b, c, -c))
+        entries = (a, a, b, b, c, -c)
+        good = standard_entries(tmsv_state(1.0).cov)[:, 0]
+        for spec in (standard_form_spectrum(entries),
+                     standard_form_spectrum(np.array([entries, good]).T)):
+            assert spec.errors[0] == "covariance entries span too wide a range"
+
     def test_rejects_each_bad_covariance_alone(self):
         good = standard_entries(tmsv_state(1.0).cov)[:, 0]
         nan, indefinite = good.copy(), good.copy()
