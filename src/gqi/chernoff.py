@@ -44,10 +44,12 @@ and P the 2x2 x and p blocks, nu_+-^2 are the eigenvalues of PX
 (symplectic.standard_form_spectrum), Sigma'_s splits into an x and a p
 block, and det Sigma'_s is a product of two 2x2 determinants. _standard
 analyses n such pairs in np.longdouble, elementwise on (n,) columns or on
-one pair's scalars, so that one point gets the bits of its row in any
-batch. rho_B, thermal noise on the return mode times the untouched idler,
-is a product state: each mode has nu_k = sqrt(x_k p_k) and projects on its
-own quadratures (_product_parts). The last evaluation in np.longdouble
+one pair's scalars, into the named fields of _StandardPairs (ln_r, dual,
+ln_g, ln_ratio, and their float64 copies for g), so that one point gets
+the bits of its column of every field in any batch. rho_B, thermal noise
+on the return mode times the untouched idler, is a product state: each
+mode has nu_k = sqrt(x_k p_k) and projects on its own quadratures
+(_product_parts). The last evaluation in np.longdouble
 keeps the digits of 1 - Q ~ 1e-7 at the figure presets, where float64
 alone leaves ~eps / (1 - Q) ~ 4e-9 of the SNR; where np.longdouble is
 float64 (macOS arm64, Windows) it is a float64 one. Any other pair (one
@@ -68,10 +70,9 @@ Newton in sqrt(SNR) (_snr_from_log_p).
 """
 
 import math
-import operator
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -131,12 +132,6 @@ _SINGULAR = "V_A(s) + V_B(1-s) is singular"
 _LN_16 = 4.0 * np.log(np.longdouble(2.0))  # ln 2^n of two modes
 _SPLIT_ULPS = _DEGENERATE_ULPS * np.finfo(np.longdouble).eps
 _LD_ZERO, _LD_ONE = np.longdouble(0.0), np.longdouble(1.0)
-# Where _standard takes the nu and the dual of a pair from the parts of
-# rho_A and rho_B (14 each): nu of the modes of rho_A, then of rho_B, then
-# dual row-major, the entries 11, 12, 22 of the x and of the p block, each
-# by mode of rho_A, then of rho_B.
-_LAYOUT = operator.itemgetter(0, 1, 14, 15, *(
-    i + 14 * state + 6 * mode for i in range(2, 8) for state in (0, 1) for mode in (0, 1)))
 
 _EYE2 = np.eye(2)
 
@@ -160,37 +155,49 @@ def _snap(nu, tol):
     return _where(nu <= 1.0 + tol, nu ** 0, nu)
 
 
-class _StandardPairs(NamedTuple):
-    """n standard-form two-mode pairs analysed once (_standard), for Q_s at any s.
+class _StandardPairs:
+    """n standard-form two-mode pairs analysed once, for Q_s at any s, from
+    the nu and dual of their four columns (_standard).
 
-    Row i of flat is pair i: ln_r = ln((nu-1)/(nu+1)) (-inf at a pure mode)
-    of its four columns, dual, ln_g = ln 2^n + sum_B ln(2 / (nu + 1)) and
-    ln_ratio = sum_B ln(nu + 1) - sum_A ln(nu + 1). The columns are the two
-    modes of rho_A (power p = s) and of rho_B (power p = 1 - s): nu_+ and
-    nu_- of a state with cross entries, the return and idler modes of a
-    product state. dual holds, row-major, the x and p blocks (entries 11,
-    12, 22) of Sigma'_s (6) by column (4), which weighs column k by
-    1/Lambda_k = -e_k / (2 + e_k), e_k = expm1(p_k ln_r_k) = -em_k: em = 1 -
-    ((nu-1)/(nu+1))^p is cancellation-free, and a pure mode gives em = 1,
-    so G_p = Lambda_p = 1. q and slope take one pair's scalars at a float
-    s, or (n,) columns at an (n,) column of s, through the same operations,
-    so that one pair gets the bits of its row in any batch.
+    Each field holds one pair's scalars, or (n,) columns of n pairs. The
+    columns are the two modes of rho_A (power p = s) and of rho_B (power
+    p = 1 - s): nu_+ and nu_- of a state with cross entries, the return and
+    idler modes of a product state. In np.longdouble, for q: ln_r =
+    ln((nu-1)/(nu+1)) by column (-inf at a pure mode); dual, the entries
+    11, 12, 22 of the x, then the p block of Sigma'_s (6), each by column;
+    ln_g = ln 2^n + sum_B ln(2 / (nu + 1)) and ln_ratio = sum_B ln(nu + 1)
+    - sum_A ln(nu + 1). In float64, for slope: ln_r64, dual64 and
+    ln_ratio64, the same, and a_k = sign_k ln_r_k (0 at a pure column).
+    Sigma'_s = dual @ (1/Lambda) weighs column k by 1/Lambda_k = -e_k /
+    (2 + e_k), e_k = expm1(p_k ln_r_k) = -em_k: em = 1 - ((nu-1)/(nu+1))^p
+    is cancellation-free, and a pure mode gives em = 1, so G_p = Lambda_p =
+    1. q and slope take one pair's scalars at a float s, or (n,) columns at
+    an (n,) column of s, through the same operations, so that one pair
+    gets the bits of its row in any batch.
     """
 
-    flat: np.ndarray  # (n, 32): ln_r (4), ln_g, ln_ratio, unused (2), dual (24)
-    floats: tuple     # _cols of flat in float64, and a, for slope
+    def __init__(self, nu: list, dual: list):
+        # ln((nu - 1) / (nu + 1)), then ln(nu + 1), of the four columns
+        ln = np.log1p(np.array([-2.0 / (v + 1.0) for v in nu] + nu, dtype=np.longdouble))
+        ln_a, ln_b = ln[4] + ln[5], ln[6] + ln[7]  # over the modes of each state
+        self.ln_r, self.dual = list(ln[:4]), dual
+        self.ln_g, self.ln_ratio = _LN_16 - ln_b, ln_b - ln_a
+        self.ln_r64, self.ln_ratio64 = [_float64(v) for v in self.ln_r], _float64(self.ln_ratio)
+        self.dual64 = [[_float64(v) for v in row] for row in dual]
+        self.a = [sign * _where(v == -math.inf, 0.0, v)
+                  for sign, v in zip(_SIGN.tolist(), self.ln_r64)]
 
     def q(self, s):
         """Q_s at s in [_S_EDGE, 1 - _S_EDGE], in np.longdouble:
         2^n prod_k G_k / Lambda_k / sqrt(det Sigma'_x det Sigma'_p)."""
-        (ln_r, dual, ln_g, ln_ratio), s = _cols(self.flat), _LD_ONE * s
-        e = _expm1(s, ln_r)
+        s = _LD_ONE * s
+        e = _expm1(s, self.ln_r)
         d = [-2.0 - v for v in e]  # -(2 - em)
         w0, w1, w2, w3 = (v / dv for v, dv in zip(e, d))  # 1/Lambda, then Sigma' = dual @ it
         x11, x12, x22, p11, p12, p22 = (((r0 * w0 + r1 * w1) + r2 * w2) + r3 * w3
-                                        for r0, r1, r2, r3 in dual)
+                                        for r0, r1, r2, r3 in self.dual)
         det = (x11 * x22 - x12 * x12) * (p11 * p22 - p12 * p12)
-        return np.exp(ln_g + s * ln_ratio) / (((d[0] * d[1]) * d[2]) * d[3] * np.sqrt(det))
+        return np.exp(self.ln_g + s * self.ln_ratio) / (d[0] * d[1] * d[2] * d[3] * np.sqrt(det))
 
     def slope(self, s) -> tuple:
         """(g, g', size): g = d ln Q_s/ds, its derivative and the size of its
@@ -205,16 +212,15 @@ class _StandardPairs(NamedTuple):
         derivatives. g is not a number where Sigma' has a zero determinant;
         callers silence numpy's floating-point warnings.
         """
-        ln_r, dual, _, ln_ratio, a = self.floats
         terms = []  # per column: 1/Lambda and its two derivatives, c, a c / d
-        for a_k, e in zip(a, _expm1(s, ln_r)):
+        for a_k, e in zip(self.a, _expm1(s, self.ln_r64)):
             d = 2.0 + e
             c = a_k * (1.0 + e) / d
             c1 = a_k * c / d
             terms.append((-e / d, -2.0 * c / d, 2.0 * c1 * e / d, c, c1))
         (w0, w1, w2, w3), (v0, v1, v2, v3), (u0, u1, u2, u3), c, c1 = zip(*terms)
         m = [(((r0 * w0 + r1 * w1) + r2 * w2) + r3 * w3, ((r0 * v0 + r1 * v1) + r2 * v2) + r3 * v3,
-              ((r0 * u0 + r1 * u1) + r2 * u2) + r3 * u3) for r0, r1, r2, r3 in dual]
+              ((r0 * u0 + r1 * u1) + r2 * u2) + r3 * u3) for r0, r1, r2, r3 in self.dual64]
         r1, r2 = [], []  # d ln det / ds and its derivative, of Sigma'_x then Sigma'_p
         for (a11, b11, c11), (a12, b12, c12), (a22, b22, c22) in (m[:3], m[3:]):
             det = a11 * a22 - a12 * a12
@@ -223,16 +229,9 @@ class _StandardPairs(NamedTuple):
             det2 = ((c11 * a22 + 2.0 * (b11 * b22)) + a11 * c22) - 2.0 * (b12 * b12 + a12 * c12)
             r2.append(det2 / det - r1[-1] * r1[-1])
         lo, hi = c[0] + c[1], c[2] + c[3]
-        return ((ln_ratio - (lo + hi)) - 0.5 * (r1[0] + r1[1]),
+        return ((self.ln_ratio64 - (lo + hi)) - 0.5 * (r1[0] + r1[1]),
                 -((c1[0] + c1[1]) + (c1[2] + c1[3])) - 0.5 * (r2[0] + r2[1]),
-                (abs(ln_ratio) + (hi - lo)) + 0.5 * (abs(r1[0]) + abs(r1[1])))
-
-
-def _cols(flat) -> tuple:
-    """ln_r, the six rows of dual, ln_g and ln_ratio of _StandardPairs.flat:
-    one pair's scalars (floats from float64), or (n,) columns."""
-    v = flat[0].tolist() if len(flat) == 1 else list(flat.T)
-    return v[:4], [v[j:j + 4] for j in range(8, 32, 4)], v[4], v[5]
+                (abs(self.ln_ratio64) + (hi - lo)) + 0.5 * (abs(r1[0]) + abs(r1[1])))
 
 
 def _expm1(s, ln_r) -> list:
@@ -247,41 +246,32 @@ def _standard(ent_a, ent_b) -> tuple:
 
     ent_a and ent_b are the (6, n) float64 entries of rho_A and rho_B, or
     the six floats of one pair. Returns (errors, pairs): errors[i] is why
-    pair i was rejected, or None, and pairs the analysis of all n. A
+    pair i was rejected, or None, and pairs the _StandardPairs of all n. A
     rejected pair's numbers mean nothing: the caller silences what they
     raise and drops its Q_s.
 
-    rho_A is validated by standard_form_spectrum and analysed by _parts. A
-    rho_B without cross entries, as every built pair has, is analysed mode
-    by mode (_product_parts) and not validated: a hand-built one was
+    rho_A is validated and analysed by _parts. A rho_B without cross
+    entries, as every built pair has, is analysed mode by mode
+    (_product_parts) and not validated: a hand-built one was
     validated as a GaussianState, and a built one shares rho_A's idler,
     while its thermal mode 2 N_B + 1 is finite wherever rho_A's noise
     2 N_B + 1 - kappa is. Any other rho_B takes rho_A's route. One pair runs
     the operations a batch runs on its columns, on np.longdouble scalars
-    (its six floats converted one by one), and fills the layout of
-    _StandardPairs from one list, so that it gets the bits of its row in
-    any batch.
+    (its six floats converted one by one), so that each of its fields gets
+    the bits of its column in any batch.
     """
-    a = _longdouble(ent_a)
-    spec = standard_form_spectrum(a)
-    errors, parts_a = spec.errors, _parts(a, spec)
+    errors, nu, dual = _parts(_longdouble(ent_a))
     if _all(ent_b[4] == 0.0) and _all(ent_b[5] == 0.0):
-        parts_b = _product_parts(_longdouble(ent_b[:4]))
+        nu_b, dual_b = _product_parts(_longdouble(ent_b[:4]))
     else:
-        b = _longdouble(ent_b)
-        spec = standard_form_spectrum(b)
-        errors = [ea or eb for ea, eb in zip(errors, spec.errors)]
-        parts_b = _parts(b, spec)
-    # One row per pair: -2 / (nu + 1) of the four nu, the nu, then dual.
-    row = _LAYOUT(parts_a + parts_b)
-    flat = np.array([-2.0 / (v + 1.0) for v in row[:4]] + list(row),
-                    dtype=np.longdouble).reshape(32, -1).T
-    flat[:, :8] = np.log1p(flat[:, :8])  # ln((nu - 1) / (nu + 1)), then ln(nu + 1)
-    ln_a, ln_b = flat[:, 4] + flat[:, 5], flat[:, 6] + flat[:, 7]  # over the modes of each
-    flat[:, 4], flat[:, 5] = _LN_16 - ln_b, ln_b - ln_a
-    cols = _cols(flat.astype(float))  # and a_k = sign_k ln_r_k, 0 at a pure column
-    a = [sign * _where(v == -math.inf, 0.0, v) for sign, v in zip(_SIGN.tolist(), cols[0])]
-    return errors, _StandardPairs(flat, (*cols, a))
+        errors_b, nu_b, dual_b = _parts(_longdouble(ent_b))
+        errors = [ea or eb for ea, eb in zip(errors, errors_b)]
+    return errors, _StandardPairs(nu + nu_b, [[*row, *row_b] for row, row_b in zip(dual, dual_b)])
+
+
+def _float64(v):
+    """An np.longdouble scalar as a float, or a column as float64."""
+    return v.astype(float) if isinstance(v, np.ndarray) else float(v)
 
 
 def _longdouble(entries):
@@ -301,21 +291,26 @@ def _mode_nu(x, p):
     return _where(nu < math.inf, nu, _sqrt(x) * _sqrt(p))
 
 
-def _parts(entries, spec) -> list:
-    """nu and the parts of Sigma'_s of validated states, state by state:
-    _product_parts where a state has no cross entries (rho_A at n0 = 0 or
-    kappa = 0), else _state_parts. A rho_A equal to its rho_B is then
-    analysed as rho_B is, and Q_s of the pair is 1 to rounding."""
+def _parts(entries) -> tuple:
+    """(errors, nu, dual) of standard-form states (np.longdouble scalars of
+    one or columns of many): their standard_form_spectrum's errors, then,
+    state by state, _product_parts where a state has no cross entries
+    (rho_A at n0 = 0 or kappa = 0), else _state_parts. A rho_A equal to its
+    rho_B is then analysed as rho_B is, and Q_s of the pair is 1 to
+    rounding."""
+    spec = standard_form_spectrum(entries)
     product = (entries[4] == 0.0) & (entries[5] == 0.0)
     if _all(product):
-        return _product_parts(entries[:4])
-    parts = _state_parts(entries, spec)
+        return (spec.errors, *_product_parts(entries[:4]))
+    nu, dual = _state_parts(entries, spec)
     if not _all(~product):
-        parts = [np.where(product, m, t) for m, t in zip(_product_parts(entries[:4]), parts)]
-    return parts
+        nu_p, dual_p = _product_parts(entries[:4])
+        nu, *dual = ([np.where(product, m, t) for m, t in zip(row_p, row)]
+                     for row_p, row in zip([nu_p, *dual_p], [nu, *dual]))
+    return spec.errors, nu, dual
 
 
-def _product_parts(diagonal) -> list:
+def _product_parts(diagonal) -> tuple:
     """_state_parts of product states (x1x2 = p1p2 = 0) from their diagonals
     x1x1, p1p1, x2x2, p2p2 (np.longdouble scalars or columns), mode 1 first
     whichever nu is larger.
@@ -329,16 +324,17 @@ def _product_parts(diagonal) -> list:
     x1, p1, x2, p2 = diagonal
     nu1, nu2 = _mode_nu(x1, p1), _mode_nu(x2, p2)
     zero = np.zeros_like(x1) if isinstance(x1, np.ndarray) else _LD_ZERO
-    return [_snap(nu1, _MODE_ROUNDING), _snap(nu2, _MODE_ROUNDING),
-            p1 / nu1, zero, zero, x1 / nu1, zero, zero,
-            zero, zero, p2 / nu2, zero, zero, x2 / nu2]
+    return ([_snap(nu1, _MODE_ROUNDING), _snap(nu2, _MODE_ROUNDING)],
+            [[p1 / nu1, zero], [zero, zero], [zero, p2 / nu2],
+             [x1 / nu1, zero], [zero, zero], [zero, x2 / nu2]])
 
 
-def _state_parts(entries, spec) -> list:
-    """nu_+ and nu_- with pure modes snapped, then the parts of Sigma'_s, of
-    standard-form states (scalars of one or (n,) columns of many) from
-    their standard_form_spectrum, whose rounding decides which modes are
-    pure. Where a product state splits its modes, its parts are those of
+def _state_parts(entries, spec) -> tuple:
+    """(nu, dual) of standard-form states (scalars of one or (n,) columns of
+    many) from their standard_form_spectrum, whose rounding decides which
+    modes are pure: nu_+ and nu_- with pure modes snapped, and the six rows
+    of _StandardPairs.dual, each (part of nu_+, part of nu_-). Where a
+    product state splits its modes, its parts are those of
     _product_parts (mode k in the column of its nu) to a few ulps: K is
     then diagonal, and the projectors exact.
 
@@ -361,8 +357,8 @@ def _state_parts(entries, spec) -> list:
     if not _all(split):
         k11, k12, k21, k22, gap = (_where(split, v, one) for v, one in zip(
             (k11, k12, k21, k22, gap), (1.0, 0.0, 0.0, 1.0, 2.0)))
-    out = [_snap(hi, spec.rounding), _snap(lo, spec.rounding)]
     half_hi, half_lo, n12, n21 = 0.5 / (gap * hi), 0.5 / (gap * lo), -k12, -k21
+    out = []  # the parts of nu_+ (K P, K^T X), then of nu_- (L P, L^T X)
     for a11, a12, a21, a22, b11, b12, b22, half in (
             (k11, k12, k21, k22, ap, cp, bp, half_hi),  # K P
             (k11, k21, k12, k22, ax, cx, bx, half_hi),  # K^T X
@@ -372,7 +368,7 @@ def _state_parts(entries, spec) -> list:
         m11, m22 = a11 * b11 + a12 * b12, a21 * b12 + a22 * b22
         m12_21 = (a11 * b12 + a12 * b22) + (a21 * b11 + a22 * b12)
         out += [(m11 + m11) * half, m12_21 * half, (m22 + m22) * half]
-    return out
+    return [_snap(hi, spec.rounding), _snap(lo, spec.rounding)], list(zip(out[:6], out[6:]))
 
 
 def _discriminate(errors, pairs, ensembles) -> list:
@@ -619,6 +615,8 @@ def q_s(pair: HypothesisPair, s: float) -> float:
     """Tr(rho_A^s rho_B^{1-s}) for a Gaussian hypothesis pair, 0.0 where it
     underflows, from the analysis of discriminate (a coherent pair's general
     one) in its dtype."""
+    if not isinstance(s, numbers.Real):
+        raise ValidationError(f"s must be a real number, got {s!r}")
     if not 0.0 <= s <= 1.0:
         raise ValidationError(f"s must lie in [0, 1], got {s}")
     s = min(max(s, _S_EDGE), _S_TOP)
@@ -633,8 +631,8 @@ def q_s(pair: HypothesisPair, s: float) -> float:
 
 
 def chernoff_infimum(pair: HypothesisPair) -> tuple[float, float]:
-    """Minimize Q_s over s in [0, 1] by two scans; returns (s_star, q_min),
-    those of discriminate."""
+    """Minimize Q_s over s in [0, 1] by the Newton search for the root of
+    d ln Q_s/ds; returns (s_star, q_min), those of discriminate."""
     result = discriminate(pair, 1.0)
     return result.s_star, result.q_min
 
@@ -734,8 +732,9 @@ def discriminate_columns(coherent: list[bool], n0, n1, n2, ns, kappa, nb,
     """discriminate_many on float columns of admitted parameters.
 
     Coherent probes (flagged by coherent) take their closed form at s* = 1/2;
-    the others the standard-form core, each scan of the search for s* one
-    (points, 64) array of s; a kind's lone point runs on floats, as in snr."""
+    the others the standard-form core, whose Newton search for s* steps
+    every point's s as one (points,) column; a kind's lone point runs on
+    floats, as in snr."""
     params = n0, n1, n2, ns, kappa, nb, ensembles
     out: list = [None] * len(coherent)
     for kind in (True, False):

@@ -244,6 +244,8 @@ def probe_state(spec: ProbeSpec) -> GaussianState:
 
 def mean_photon(state: GaussianState, mode: int) -> float:
     """Mean photon number of one mode: (V_xx + V_pp - 2)/4 + |d|^2/4."""
+    if not isinstance(mode, numbers.Integral):
+        raise ValidationError(f"mode must be an integer, got {mode!r}")
     if not 0 <= mode < state.n_modes:
         raise ValidationError(f"mode {mode} out of range for {state.n_modes} modes")
     i = 2 * mode

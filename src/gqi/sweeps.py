@@ -296,6 +296,8 @@ def advantage_threshold(scenario: TargetScenario,
     lo, hi = bracket
     if not lo < hi:
         raise ValidationError(f"N0 bracket must have lo < hi, got [{lo}, {hi}]")
+    if not isinstance(points, numbers.Integral):
+        raise ValidationError(f"points must be an integer, got {points!r}")
     if points < 2:
         raise ValidationError(f"slope fit needs points >= 2, got {points}")
 

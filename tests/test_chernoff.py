@@ -230,6 +230,12 @@ class TestQs:
         with pytest.raises(ValidationError):
             q_s(_small_pair(), 1.2)
 
+    @pytest.mark.parametrize("s", ["0.5", None])
+    def test_rejects_s_that_is_not_a_number(self, s):
+        # Both raised TypeError from the range check.
+        with pytest.raises(ValidationError, match="s must be a real number"):
+            q_s(_small_pair(), s)
+
     # Where the analysis cannot give Q_s as a finite positive number, q_s
     # raises rather than return it: here at s = 1 - 1e-12, against a nearly
     # pure return mode.
@@ -787,15 +793,16 @@ def standard_entries_of(probes, scenarios) -> tuple:
 
 
 def assert_dual_is_symmetric_parts(ent_a, ent_b, errors, dual):
-    """Each column of a batch's dual. A state with cross entries, against
-    np.matmul of the 2x2 np.longdouble factors K P, K^T X, L P and L^T X, K
-    from standard_form_spectrum and L = [[K_22, -K_12], [-K_21, K_11]]: the
-    entries 11, 12, 22 of (M + M^T) 0.5 / (g nu_k), or of (P + P) 0.5 /
-    (2 nu_k) and (X + X) 0.5 / (2 nu_k) where the gap does not split. A
-    product state (every rho_B; rho_A at n0 = 0 or kappa = 0), mode k in
-    column k: p_k / nu_k and x_k / nu_k on the entries kk of the x and p
-    blocks, nu_k = sqrt(x_k p_k) in np.longdouble. == takes -0 for +0."""
-    n = ent_a.shape[1]
+    """Each column of a batch's dual field (six rows of four (n,) columns).
+    A state with cross entries, against np.matmul of the 2x2 np.longdouble
+    factors K P, K^T X, L P and L^T X, K from standard_form_spectrum and
+    L = [[K_22, -K_12], [-K_21, K_11]]: the entries 11, 12, 22 of (M + M^T)
+    0.5 / (g nu_k), or of (P + P) 0.5 / (2 nu_k) and (X + X) 0.5 / (2 nu_k)
+    where the gap does not split. A product state (every rho_B; rho_A at
+    n0 = 0 or kappa = 0), mode k in column k: p_k / nu_k and x_k / nu_k on
+    the entries kk of the x and p blocks, nu_k = sqrt(x_k p_k) in
+    np.longdouble. == takes -0 for +0."""
+    n, dual = ent_a.shape[1], np.array(dual)
     entries = np.concatenate([ent_a, ent_b], axis=1).astype(np.longdouble)
     with np.errstate(all="ignore"):
         spec = chernoff.standard_form_spectrum(entries)
@@ -809,7 +816,7 @@ def assert_dual_is_symmetric_parts(ent_a, ent_b, errors, dual):
                 nu_k = np.sqrt(x_k * p_k)
                 expected = np.zeros(6, dtype=np.longdouble)
                 expected[2 * mode], expected[3 + 2 * mode] = p_k / nu_k, x_k / nu_k
-                assert (dual[pair, :, 2 * state + mode] == expected).all(), (pair, state, mode)
+                assert (dual[:, 2 * state + mode, pair] == expected).all(), (pair, state, mode)
             continue
         x, p = np.array([[ax, cx], [cx, bx]]), np.array([[ap, cp], [cp, bp]])
         k11, k12, k21, k22 = spec.k[:, j]
@@ -825,7 +832,7 @@ def assert_dual_is_symmetric_parts(ent_a, ent_b, errors, dual):
                 else:
                     part = (right + right) * (0.5 / (2.0 * nu_k))
                 expected += [part[0, 0], part[0, 1], part[1, 1]]
-            assert (dual[pair, :, 2 * state + mode] == expected).all(), (pair, state, mode)
+            assert (dual[:, 2 * state + mode, pair] == expected).all(), (pair, state, mode)
 
 
 # rho_B of a built pair, thermal noise N_B times the idler of a probe of n0
@@ -863,36 +870,38 @@ class TestProductParts:
             _probe_entries(n0, 0.0, n2), n0 if equal else nb)]
         spec = chernoff.standard_form_spectrum(entries)
         assert spec.errors == [None]
-        two = chernoff._state_parts(entries, spec)
-        modes = chernoff._product_parts(entries[:4])
+        nu_two, two = chernoff._state_parts(entries, spec)
+        nu_modes, modes = chernoff._product_parts(entries[:4])
         eps = np.finfo(np.longdouble).eps
 
         def close(a, b, ulps):
             return abs(a - b) <= ulps * eps * abs(b)
 
         # Pure modes snap alike.
-        assert sorted([two[0] == 1.0, two[1] == 1.0]) == sorted([modes[0] == 1.0, modes[1] == 1.0])
+        assert sorted(nu == 1.0 for nu in nu_two) == sorted(nu == 1.0 for nu in nu_modes)
         (hi, _), gap = spec.nu, spec.gap
         if gap > chernoff._SPLIT_ULPS * (hi * hi):
-            order = (0, 1) if two[2] else (1, 0)  # the mode of rho_B's nu_+, then nu_-
+            order = (0, 1) if two[0][0] else (1, 0)  # the mode of rho_B's nu_+, then nu_-
             for column, mode in enumerate(order):
-                assert close(two[column], modes[mode], self.PART_ULPS), (column, mode)
+                assert close(nu_two[column], nu_modes[mode], self.PART_ULPS), (column, mode)
                 for i in range(6):
-                    assert close(two[2 + 6 * column + i], modes[2 + 6 * mode + i],
-                                 self.PART_ULPS), (column, mode, i)
+                    assert close(two[i][column], modes[i][mode], self.PART_ULPS), (column, mode, i)
         else:
-            for nu in modes[:2]:
-                assert close(nu, two[0], self.UNSPLIT_ULPS) and close(nu, two[1], self.UNSPLIT_ULPS)
+            # Each nu to rounding, the larger against nu_+: the gap ignored
+            # lies between the two nu, up to 32 ulps.
+            for nu, nu_k in zip(sorted(nu_modes, reverse=True), nu_two):
+                assert close(nu, nu_k, self.PART_ULPS)
             for i in range(6):
-                assert close(two[2 + i] + two[8 + i], modes[2 + i] + modes[8 + i],
+                assert close(two[i][0] + two[i][1], modes[i][0] + modes[i][1],
                              self.UNSPLIT_ULPS), i
 
     def test_mode_order(self):
         # Return mode first, idler second, whichever nu is larger.
         x1, p1, x2, p2 = (np.longdouble(v) for v in (3.0, 3.0, 2.0, 8.0))
-        nu1, nu2, *parts = chernoff._product_parts([x1, p1, x2, p2])
+        (nu1, nu2), parts = chernoff._product_parts([x1, p1, x2, p2])
         assert (nu1, nu2) == (3.0, 4.0)
-        assert parts == [1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.5]
+        # Rows x11, x12, x22, p11, p12, p22 of dual, each [mode 1, mode 2].
+        assert parts == [[1.0, 0.0], [0.0, 0.0], [0.0, 2.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.5]]
 
 
 def turned(pair: HypothesisPair, angle: float) -> HypothesisPair:
@@ -1124,16 +1133,17 @@ class TestDiscriminateMany:
         with np.errstate(all="ignore"):
             errors, batch = chernoff._standard(ent_a, ent_b)
             batch_q = batch.q(np.full(len(two_mode), 0.3))
-        assert_dual_is_symmetric_parts(ent_a, ent_b, errors, batch.flat[:, 8:].reshape(-1, 6, 4))
+        assert_dual_is_symmetric_parts(ent_a, ent_b, errors, batch.dual)
         for col, i in enumerate(two_mode):
             with np.errstate(all="ignore"):
                 one_errors, one = chernoff._standard(tuple(ent_a[:, col]), tuple(ent_b[:, col]))
             assert one_errors == [errors[col]]
             if errors[col]:
                 continue
-            a, b = one.flat[0], batch.flat[col]
-            assert np.array_equal(a, b, equal_nan=True)
-            assert np.array_equal(np.signbit(a), np.signbit(b))
+            for name, field in vars(one).items():  # one pair's scalars, its batch column
+                a, b = np.array(field), np.array(getattr(batch, name))[..., col]
+                assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), name
+                assert np.array_equal(np.signbit(a), np.signbit(b)), name
             try:
                 pair = make_hypotheses(probes[i], scenarios[i])
             except ValidationError:
@@ -1455,11 +1465,11 @@ class TestSnap:
         probe = _probe_entries(n0, n1, n2)
         ent_a = chernoff._longdouble(np.array(_return_entries(probe, kappa, nb)))
         spec = chernoff.standard_form_spectrum(ent_a)
-        nu_lo = np.minimum(*chernoff._parts(ent_a, spec)[:2])
+        nu_lo = np.minimum(*chernoff._parts(ent_a)[1])
         product = (ent_a[4] == 0.0) & (ent_a[5] == 0.0)
         tol_a = np.where(product, _MODE_ROUNDING, spec.rounding).astype(float)
         ent_b = chernoff._longdouble(np.array(_absent_entries(probe, nb)[:4]))
-        nu_b = chernoff._product_parts(ent_b)[:2]
+        nu_b = chernoff._product_parts(ent_b)[0]
         accepted = [i for i, error in enumerate(spec.errors) if not error]
         assert len(accepted) > 0.9 * n
         with mpmath.workdps(60):

@@ -150,6 +150,12 @@ class TestMeanPhoton:
         with pytest.raises(ValidationError, match=f"mode {mode} out of range for 2 modes"):
             mean_photon(tmsv_state(1.0), mode)
 
+    @pytest.mark.parametrize("mode", [1.5, "0"])
+    def test_rejects_a_mode_that_is_not_an_integer(self, mode):
+        # 1.5 raised IndexError, "0" TypeError.
+        with pytest.raises(ValidationError, match="mode must be an integer"):
+            mean_photon(tmsv_state(1.0), mode)
+
     def test_thermal_convention(self):
         from gqi import GaussianState
 

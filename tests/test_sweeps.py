@@ -515,7 +515,10 @@ class TestAdvantageThreshold:
         # a reversed bracket returned 0.51
         ({"bracket": (1.0, 0.02)}, "lo < hi"), ({"bracket": (0.3, 0.3)}, "lo < hi"),
         ({"points": 1}, "points"), ({"points": -1}, "points"),
-    ], ids=["kwargs4-lo < hi", "kwargs5-lo < hi", "kwargs6-points", "kwargs7-points"])
+        # 2.5 went on to np.linspace, "32" raised TypeError
+        ({"points": 2.5}, "points must be an integer"), ({"points": "32"}, "points must be an integer"),
+    ], ids=["kwargs4-lo < hi", "kwargs5-lo < hi", "kwargs6-points", "kwargs7-points",
+            "points-float", "points-str"])
     def test_rejects_bad_search_inputs(self, monkeypatch, kwargs, match):
         # gap = 1000*N0 - 300 crosses zero at N0 = 0.3
         monkeypatch.setattr(
