@@ -52,8 +52,17 @@ mode has nu_k = sqrt(x_k p_k) and projects on its own quadratures
 (_product_parts). The last evaluation in np.longdouble
 keeps the digits of 1 - Q ~ 1e-7 at the figure presets, where float64
 alone leaves ~eps / (1 - Q) ~ 4e-9 of the SNR; where np.longdouble is
-float64 (macOS arm64, Windows) it is a float64 one. Any other pair (one
-mode, x-p correlations, unequal means) takes _PairData, in float64: the
+float64 (macOS arm64, Windows) it is a float64 one.
+
+Q_s, s*, ln P and the SNR do not change when one local symplectic acts on
+both hypotheses. So a two-mode pair with equal means out of standard form
+(turned or locally squeezed) is taken to one local frame (_frame): each
+mode turns so that rho_A's cross block is diagonal, then scales by the
+power of two that balances rho_B's quadratures. Where both states are then
+in standard form to rounding (_xp_free), their entries go to _standard, as
+a built pair's do. Any other pair (one mode, unequal means, or x-p
+correlations no local frame removes, as a beam splitter after a phase
+leaves) takes _PairData, in float64, two-mode pairs in that frame: the
 parts of each covariance (_mode_parts), a determinant (and a solve, for
 displaced pairs) per s. Both weigh their parts by the same 1/Lambda_k and
 prod_k (2 - em_k), and both snap a nu to a pure mode within the rounding
@@ -70,14 +79,13 @@ Newton in sqrt(SNR) (_snr_from_log_p).
 """
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .probes import (HypothesisPair, ProbeKind, ProbeSpec, TargetScenario,
-                     _absent_entries, _admit, _probe_entries, _return_entries)
+                     _absent_entries, _admit, _probe_entries, _real, _return_entries)
 from .symplectic import (_MODE_ROUNDING, ValidationError, _all, _closed_spectrum, _sqrt,
                          _where, standard_form_spectrum, symplectic_form)
 
@@ -134,6 +142,10 @@ _SPLIT_ULPS = _DEGENERATE_ULPS * np.finfo(np.longdouble).eps
 _LD_ZERO, _LD_ONE = np.longdouble(0.0), np.longdouble(1.0)
 
 _EYE2 = np.eye(2)
+
+# An x-p entry r of a covariance in _frame is its rounding while
+# r <= _XP_ROUNDING sqrt(V_ii V_jj) (_xp_free).
+_XP_ROUNDING = math.sqrt(float(np.finfo(float).eps))
 
 
 @dataclass
@@ -245,7 +257,7 @@ def _standard(ent_a, ent_b) -> tuple:
     """Validate n standard-form two-mode pairs and analyse them in np.longdouble.
 
     ent_a and ent_b are the (6, n) float64 entries of rho_A and rho_B, or
-    the six floats of one pair. Returns (errors, pairs): errors[i] is why
+    the six floats (np.longdouble scalars, from _frame) of one pair. Returns (errors, pairs): errors[i] is why
     pair i was rejected, or None, and pairs the _StandardPairs of all n. A
     rejected pair's numbers mean nothing: the caller silences what they
     raise and drops its Q_s.
@@ -515,8 +527,9 @@ def _mode_parts(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _PairData:
-    """One hypothesis pair of one or two modes analysed once in float64, for
-    Q_s at any s, with the interface of _StandardPairs.
+    """One hypothesis pair of one or two modes, its two covariances and the
+    difference d of its means, analysed once in float64, for Q_s at any s,
+    with the interface of _StandardPairs.
 
     Each column k is one symplectic eigenvalue, of rho_A (power p = s) or
     of rho_B (power p = 1 - s), as in _StandardPairs. The dual parts
@@ -531,11 +544,11 @@ class _PairData:
     pair, and raises. Callers silence numpy's floating-point warnings.
     """
 
-    def __init__(self, pair: HypothesisPair):
-        nu_a, parts_a = _mode_parts(pair.rho_a.cov)
-        nu_b, parts_b = _mode_parts(pair.rho_b.cov)
+    def __init__(self, cov_a: np.ndarray, cov_b: np.ndarray, d: np.ndarray):
+        nu_a, parts_a = _mode_parts(cov_a)
+        nu_b, parts_b = _mode_parts(cov_b)
         nu = np.concatenate([nu_a, nu_b])
-        self.n_modes = k = pair.rho_a.n_modes  # [:k]: rho_A
+        self.n_modes = k = len(d) // 2  # [:k]: rho_A
         omega = symplectic_form(k)
         dual = omega @ np.concatenate([parts_a, parts_b]) @ omega.T
         # diag of V_A^-1 + V_B^-1, the size of Sigma' away from s = 0 and 1.
@@ -547,7 +560,6 @@ class _PairData:
         self.ratio = float(np.prod(nu_b + 1.0) / np.prod(nu_a + 1.0))
         self.dual = (dual / np.outer(scale, scale)).reshape(nu.size, -1)
         self.det_scale = float(np.prod(scale) ** 2)
-        d = pair.rho_a.mean - pair.rho_b.mean
         self.dual_d = (dual @ d) / scale if np.any(d) else None
         self.q(_S_EDGE), self.q(_S_TOP)  # Sigma' ~ V_B^-1, V_A^-1: raises if singular
 
@@ -597,26 +609,73 @@ class _PairData:
 def _route(pair: HypothesisPair, closed_form: bool = True) -> tuple:
     """(core, args) of a built pair, for core(*args, M) (see the module
     docstring): _coherent on |d|^2/4 and N_B of a coherent pair where
-    closed_form, else _discriminate on the errors and analysis of the pair:
-    _standard's on the entries of two states in standard form with equal
-    means, a _PairData of any other. Callers silence numpy's floating-point
-    warnings."""
+    closed_form, else _discriminate on the errors and analysis of the pair.
+    A two-mode pair with equal means takes _standard's: on the entries of
+    its states where both are in standard form, else on those of both in
+    its local frame (_frame), where both are in standard form to rounding
+    (_xp_free). Any other pair takes a _PairData: a displaced or one-mode
+    pair as written, a two-mode one in its local frame. Callers silence
+    numpy's floating-point warnings."""
     a, b = pair.rho_a, pair.rho_b
+    d = a.mean - b.mean
     if (closed_form and a.n_modes == 1 and np.array_equal(a.cov, b.cov)
             and a.cov[0, 1] == a.cov[1, 0] == 0.0 and a.cov[0, 0] == a.cov[1, 1]):
-        d = a.mean - b.mean
         return _coherent, (0.25 * float(d @ d), max(0.5 * float(a.cov[0, 0] - 1.0), 0.0))
-    if a.entries is not None and b.entries is not None and np.array_equal(a.mean, b.mean):
+    if a.n_modes == 1 or np.any(d):
+        return _discriminate, ([None], _PairData(a.cov, b.cov, d))
+    if a.entries is not None and b.entries is not None:
         return _discriminate, _standard(a.entries, b.entries)
-    return _discriminate, ([None], _PairData(pair))
+    covs = _frame(a.cov, b.cov)
+    entries = [_xp_free(v) for v in covs]
+    if None in entries:
+        return _discriminate, ([None], _PairData(*covs, d))
+    return _discriminate, _standard(*entries)
+
+
+def _frame(cov_a: np.ndarray, cov_b: np.ndarray) -> list:
+    """The covariances of a two-mode pair in one local frame, L V L^T with
+    the same L for both: Q_s, s*, ln P and the SNR are those of the pair.
+
+    Mode 1 turns by R(phi)^T and mode 2 by R(psi)^T, from the signed SVD
+    of rho_A's cross block C = R(phi) diag(c_x, c_p) R(psi)^T, which
+    leaves that block diagonal: c11 + c22 = (c_x + c_p) cos(phi - psi),
+    c21 - c12 = (c_x + c_p) sin(phi - psi), and likewise c11 - c22 and
+    c21 + c12 with c_x - c_p and phi + psi. A sign of c_x +- c_p moves an
+    angle by pi, and an angle that c_x = -+c_p leaves free (a TMSV pair's)
+    turns modes whose blocks are thermal. Then mode k scales by d_k, 1/d_k
+    on x_k, p_k, with d_k the power of two nearest (p_kk / x_kk)^1/4 of
+    rho_B, which balances the pair's quadratures exactly in binary. The
+    frame is taken in np.longdouble: where that is wider than float64, the
+    turn rounds each entry by ~1e-19 of its size, and the float64 entries'
+    own rounding is the one that counts."""
+    (c11, c12), (c21, c22) = cov_a[:2, 2:].astype(np.longdouble)
+    plus, minus = np.arctan2(c21 + c12, c11 - c22), np.arctan2(c21 - c12, c11 + c22)
+    turn = np.zeros((4, 4), dtype=np.longdouble)
+    for k, angle in ((0, 0.5 * (plus + minus)), (2, 0.5 * (plus - minus))):
+        c, s = np.cos(angle), np.sin(angle)
+        turn[k:k + 2, k:k + 2] = [[c, s], [-s, c]]
+    cov_a, cov_b = (turn @ v @ turn.T for v in (cov_a, cov_b))
+    x, p = np.log2(np.diagonal(cov_b)).reshape(2, 2).T
+    scale = np.exp2(np.repeat(np.round(0.25 * (p - x)), 2) * [1.0, -1.0, 1.0, -1.0])
+    return [0.5 * (v + v.T) * np.outer(scale, scale) for v in (cov_a, cov_b)]
+
+
+def _xp_free(cov: np.ndarray) -> tuple | None:
+    """The six standard-form entries of a two-mode covariance whose x-p
+    entries are rounding, else None. With no x-p correlations, nu and
+    ln Q_s have no first-order response to an x-p entry r, so an r with
+    r^2 <= eps V_ii V_jj moves them by ~eps, and it is dropped."""
+    root = np.sqrt(np.diagonal(cov))
+    if np.all(np.abs(cov[::2, 1::2]) <= _XP_ROUNDING * np.outer(root[::2], root[1::2])):
+        return tuple(cov[[0, 1, 2, 3, 0, 1], [0, 1, 2, 3, 2, 3]])
+    return None
 
 
 def q_s(pair: HypothesisPair, s: float) -> float:
     """Tr(rho_A^s rho_B^{1-s}) for a Gaussian hypothesis pair, 0.0 where it
     underflows, from the analysis of discriminate (a coherent pair's general
     one) in its dtype."""
-    if not isinstance(s, numbers.Real):
-        raise ValidationError(f"s must be a real number, got {s!r}")
+    s = _real("s", s)
     if not 0.0 <= s <= 1.0:
         raise ValidationError(f"s must lie in [0, 1], got {s}")
     s = min(max(s, _S_EDGE), _S_TOP)
@@ -650,6 +709,7 @@ def snr_from_log_p(log_p: float) -> float:
     Works in the log domain, valid far below where the probability itself
     underflows (see _snr_from_log_p).
     """
+    log_p = _real("log_p", log_p)
     if not log_p <= LN_HALF + 1e-15:
         raise ValidationError(f"log_p must be <= ln(1/2), got {log_p}")
     return _snr_from_log_p(min(log_p, LN_HALF))
@@ -657,6 +717,7 @@ def snr_from_log_p(log_p: float) -> float:
 
 def log_p_from_snr(snr_value: float) -> float:
     """Forward map ln[(1/2) erfc(sqrt(x))], the inverse of snr_from_log_p."""
+    snr_value = _real("snr", snr_value)
     if not snr_value >= 0:
         raise ValidationError(f"snr must be >= 0, got {snr_value}")
     return LN_HALF + _ln_erfc(math.sqrt(snr_value))[0]
@@ -773,8 +834,9 @@ def discriminate(pair: HypothesisPair, ensembles: float) -> DiscriminationResult
     """Chernoff infimum -> M-copy log P -> SNR for a built hypothesis pair.
 
     A pair in standard form takes the analysis of a batch row, so that
-    discriminate(make_hypotheses(p, sc), M) equals snr(p, sc); a coherent
-    pair its closed form, and any other pair its general analysis.
+    discriminate(make_hypotheses(p, sc), M) equals snr(p, sc), and so does
+    a two-mode pair that its local frame puts in standard form; a coherent
+    pair its closed form, and any other pair its general analysis (_route).
     """
     ensembles = _admit("ensembles", ensembles)
     with np.errstate(all="ignore"):

@@ -59,12 +59,15 @@ def entropy_f(x: float) -> float:
     Evaluated as ln((x+1)/2) + (x-1)/2 ln(1 + 2/(x-1)), a sum of two
     positive terms: the difference above loses ~eps x ln x to cancellation.
     """
-    if not 1.0 - _ZERO_CLAMP <= x < math.inf:
-        raise ValidationError(f"entropy_f needs finite x >= 1, got {x}")
-    if x <= 1.0 + 1e-15:
-        return 0.0
-    dn = 0.5 * (x - 1.0)
-    return math.log(0.5 * (x + 1.0)) + dn * math.log1p(1.0 / dn)
+    try:
+        if not 1.0 - _ZERO_CLAMP <= x < math.inf:
+            raise ValidationError(f"entropy_f needs finite x >= 1, got {x}")
+        if x <= 1.0 + 1e-15:
+            return 0.0
+        dn = 0.5 * (x - 1.0)
+        return math.log(0.5 * (x + 1.0)) + dn * math.log1p(1.0 / dn)
+    except TypeError:  # x is no real number: a str, a complex, None
+        raise ValidationError(f"entropy_f needs a real number, got {x!r}") from None
 
 
 def block_determinants(state: GaussianState) -> BlockDeterminants:

@@ -40,16 +40,22 @@ _ADMITTED = {**{n: (0.0, math.inf, f"probe parameter {n} must be >= 0") for n in
              "ensembles": (math.ulp(0.0), math.inf, "ensembles must be > 0")}
 
 
+def _real(name: str, value) -> float:
+    """value as a Python float, if it is a real number (numbers.Real); else
+    ValidationError. An int beyond float range is +-inf."""
+    if not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond float range
+        return math.inf if value > 0 else -math.inf
+
+
 def _admit(name: str, value) -> float:
     """value as a Python float, if it is a real number the named parameter
     admits; else ValidationError. An admitted float passes with one comparison."""
     if value.__class__ is not float:
-        if not isinstance(value, numbers.Real):
-            raise ValidationError(f"{name} must be a real number, got {value!r}")
-        try:
-            value = float(value)
-        except OverflowError:  # an int beyond float range
-            value = math.inf if value > 0 else -math.inf
+        value = _real(name, value)
     lo, hi, rule = _ADMITTED[name]
     if lo <= value < hi:
         return value

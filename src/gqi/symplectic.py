@@ -451,6 +451,15 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     return np.array(_closed_spectrum(_check_covariance(cov))[0])
 
 
+def _real_array(name: str, value) -> np.ndarray:
+    """A float64 copy of value; ValidationError where numpy cannot make one
+    (an entry that is not a number, or ragged rows)."""
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must hold real numbers, got {value!r}") from None
+
+
 class GaussianState:
     """Gaussian state of one or two modes: quadrature mean and covariance.
 
@@ -481,12 +490,12 @@ class GaussianState:
     def __init__(self, n_modes: int, mean, cov):
         if n_modes not in (1, 2):
             raise ValidationError(f"n_modes must be 1 or 2, got {n_modes}")
-        dim, mean = 2 * n_modes, np.array(mean, dtype=float)
+        dim, mean = 2 * n_modes, _real_array("mean", mean)
         if mean.shape != (dim,):
             raise ValidationError(f"mean must have length {dim}, got shape {mean.shape}")
         if not all(map(math.isfinite, mean.tolist())):
             raise ValidationError("mean has a non-finite entry")
-        cov = np.array(cov, dtype=float)
+        cov = _real_array("cov", cov)
         if cov.shape != (dim, dim):
             raise ValidationError(f"cov must be {dim} x {dim}, got {cov.shape}")
         entries = _standard_entries(cov) if n_modes == 2 else None

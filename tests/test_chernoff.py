@@ -39,11 +39,16 @@ from oracles import (SymplecticMatrix, apply_symplectic, g_func, lambda_func, v_
 EPS = np.finfo(float).eps
 
 
+def general(pair: HypothesisPair) -> _PairData:
+    """The general analysis of a pair as it is written, in no other frame."""
+    return _PairData(pair.rho_a.cov, pair.rho_b.cov, pair.rho_a.mean - pair.rho_b.mean)
+
+
 def general_infimum(pair: HypothesisPair) -> tuple[float, float]:
     """(s*, Q_min) of the pair's general analysis (_PairData), whatever its
     form, through the search and tail that every analysis shares."""
     with np.errstate(all="ignore"):
-        result = chernoff._one(chernoff._discriminate([None], _PairData(pair), 1.0)[0])
+        result = chernoff._one(chernoff._discriminate([None], general(pair), 1.0)[0])
     return result.s_star, result.q_min
 
 
@@ -246,31 +251,32 @@ class TestQs:
             q_s(pair, 1.0 - 1e-12)
 
     def test_singular_sum_raises_on_the_general_analysis(self):
-        # The pair turned out of standard form takes the general analysis,
-        # whose sum has a determinant <= 0 at this s; the standard analysis
-        # of the untouched pair evaluates it.
-        c, s = math.cos(0.3), math.sin(0.3)
-        turn = np.eye(4)
-        turn[:2, :2] = [[c, -s], [s, c]]
-        pair = make_hypotheses(ProbeSpec(kind=ProbeKind.ASTM, n0=7e4, n1=1e4, n2=0.002),
-                               TargetScenario(0.4, 2e-7))
-        turned = HypothesisPair(*(GaussianState(2, turn @ v.mean, turn @ v.cov @ turn.T)
-                                  for v in (pair.rho_a, pair.rho_b)))
+        # A phase on mode 1 and then a 50:50 beam splitter on both
+        # hypotheses: no local frame takes both states to standard form, so
+        # the pair keeps the general analysis, whose sum has a determinant
+        # <= 0 at the ends of s. The standard analysis of the untouched
+        # pair reads Q_s = 0.99999928 at s = 1 - 1e-12.
+        pair = make_hypotheses(ProbeSpec(kind=ProbeKind.ASTM, n0=1e3, n1=1e3, n2=1e5),
+                               TargetScenario(0.15, 0.1))
         with pytest.raises(ValidationError, match="is singular"):
-            q_s(turned, 1.0 - 1e-12)
+            q_s(beam_split(pair, 1.0), 1.0 - 1e-12)
 
-    def test_general_analysis_that_lost_the_pair_raises(self):
-        # The same turned pair: its general analysis is singular near s = 1
-        # and off by up to 5e4x elsewhere (Q_s 0.9999 at s = 1e-12, where the
-        # standard analysis reads 1.94e-5). The two-scan search raised when a
-        # scan point met the singular end; a search that never goes there
-        # returned Q_min = 1.55e-4 at s* = 0.384, against 1.94e-5 at s* =
-        # 1e-12. The analysis now checks both ends of s and raises.
-        pair = make_hypotheses(ProbeSpec(kind=ProbeKind.ASTM, n0=7e4, n1=1e4, n2=0.002),
-                               TargetScenario(0.4, 2e-7, 1e6))
-        for call in (lambda p: discriminate(p, 1e6), chernoff_infimum, lambda p: q_s(p, 0.3)):
-            with pytest.raises(ValidationError, match="is singular"):
-                call(turned(pair, 0.3))
+    def test_turned_pair_gets_the_answer_of_the_untouched_one(self):
+        # PR 27's pair turned by 0.3 rad on mode 1. The general analysis
+        # read its Q_s 5e4x too high near s = 0 and singular near s = 1, and
+        # raised; the local frame turns it back to standard form. Turning
+        # the pair there and back rounds its float64 entries, which moved
+        # Q_min by 4.8e-8 when the known 0.3 rad was undone by hand.
+        probe = ProbeSpec(kind=ProbeKind.ASTM, n0=7e4, n1=1e4, n2=0.002)
+        scenario = TargetScenario(0.4, 2e-7, 1e6)
+        pair = make_hypotheses(probe, scenario)
+        expected = snr(probe, scenario)
+        result = assert_one_tail(turned(pair, 0.3), 1e6)
+        assert result.s_star == expected.s_star == 1e-12
+        assert result.q_min == pytest.approx(1.936857043283625e-05, rel=4.8e-8)
+        assert result.snr == pytest.approx(expected.snr, rel=4.8e-8)
+        for s in (1e-12, 0.3, 1.0 - 1e-12):
+            assert q_s(turned(pair, 0.3), s) == pytest.approx(q_s(pair, s), rel=4.8e-8)
 
     def test_state_the_analysis_rejects_raises(self):
         # GaussianState reads this two-mode squeezed state's spectrum as
@@ -490,6 +496,13 @@ class TestChernoffInfimum:
 
 
 class TestSnrInversion:
+    @pytest.mark.parametrize("call, name", [(snr_from_log_p, "log_p"), (log_p_from_snr, "snr")])
+    @pytest.mark.parametrize("value", ["-1", None, 1j])
+    def test_rejects_what_is_not_a_real_number(self, call, name, value):
+        # Each raised TypeError from the range check.
+        with pytest.raises(ValidationError, match=f"{name} must be a real number"):
+            call(value)
+
     def test_snr_zero_at_half(self):
         # Newton stopped at sqrt(SNR) ~ 6e-33: SNR 3.8e-65, not 0.
         assert snr_from_log_p(math.log(0.5)) == 0.0
@@ -904,14 +917,28 @@ class TestProductParts:
         assert parts == [[1.0, 0.0], [0.0, 0.0], [0.0, 2.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.5]]
 
 
-def turned(pair: HypothesisPair, angle: float) -> HypothesisPair:
-    """pair with mode 1 of both states turned by angle in phase space: the
-    same Q_s, with x-p correlations, so through the general analysis."""
-    c, s = math.cos(angle), math.sin(angle)
-    rot = np.eye(4)
-    rot[:2, :2] = [[c, -s], [s, c]]
-    return HypothesisPair(*(GaussianState(2, rot @ v.mean, rot @ v.cov @ rot.T)
+def transformed(pair: HypothesisPair, m: np.ndarray) -> HypothesisPair:
+    """The pair with the symplectic m applied to both states: the same Q_s."""
+    return HypothesisPair(*(GaussianState(2, m @ v.mean, m @ v.cov @ m.T)
                             for v in (pair.rho_a, pair.rho_b)))
+
+
+def turned(pair: HypothesisPair, angle: float, mode: int = 1) -> HypothesisPair:
+    """pair with one mode of both states turned by angle in phase space: the
+    same Q_s, with x-p correlations that a local frame (chernoff._frame)
+    turns back to standard form."""
+    c, s = math.cos(angle), math.sin(angle)
+    rot, k = np.eye(4), 2 * mode - 2
+    rot[k:k + 2, k:k + 2] = [[c, -s], [s, c]]
+    return transformed(pair, rot)
+
+
+def beam_split(pair: HypothesisPair, angle: float, t2: float = 0.5) -> HypothesisPair:
+    """pair with mode 1 turned by angle, then both modes mixed by a beam
+    splitter of transmissivity t2: the same Q_s, with x-p correlations
+    between the modes that no local frame removes."""
+    t, r = math.sqrt(t2), math.sqrt(1.0 - t2)
+    return transformed(turned(pair, angle), np.kron([[t, r], [-r, t]], np.eye(2)))
 
 
 def assert_one_tail(pair: HypothesisPair, ensembles: float):
@@ -1203,13 +1230,16 @@ class TestDiscriminateMany:
         (ProbeSpec(kind=ProbeKind.ASTM, n0=1.0, n1=1.0), MICROWAVE),
     ])
     def test_turned_pairs_take_the_general_path(self, probe, scenario, angle):
-        # The turned pair's float64 Q_s is ~32 ulps from the untouched
-        # pair's np.longdouble one (TestAgainstWilliamsonForm), which moves
-        # the SNR by ~32 eps / (1 - Q_min) of itself.
+        # discriminate on a hand-built pair, turned out of standard form:
+        # the local frame turns it back, and the standard analysis takes
+        # its six entries. The turn there and back rounds each entry by
+        # ~eps, which moves Q_min by a few eps and the SNR by a few
+        # eps / (1 - Q_min) of itself; the general analysis in float64 was
+        # allowed 32 of those.
         result = assert_one_tail(turned(make_hypotheses(probe, scenario), angle),
                                  scenario.ensembles)
         expected = snr(probe, scenario)
-        assert result.snr == pytest.approx(expected.snr, rel=32 * EPS / (1.0 - expected.q_min))
+        assert result.snr == pytest.approx(expected.snr, rel=4 * EPS / (1.0 - expected.q_min))
 
     def test_nearly_product_pair_on_the_general_path(self):
         # rho_A of TMSV n0 = 1e-9 at kappa = 0.5, N_B = 0 is nearly a product
@@ -1220,7 +1250,7 @@ class TestDiscriminateMany:
         pair = make_hypotheses(ProbeSpec(kind=ProbeKind.TMSV, n0=1e-9),
                                TargetScenario(0.5, 0.0, 1e6))
         with np.errstate(all="ignore"):
-            one_minus_q = [1.0 - _PairData(pair).q(s) for s in (1e-12, 0.47)]
+            one_minus_q = [1.0 - general(pair).q(s) for s in (1e-12, 0.47)]
         np.testing.assert_allclose(one_minus_q, [5.0e-10, 5.43035402045e-10], rtol=1e-6)
 
     def test_underflow_on_the_general_path_is_named(self):
@@ -1231,7 +1261,7 @@ class TestDiscriminateMany:
             GaussianState(1, np.array([100.0, 0.0]), np.diag([2.0, 0.6])),
             GaussianState(1, np.zeros(2), np.diag([1.5, 1.0])))
         with np.errstate(all="ignore"):
-            s_star, _ = chernoff._s_star([None], _PairData(pair))
+            s_star, _ = chernoff._s_star([None], general(pair))
         text = f"Q_min underflows to 0 at s* = {s_star:.6g}"
         assert outcome(discriminate, pair, 10.0) == ("error", text)
         assert outcome(chernoff_infimum, pair) == ("error", text)
@@ -1337,6 +1367,143 @@ def analysis(probe: ProbeSpec, scenario: TargetScenario) -> tuple:
                                   _absent_entries(entries, scenario.nb))
 
 
+def scan_draws(seed: int, count: int):
+    """The first count draws of the turned-pair scan: log-uniform n0, n1, n2
+    in [1e-6, 1e8], kappa in [1e-6, 0.99], N_B in [1e-12, 1e8] and M in
+    [1, 1e12], 70% ASTM and else TMSV, and a phase in [0, pi)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        astm = rng.random() < 0.7
+        n0, n1, n2 = 10.0 ** rng.uniform(-6, 8, 3)
+        kappa = 10.0 ** rng.uniform(-6, math.log10(0.99))
+        nb = 10.0 ** rng.uniform(-12, 8)
+        ensembles = 10.0 ** rng.uniform(0, 12)
+        angle = rng.uniform(0, math.pi)
+        probe = (ProbeSpec(kind=ProbeKind.ASTM, n0=n0, n1=n1, n2=n2) if astm
+                 else ProbeSpec(kind=ProbeKind.TMSV, n0=n0))
+        yield probe, TargetScenario(kappa, nb, ensembles), angle
+
+
+def turn_rounding(pair: HypothesisPair, mode: int, q_min: float) -> float:
+    """The SNR's relative error that turning one mode of a pair in float64
+    can cause, to first order.
+
+    The turn rounds each entry of the mode by ~eps max(x_kk, p_kk), which
+    is eps sq of its smaller diagonal entry, sq = max / min of the two over
+    both states. A standard-form nu carries its entries' relative rounding
+    times their cancellation in det X det P (symplectic._ROUNDING_ULPS),
+    and nu - 1, which G_p and Lambda_p read, that times nu / (nu - 1). ln Q
+    moves by no more; -ln Q_min >= 1 - Q_min, and the SNR, which goes as
+    (M ln Q)^2 near 0, moves by up to twice -ln Q_min's relative error. 8
+    ulps more are the SNR's own rounding.
+    """
+    k, factor = 2 * mode - 2, 0.0
+    for state in (pair.rho_a, pair.rho_b):
+        ax, ap, bx, bp, cx, cp = state.entries
+        x, p = state.cov[k, k], state.cov[k + 1, k + 1]
+        nu = state.spectrum[-1]
+        cancel = 1.0 + (ax * bx + cx * cx) / (ax * bx - cx * cx) + (ap * bp + cp * cp) / (
+            ap * bp - cp * cp)
+        factor = max(factor, max(x, p) / min(x, p) * cancel * nu / (nu - 1.0))
+    return 2.0 * EPS * (factor / (1.0 - q_min) + 8.0)
+
+
+def pair_data_spy(monkeypatch) -> list:
+    """The covariances of every general analysis built from now on."""
+    built, cls = [], chernoff._PairData
+
+    def spy(cov_a, cov_b, d):
+        built.append((cov_a, cov_b))
+        return cls(cov_a, cov_b, d)
+    monkeypatch.setattr(chernoff, "_PairData", spy)
+    return built
+
+
+class TestLocalFrame:
+    """A pair in another local frame gets the analysis of the pair it came
+    from (chernoff._frame): Q_s, s*, ln P and the SNR are local invariants."""
+
+    def test_turned_scan_pairs_get_the_untouched_answer(self):
+        # The first 300 draws of the turned-pair scan with n0, n1, n2 <= 1e4
+        # and 1 - Q_min >= 1e-6, 96 of them, each turned on mode 1 and on
+        # mode 2. The general analysis put 5 of these 192 SNRs outside their
+        # bound, draw 255 on mode 1 by 5.7e-3 where its entries resolve
+        # 9.6e-5. A pair whose entries do not resolve its SNR to 1%
+        # (turn_rounding > 1e-2: an idler squeezed 1e5x, a mode pure within
+        # 1e-10) has no bound to hold; they are 30 of the 192.
+        checked = 0
+        for probe, scenario, angle in scan_draws(2, 300):
+            if max(probe.n0, probe.n1, probe.n2) > 1e4:
+                continue
+            expected = snr(probe, scenario)
+            if 1.0 - expected.q_min < 1e-6:
+                continue
+            pair = make_hypotheses(probe, scenario)
+            for mode in (1, 2):
+                bound = turn_rounding(pair, mode, expected.q_min)
+                if bound <= 1e-2:
+                    result = discriminate(turned(pair, angle, mode), scenario.ensembles)
+                    assert result.snr == pytest.approx(expected.snr, rel=bound)
+                    checked += 1
+        assert checked == 162
+
+    def test_found_pair_turned_gets_the_standard_answer(self):
+        # rho_A's nu_- = 34.85 read as pure through the general analysis'
+        # inflated bound (1151), which gave -ln Q_min = 3.380 at s* = 1e-12.
+        probe = ProbeSpec(kind=ProbeKind.ASTM, n0=871.0, n1=1.41e-5, n2=6.73e6)
+        scenario = TargetScenario(0.0135, 16.7)
+        _, q_min = chernoff_infimum(turned(make_hypotheses(probe, scenario), 0.7))
+        assert -math.log(q_min) == pytest.approx(0.157925080156856, rel=1e-12)
+        assert -math.log(snr(probe, scenario).q_min) == pytest.approx(0.157925080156856,
+                                                                     rel=1e-12)
+
+    @pytest.mark.parametrize("mode", [1, 2])
+    @pytest.mark.parametrize("angle", [0.3, 1.5707963267948966, 2.0, 3.0])
+    @pytest.mark.parametrize("probe", [
+        ProbeSpec(kind=ProbeKind.ASTM, n0=1.0, n1=1.0, n2=2.0),
+        ProbeSpec(kind=ProbeKind.ASTM, n0=0.1, n1=5.0),
+        ProbeSpec(kind=ProbeKind.TMSV, n0=2.0),
+    ])
+    def test_frame_turns_a_turned_pair_back(self, probe, angle, mode, monkeypatch):
+        # The frame's turn undoes the phase, up to signs of the quadratures
+        # and a quarter turn of both modes (x and p swap), and its squeeze
+        # is exact: the entries it hands the standard analysis are the
+        # untouched pair's, scaled by the powers of two that balance rho_B's
+        # modes, within the rounding of the two turns (~eps max|V| before
+        # the scaling). TMSV's cross block has c_x = -c_p, which leaves one
+        # angle free.
+        built = pair_data_spy(monkeypatch)
+        pair = make_hypotheses(probe, TargetScenario(0.1, 0.5))
+        pair_t = turned(pair, angle, mode)
+        covs = chernoff._frame(pair_t.rho_a.cov, pair_t.rho_b.cov)
+
+        def turned_back(order) -> bool:
+            """Whether covs are the untouched covariances with x and p in
+            order, balanced, to rounding."""
+            views = [v.cov[np.ix_(order, order)] for v in (pair.rho_a, pair.rho_b)]
+            x, p = np.diagonal(views[1]).reshape(2, 2).T
+            d = 2.0 ** np.round(0.25 * np.log2(p / x))
+            scale = np.repeat(d, 2) ** np.array([1.0, -1.0, 1.0, -1.0])
+            return all(np.abs(np.abs(cov) / np.outer(scale, scale) - np.abs(v)).max()
+                       <= 4 * EPS * np.abs(v).max() for cov, v in zip(covs, views))
+
+        assert turned_back([0, 1, 2, 3]) or turned_back([1, 0, 3, 2])
+        chernoff_infimum(pair_t)
+        assert built == []
+
+    @pytest.mark.parametrize("angle, t2", [(0.3, 0.64), (1.0, 0.5), (2.0, 0.09)])
+    def test_beam_split_pairs_take_the_general_analysis(self, angle, t2, monkeypatch):
+        # A beam splitter after a phase correlates x of one mode with p of
+        # the other in both states, which no one local frame undoes.
+        built = pair_data_spy(monkeypatch)
+        probe = ProbeSpec(kind=ProbeKind.ASTM, n0=0.1, n1=0.5)
+        scenario = TargetScenario(0.3, 0.4, 1e3)
+        result = assert_one_tail(beam_split(make_hypotheses(probe, scenario), angle, t2),
+                                 scenario.ensembles)
+        assert len(built) == 2  # by discriminate and by chernoff_infimum
+        assert result.snr == pytest.approx(snr(probe, scenario).snr, rel=1e-13)
+
+
 class TestSearch:
     # s* is the root of g = d ln Q_s/ds, found by a safeguarded Newton
     # iteration on g s (1 - s) (chernoff._s_star).
@@ -1380,7 +1547,7 @@ class TestSearch:
                 GaussianState(n_modes, shift * rng.normal(size=2 * n_modes),
                               random_physical_cov(n_modes, rng)),
                 GaussianState(n_modes, np.zeros(2 * n_modes), random_physical_cov(n_modes, rng)))
-            data = _PairData(pair)
+            data = general(pair)
             for s in (0.2, 0.5, 0.8):
                 g, g1, size = data.slope(s)
                 fd, fd1 = self.central(lambda v: math.log(data.q(v)), s)

@@ -59,6 +59,12 @@ class TestEntropyF:
         with pytest.raises(ValidationError):
             entropy_f(x)
 
+    @pytest.mark.parametrize("x", ["2", 2j, None])
+    def test_rejects_what_is_not_a_real_number(self, x):
+        # Each raised TypeError from the range check.
+        with pytest.raises(ValidationError, match="entropy_f needs a real number"):
+            entropy_f(x)
+
 
 class TestBlockDeterminants:
     def test_tmsv_one_photon(self):

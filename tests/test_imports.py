@@ -21,9 +21,11 @@ print(json.dumps({
 }))
 """
 
-# Every CLI command, then every path the package's own pairs take, then one
-# pair that is neither in standard form nor coherent: signal mode turned by
-# a phase, so that both hypotheses carry x-p correlations.
+# Every CLI command, then every path the package's own pairs take, then two
+# pairs that are neither in standard form nor coherent: signal mode turned by
+# a phase, so that both hypotheses carry x-p correlations that the local
+# frame removes, and the same pair beam split, which keeps them for the
+# general analysis.
 _PATHS = """
 import contextlib, io, json, math, os, sys
 import numpy as np
@@ -73,6 +75,10 @@ turned = HypothesisPair(*(GaussianState(2, rot @ v.mean, rot @ v.cov @ rot.T)
                           for v in (pair.rho_a, pair.rho_b)))
 turned_q = q_s(turned, 0.3)
 chernoff_infimum(turned), discriminate(turned, 1e7)
+split = np.kron([[0.8, 0.6], [-0.6, 0.8]], np.eye(2))
+split = HypothesisPair(*(GaussianState(2, split @ v.mean, split @ v.cov @ split.T)
+                         for v in (turned.rho_a, turned.rho_b)))
+q_s(split, 0.3), chernoff_infimum(split), discriminate(split, 1e7)
 loaded["library"] = scipy_modules()
 print(json.dumps({
     "codes": codes,
@@ -124,7 +130,8 @@ def test_cli_commands_load_no_scipy(fresh_paths):
 
 
 def test_turned_pair_takes_the_general_path(fresh_paths):
-    # The general path gives the value it gave in every earlier layout.
+    # The turned pair's value, which the general analysis gave in every
+    # earlier layout and the local frame now gives through the standard one.
     assert fresh_paths["turned"] == pytest.approx(0.9673763105060349, rel=1e-13)
     # A phase on one mode of both hypotheses leaves Q_s as it was.
     assert fresh_paths["turned"] == pytest.approx(fresh_paths["standard"], rel=1e-14)

@@ -126,6 +126,17 @@ class TestCovarianceCheck:
         with pytest.raises(error, match="finite" if error is ValidationError else None):
             call(bad)
 
+    @pytest.mark.parametrize("mean, cov, name", [
+        ([0.0, 0.0], "ab", "cov"),
+        ([0.0, 0.0], [[1.0, 1j], [1j, 1.0]], "cov"),
+        ([0.0, 0.0], [[1.0, 0.0], [0.0]], "cov"),
+        (["x", 0.0], np.eye(2), "mean"),
+    ], ids=["str", "complex", "ragged", "mean-str"])
+    def test_rejects_entries_that_are_not_numbers(self, mean, cov, name):
+        # numpy's ValueError or TypeError escaped from the conversion.
+        with pytest.raises(ValidationError, match=f"{name} must hold real numbers"):
+            GaussianState(1, mean, cov)
+
     @pytest.mark.parametrize("call", [symplectic_eigenvalues, williamson],
                              ids=["symplectic_eigenvalues", "williamson"])
     def test_rejects_empty_covariance(self, call):
