@@ -55,15 +55,16 @@ alone leaves ~eps / (1 - Q) ~ 4e-9 of the SNR; where np.longdouble is
 float64 (macOS arm64, Windows) it is a float64 one.
 
 Q_s, s*, ln P and the SNR do not change when one local symplectic acts on
-both hypotheses. So a two-mode pair with equal means out of standard form
-(turned or locally squeezed) is taken to one local frame (_frame): each
-mode turns so that rho_A's cross block is diagonal, then scales by the
-power of two that balances rho_B's quadratures. Where both states are then
-in standard form to rounding (_xp_free), their entries go to _standard, as
-a built pair's do. Any other pair (one mode, unequal means, or x-p
-correlations no local frame removes, as a beam splitter after a phase
-leaves) takes _PairData, in float64, two-mode pairs in that frame: the
-parts of each covariance (_mode_parts), a determinant (and a solve, for
+both hypotheses. So every pair that takes neither the coherent closed form
+nor the entries of a built pair (standard form, equal means) is taken to
+one local frame first (_frame), with its mean difference d: one mode turns so that rho_B is diagonal; each
+of two modes turns so that rho_A's cross block is diagonal; then every
+mode scales by the power of two that balances rho_B's quadratures. Where an
+undisplaced two-mode pair is then in standard form to rounding (_xp_free),
+its entries go to _standard, as a built pair's do. Every other pair (one
+mode, unequal means, or x-p correlations no local frame removes, as a beam
+splitter after a phase leaves) takes _PairData in that frame, in float64:
+the parts of each covariance (_mode_parts), a determinant (and a solve, for
 displaced pairs) per s. Both weigh their parts by the same 1/Lambda_k and
 prod_k (2 - em_k), and both snap a nu to a pure mode within the rounding
 symplectic reports for it (_snap).
@@ -610,54 +611,63 @@ def _route(pair: HypothesisPair, closed_form: bool = True) -> tuple:
     """(core, args) of a built pair, for core(*args, M) (see the module
     docstring): _coherent on |d|^2/4 and N_B of a coherent pair where
     closed_form, else _discriminate on the errors and analysis of the pair.
-    A two-mode pair with equal means takes _standard's: on the entries of
-    its states where both are in standard form, else on those of both in
-    its local frame (_frame), where both are in standard form to rounding
-    (_xp_free). Any other pair takes a _PairData: a displaced or one-mode
-    pair as written, a two-mode one in its local frame. Callers silence
-    numpy's floating-point warnings."""
+    A two-mode pair with equal means takes _standard's on the entries of its
+    states where both are in standard form. Any other pair is taken to its
+    local frame (_frame) first: there an undisplaced two-mode pair whose
+    states are both in standard form to rounding (_xp_free) takes
+    _standard's on their entries, and every other pair a _PairData. Callers
+    silence numpy's floating-point warnings."""
     a, b = pair.rho_a, pair.rho_b
     d = a.mean - b.mean
     if (closed_form and a.n_modes == 1 and np.array_equal(a.cov, b.cov)
             and a.cov[0, 1] == a.cov[1, 0] == 0.0 and a.cov[0, 0] == a.cov[1, 1]):
         return _coherent, (0.25 * float(d @ d), max(0.5 * float(a.cov[0, 0] - 1.0), 0.0))
-    if a.n_modes == 1 or np.any(d):
-        return _discriminate, ([None], _PairData(a.cov, b.cov, d))
-    if a.entries is not None and b.entries is not None:
+    if a.entries is not None and b.entries is not None and not np.any(d):
         return _discriminate, _standard(a.entries, b.entries)
-    covs = _frame(a.cov, b.cov)
-    entries = [_xp_free(v) for v in covs]
-    if None in entries:
-        return _discriminate, ([None], _PairData(*covs, d))
-    return _discriminate, _standard(*entries)
+    cov_a, cov_b, d = _frame(a.cov, b.cov, d)
+    if a.n_modes == 2 and not np.any(d):
+        entries = [_xp_free(v) for v in (cov_a, cov_b)]
+        if None not in entries:
+            return _discriminate, _standard(*entries)
+    return _discriminate, ([None], _PairData(cov_a, cov_b, d))
 
 
-def _frame(cov_a: np.ndarray, cov_b: np.ndarray) -> list:
-    """The covariances of a two-mode pair in one local frame, L V L^T with
-    the same L for both: Q_s, s*, ln P and the SNR are those of the pair.
+def _frame(cov_a: np.ndarray, cov_b: np.ndarray, d: np.ndarray) -> list:
+    """The covariances and the mean difference of a pair in one local
+    frame, L V L^T and L d with the same L for both states: Q_s, s*, ln P
+    and the SNR are those of the pair.
 
-    Mode 1 turns by R(phi)^T and mode 2 by R(psi)^T, from the signed SVD
-    of rho_A's cross block C = R(phi) diag(c_x, c_p) R(psi)^T, which
-    leaves that block diagonal: c11 + c22 = (c_x + c_p) cos(phi - psi),
-    c21 - c12 = (c_x + c_p) sin(phi - psi), and likewise c11 - c22 and
-    c21 + c12 with c_x - c_p and phi + psi. A sign of c_x +- c_p moves an
-    angle by pi, and an angle that c_x = -+c_p leaves free (a TMSV pair's)
-    turns modes whose blocks are thermal. Then mode k scales by d_k, 1/d_k
-    on x_k, p_k, with d_k the power of two nearest (p_kk / x_kk)^1/4 of
-    rho_B, which balances the pair's quadratures exactly in binary. The
-    frame is taken in np.longdouble: where that is wider than float64, the
-    turn rounds each entry by ~1e-19 of its size, and the float64 entries'
-    own rounding is the one that counts."""
-    (c11, c12), (c21, c22) = cov_a[:2, 2:].astype(np.longdouble)
-    plus, minus = np.arctan2(c21 + c12, c11 - c22), np.arctan2(c21 - c12, c11 + c22)
-    turn = np.zeros((4, 4), dtype=np.longdouble)
-    for k, angle in ((0, 0.5 * (plus + minus)), (2, 0.5 * (plus - minus))):
+    One mode turns by R(theta)^T, theta = atan2(2 b12, b11 - b22) / 2 of
+    rho_B, which leaves rho_B diagonal. Of two modes, mode 1 turns by
+    R(phi)^T and mode 2 by R(psi)^T, from the signed SVD of rho_A's cross
+    block C = R(phi) diag(c_x, c_p) R(psi)^T, which leaves that block
+    diagonal: c11 + c22 = (c_x + c_p) cos(phi - psi), c21 - c12 =
+    (c_x + c_p) sin(phi - psi), and likewise c11 - c22 and c21 + c12 with
+    c_x - c_p and phi + psi. A sign of c_x +- c_p moves an angle by pi, and
+    an angle that c_x = -+c_p leaves free (a TMSV pair's) turns modes whose
+    blocks are thermal. Then mode k scales by d_k, 1/d_k on x_k, p_k, with
+    d_k the power of two nearest (p_kk / x_kk)^1/4 of rho_B, which balances
+    the pair's quadratures exactly in binary. The frame is taken in
+    np.longdouble: where that is wider than float64, the turn rounds each
+    entry by ~1e-19 of its size, and the float64 entries' own rounding is
+    the one that counts. It is the identity on isotropic covariances, and
+    L d returns as float64."""
+    if len(d) == 2:
+        (b11, b12), (_, b22) = cov_b.astype(np.longdouble)
+        angles = [0.5 * np.arctan2(b12 + b12, b11 - b22)]
+    else:
+        (c11, c12), (c21, c22) = cov_a[:2, 2:].astype(np.longdouble)
+        plus, minus = np.arctan2(c21 + c12, c11 - c22), np.arctan2(c21 - c12, c11 + c22)
+        angles = [0.5 * (plus + minus), 0.5 * (plus - minus)]
+    turn = np.zeros((len(d), len(d)), dtype=np.longdouble)
+    for k, angle in zip((0, 2), angles):
         c, s = np.cos(angle), np.sin(angle)
         turn[k:k + 2, k:k + 2] = [[c, s], [-s, c]]
     cov_a, cov_b = (turn @ v @ turn.T for v in (cov_a, cov_b))
-    x, p = np.log2(np.diagonal(cov_b)).reshape(2, 2).T
-    scale = np.exp2(np.repeat(np.round(0.25 * (p - x)), 2) * [1.0, -1.0, 1.0, -1.0])
-    return [0.5 * (v + v.T) * np.outer(scale, scale) for v in (cov_a, cov_b)]
+    x, p = np.log2(np.diagonal(cov_b)).reshape(-1, 2).T
+    scale = np.exp2(np.outer(np.round(0.25 * (p - x)), [1.0, -1.0]).ravel())
+    return [0.5 * (v + v.T) * np.outer(scale, scale) for v in (cov_a, cov_b)] + [
+        (scale * (turn @ d)).astype(float)]
 
 
 def _xp_free(cov: np.ndarray) -> tuple | None:
@@ -836,7 +846,8 @@ def discriminate(pair: HypothesisPair, ensembles: float) -> DiscriminationResult
     A pair in standard form takes the analysis of a batch row, so that
     discriminate(make_hypotheses(p, sc), M) equals snr(p, sc), and so does
     a two-mode pair that its local frame puts in standard form; a coherent
-    pair its closed form, and any other pair its general analysis (_route).
+    pair its closed form, and any other pair its general analysis in its
+    local frame (_route).
     """
     ensembles = _admit("ensembles", ensembles)
     with np.errstate(all="ignore"):

@@ -70,14 +70,19 @@ def entropy_f(x: float) -> float:
         raise ValidationError(f"entropy_f needs a real number, got {x!r}") from None
 
 
+def _two_modes(caller: str, state: GaussianState):
+    """Raise ValidationError, naming the caller, unless state has two modes."""
+    if state.n_modes != 2:
+        raise ValidationError(f"{caller} needs a 2-mode state, got {state.n_modes}")
+
+
 def block_determinants(state: GaussianState) -> BlockDeterminants:
     """alpha = det A, beta = det B, gamma = det C and delta = det V.
 
     In standard form all four come from the six covariance entries the
     state keeps; else the 2x2 ones in closed form and det V from LAPACK.
     """
-    if state.n_modes != 2:
-        raise ValidationError(f"block_determinants needs a 2-mode state, got {state.n_modes}")
+    _two_modes("block_determinants", state)
     if state.entries is not None:
         ax, ap, bx, bp, cx, cp = state.entries
         return BlockDeterminants(ax * ap, bx * bp, cx * cp,
@@ -99,6 +104,7 @@ def gaussian_discord(state: GaussianState) -> DiscordResult:
     """
     if state.entries is not None:
         return _standard_discord(state.entries, state.spectrum.tolist(), state.spectrum_tol)
+    _two_modes("gaussian_discord", state)
     d = block_determinants(state)
     # The spectrum (closed form), det V (LU) and the 2x2 determinants lose up
     # to ~eps times the condition number of V: a strongly squeezed mode's.

@@ -27,7 +27,7 @@ import numpy as np
 from .chernoff import DiscriminationResult, discriminate_columns, snr
 from .discord import _remained, remained_discord
 from .probes import (_ADMITTED, _FIELDS, _READS, ProbeKind, ProbeSpec, TargetScenario,
-                     _admit, _carrier, _energy, _unread)
+                     _admit, _carrier, _energy, _real, _unread)
 from .symplectic import ValidationError
 
 CSV_COLUMNS = [
@@ -36,6 +36,9 @@ CSV_COLUMNS = [
 ]
 
 SWEEP_AXES = ("n0", "n1", "n2", "ns", "kappa", "nb")
+
+# The columns of a SweepTable that hold numbers (SweepTable.column).
+_NUMBERS = tuple(c for c in CSV_COLUMNS if c != "kind")
 
 # Slope-fit defaults: N_S up to 4 on 32 uniform points, starting at the
 # smallest energy the probe can emit.
@@ -71,6 +74,10 @@ class SweepTable:
     errors: list[str] = field(default_factory=list)
 
     def column(self, name: str, kind: str | None = None) -> np.ndarray:
+        """The values of one number column (CSV_COLUMNS but kind) as floats,
+        of every row or of the rows of one probe kind; NaN for no discord."""
+        if name not in _NUMBERS:
+            raise ValidationError(f"column must be one of {_NUMBERS}, got {name!r}")
         rows = self.rows if kind is None else [r for r in self.rows if r.kind == kind]
         return np.array([getattr(r, name) for r in rows], dtype=float)
 
@@ -227,7 +234,9 @@ def sweep(axis: str, grid, probe: ProbeSpec, scenario: TargetScenario,
     comparison: only the coherent row comes with it. compare=True on
     another axis raises: comparison rows match N_S.
 
-    Each grid value is checked in floats against the rules ProbeSpec,
+    The grid is a sequence of real numbers, each taken as a float as
+    ProbeSpec takes a field; anything else raises, naming the value. Each
+    grid value is checked in floats against the rules ProbeSpec,
     TargetScenario and solve_n1_for_signal_energy apply to the parameter it
     sets; one that fails, and a value's rows after its first error, are
     skipped and reported in errors. The rest are one batch, as a figure's
@@ -239,7 +248,12 @@ def sweep(axis: str, grid, probe: ProbeSpec, scenario: TargetScenario,
         compare = axis == "ns" and probe.kind is not ProbeKind.COHERENT
     if compare and axis != "ns":
         raise ValidationError(f"compare needs axis 'ns' (N_S), got {axis!r}")
-    grid = [float(v) for v in grid]
+    try:  # each value a real number, as ProbeSpec admits a field
+        if isinstance(grid, (str, bytes)):
+            raise TypeError
+        grid = [_real(axis, v) for v in grid]
+    except TypeError:  # a str or a scalar
+        raise ValidationError(f"grid must be a sequence of real numbers, got {grid!r}") from None
     if not grid:
         raise ValidationError("grid has no points")
     tables = [_Table(None, axis, grid, probe, scenario, with_discord)]

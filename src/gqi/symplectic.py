@@ -49,12 +49,18 @@ class ValidationError(ValueError):
     """Raised when an input violates a documented precondition."""
 
 
+def _mode_count(n_modes) -> int:
+    """n_modes as an int, where it is the integer 1 or 2: an int or a numpy
+    integer (a bool or a float is no mode count)."""
+    if (n_modes.__class__ is int or isinstance(n_modes, np.integer)) and n_modes in (1, 2):
+        return int(n_modes)
+    raise ValidationError(f"n_modes must be 1 or 2, got {n_modes!r}")
+
+
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Canonical symplectic form Omega = direct sum of [[0, 1], [-1, 0]] of one
     or two modes, read-only, so that every caller may share it."""
-    if n_modes not in (1, 2):
-        raise ValidationError(f"n_modes must be 1 or 2, got {n_modes}")
-    return _OMEGA[n_modes]
+    return _OMEGA[_mode_count(n_modes)]
 
 
 _OMEGA = {n: np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]]) + 0.0 for n in (1, 2)}  # no -0.0
@@ -488,8 +494,8 @@ class GaussianState:
         property, map(operator.attrgetter, __slots__))
 
     def __init__(self, n_modes: int, mean, cov):
-        if n_modes not in (1, 2):
-            raise ValidationError(f"n_modes must be 1 or 2, got {n_modes}")
+        if n_modes.__class__ is not int or n_modes not in (1, 2):  # an int 1 or 2 in one check
+            n_modes = _mode_count(n_modes)
         dim, mean = 2 * n_modes, _real_array("mean", mean)
         if mean.shape != (dim,):
             raise ValidationError(f"mean must have length {dim}, got shape {mean.shape}")

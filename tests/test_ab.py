@@ -1,10 +1,17 @@
 import importlib.util
 import os
 
-SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "ab.py")
-_spec = importlib.util.spec_from_file_location("ab", SCRIPT)
-ab = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(ab)
+SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+
+
+def _script(name: str):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(SCRIPTS, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ab, ab_inprocess = _script("ab"), _script("ab_inprocess")
 
 METRICS = [{"name": "points_per_s", "better": "higher"},
            {"name": "op_p50_ms", "better": "lower"}]
@@ -45,3 +52,17 @@ def test_failing_run_exits_1(tmp_path, capsys):
     assert ab.main([str(tmp_path), ab.ROOT, "--workload", "discord_map",
                     "--pairs", "1", "--seconds", "0.1"]) == 1
     assert "exited 3" in capsys.readouterr().err
+
+
+def test_tree_against_itself_in_one_process(capsys):
+    # Three rounds of one point_mix block, both sides loaded from this
+    # tree under their own package names: every outcome is the same, and
+    # the block times are near each other.
+    assert ab_inprocess.main([ab.ROOT, ab.ROOT, "--workload", "point_mix", "--seed", "5",
+                              "--rounds", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "point_mix, seed 5: 3 rounds of one block, in one process"
+    assert [line.split()[0] for line in lines[1:3]] == ["parent", "child"]
+    assert lines[4] == "outputs: bit-identical of 60 ops"
+    ratio = float(lines[3].split("median ")[1].split(",")[0])
+    assert 0.5 < ratio < 2.0

@@ -919,7 +919,7 @@ class TestProductParts:
 
 def transformed(pair: HypothesisPair, m: np.ndarray) -> HypothesisPair:
     """The pair with the symplectic m applied to both states: the same Q_s."""
-    return HypothesisPair(*(GaussianState(2, m @ v.mean, m @ v.cov @ m.T)
+    return HypothesisPair(*(GaussianState(len(m) // 2, m @ v.mean, m @ v.cov @ m.T)
                             for v in (pair.rho_a, pair.rho_b)))
 
 
@@ -1384,39 +1384,179 @@ def scan_draws(seed: int, count: int):
         yield probe, TargetScenario(kappa, nb, ensembles), angle
 
 
+def cancellation(state: GaussianState) -> float:
+    """How much det V grows its entries' relative rounding: det X det P
+    of a standard form (symplectic._ROUNDING_ULPS), x p - c^2 of one mode."""
+    if state.entries is None:
+        (x, c), (_, p) = state.cov
+        return (x * p + c * c) / (x * p - c * c)
+    ax, ap, bx, bp, cx, cp = state.entries
+    return 1.0 + (ax * bx + cx * cx) / (ax * bx - cx * cx) + (ap * bp + cp * cp) / (
+        ap * bp - cp * cp)
+
+
+def entry_factor(pair: HypothesisPair, modes) -> float:
+    """How much turning the given modes of a pair in float64 can move ln Q,
+    in ulps of it, to first order.
+
+    The turn rounds each entry of a mode by ~eps max(x_kk, p_kk), which
+    is eps sq of its smaller diagonal entry, sq = max / min of the two over
+    both states. A nu carries its entries' relative rounding times their
+    cancellation in det V, and nu - 1, which G_p and Lambda_p read, that
+    times nu / (nu - 1). ln Q moves by no more.
+    """
+    factor = 0.0
+    for state in (pair.rho_a, pair.rho_b):
+        cancel, nu = cancellation(state), state.spectrum[-1]
+        for mode in modes:
+            k = 2 * mode - 2
+            x, p = state.cov[k, k], state.cov[k + 1, k + 1]
+            factor = max(factor, max(x, p) / min(x, p) * cancel * nu / (nu - 1.0))
+    return factor
+
+
 def turn_rounding(pair: HypothesisPair, mode: int, q_min: float) -> float:
     """The SNR's relative error that turning one mode of a pair in float64
+    can cause, to first order: -ln Q_min >= 1 - Q_min moves by
+    entry_factor eps / (1 - Q_min) of itself, and the SNR, which goes as
+    (M ln Q)^2 near 0, by up to twice that. 8 ulps more are the SNR's own
+    rounding.
+    """
+    return 2.0 * EPS * (entry_factor(pair, [mode]) / (1.0 - q_min) + 8.0)
+
+
+def frame_squeeze(pair: HypothesisPair) -> float:
+    """The largest ratio of the eigenvalues of one mode's block over both
+    states of a pair in its local frame (chernoff._frame): the squeeze the
+    frame leaves, by which the general analysis' parts lose digits."""
+    *covs, _ = chernoff._frame(pair.rho_a.cov, pair.rho_b.cov, pair.rho_a.mean - pair.rho_b.mean)
+    ratios = [1.0]
+    for cov in covs:
+        for k in range(0, len(cov), 2):
+            lo, hi = np.linalg.eigvalsh(np.asarray(cov[k:k + 2, k:k + 2], dtype=float))
+            ratios.append(hi / lo)
+    return max(ratios)
+
+
+def transform_rounding(pair: HypothesisPair, moved: HypothesisPair, q_min: float) -> float:
+    """The SNR's relative error that a local diag(z, 1/z) R(t) on every mode
+    of pair, in float64 (moved), and the general analysis of both pairs
     can cause, to first order.
 
-    The turn rounds each entry of the mode by ~eps max(x_kk, p_kk), which
-    is eps sq of its smaller diagonal entry, sq = max / min of the two over
-    both states. A standard-form nu carries its entries' relative rounding
-    times their cancellation in det X det P (symplectic._ROUNDING_ULPS),
-    and nu - 1, which G_p and Lambda_p read, that times nu / (nu - 1). ln Q
-    moves by no more; -ln Q_min >= 1 - Q_min, and the SNR, which goes as
-    (M ln Q)^2 near 0, moves by up to twice -ln Q_min's relative error. 8
-    ulps more are the SNR's own rounding.
+    Undoing the squeeze leaves each entry of R V R^T rounded by ~eps of its
+    size, and undoing the turn then rounds a mode as turn_rounding says, on
+    every mode. The general analysis (_PairData, in float64) rounds each
+    part by ~eps times the squeeze its frame leaves (frame_squeeze), in
+    either pair, and Q by a few ulps more in its determinant and solve, 16
+    for the two pairs.
     """
-    k, factor = 2 * mode - 2, 0.0
-    for state in (pair.rho_a, pair.rho_b):
-        ax, ap, bx, bp, cx, cp = state.entries
-        x, p = state.cov[k, k], state.cov[k + 1, k + 1]
-        nu = state.spectrum[-1]
-        cancel = 1.0 + (ax * bx + cx * cx) / (ax * bx - cx * cx) + (ap * bp + cp * cp) / (
-            ap * bp - cp * cp)
-        factor = max(factor, max(x, p) / min(x, p) * cancel * nu / (nu - 1.0))
-    return 2.0 * EPS * (factor / (1.0 - q_min) + 8.0)
+    modes = range(1, pair.n_modes + 1)
+    squeeze = max(frame_squeeze(pair), frame_squeeze(moved))
+    return 2.0 * EPS * ((entry_factor(pair, modes) + squeeze + 16.0) / (1.0 - q_min) + 8.0)
+
+
+def squeezed_turns(rng, n_modes: int, span: float) -> tuple:
+    """diag(z, 1/z) R(t) on each mode, t in [0, pi) and then ln z in
+    [-span, span] drawn per mode: a local symplectic, the same Q_s. Returns
+    it and the largest |ln z|."""
+    m, ln_z = np.zeros((2 * n_modes, 2 * n_modes)), []
+    for k in range(0, 2 * n_modes, 2):
+        t = rng.uniform(0, math.pi)
+        ln_z.append(rng.uniform(-span, span))
+        z, c, s = math.exp(ln_z[-1]), math.cos(t), math.sin(t)
+        m[k:k + 2, k:k + 2] = np.diag([z, 1.0 / z]) @ [[c, -s], [s, c]]
+    return m, max(map(abs, ln_z))
+
+
+def displaced_scan(count: int):
+    """The first count draws of the displaced ASTM scan, seed 11: n0 in
+    [0.1, 4] and n2 in [1e-3, 1e3] log-uniform, n1 in [0, 4], kappa in
+    [1e-3, 0.32] and N_B in [1, 32] log-uniform; rho_A's mean N(0, 0.3) in
+    each quadrature; then a span R in [0, 16] and squeezed_turns of it."""
+    rng = np.random.default_rng(11)
+    for _ in range(count):
+        n0, n1, n2 = 10.0 ** rng.uniform(-1, 0.6), rng.uniform(0, 4), 10.0 ** rng.uniform(-3, 3)
+        kappa, nb = 10.0 ** rng.uniform(-3, -0.5), 10.0 ** rng.uniform(0, 1.5)
+        mean = rng.normal(0, 0.3, 4)
+        m, ln_z = squeezed_turns(rng, 2, rng.uniform(0, 16))
+        pair = make_hypotheses(ProbeSpec(kind=ProbeKind.ASTM, n0=n0, n1=n1, n2=n2),
+                               TargetScenario(kappa, nb))
+        yield HypothesisPair(GaussianState(2, mean, pair.rho_a.cov), pair.rho_b), m, ln_z
+
+
+def one_mode_scan(count: int):
+    """The first count draws of the one-mode scan, seed 3: nu_B - 1 in
+    [1e-3, 10] and nu_A - 1 in [1e-6, 10] log-uniform, rho_A = diag(nu_A r,
+    nu_A / r) with ln r in [-2, 2], rho_B = nu_B I; a mean N(0, 0.3) on
+    rho_A of the odd draws; then squeezed_turns with span 14."""
+    rng = np.random.default_rng(3)
+    for i in range(count):
+        nu_b, nu_a = 1.0 + 10.0 ** rng.uniform(-3, 1), 1.0 + 10.0 ** rng.uniform(-6, 1)
+        r = math.exp(rng.uniform(-2, 2))
+        mean = rng.normal(0, 0.3, 2)
+        m, ln_z = squeezed_turns(rng, 1, 14.0)
+        yield HypothesisPair(GaussianState(1, mean if i % 2 else np.zeros(2),
+                                           np.diag([nu_a * r, nu_a / r])),
+                             GaussianState(1, np.zeros(2), nu_b * np.eye(2))), m, ln_z
+
+
+def local_squeeze(n_modes: int, mode: int, power: int) -> np.ndarray:
+    """diag(2^power, 2^-power) on one mode: exact on float64 entries."""
+    m = np.eye(2 * n_modes)
+    m[2 * mode - 2, 2 * mode - 2], m[2 * mode - 1, 2 * mode - 1] = 2.0 ** power, 2.0 ** -power
+    return m
+
+
+def thermal_pair(nu_a: float, nu_b: float) -> HypothesisPair:
+    """Two one-mode thermal states, nu_a I against nu_b I."""
+    return HypothesisPair(GaussianState(1, np.zeros(2), nu_a * np.eye(2)),
+                          GaussianState(1, np.zeros(2), nu_b * np.eye(2)))
+
+
+def displaced_astm() -> HypothesisPair:
+    """ASTM n0 = 1, n1 = 0.5 at kappa = 0.05, N_B = 2, with rho_A's mean
+    (0.2, 0.1, 0, 0)."""
+    pair = make_hypotheses(ProbeSpec(kind=ProbeKind.ASTM, n0=1.0, n1=0.5),
+                           TargetScenario(0.05, 2.0))
+    return HypothesisPair(GaussianState(2, np.array([0.2, 0.1, 0.0, 0.0]), pair.rho_a.cov),
+                          pair.rho_b)
+
+
+def turned_back(pair: HypothesisPair, framed: list, order: list) -> bool:
+    """Whether framed (the covariances and d of chernoff._frame) are those of
+    pair with x and p in order, scaled by the powers of two that balance
+    rho_B's modes, to rounding (~eps max|V| before the scaling), up to the
+    signs of quadratures that a turn by pi or a quarter turn leaves."""
+    *covs, d = framed
+    views = [v.cov[np.ix_(order, order)] for v in (pair.rho_a, pair.rho_b)]
+    x, p = np.diagonal(views[1]).reshape(-1, 2).T
+    scale = 2.0 ** np.outer(np.round(0.25 * np.log2(p / x)), [1.0, -1.0]).ravel()
+    d0 = (pair.rho_a.mean - pair.rho_b.mean)[order]
+    return (all(np.abs(np.abs(cov) / np.outer(scale, scale) - np.abs(v)).max()
+                <= 4 * EPS * np.abs(v).max() for cov, v in zip(covs, views))
+            and np.abs(np.abs(d) / scale - np.abs(d0)).max() <= 4 * EPS * np.abs(d0).max())
 
 
 def pair_data_spy(monkeypatch) -> list:
-    """The covariances of every general analysis built from now on."""
+    """The covariances and d of every general analysis built from now on."""
     built, cls = [], chernoff._PairData
 
     def spy(cov_a, cov_b, d):
-        built.append((cov_a, cov_b))
+        built.append((cov_a, cov_b, d))
         return cls(cov_a, cov_b, d)
     monkeypatch.setattr(chernoff, "_PairData", spy)
     return built
+
+
+def frame_spy(monkeypatch) -> list:
+    """What every local frame taken from now on returned."""
+    framed, frame = [], chernoff._frame
+
+    def spy(cov_a, cov_b, d):
+        framed.append(frame(cov_a, cov_b, d))
+        return framed[-1]
+    monkeypatch.setattr(chernoff, "_frame", spy)
+    return framed
 
 
 class TestLocalFrame:
@@ -1468,28 +1608,101 @@ class TestLocalFrame:
         # The frame's turn undoes the phase, up to signs of the quadratures
         # and a quarter turn of both modes (x and p swap), and its squeeze
         # is exact: the entries it hands the standard analysis are the
-        # untouched pair's, scaled by the powers of two that balance rho_B's
-        # modes, within the rounding of the two turns (~eps max|V| before
-        # the scaling). TMSV's cross block has c_x = -c_p, which leaves one
-        # angle free.
+        # untouched pair's, balanced (turned_back), and d = 0 stays 0.
+        # TMSV's cross block has c_x = -c_p, which leaves one angle free.
         built = pair_data_spy(monkeypatch)
         pair = make_hypotheses(probe, TargetScenario(0.1, 0.5))
         pair_t = turned(pair, angle, mode)
-        covs = chernoff._frame(pair_t.rho_a.cov, pair_t.rho_b.cov)
-
-        def turned_back(order) -> bool:
-            """Whether covs are the untouched covariances with x and p in
-            order, balanced, to rounding."""
-            views = [v.cov[np.ix_(order, order)] for v in (pair.rho_a, pair.rho_b)]
-            x, p = np.diagonal(views[1]).reshape(2, 2).T
-            d = 2.0 ** np.round(0.25 * np.log2(p / x))
-            scale = np.repeat(d, 2) ** np.array([1.0, -1.0, 1.0, -1.0])
-            return all(np.abs(np.abs(cov) / np.outer(scale, scale) - np.abs(v)).max()
-                       <= 4 * EPS * np.abs(v).max() for cov, v in zip(covs, views))
-
-        assert turned_back([0, 1, 2, 3]) or turned_back([1, 0, 3, 2])
+        framed = chernoff._frame(pair_t.rho_a.cov, pair_t.rho_b.cov, np.zeros(4))
+        assert turned_back(pair, framed, [0, 1, 2, 3]) or turned_back(pair, framed, [1, 0, 3, 2])
         chernoff_infimum(pair_t)
         assert built == []
+
+    @pytest.mark.parametrize("angle", [0.3, 2.0, 3.0])
+    @pytest.mark.parametrize("pair", [
+        HypothesisPair(GaussianState(1, np.array([0.3, -0.2]), np.diag([6.0, 1.0])),
+                       GaussianState(1, np.zeros(2), np.diag([8.0, 0.5]))),
+        displaced_astm(),
+    ], ids=["one-mode", "displaced"])
+    def test_frame_turns_a_one_mode_or_displaced_pair_back(self, pair, angle):
+        # One mode turns so that rho_B is diagonal, two modes by rho_A's
+        # cross block; then the powers of two that balance rho_B scale the
+        # covariances and d alike. rho_B = diag(8, 1/2) of the one-mode pair
+        # is balanced by 2^-1 on x and 2 on p: the pair comes back as
+        # diag(1.5, 4) and diag(2, 2) with d = (0.15, -0.4), up to signs.
+        order = list(range(2 * pair.n_modes))
+        swapped = [k ^ 1 for k in order]
+        moved = turned(pair, angle) if pair.n_modes == 2 else transformed(
+            pair, np.array([[math.cos(angle), -math.sin(angle)],
+                            [math.sin(angle), math.cos(angle)]]))
+        framed = chernoff._frame(moved.rho_a.cov, moved.rho_b.cov,
+                                 moved.rho_a.mean - moved.rho_b.mean)
+        assert turned_back(pair, framed, order) or turned_back(pair, framed, swapped)
+        if pair.n_modes == 1:
+            np.testing.assert_allclose(np.abs(framed[2]), [0.15, 0.4], rtol=4 * EPS)
+
+    @pytest.mark.parametrize("pair, m, exponent", [
+        (thermal_pair(1.0 + 1e-5, 1.5), local_squeeze(1, 1, 10), 0.154464214833),
+        (thermal_pair(1.0 + 1e-5, 1.5), local_squeeze(1, 1, 20), 0.154464214833),
+        (thermal_pair(1.001, 1.002), local_squeeze(1, 1, 13), 4.30036180642e-05),
+        (displaced_astm(), local_squeeze(2, 1, 20), 0.0147491397123),
+        (displaced_astm(), local_squeeze(2, 2, 20), 0.0147491397123),
+    ], ids=["one-mode-2^10", "one-mode-2^20", "nearly-equal-2^13", "displaced-mode-1",
+            "displaced-mode-2"])
+    def test_squeezed_pairs_get_the_untouched_answer(self, pair, m, exponent):
+        # A power-of-two squeeze leaves the float64 entries exact, so the
+        # pair squeezed has the answer of the pair. Analysed as written, the
+        # one-mode pairs read -ln Q_min 0.2231 at s* = 1e-12, then 0 and an
+        # SNR of 0 (Q_min = 1); the displaced ones 0.7149 and 1.1120, both
+        # at s* = 1e-12. The constants are the untouched pairs' to 12 digits.
+        moved = transformed(pair, m)
+        (s_star, q_min), expected = chernoff_infimum(moved), chernoff_infimum(pair)
+        assert s_star == pytest.approx(expected[0], rel=1e-12)
+        assert -math.log(q_min) == pytest.approx(-math.log(expected[1]), rel=1e-12)
+        assert -math.log(q_min) == pytest.approx(exponent, rel=1e-11)
+        assert discriminate(moved, 1e6).snr == pytest.approx(discriminate(pair, 1e6).snr,
+                                                             rel=1e-12)
+        for s in (1e-12, 0.3, 1.0 - 1e-12):
+            assert q_s(moved, s) == pytest.approx(q_s(pair, s), rel=1e-12)
+
+    @pytest.mark.parametrize("draws", [displaced_scan, one_mode_scan],
+                             ids=["displaced", "one-mode"])
+    def test_squeezed_scan_pairs_get_the_untouched_answer(self, draws):
+        # The first 40 draws of each scan with |ln z| <= 12 on every mode,
+        # each against the pair it came from, within the rounding that
+        # transform_rounding derives (largest seen: 0.14 of it over the 562
+        # displaced draws with |ln z| <= 12 of 600, 0.04 over the 249
+        # one-mode ones of 300). Analysed as written, 9 of the 40 displaced
+        # and 18 of the 40 one-mode SNRs were outside it, one at 128 times
+        # the right SNR.
+        pairs = [(pair, m) for pair, m, ln_z in draws(60) if ln_z <= 12.0][:40]
+        assert len(pairs) == 40
+        for pair, m in pairs:
+            expected = discriminate(pair, 1e6)
+            moved = transformed(pair, m)
+            bound = transform_rounding(pair, moved, expected.q_min)
+            assert discriminate(moved, 1e6).snr == pytest.approx(expected.snr, rel=bound)
+
+    def test_every_general_analysis_is_framed(self, rng, monkeypatch):
+        # _route takes every pair that is neither coherent in closed form nor
+        # built (entries, equal means) to its local frame first: each
+        # _PairData gets the covariances and d that a _frame returned.
+        framed, built = frame_spy(monkeypatch), pair_data_spy(monkeypatch)
+        probe, scenario = ProbeSpec(kind=ProbeKind.ASTM, n0=0.1, n1=0.5), TargetScenario(0.3, 0.4)
+        pairs = [thermal_pair(1.2, 1.5), displaced_astm(), beam_split(
+            make_hypotheses(probe, scenario), 1.0), make_hypotheses(
+            ProbeSpec(kind=ProbeKind.COHERENT, ns=1.0), scenario)]
+        for n_modes, shift in ((1, 0.0), (1, 0.3), (2, 0.0), (2, 0.3)):
+            pairs.append(HypothesisPair(
+                GaussianState(n_modes, shift * rng.normal(size=2 * n_modes),
+                              random_physical_cov(n_modes, rng)),
+                GaussianState(n_modes, np.zeros(2 * n_modes), random_physical_cov(n_modes, rng))))
+        for pair in pairs:
+            q_s(pair, 0.3)
+            chernoff_infimum(pair)
+        assert len(built) == 2 * len(pairs) - 1  # the coherent pair's infimum is closed
+        assert all(any(all(x is y for x, y in zip(args, out)) for out in framed)
+                   for args in built)
 
     @pytest.mark.parametrize("angle, t2", [(0.3, 0.64), (1.0, 0.5), (2.0, 0.09)])
     def test_beam_split_pairs_take_the_general_analysis(self, angle, t2, monkeypatch):

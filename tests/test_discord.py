@@ -14,6 +14,7 @@ from gqi import (
     ValidationError,
     astm_state,
     block_determinants,
+    coherent_state,
     entropy_f,
     gaussian_discord,
     make_hypotheses,
@@ -95,6 +96,10 @@ class TestBlockDeterminants:
 
 
 class TestGaussianDiscord:
+    def test_one_mode_state_is_named(self):
+        with pytest.raises(ValidationError, match="gaussian_discord needs a 2-mode state, got 1"):
+            gaussian_discord(coherent_state(1.0))
+
     def test_product_thermal_states_zero(self):
         state = GaussianState(2, np.zeros(4), np.diag([3.0, 3.0, 5.0, 5.0]))
         assert gaussian_discord(state).value == pytest.approx(0.0, abs=1e-10)

@@ -272,6 +272,26 @@ class TestSweep:
         with pytest.raises(ValidationError):
             sweep("phi", [0.1], ProbeSpec(kind=ProbeKind.TMSV, n0=1.0), MICROWAVE)
 
+    @pytest.mark.parametrize("grid, text", [
+        (["1.0"], "ns must be a real number, got '1.0'"),
+        ([[1.0, 2.0]], r"ns must be a real number, got \[1.0, 2.0\]"),
+        ([None], "ns must be a real number, got None"),
+        ([1j], "ns must be a real number, got 1j"),
+        (5.0, "grid must be a sequence of real numbers, got 5.0"),
+        ("12", "grid must be a sequence of real numbers, got '12'"),
+    ])
+    def test_grid_values_are_admitted_as_probe_fields(self, grid, text):
+        # ProbeSpec(kind="tmsv", n0="1.0") raises "n0 must be a real
+        # number"; a grid value that sets N0 is admitted the same way.
+        with pytest.raises(ValidationError, match=text):
+            sweep("ns", grid, ProbeSpec(kind=ProbeKind.TMSV), LOW_NOISE)
+
+    @pytest.mark.parametrize("name", ["bogus", "kind", None])
+    def test_column_names_a_number_column(self, name):
+        table = sweep("ns", [1.0], ProbeSpec(kind=ProbeKind.TMSV), LOW_NOISE)
+        with pytest.raises(ValidationError, match=f"column must be one of .*, got {name!r}"):
+            table.column(name)
+
 
 class TestSlopeFit:
     def test_exact_linear_input(self):

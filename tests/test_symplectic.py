@@ -47,6 +47,20 @@ class TestSymplecticForm:
         with pytest.raises(ValidationError):
             symplectic_form(0)
 
+    @pytest.mark.parametrize("n_modes", [True, 2.0, np.float64(1.0), "1", None])
+    def test_mode_count_is_the_integer_one_or_two(self, n_modes):
+        # True == 1 and 2.0 == 2, but neither is a mode count.
+        with pytest.raises(ValidationError, match="n_modes must be 1 or 2"):
+            symplectic_form(n_modes)
+        with pytest.raises(ValidationError, match="n_modes must be 1 or 2"):
+            GaussianState(n_modes, np.zeros(2), np.eye(2))
+
+    def test_numpy_mode_count_is_kept_as_an_int(self):
+        state = GaussianState(np.int64(2), np.zeros(4), np.eye(4))
+        assert type(state.n_modes) is int and state.n_modes == 2
+        assert repr(state).startswith("GaussianState(2, ")
+        assert symplectic_form(np.int32(1)) is symplectic_form(1)
+
     def test_shared_form_is_read_only(self):
         omega = symplectic_form(2)
         assert symplectic_form(2) is omega
