@@ -57,17 +57,21 @@ float64 (macOS arm64, Windows) it is a float64 one.
 Q_s, s*, ln P and the SNR do not change when one local symplectic acts on
 both hypotheses. So every pair that takes neither the coherent closed form
 nor the entries of a built pair (standard form, equal means) is taken to
-one local frame first (_frame), with its mean difference d: one mode turns so that rho_B is diagonal; each
-of two modes turns so that rho_A's cross block is diagonal; then every
-mode scales by the power of two that balances rho_B's quadratures. Where an
-undisplaced two-mode pair is then in standard form to rounding (_xp_free),
-its entries go to _standard, as a built pair's do. Every other pair (one
-mode, unequal means, or x-p correlations no local frame removes, as a beam
-splitter after a phase leaves) takes _PairData in that frame, in float64:
-the parts of each covariance (_mode_parts), a determinant (and a solve, for
-displaced pairs) per s. Both weigh their parts by the same 1/Lambda_k and
-prod_k (2 - em_k), and both snap a nu to a pure mode within the rounding
-symplectic reports for it (_snap).
+one local frame first (_frame), with its mean difference d: one mode
+turns so that rho_B is diagonal; each of two modes turns so that rho_A's
+cross block is diagonal; then every mode scales by the power of two that
+balances rho_B's quadratures. Where an undisplaced two-mode pair is then
+in standard form to rounding (_xp_free), its entries go to _standard, as a
+built pair's do. Every other pair (one mode, unequal means, or x-p
+correlations no one local frame removes from both states, as a beam
+splitter after a phase leaves) takes _PairData in that frame, in float64,
+with the parts of each covariance (_mode_parts) and a determinant (and a
+solve, for displaced pairs) per s. Each two-mode covariance there is read
+in its own local standard form (symplectic._standard_frame), whose nu and
+parts come from the standard analysis (_parts) and map back by its L. Both
+analyses weigh their parts by the same 1/Lambda_k and prod_k (2 - em_k),
+and both snap a nu to a pure mode within the rounding symplectic reports
+for it (_snap).
 
 Q_s that underflows to 0 is a value (q_s returns 0.0), but Q_min that does
 has lost -ln Q, and with it ln P and the SNR: the pipeline rejects it,
@@ -87,8 +91,9 @@ import numpy as np
 
 from .probes import (HypothesisPair, ProbeKind, ProbeSpec, TargetScenario,
                      _absent_entries, _admit, _probe_entries, _real, _return_entries)
-from .symplectic import (_MODE_ROUNDING, ValidationError, _all, _closed_spectrum, _sqrt,
-                         _where, standard_form_spectrum, symplectic_form)
+from .symplectic import (_MODE_ROUNDING, ValidationError, _all, _closed_spectrum,
+                         _cross_angles, _diagonal_angle, _sqrt, _standard_frame, _turn, _where,
+                         standard_form_spectrum, symplectic_form)
 
 LN_HALF = -math.log(2.0)
 
@@ -129,20 +134,20 @@ _SEARCH_STEPS = 12
 # the two of rho_B): p = sign s + offset.
 _SIGN, _OFFSET = np.array([1.0, 1.0, -1.0, -1.0]), np.array([0.0, 0.0, 1.0, 1.0])
 
-# Both analyses (_standard, _mode_parts) split the modes while nu_+^2 - nu_-^2
-# exceeds this many ulps of nu_+^2 in the dtype they run in: the projectors
-# then lose ~eps / gap of their size, which enters Sigma'_s with a weight
-# difference proportional to the gap, so that the product stays ~eps.
-_DEGENERATE_ULPS = 64
-
 _SINGULAR = "V_A(s) + V_B(1-s) is singular"
 
-# The constants of _standard, in np.longdouble.
+# The constants of _standard, in np.longdouble. The standard analysis
+# (_state_parts) splits the modes while nu_+^2 - nu_-^2 exceeds _SPLIT_ULPS
+# of nu_+^2: the projectors then lose ~eps / gap of their size, which enters
+# Sigma'_s with a weight difference proportional to the gap, so that the
+# product stays ~eps.
 _LN_16 = 4.0 * np.log(np.longdouble(2.0))  # ln 2^n of two modes
-_SPLIT_ULPS = _DEGENERATE_ULPS * np.finfo(np.longdouble).eps
+_SPLIT_ULPS = 64 * np.finfo(np.longdouble).eps
 _LD_ZERO, _LD_ONE = np.longdouble(0.0), np.longdouble(1.0)
 
-_EYE2 = np.eye(2)
+# Where each of the six rows of a dual (_StandardPairs.dual: x11, x12, x22,
+# p11, p12, p22) sits in a 4x4 matrix on (x1, p1, x2, p2); 6 is zero.
+_DUAL_AT = np.array([[0, 6, 1, 6], [6, 3, 6, 4], [1, 6, 2, 6], [6, 4, 6, 5]])
 
 # An x-p entry r of a covariance in _frame is its rounding while
 # r <= _XP_ROUNDING sqrt(V_ii V_jj) (_xp_free).
@@ -304,17 +309,22 @@ def _mode_nu(x, p):
     return _where(nu < math.inf, nu, _sqrt(x) * _sqrt(p))
 
 
-def _parts(entries) -> tuple:
+def _parts(entries, rounding=None) -> tuple:
     """(errors, nu, dual) of standard-form states (np.longdouble scalars of
     one or columns of many): their standard_form_spectrum's errors, then,
     state by state, _product_parts where a state has no cross entries
     (rho_A at n0 = 0 or kappa = 0), else _state_parts. A rho_A equal to its
     rho_B is then analysed as rho_B is, and Q_s of the pair is 1 to
-    rounding."""
+    rounding. A nu snaps to a pure mode within what symplectic reports for
+    the entries (spec.rounding, or _MODE_ROUNDING of a product mode), or
+    within rounding where it is given: a (mode 1, mode 2) pair, whose first
+    is the bound of both of correlated modes."""
     spec = standard_form_spectrum(entries)
     product = (entries[4] == 0.0) & (entries[5] == 0.0)
     if _all(product):
-        return (spec.errors, *_product_parts(entries[:4]))
+        return (spec.errors, *_product_parts(entries[:4], rounding or (_MODE_ROUNDING,) * 2))
+    if rounding:
+        spec = spec._replace(rounding=rounding[0])
     nu, dual = _state_parts(entries, spec)
     if not _all(~product):
         nu_p, dual_p = _product_parts(entries[:4])
@@ -323,7 +333,7 @@ def _parts(entries) -> tuple:
     return spec.errors, nu, dual
 
 
-def _product_parts(diagonal) -> tuple:
+def _product_parts(diagonal, rounding=(_MODE_ROUNDING,) * 2) -> tuple:
     """_state_parts of product states (x1x2 = p1p2 = 0) from their diagonals
     x1x1, p1p1, x2x2, p2p2 (np.longdouble scalars or columns), mode 1 first
     whichever nu is larger.
@@ -331,13 +341,14 @@ def _product_parts(diagonal) -> tuple:
     Mode k projects on its own quadratures: its parts are p_k / nu_k in the
     x block and x_k / nu_k in the p block, on entry kk. nu_k = sqrt(x_k p_k)
     (_mode_nu) is exact for a thermal mode, whose parts are then exactly 1,
-    so that Q_s of two equal states rounds to 1. A mode is pure within the
-    rounding symplectic reports for a product mode (_MODE_ROUNDING).
+    so that Q_s of two equal states rounds to 1. Mode k is pure within
+    rounding[k], by default the rounding symplectic reports for a product
+    mode (_MODE_ROUNDING).
     """
     x1, p1, x2, p2 = diagonal
     nu1, nu2 = _mode_nu(x1, p1), _mode_nu(x2, p2)
     zero = np.zeros_like(x1) if isinstance(x1, np.ndarray) else _LD_ZERO
-    return ([_snap(nu1, _MODE_ROUNDING), _snap(nu2, _MODE_ROUNDING)],
+    return ([_snap(nu1, rounding[0]), _snap(nu2, rounding[1])],
             [[p1 / nu1, zero], [zero, zero], [zero, p2 / nu2],
              [x1 / nu1, zero], [zero, zero], [zero, x2 / nu2]])
 
@@ -486,45 +497,29 @@ def _s_star(errors, pairs) -> tuple:
 
 
 def _mode_parts(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symplectic spectrum nu (descending) and the P_k of a covariance.
+    """Symplectic spectrum nu and the P_k of a covariance, in float64.
 
     With P_k = S_k S_k^T for the two columns of the Williamson S that belong
-    to mode k, V(p) = sum_k Lambda_p(nu_k) P_k. nu, det V and the halves
-    (q -+ x)/2 of q = nu_+^2 - nu_-^2, the diagonal blocks of
-    (Omega V)^2 + nu_+^2, come from symplectic._closed_spectrum, which
-    validates the covariance (Serafini, Illuminati & De Siena, J. Phys. B
-    37, L21 (2004)). One mode has P = V / nu; for two,
-    (Omega V)^2 = -S^{-T} D^2 S^T, so (Omega V)^2 + nu_-+^2 annihilates
-    mode -+, which leaves
-
-        nu_+- P_+- = -+V ((Omega V)^2 + nu_-+^2) / (nu_+^2 - nu_-^2),
-
-    the 2-point Lagrange fit of Lambda_p(nu)/nu against -nu^2 in
-    V(p) = c0 V + c1 V (Omega V)^2. A pure mode's nu snaps to 1, within the
+    to mode k, V(p) = sum_k Lambda_p(nu_k) P_k. symplectic._closed_spectrum
+    validates the covariance and bounds the rounding of its nu. One mode
+    has P = V / nu. Two modes are read in their local standard form L V L^T
+    (symplectic._standard_frame): the standard analysis (_parts) gives its
+    nu (nu_+ and nu_-, or each mode's of a product state) and its dual
+    parts D_k, V(p)^-1 = L^T (sum_k D_k / Lambda_k) L, so that
+    P_k = Omega^T L^T D_k L Omega. A pure mode's nu snaps to 1, within the
     unfloored bound _closed_spectrum reports (the smallest nu's for both of
-    correlated modes), only for G_p and Lambda_p.
+    correlated modes, else each mode's own), only for G_p and Lambda_p.
     """
     cov = np.asarray(cov, dtype=float)
-    spectrum, halves, bounds = _closed_spectrum(cov)
-    nu = _snap(np.array(spectrum), np.array(sorted(bounds, reverse=True))[:, 1])
-    if cov.shape == (2, 2):
-        return nu, (cov / spectrum[0])[None]
-    (nu_hi, nu_lo), (q_minus_x, q_plus_x) = spectrum, halves
-    q = q_minus_x + q_plus_x
-    if q > _DEGENERATE_ULPS * np.finfo(float).eps * nu_hi * nu_hi:
-        # (Omega V)^2 + nu_-+^2 annihilates mode -+; its diagonal blocks are
-        # the halves, its off-diagonal ones those of (Omega V)^2.
-        k_hi = symplectic_form(2) @ cov
-        k_hi = k_hi @ k_hi
-        k_lo = k_hi.copy()
-        k_hi[:2, :2], k_hi[2:, 2:] = q_minus_x * _EYE2, q_plus_x * _EYE2
-        k_lo[:2, :2], k_lo[2:, 2:] = -q_plus_x * _EYE2, -q_minus_x * _EYE2
-        p_hi = -cov @ k_lo / (q * nu_hi)
-        p_lo = cov @ k_hi / (q * nu_lo)
-        parts = np.array([p_hi + p_hi.T, p_lo + p_lo.T]) / 2.0
-    else:
-        parts = np.array([cov / (2.0 * nu_hi), cov / (2.0 * nu_lo)])
-    return nu, parts
+    spectrum, bounds = _closed_spectrum(cov)
+    if len(spectrum) == 1:
+        return _snap(np.array(spectrum), bounds[0][1]), (cov / spectrum[0])[None]
+    entries, frame = _standard_frame(cov)
+    _, nu, dual = _parts(entries, (bounds[0][1], bounds[-1][1]))
+    parts = np.vstack([np.array(dual, dtype=np.longdouble), np.zeros(2)])[_DUAL_AT]
+    to_frame = frame @ symplectic_form(2)
+    return (np.array(nu, dtype=float),
+            (to_frame.T @ parts.transpose(2, 0, 1) @ to_frame).astype(float))
 
 
 class _PairData:
@@ -533,7 +528,9 @@ class _PairData:
     with the interface of _StandardPairs.
 
     Each column k is one symplectic eigenvalue, of rho_A (power p = s) or
-    of rho_B (power p = 1 - s), as in _StandardPairs. The dual parts
+    of rho_B (power p = 1 - s), as in _StandardPairs, with its part P_k
+    from _mode_parts: a two-mode state's from the standard analysis of its
+    local standard form. The dual parts
     Omega P_k Omega^T, Sigma'_s = sum_k Omega P_k Omega^T / Lambda_k, are
     stored scaled to the unit diagonal of V_A^-1 + V_B^-1, without which
     the determinant loses several ulps of Q near 1. The factors
@@ -637,15 +634,12 @@ def _frame(cov_a: np.ndarray, cov_b: np.ndarray, d: np.ndarray) -> list:
     frame, L V L^T and L d with the same L for both states: Q_s, s*, ln P
     and the SNR are those of the pair.
 
-    One mode turns by R(theta)^T, theta = atan2(2 b12, b11 - b22) / 2 of
-    rho_B, which leaves rho_B diagonal. Of two modes, mode 1 turns by
-    R(phi)^T and mode 2 by R(psi)^T, from the signed SVD of rho_A's cross
-    block C = R(phi) diag(c_x, c_p) R(psi)^T, which leaves that block
-    diagonal: c11 + c22 = (c_x + c_p) cos(phi - psi), c21 - c12 =
-    (c_x + c_p) sin(phi - psi), and likewise c11 - c22 and c21 + c12 with
-    c_x - c_p and phi + psi. A sign of c_x +- c_p moves an angle by pi, and
-    an angle that c_x = -+c_p leaves free (a TMSV pair's) turns modes whose
-    blocks are thermal. Then mode k scales by d_k, 1/d_k on x_k, p_k, with
+    One mode turns so that rho_B is diagonal (symplectic._diagonal_angle).
+    Of two modes, mode 1 turns by R(phi)^T and mode 2 by R(psi)^T, from the
+    signed SVD of rho_A's cross block C = R(phi) diag(c_x, c_p) R(psi)^T
+    (symplectic._cross_angles), which leaves that block diagonal; an angle
+    that c_x = -+c_p leaves free (a TMSV pair's) turns modes whose blocks
+    are thermal. Then mode k scales by d_k, 1/d_k on x_k, p_k, with
     d_k the power of two nearest (p_kk / x_kk)^1/4 of rho_B, which balances
     the pair's quadratures exactly in binary. The frame is taken in
     np.longdouble: where that is wider than float64, the turn rounds each
@@ -654,15 +648,9 @@ def _frame(cov_a: np.ndarray, cov_b: np.ndarray, d: np.ndarray) -> list:
     L d returns as float64."""
     if len(d) == 2:
         (b11, b12), (_, b22) = cov_b.astype(np.longdouble)
-        angles = [0.5 * np.arctan2(b12 + b12, b11 - b22)]
+        turn = _turn([_diagonal_angle(b11, b12, b22)])
     else:
-        (c11, c12), (c21, c22) = cov_a[:2, 2:].astype(np.longdouble)
-        plus, minus = np.arctan2(c21 + c12, c11 - c22), np.arctan2(c21 - c12, c11 + c22)
-        angles = [0.5 * (plus + minus), 0.5 * (plus - minus)]
-    turn = np.zeros((len(d), len(d)), dtype=np.longdouble)
-    for k, angle in zip((0, 2), angles):
-        c, s = np.cos(angle), np.sin(angle)
-        turn[k:k + 2, k:k + 2] = [[c, s], [-s, c]]
+        turn = _turn(_cross_angles(cov_a[:2, 2:].astype(np.longdouble)))
     cov_a, cov_b = (turn @ v @ turn.T for v in (cov_a, cov_b))
     x, p = np.log2(np.diagonal(cov_b)).reshape(-1, 2).T
     scale = np.exp2(np.outer(np.round(0.25 * (p - x)), [1.0, -1.0]).ravel())

@@ -2,19 +2,19 @@
 
 The measured party is mode 2 (the idler in the return-idler ordering), and
 all entropies are in nats. The discord is the closed form of Adesso &
-Datta, PRL 105, 030501 (2010), in one pass over floats. A state in
-standard form (every two-mode probe and rho_A the package builds) takes its
-block determinants from the six entries it was validated with, any other
-two-mode state its 2x2 ones in closed form and det V from LAPACK; both take
-the spectrum the state was validated with. remained_discord builds no
-state: its spectrum comes from symplectic.standard_form_spectrum.
+Datta, PRL 105, 030501 (2010), in one pass over floats, on the six entries
+of a standard form, where the block determinants are products of two
+entries. The discord is a local invariant: a state in standard form (every
+two-mode probe and rho_A the package builds) takes the entries it was
+validated with and its spectrum, any other two-mode state the entries of
+its local standard form (symplectic._standard_frame) and their spectrum.
+remained_discord builds no state: its spectrum comes from
+symplectic.standard_form_spectrum.
 """
 
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .probes import (
     ProbeKind,
@@ -24,13 +24,12 @@ from .probes import (
     _return_entries,
 )
 from .symplectic import (_WIDE_RANGE, GaussianState, ValidationError, _cancellation,
-                         standard_form_spectrum)
+                         _standard_frame, standard_form_spectrum)
 
 _ZERO_CLAMP = 1e-10
 _EPS = sys.float_info.epsilon
 # Relative error of the formula's inputs, in ulps, before cancellation in
-# det X det P (standard form) or the condition number of V (any other
-# state) multiplies it.
+# det X det P multiplies it.
 _INPUT_ULPS = 4
 # A discord whose rounding estimate exceeds this fraction of it raises.
 _DISCORD_RTOL = 1e-6
@@ -70,86 +69,72 @@ def entropy_f(x: float) -> float:
         raise ValidationError(f"entropy_f needs a real number, got {x!r}") from None
 
 
-def _two_modes(caller: str, state: GaussianState):
-    """Raise ValidationError, naming the caller, unless state has two modes."""
+def _entries(caller: str, state: GaussianState) -> tuple:
+    """The six standard-form entries of a two-mode state, as floats: those
+    it keeps, else those of its local standard form. Raise ValidationError,
+    naming the caller, unless state has two modes."""
     if state.n_modes != 2:
         raise ValidationError(f"{caller} needs a 2-mode state, got {state.n_modes}")
+    if state.entries is not None:
+        return state.entries
+    return tuple(_standard_frame(state.cov)[0].astype(float).tolist())
 
 
 def block_determinants(state: GaussianState) -> BlockDeterminants:
-    """alpha = det A, beta = det B, gamma = det C and delta = det V.
-
-    In standard form all four come from the six covariance entries the
-    state keeps; else the 2x2 ones in closed form and det V from LAPACK.
-    """
-    _two_modes("block_determinants", state)
-    if state.entries is not None:
-        ax, ap, bx, bp, cx, cp = state.entries
-        return BlockDeterminants(ax * ap, bx * bp, cx * cp,
-                                 (ax * bx - cx * cx) * (ap * bp - cp * cp))
-    (a, b, c, d), (e, f, g, h), (i, j, k, l), (m, n, o, p) = state.cov.tolist()
-    return BlockDeterminants(a * f - b * e, k * p - l * o, c * h - d * g,
-                             float(np.linalg.det(state.cov)))
+    """alpha = det A, beta = det B, gamma = det C and delta = det V, all four
+    from the six entries of the state's standard form (_entries): local
+    invariants, as the discord's inputs must be."""
+    ax, ap, bx, bp, cx, cp = _entries("block_determinants", state)
+    return BlockDeterminants(ax * ap, bx * bp, cx * cp,
+                             (ax * bx - cx * cx) * (ap * bp - cp * cp))
 
 
 def gaussian_discord(state: GaussianState) -> DiscordResult:
     """Gaussian discord with the measurement on mode 2.
 
     A state in standard form takes the closed-form path of remained_discord
-    on the entries it keeps, so gaussian_discord(make_hypotheses(p, sc).rho_a)
-    equals remained_discord(p, sc); any other state its block determinants.
-    Both take the spectrum the state was validated with (state.spectrum and
-    state.spectrum_tol), and raise ValidationError where float64 cannot
-    resolve the discord to _DISCORD_RTOL (see _discord).
+    on the entries and the spectrum it keeps, so
+    gaussian_discord(make_hypotheses(p, sc).rho_a) equals
+    remained_discord(p, sc); any other state the same path on the entries
+    of its local standard form and their spectrum. Both take a mode within
+    state.spectrum_tol of 1 as pure, and raise ValidationError where
+    float64 cannot resolve the discord to _DISCORD_RTOL (see
+    _standard_discord).
     """
     if state.entries is not None:
         return _standard_discord(state.entries, state.spectrum.tolist(), state.spectrum_tol)
-    _two_modes("gaussian_discord", state)
-    d = block_determinants(state)
-    # The spectrum (closed form), det V (LU) and the 2x2 determinants lose up
-    # to ~eps times the condition number of V: a strongly squeezed mode's.
-    lam = np.linalg.eigvalsh(state.cov)
-    ulps = _INPUT_ULPS * lam[-1] / lam[0]
-    return _discord(d.alpha, d.beta, d.gamma, d.delta, state.spectrum.tolist(),
-                    state.spectrum_tol, not state.cov[:2, 2:].any(), ulps, ulps)
+    entries = _entries("gaussian_discord", state)
+    return _standard_discord(entries, standard_form_spectrum(entries).nu, state.spectrum_tol)
 
 
 def _standard_discord(entries, nu, tol: float) -> DiscordResult:
-    """_discord of a validated standard-form state: entries, nu_+- and tol."""
-    ax, ap, bx, bp, cx, cp = entries
-    product = not (cx or cp)
-    det_x, det_p = ax * bx - cx * cx, ap * bp - cp * cp
-    # alpha, beta and gamma are products of two entries. det X det P, and
-    # with it delta and nu_+-^2, cancels for a strongly correlated state.
-    # A product state has no discord to round, and its det X may underflow.
-    det_ulps = 0.0 if product else _INPUT_ULPS * _cancellation(entries, det_x, det_p)
-    return _discord(ax * ap, bx * bp, cx * cp, det_x * det_p, nu, tol,
-                    product, _INPUT_ULPS, det_ulps)
+    """D = f(sqrt(beta)) - f(nu_+) - f(nu_-) + f(sqrt(eps)) of a validated
+    standard-form state.
 
-
-def _discord(alpha: float, beta: float, gamma: float, delta: float, nu, tol: float,
-             product: bool, ulps: float, det_ulps: float) -> DiscordResult:
-    """D = f(sqrt(beta)) - f(nu_+) - f(nu_-) + f(sqrt(eps)).
-
-    alpha, beta, gamma and delta are the block determinants (floats), nu_+-
-    the symplectic eigenvalues of the covariance, and eps follows the
-    closed-form branch on the block determinants. A spectrum value within
-    tol (the shortfall below 1 the covariance was allowed) of 1 is a pure
-    mode, and is taken as exactly 1. A product state (zero cross block) has
-    no discord.
+    entries are the state's six, from which alpha, beta, gamma and delta
+    (the block determinants) follow, nu_+- its symplectic eigenvalues, and
+    eps follows the closed-form branch on the block determinants. A
+    spectrum value within tol (the shortfall below 1 the covariance was
+    allowed) of 1 is a pure mode, and is taken as exactly 1. A product state
+    (zero cross block) has no discord.
 
     The four terms nearly cancel for a weakly correlated state (high noise,
     or little squeezing), where D is small against them. D raises
     ValidationError unless its first-order rounding estimate is within
     _DISCORD_RTOL of it: the terms' own rounding, plus alpha, beta and
-    gamma off by ulps ulps and delta and nu_+- off by det_ulps ulps,
-    through the slopes of the entropies, plus the entropy a mode taken as
-    pure may have had.
+    gamma, products of two entries, off by _INPUT_ULPS ulps, and delta and
+    nu_+- off by that times the cancellation in det X det P, through the
+    slopes of the entropies, plus the entropy a mode taken as pure may have
+    had.
     """
+    ax, ap, bx, bp, cx, cp = entries
+    det_x, det_p = ax * bx - cx * cx, ap * bp - cp * cp
+    alpha, beta, gamma, delta = ax * ap, bx * bp, cx * cp, det_x * det_p
     d_hi, d_lo = abs(nu[0] - 1.0), abs(nu[1] - 1.0)
     nu_hi, nu_lo = (1.0 if d_hi <= tol else nu[0]), (1.0 if d_lo <= tol else nu[1])
-    if product:
+    if not (cx or cp):  # its det X may underflow
         return DiscordResult(0.0, "product", (nu_hi, nu_lo))
+    det_ulps = _INPUT_ULPS * _cancellation(entries, det_x, det_p)
 
     # grad: alpha, beta, gamma, delta times d sqrt(eps) / d each of them. A
     # float ** raises OverflowError where a square leaves float64.
@@ -211,7 +196,7 @@ def _discord(alpha: float, beta: float, gamma: float, delta: float, nu, tol: flo
     # A mode taken as pure has an entropy of up to f(1 + |nu - 1|).
     snapped = ((entropy_f(1.0 + d_hi) if 0.0 < d_hi <= tol else 0.0)
                + (entropy_f(1.0 + d_lo) if 0.0 < d_lo <= tol else 0.0))
-    rounding = (_EPS * (sum(terms) + ulps * from_products + det_ulps * from_dets)
+    rounding = (_EPS * (sum(terms) + _INPUT_ULPS * from_products + det_ulps * from_dets)
                 + snapped)
     if not rounding <= _DISCORD_RTOL * value:
         raise ValidationError(

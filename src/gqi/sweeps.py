@@ -231,7 +231,8 @@ def sweep(axis: str, grid, probe: ProbeSpec, scenario: TargetScenario,
     (|alpha|^2 = N_S) comparison rows are emitted alongside each ASTM row
     unless compare=False: the rows of matched tables on the same grid. On
     a TMSV probe the axis sets N0 = N_S, and that row is the TMSV
-    comparison: only the coherent row comes with it. compare=True on
+    comparison: only the coherent row comes with it, as only the TMSV row
+    comes with a coherent probe's under compare=True. compare=True on
     another axis raises: comparison rows match N_S.
 
     The grid is a sequence of real numbers, each taken as a float as
@@ -257,9 +258,9 @@ def sweep(axis: str, grid, probe: ProbeSpec, scenario: TargetScenario,
     if not grid:
         raise ValidationError("grid has no points")
     tables = [_Table(None, axis, grid, probe, scenario, with_discord)]
-    if compare:  # a TMSV probe's own rows are the TMSV ones
-        tables += _ns_tables((_COHERENT,) if probe.kind is ProbeKind.TMSV
-                             else (_TMSV, _COHERENT), grid, scenario, with_discord)
+    if compare:  # the kinds other than the probe's own
+        tables += _ns_tables([p for p in (_TMSV, _COHERENT) if p.kind is not probe.kind],
+                             grid, scenario, with_discord)
     return _document(axis, grid, zip(*_evaluate(tables)))
 
 

@@ -82,9 +82,9 @@ def _check_covariance(cov: np.ndarray) -> np.ndarray:
 
 
 def _closed_spectrum(cov: np.ndarray) -> tuple:
-    """(nu descending, halves (_two_mode), bounds) of a one- or two-mode
-    covariance. bounds pairs each value held to a bound (the smallest of
-    correlated modes, else each mode) with its _spectrum_error. Raises
+    """(nu descending, bounds) of a one- or two-mode covariance. bounds
+    pairs each value held to a bound (the smallest of correlated modes,
+    else each mode in order) with its _spectrum_error. Raises
     ValidationError where it is not positive definite or float64 resolves
     no spectrum."""
     v = cov.tolist()
@@ -92,7 +92,7 @@ def _closed_spectrum(cov: np.ndarray) -> tuple:
         return _two_mode(v)
     (x, c), (c2, p) = v
     bound = _one_mode(x, c, c2, p)
-    return (bound[0],), (), [bound]
+    return (bound[0],), [bound]
 
 
 def _require_positive(minor: float, rounding: float = 0.0) -> None:
@@ -127,14 +127,13 @@ def _two_mode(v: list) -> tuple:
     nu_+^2 = (det A + det B + 2 det C + q) / 2, nu_-^2 = det V / nu_+^2. As
     (Omega V)^2 has diagonal blocks -(det A + det C) I, -(det B + det C) I
     and off-diagonal N, N' with N N' = det N I, q = nu_+^2 - nu_-^2 =
-    sqrt(x^2 + 4u), x = det A - det B, u = det N. The halves (q -+ x)/2, the
-    diagonal blocks of (Omega V)^2 + nu_+^2, multiply to u: the smaller is
-    u over the larger. det V = det A det S, S = B - C^T A^-1 C, and the
-    leading minors A_11, det A, S_11 and det S decide definiteness. One that
-    fails within the first-order rounding of the products that formed it
-    (S's entries by norms, |C^T A^-1 C| <= |C|_F^2 tr A / det A, with det A's
-    own rounding) has a sign float64 cannot tell, and raises "entries span
-    too wide a range", not "not positive definite".
+    sqrt(x^2 + 4u), x = det A - det B, u = det N. det V = det A det S,
+    S = B - C^T A^-1 C, and the leading minors A_11, det A, S_11 and det S
+    decide definiteness. One that fails within the first-order rounding of
+    the products that formed it (S's entries by norms, |C^T A^-1 C| <=
+    |C|_F^2 tr A / det A, with det A's own rounding) has a sign float64
+    cannot tell, and raises "entries span too wide a range", not "not
+    positive definite".
 
     The elimination is exact for V + E, |E| ~ eps |V|, so nu_- is off by
     ~eps tr V (k_+ + k_-), k_+- the conditions |x|^2 / |x^H i Omega x| of
@@ -161,8 +160,6 @@ def _two_mode(v: list) -> tuple:
     u = ((e * g - f * c + g * o - h * k) * (b * d - a * h + d * l - c * p)
          - (e * h - f * d + g * p - h * l) * (b * c - a * g + d * k - c * o))
     q = math.sqrt(max(x * x + 4.0 * u, 0.0))
-    big = 0.5 * (q + abs(x))
-    small = u / big if big > 0.0 else 0.0
     det, hi2 = det_a * det_s, 0.5 * (det_a + det_b + 2.0 * det_c + q)
     # Past its leading minors, V is positive definite as far as float64 can
     # tell: what fails now is out of range.
@@ -181,7 +178,7 @@ def _two_mode(v: list) -> tuple:
             trace, (trace + nu[0] * nu[1] * inv_trace) / (2.0 * (nu[0] + nu[1]))))]
     else:
         bounds = [_one_mode(a, b, e, f), _one_mode(k, l, o, p)]
-    return tuple(nu), (small, big) if x >= 0.0 else (big, small), bounds
+    return tuple(nu), bounds
 
 
 def _spectrum_error(scale: float, condition: float) -> float:
@@ -246,6 +243,56 @@ def _standard_entries(cov: np.ndarray) -> tuple | None:
     if len(v) != 16 or any(_XP_FLAT(v)) or v[2] != v[8] or v[7] != v[13]:
         return None
     return _ENTRY_FLAT(v)
+
+
+def _diagonal_angle(v11, v12, v22):
+    """theta = atan2(2 v12, v11 - v22) / 2, whose R(theta)^T turns the
+    symmetric block [[v11, v12], [v12, v22]] diagonal."""
+    return 0.5 * np.arctan2(v12 + v12, v11 - v22)
+
+
+def _cross_angles(cross) -> list:
+    """[phi, psi] of the signed SVD C = R(phi) diag(c_x, c_p) R(psi)^T of a
+    2x2 cross block: c11 + c22 = (c_x + c_p) cos(phi - psi), c21 - c12 =
+    (c_x + c_p) sin(phi - psi), and likewise c11 - c22 and c21 + c12 with
+    c_x - c_p and phi + psi. A sign of c_x +- c_p moves an angle by pi, and
+    c_x = -+c_p leaves one angle free."""
+    (c11, c12), (c21, c22) = cross
+    plus, minus = np.arctan2(c21 + c12, c11 - c22), np.arctan2(c21 - c12, c11 + c22)
+    return [0.5 * (plus + minus), 0.5 * (plus - minus)]
+
+
+def _turn(angles) -> np.ndarray:
+    """The local turn R(theta_1)^T (+) R(theta_2)^T ... of one angle per
+    mode, in the angles' dtype."""
+    turn = np.zeros((2 * len(angles),) * 2, dtype=np.result_type(*angles))
+    for k, angle in enumerate(angles):
+        c, s = np.cos(angle), np.sin(angle)
+        turn[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[c, s], [-s, c]]
+    return turn
+
+
+def _standard_frame(cov: np.ndarray) -> tuple:
+    """(entries, L): the local symplectic L that takes a two-mode
+    covariance V to standard form, and the six entries (x1x1, p1p1, x2x2,
+    p2p2, x1x2, p1p2) of L V L^T, both in np.longdouble.
+
+    Each mode block turns diagonal (_diagonal_angle) and then squeezes to
+    sqrt(det) I; both modes then turn by the signed SVD of the cross block
+    (_cross_angles), which leaves the mode blocks as they are (Duan,
+    Giedke, Cirac & Zoller, PRL 84, 2722 (2000)). The x-p entries left are
+    the turns' rounding, ~eps (of np.longdouble) times each mode block's
+    larger eigenvalue, and are dropped: nu and ln Q_s have no first-order
+    response to them.
+    """
+    v = np.asarray(cov, dtype=np.longdouble)
+    frame = _turn([_diagonal_angle(v[k, k], v[k, k + 1], v[k + 1, k + 1]) for k in (0, 2)])
+    x, p = np.diagonal(frame @ v @ frame.T).reshape(2, 2).T
+    squeeze = np.repeat(np.sqrt(np.sqrt(p / x)), 2) ** np.array([1, -1, 1, -1])
+    frame = squeeze[:, None] * frame
+    frame = _turn(_cross_angles((frame @ v @ frame.T)[:2, 2:])) @ frame
+    v = frame @ v @ frame.T
+    return v[[0, 1, 2, 3, 0, 1], [0, 1, 2, 3, 2, 3]], frame
 
 
 def _sqrt(x):
@@ -506,7 +553,7 @@ class GaussianState:
             raise ValidationError(f"cov must be {dim} x {dim}, got {cov.shape}")
         entries = _standard_entries(cov) if n_modes == 2 else None
         if entries is None:
-            nu, _, bounds = _closed_spectrum(_check_covariance(cov))
+            nu, bounds = _closed_spectrum(_check_covariance(cov))
             bounds.sort()  # smallest nu first
             for rank, (value, bound) in enumerate(bounds):
                 if value < 1.0 - max(EIGENVALUE_CLAMP_TOL, bound):

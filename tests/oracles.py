@@ -26,7 +26,7 @@ from scipy.linalg import expm, schur, sqrtm
 
 from gqi.chernoff import _mode_parts
 from gqi.discord import (_DISCORD_RTOL, _EPS, _INPUT_ULPS, _ZERO_CLAMP, BlockDeterminants,
-                         DiscordResult, _entropy_slope, block_determinants, entropy_f)
+                         DiscordResult, _entropy_slope, entropy_f)
 from gqi.probes import ProbeKind, ProbeSpec, TargetScenario, _squeezer_gains
 from gqi.symplectic import (EIGENVALUE_CLAMP_TOL, GaussianState, ValidationError,
                             _allowed_shortfall, _check_covariance, _standard_entries,
@@ -347,7 +347,9 @@ def fock_oracle_q_s(probe: ProbeSpec, scenario: TargetScenario, s: float,
 # The Gaussian discord as gqi.discord computed it before it took floats:
 # _discord on a BlockDeterminants, its standard-form caller, and
 # gaussian_discord, which parsed the covariance of every state again. Kept
-# verbatim as the reference the float path must match bit for bit.
+# verbatim as the reference the float path must match bit for bit, but for
+# gaussian_discord's branch for states out of standard form (block
+# determinants, det V from LAPACK), a path gqi.discord no longer has.
 
 
 def _standard_determinants(entries) -> BlockDeterminants:
@@ -361,21 +363,14 @@ def gaussian_discord(state: GaussianState) -> DiscordResult:
 
     A state in standard form takes the closed-form path of remained_discord,
     so gaussian_discord(make_hypotheses(p, sc).rho_a) equals
-    remained_discord(p, sc); any other state its block determinants. Both
-    take the spectrum the state was validated with (state.spectrum and
-    state.spectrum_tol), and raise ValidationError where float64 cannot
-    resolve the discord to _DISCORD_RTOL (see _discord).
+    remained_discord(p, sc), with the spectrum the state was validated with
+    (state.spectrum and state.spectrum_tol), and raises ValidationError
+    where float64 cannot resolve the discord to _DISCORD_RTOL (see
+    _discord).
     """
-    entries = _standard_entries(state.cov) if state.n_modes == 2 else None
-    if entries is not None:
-        return _standard_discord(entries, state.spectrum.tolist(), state.spectrum_tol)
-    d = block_determinants(state)
-    # The spectrum (closed form), det V (LU) and the 2x2 determinants lose up
-    # to ~eps times the condition number of V: a strongly squeezed mode's.
-    lam = np.linalg.eigvalsh(state.cov)
-    ulps = _INPUT_ULPS * lam[-1] / lam[0]
-    return _discord(d, state.spectrum.tolist(), state.spectrum_tol,
-                    not state.cov[:2, 2:].any(), ulps, ulps)
+    entries = _standard_entries(state.cov)
+    assert entries is not None, "the reference takes states in standard form only"
+    return _standard_discord(entries, state.spectrum.tolist(), state.spectrum_tol)
 
 
 def _standard_discord(entries, nu, tol: float) -> DiscordResult:

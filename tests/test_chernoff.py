@@ -251,15 +251,53 @@ class TestQs:
             q_s(pair, 1.0 - 1e-12)
 
     def test_singular_sum_raises_on_the_general_analysis(self):
-        # A phase on mode 1 and then a 50:50 beam splitter on both
-        # hypotheses: no local frame takes both states to standard form, so
-        # the pair keeps the general analysis, whose sum has a determinant
-        # <= 0 at the ends of s. The standard analysis of the untouched
-        # pair reads Q_s = 0.99999928 at s = 1 - 1e-12.
-        pair = make_hypotheses(ProbeSpec(kind=ProbeKind.ASTM, n0=1e3, n1=1e3, n2=1e5),
-                               TargetScenario(0.15, 0.1))
+        # A phase on mode 1 and then a beam splitter of t^2 = 0.135 on both
+        # hypotheses (draw 1628 of the seed-2 beam-split scan): no local
+        # frame takes both states to standard form, so the pair keeps the
+        # general analysis, whose sum has a determinant <= 0 at the ends of
+        # s. Its rho_A has n0 = 8.6e6 and n1 = 2.1e5, with entries up to
+        # ~1e13: one of the 3 of the scan's 2188 pairs that still raise it.
+        # The untouched pair reads -ln Q_min = 16.24 at s* = 1e-12.
+        pair = make_hypotheses(
+            ProbeSpec(kind=ProbeKind.ASTM, n0=8590764.745807517, n1=208030.85984454004,
+                      n2=0.002096901026643816),
+            TargetScenario(0.580998891987401, 0.00021154911012262896))
         with pytest.raises(ValidationError, match="is singular"):
-            q_s(beam_split(pair, 1.0), 1.0 - 1e-12)
+            q_s(beam_split(pair, 3.129419883313589, 0.13516026648870866), 1.0 - 1e-12)
+
+    def test_beam_split_pair_gets_the_untouched_answer(self):
+        # A phase of 1 rad on mode 1 and then a 50:50 beam splitter: the
+        # general analysis raised "singular" at the ends of s when it fitted
+        # the Williamson projectors to the covariance as given. Read in
+        # each state's local standard form, it gives the untouched pair's
+        # -ln Q_min, 6.322036495075174; 60 digits of the pair's own float64
+        # entries give 6.3220364989.
+        probe = ProbeSpec(kind=ProbeKind.ASTM, n0=1e3, n1=1e3, n2=1e5)
+        scenario = TargetScenario(0.15, 0.1)
+        _, q_min = chernoff_infimum(beam_split(make_hypotheses(probe, scenario), 1.0))
+        assert -math.log(q_min) == pytest.approx(-math.log(snr(probe, scenario).q_min),
+                                                 rel=1e-9)
+
+    @pytest.mark.parametrize("angle, t2, exponent", [
+        (0.3, 0.64, 2.70866126862518e-06),
+        (0.3, 0.5, 2.7086612686288878e-06),
+        (0.3, 0.09, 2.708661268626752e-06),
+        (1.0, 0.64, 2.708661268625463e-06),
+        (1.0, 0.5, 2.708661268628322e-06),
+        (1.0, 0.09, 2.7086612686259545e-06),
+        (2.0, 0.64, 2.7086612686271158e-06),
+        (2.0, 0.5, 2.708661268628218e-06),
+        (2.0, 0.09, 2.7086612686285794e-06),
+    ])
+    def test_microwave_beam_split_pairs_against_mpmath(self, angle, t2, exponent):
+        # ASTM n0 = n1 = 1 at MICROWAVE, beam split: -ln Q_min against 60
+        # digits of the pair's own float64 entries (a golden section on the
+        # Lagrange form of perfbench/reference.py, s in [1e-12, 1 - 1e-12]).
+        # The untouched pair reads 2.708661268634059e-06. The general
+        # analysis on the covariance as given was 1.0e-6 to 1.2e-4 off.
+        pair = beam_split(make_hypotheses(ProbeSpec(kind=ProbeKind.ASTM, n0=1.0, n1=1.0),
+                                          MICROWAVE), angle, t2)
+        assert -math.log(chernoff_infimum(pair)[1]) == pytest.approx(exponent, rel=1e-7)
 
     def test_turned_pair_gets_the_answer_of_the_untouched_one(self):
         # PR 27's pair turned by 0.3 rad on mode 1. The general analysis
@@ -1682,6 +1720,33 @@ class TestLocalFrame:
             moved = transformed(pair, m)
             bound = transform_rounding(pair, moved, expected.q_min)
             assert discriminate(moved, 1e6).snr == pytest.approx(expected.snr, rel=bound)
+
+    def test_pure_idler_pairs_get_the_untouched_answer(self):
+        # Displaced ASTM pairs at n0 = 0, whose rho_B is a product state with
+        # a pure idler squeezed by n2 up to 1e4, under squeezed_turns (span
+        # 8, seed 5). rho_B keeps its mode blocks' x-p entries through the
+        # frame, and its local standard form reads the idler's nu - 1 off by
+        # ~eps times its squeeze: each mode of a product state snaps within
+        # its own closed-form bound. Snapped within _MODE_ROUNDING, 42 of
+        # the 194 pairs were off by more than 1e-6 (worst 6.1e-5); here the
+        # worst is 3.6e-8.
+        rng, checked = np.random.default_rng(5), 0
+        for _ in range(200):
+            n2 = 10.0 ** rng.uniform(0, 4)
+            probe = ProbeSpec(kind=ProbeKind.ASTM, n0=0.0, n1=rng.uniform(0, 2), n2=n2)
+            scenario = TargetScenario(10.0 ** rng.uniform(-3, -0.5), 10.0 ** rng.uniform(-2, 1))
+            pair = make_hypotheses(probe, scenario)
+            pair = HypothesisPair(GaussianState(2, rng.normal(0, 0.3, 4), pair.rho_a.cov),
+                                  pair.rho_b)
+            m, _ = squeezed_turns(rng, 2, 8.0)
+            try:
+                expected = -math.log(chernoff_infimum(pair)[1])
+            except ValidationError:
+                continue
+            got = -math.log(chernoff_infimum(transformed(pair, m))[1])
+            assert got == pytest.approx(expected, rel=1e-6)
+            checked += 1
+        assert checked == 194
 
     def test_every_general_analysis_is_framed(self, rng, monkeypatch):
         # _route takes every pair that is neither coherent in closed form nor

@@ -175,6 +175,15 @@ class TestSweep:
             assert row.snr == run_scenario(
                 ProbeSpec(kind=ProbeKind.TMSV, n0=row.axis_value), MICROWAVE).snr
 
+    def test_compare_on_a_coherent_probe_adds_only_tmsv_rows(self):
+        # Comparison rows are those of the kinds other than the probe's
+        # own: each grid value gave coherent, tmsv and coherent again.
+        table = sweep("ns", [1.0, 2.0], ProbeSpec(kind=ProbeKind.COHERENT), LOW_NOISE,
+                      compare=True)
+        assert [r.kind for r in table.rows] == ["coherent", "tmsv"] * 2
+        for row in table.rows:
+            assert row.ns == row.axis_value
+
     def test_squeezer_axis_of_a_tmsv_probe_is_reported(self):
         table = sweep("n1", [0.0, 1.0], ProbeSpec(kind=ProbeKind.TMSV, n0=0.5),
                       MICROWAVE)
@@ -483,9 +492,9 @@ class TestBatchInvariant:
                 errors.append(f"{axis}={value}: {exc}")
                 continue
             points = [(p, with_discord)]
-            if compare:
-                if kind is not ProbeKind.TMSV:
-                    points.append((ProbeSpec(kind=ProbeKind.TMSV, n0=value), with_discord))
+            if compare and kind is not ProbeKind.TMSV:
+                points.append((ProbeSpec(kind=ProbeKind.TMSV, n0=value), with_discord))
+            if compare and kind is not ProbeKind.COHERENT:
                 points.append((ProbeSpec(kind=ProbeKind.COHERENT, ns=value), False))
             for q, discord in points:
                 try:

@@ -17,7 +17,7 @@ from gqi.discord import gaussian_discord
 from gqi.probes import (HypothesisPair, _probe_entries, _return_entries, _two_mode_cov,
                         coherent_state, make_hypotheses, probe_state, tmsv_state)
 from gqi.symplectic import (EIGENVALUE_CLAMP_TOL, _allowed_shortfall, _closed_spectrum,
-                            _standard_entries, standard_form_spectrum)
+                            _standard_entries, _standard_frame, standard_form_spectrum)
 
 from conftest import random_physical_cov, random_symplectic
 from oracles import (SymplecticMatrix, apply_symplectic, eigvals_decision, eigvals_spectrum,
@@ -25,6 +25,7 @@ from oracles import (SymplecticMatrix, apply_symplectic, eigvals_decision, eigva
                      williamson)
 
 photons = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
+EPS = float(np.finfo(float).eps)
 
 
 class TestSymplecticForm:
@@ -595,7 +596,7 @@ class TestClosedFormSpectrum:
         cov = 0.5 * (cov + cov.T)
         nu = symplectic_eigenvalues(cov)[0]
         tol = max(EIGENVALUE_CLAMP_TOL, _closed_spectrum(
-            cov * ((1.0 - 2.0 * EIGENVALUE_CLAMP_TOL) / nu))[2][0][1])
+            cov * ((1.0 - 2.0 * EIGENVALUE_CLAMP_TOL) / nu))[1][0][1])
         scaled = cov * ((1.0 - m * tol) / nu)
         exact = exact_spectrum(scaled)[0]
         bound = _allowed_shortfall(np.abs(scaled).max(), np.trace(scaled) / (2.0 * exact))
@@ -617,7 +618,7 @@ class TestClosedFormSpectrum:
             cov = 0.5 * (cov + cov.T)
             nu_lo = symplectic_eigenvalues(cov)[1]
             tol = max(EIGENVALUE_CLAMP_TOL, _closed_spectrum(
-                cov * ((1.0 - 2.0 * EIGENVALUE_CLAMP_TOL) / nu_lo))[2][0][1])
+                cov * ((1.0 - 2.0 * EIGENVALUE_CLAMP_TOL) / nu_lo))[1][0][1])
             for m in (0.5, 2.0):
                 scaled = cov * ((1.0 - m * tol) / nu_lo)
                 accepted = TestValidationRoute.accepts(
@@ -822,3 +823,63 @@ class TestStandardFormSpectrum:
         assert spec.errors == [None, "covariance has a non-finite entry",
                                "covariance matrix is not positive definite", None]
         assert spec.nu[:, 0] == pytest.approx([1.0, 1.0])
+
+
+def duan_entries(probe: ProbeSpec, scenario: TargetScenario) -> tuple:
+    """The entries of rho_A with each mode squeezed to sqrt(det) I: a
+    covariance in Duan's standard form, A = a I, B = b I, C = diag(c_x, c_p)."""
+    ax, ap, bx, bp, cx, cp = _return_entries(
+        _probe_entries(probe.n0, probe.n1, probe.n2), scenario.kappa, scenario.nb)
+    z = (ap / ax) ** 0.25 * (bp / bx) ** 0.25
+    a, b = np.sqrt(ax * ap), np.sqrt(bx * bp)
+    return a, a, b, b, cx * z, cp / z
+
+
+class TestStandardFrame:
+    """symplectic._standard_frame: the local symplectic L that takes a
+    two-mode covariance to standard form, and the six entries of L V L^T."""
+
+    PROBES = [
+        (ProbeSpec(kind=ProbeKind.ASTM, n0=1.0, n1=1.0), TargetScenario(0.01, 30.0)),
+        (ProbeSpec(kind=ProbeKind.ASTM, n0=0.1, n1=5.0, n2=2.0), TargetScenario(0.3, 0.4)),
+        (ProbeSpec(kind=ProbeKind.ASTM, n0=3.0, n1=0.2, n2=3e3), TargetScenario(0.006, 0.0)),
+        (ProbeSpec(kind=ProbeKind.TMSV, n0=2.0), TargetScenario(0.5, 0.0)),
+        (ProbeSpec(kind=ProbeKind.ASTM, n0=0.0, n1=1.0), TargetScenario(0.01, 30.0)),
+    ]
+
+    def test_frame_is_local_and_symplectic(self, rng):
+        for _ in range(50):
+            cov = random_physical_cov(2, rng)
+            _, frame = _standard_frame(cov)
+            assert frame.dtype == np.longdouble
+            assert not frame[:2, 2:].any() and not frame[2:, :2].any()
+            residual = frame @ symplectic_form(2) @ frame.T - symplectic_form(2)
+            assert np.abs(residual).max() <= 64 * EPS * max(1.0, np.abs(frame).max() ** 2)
+
+    @pytest.mark.parametrize("probe, scenario", PROBES)
+    def test_standard_form_comes_back_as_itself(self, probe, scenario):
+        # Up to the signs of quadratures, which a turn by pi flips, and a
+        # quarter turn of both modes, which swaps x1x2 and p1p2: a mode
+        # block a I rounded to diag(a, a (1 + e)) turns by pi / 2.
+        entries = duan_entries(probe, scenario)
+        got, _ = _standard_frame(_two_mode_cov(*entries))
+        got, expected = np.abs(got.astype(float)), np.abs(entries)
+        scale = max(expected)
+        assert (np.abs(got - expected).max() <= 8 * EPS * scale
+                or np.abs(got - expected[[0, 1, 2, 3, 5, 4]]).max() <= 8 * EPS * scale)
+
+    def test_entries_keep_the_spectrum(self, rng):
+        for _ in range(200):
+            cov = random_physical_cov(2, rng)
+            entries, _ = _standard_frame(cov)
+            nu = standard_form_spectrum(tuple(entries.astype(float).tolist())).nu
+            np.testing.assert_allclose(nu, symplectic_eigenvalues(cov), rtol=1e-12)
+
+    def test_product_state_stays_a_product(self, rng):
+        cov = np.zeros((4, 4))
+        cov[:2, :2], cov[2:, 2:] = random_physical_cov(1, rng), random_physical_cov(1, rng)
+        entries, _ = _standard_frame(cov)
+        assert entries[4] == entries[5] == 0.0
+        np.testing.assert_allclose(entries[[0, 2]].astype(float),
+                                   np.sqrt([np.linalg.det(cov[:2, :2]),
+                                            np.linalg.det(cov[2:, 2:])]), rtol=1e-14)
